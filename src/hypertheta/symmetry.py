@@ -25,10 +25,9 @@ from math import comb
 
 import numpy as np
 
-from .hypercore import Hypergraph, HypergraphError, check_weights
+from .hypercore import Hypergraph, HypergraphError, check_weights, link
 from .numlin import solve_lp
-from .thetabody import _Builder, _membership_node, _solved
-from .hypercore import link
+from .thetabody import _attach_link, _Builder, _solved
 
 __all__ = [
     "PermGroup",
@@ -213,19 +212,7 @@ def theta_transitive(hg: Hypergraph, group: PermGroup, x0: int = 0, tol: float =
                 continue  # symmetric entry already tied
             builder.add([(blk, x, y, 1.0), (blk, ax, ay, -1.0)], 0.0)
 
-    sub, smap = link(hg, x0)
-    if sub.n:
-        if sub.r == 1:
-            for v in smap:
-                builder.add([(blk, x0, v, 1.0)], 0.0)
-        else:
-            child = _membership_node(builder, sub, smap)
-            builder.add([(child.blk, 0, 0, 1.0), (blk, x0, x0, -1.0)], 0.0)
-            for j, v in enumerate(smap):
-                builder.add(
-                    [(child.blk, j + 1, j + 1, 1.0), (blk, x0, v, -1.0)], 0.0
-                )
-
+    _attach_link(builder, blk, x0, *link(hg, x0), shift=0)
     cobj = np.full((hg.n, hg.n), 1.0 / hg.n)
     problem = builder.problem({blk: cobj})
     sol = _solved(problem, tol, "theta_transitive")

@@ -16,6 +16,10 @@ Graph nodes need no child blocks: the link of a vertex in a graph is a
 1-uniform hypergraph all of whose vertices are edges, so its body is {0}
 and the row constraint collapses to zero entries on graph edges.
 
+Every program here is built from that one node and its link tie: theta_dual,
+the gauge min{lam : w in lam * body(H-bar)} of the complement body (the
+antiblocker pairing), puts the same root node on the complement.
+
 All assemblies here are pure; solves are delegated to numlin and share no
 state between calls, so concurrent independent calls are safe.
 """
@@ -155,24 +159,39 @@ def _membership_node(builder: _Builder, hg: Hypergraph, vmap: tuple) -> _Node:
         builder.add([(blk, 0, i + 1, 1.0), (blk, i + 1, i + 1, -1.0)], 0.0)
     children: dict[int, _Node] = {}
     if hg.r == 2:
+        # Each edge once; the 1-uniform links would emit it from both ends.
         for u, v in hg.edges:
             builder.add([(blk, u + 1, v + 1, 1.0)], 0.0)
     else:
         for x in range(hg.n):
-            sub, submap = link(hg, x)
-            if sub.n == 0:
-                continue  # empty link: no constraint on this row
-            child = _membership_node(builder, sub, submap)
-            builder.add(
-                [(child.blk, 0, 0, 1.0), (blk, x + 1, x + 1, -1.0)], 0.0
-            )
-            for j, v in enumerate(submap):
-                builder.add(
-                    [(child.blk, j + 1, j + 1, 1.0), (blk, x + 1, v + 1, -1.0)],
-                    0.0,
-                )
-            children[x] = child
+            child = _attach_link(builder, blk, x, *link(hg, x))
+            if child is not None:
+                children[x] = child
     return _Node(hg, blk, vmap, children)
+
+
+def _attach_link(
+    builder: _Builder, blk: int, x: int, sub: Hypergraph, smap: tuple, shift: int = 1
+) -> _Node | None:
+    """Tie row x of block blk to F(x,x) times the body of its link sub.
+
+    Vertex v sits at index v + shift of the block (1 for a bordered block).
+    Returns the child node, or None when the link needs no child block: an
+    empty link constrains nothing, and a 1-uniform link (every vertex an
+    edge, body {0}) makes the row zero on it.
+    """
+    if sub.n == 0:
+        return None
+    row = x + shift
+    if sub.r == 1:
+        for v in smap:
+            builder.add([(blk, row, v + shift, 1.0)], 0.0)
+        return None
+    child = _membership_node(builder, sub, smap)
+    builder.add([(child.blk, 0, 0, 1.0), (blk, row, row, -1.0)], 0.0)
+    for j, v in enumerate(smap):
+        builder.add([(child.blk, j + 1, j + 1, 1.0), (blk, row, v + shift, -1.0)], 0.0)
+    return child
 
 
 def assemble_theta_sdp(hg: Hypergraph, w=None) -> tuple[SdpProblem, "_Node"]:
@@ -208,6 +227,21 @@ def _extract(node: _Node, blocks) -> ThetaCertificate:
     )
 
 
+def _box_certificate(f, vmap) -> ThetaCertificate:
+    """Witness F = ff' + diag(f - f^2) for f in a 1-uniform body (a box);
+    [[1, f'], [f, F]] = [1; f][1; f]' + diag(0, f - f^2) is PSD on [0, 1]."""
+    f = np.asarray(f, dtype=float)
+    mat = np.outer(f, f)
+    np.fill_diagonal(mat, f)
+    return ThetaCertificate(scale=1.0, matrix=mat, uniformity=1, vertex_map=tuple(vmap))
+
+
+def _restrict(hg: Hypergraph, v: list) -> tuple[Hypergraph, tuple, list]:
+    """Induced instance on the support of v, its vertex map and v on it."""
+    sub, smap = induced(hg, [x for x in range(hg.n) if v[x] > 0])
+    return sub, smap, [v[x] for x in smap]
+
+
 def _solved(problem: SdpProblem, tol: float, what: str) -> SdpSolution:
     sol = solve_sdp(problem, tol=tol)
     if sol.status != "optimal":
@@ -236,12 +270,7 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
             [1.0 if (x not in blocked and wv[x] > 0) else 0.0 for x in range(hg.n)]
         )
         value = float(sum(float(wv[x]) for x in range(hg.n) if f[x] > 0))
-        cert = ThetaCertificate(
-            scale=1.0,
-            matrix=np.diag(f),
-            uniformity=1,
-            vertex_map=tuple(range(hg.n)),
-        )
+        cert = _box_certificate(f, range(hg.n))
         return ThetaResult(value, f, cert, {"mode": "exact-base"})
     problem, root = assemble_theta_sdp(hg, wv)
     sol = _solved(problem, tol, "theta")
@@ -281,32 +310,15 @@ def theta_membership(
         return False, None
     if any(v > 1.0 + tol for v in fv):
         return False, None
-    support = [x for x in range(hg.n) if fv[x] > 0]
-    if not support:
-        cert = ThetaCertificate(
-            scale=1.0,
-            matrix=np.zeros((hg.n, hg.n)),
-            uniformity=hg.r,
-            vertex_map=tuple(range(hg.n)),
-        )
-        return True, cert
-    sub, smap = induced(hg, support)
-    fsub = [fv[v] for v in smap]
+    sub, smap, fsub = _restrict(hg, fv)
+    if sub.n == 0:
+        # Empty support: the audit reads a proper root map as zero elsewhere.
+        return True, ThetaCertificate(1.0, np.zeros((0, 0)), sub.r, smap)
 
     if sub.r == 1:
-        blocked = {e[0] for e in sub.edges}
-        ok = all(
-            (j not in blocked) and fsub[j] <= 1.0 + tol for j in range(sub.n)
-        )
-        if not ok:
+        if sub.edges:  # a blocked vertex carries positive f
             return False, None
-        cert = ThetaCertificate(
-            scale=1.0,
-            matrix=np.diag(np.array(fsub)),
-            uniformity=1,
-            vertex_map=smap,
-        )
-        return True, cert
+        return True, _box_certificate(fsub, smap)
 
     builder = _Builder()
     root = _membership_node(builder, sub, smap)
@@ -330,61 +342,42 @@ def theta_membership(
 # ---------------------------------------------------------------------------
 
 def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
-    """Minimum corner value of a bordered PSD matrix with diagonal w whose
-    rows lie in the scaled bodies of the complement links.
+    """Gauge of the complement body: the least lam with w in lam * body(H-bar).
 
+    The program is the root node of the complement, the same bordered block
+    that theta builds, with diagonal fixed to w and its corner lam
+    minimized; the rows lie in the scaled bodies of the complement links.
     Defined for uniformity at least 2 and nonnegative weights; w = 0 gives 0
-    immediately.  The support restriction mirrors theta_membership.
+    immediately.  The support restriction is the one theta_membership uses.
     """
     if hg.r < 2:
         raise UniformityError("the bordered program needs uniformity at least 2")
     wv = [float(v) for v in check_weights(hg, w)]
     if any(v < 0 for v in wv):
         raise HypergraphError("theta_dual requires nonnegative weights")
-    support = [x for x in range(hg.n) if wv[x] > 0]
-    if not support:
+    sub, smap, wsub = _restrict(hg, wv)
+    if sub.n == 0:
         return DualResult(0.0, 0.0, np.zeros((hg.n, hg.n)), {}, {"mode": "zero"})
-    sub, smap = induced(hg, support)
-    wsub = [wv[v] for v in smap]
 
     builder = _Builder()
-    blk = builder.block(sub.n + 1)
-    for j in range(sub.n):
-        builder.add([(blk, 0, j + 1, 1.0)], wsub[j])
-        builder.add([(blk, j + 1, j + 1, 1.0)], wsub[j])
-    cbar = complement(sub)
-    children: dict[int, _Node] = {}
-    for x in range(sub.n):
-        lk, lmap = link(cbar, x)
-        if lk.n == 0:
-            continue
-        if lk.r == 1:
-            # 1-uniform complement link: every vertex is an edge, body {0}.
-            for v in lmap:
-                builder.add([(blk, x + 1, v + 1, 1.0)], 0.0)
-            continue
-        child = _membership_node(builder, lk, lmap)
-        builder.add([(child.blk, 0, 0, 1.0), (blk, x + 1, x + 1, -1.0)], 0.0)
-        for j, v in enumerate(lmap):
-            builder.add(
-                [(child.blk, j + 1, j + 1, 1.0), (blk, x + 1, v + 1, -1.0)], 0.0
-            )
-        children[x] = child
+    root = _membership_node(builder, complement(sub), smap)
+    for j in range(sub.n):  # the node ties the diagonal to this border entry
+        builder.add([(root.blk, 0, j + 1, 1.0)], wsub[j])
     # Cap the corner so the feasible region is compact; never binding, since
     # the optimum is at most the total weight (cover by singletons).
     cap_blk = builder.block(1)
-    builder.add([(blk, 0, 0, 1.0), (cap_blk, 0, 0, 1.0)], float(sum(wsub)) + 1.0)
+    builder.add([(root.blk, 0, 0, 1.0), (cap_blk, 0, 0, 1.0)], float(sum(wsub)) + 1.0)
     cobj = np.zeros((sub.n + 1, sub.n + 1))
     cobj[0, 0] = -1.0
-    problem = builder.problem({blk: cobj})
+    problem = builder.problem({root.blk: cobj})
     sol = _solved(problem, tol, "theta_dual")
-    big = np.array(sol.blocks[blk])
+    big = np.array(sol.blocks[root.blk])
     lam = float(big[0, 0])
     zfull = np.zeros((hg.n, hg.n))
     idx = np.array(smap)
     zfull[np.ix_(idx, idx)] = big[1:, 1:]
     cert_children = {
-        smap[x]: _extract(child, sol.blocks) for x, child in children.items()
+        smap[x]: _extract(child, sol.blocks) for x, child in root.children.items()
     }
     return DualResult(
         lam,
@@ -427,7 +420,10 @@ def check_certificate(
     """
     problems: list[str] = []
     if tuple(cert.vertex_map) != tuple(range(hg.n)):
-        hg, smap = induced(hg, cert.vertex_map)
+        try:
+            hg, smap = induced(hg, cert.vertex_map)
+        except HypergraphError:
+            smap = None
         if smap != tuple(cert.vertex_map):
             return [f"root vertex map {cert.vertex_map} is not a vertex subset"]
 

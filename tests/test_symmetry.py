@@ -125,7 +125,6 @@ class TestTransitiveReduction:
     def test_all_rows_lie_in_link_bodies(self):
         # the reduction constrains one row; invariance must cover the rest
         from hypertheta.hypercore import link
-        from hypertheta.symmetry import _Builder, _membership_node
         from hypertheta.numlin import solve_sdp
         import hypertheta.thetabody as tb
 

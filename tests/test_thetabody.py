@@ -80,6 +80,12 @@ class TestTheta:
         assert res.value == 2.0
         assert list(res.optimizer) == [1.0, 0.0, 0.0]
 
+    def test_base_case_witness_passes_audit(self):
+        hg = Hypergraph(1, 3, ((0,),))
+        res = theta(hg, [1, 1, 1])
+        assert check_certificate(hg, res.certificate) == []
+        assert list(res.certificate.vector) == list(res.optimizer)
+
     def test_optimizer_in_unit_box(self):
         res = theta(mantel_hypergraph(4))
         assert np.all(res.optimizer >= -1e-7)
@@ -106,6 +112,19 @@ class TestMembership:
     def test_zero_vector(self):
         member, cert = theta_membership(complete_hypergraph(3, 3), [0, 0, 0])
         assert member and cert is not None
+
+    def test_zero_vector_witness_passes_audit(self):
+        for hg in (complete_hypergraph(3, 4), mantel_hypergraph(4)):
+            member, cert = theta_membership(hg, [0] * hg.n)
+            assert member and cert.vertex_map == ()
+            assert check_certificate(hg, cert) == []
+
+    def test_base_case_witness_passes_audit(self):
+        hg = Hypergraph(1, 3, ((0,),))
+        member, cert = theta_membership(hg, [0, 0.5, 1])
+        assert member
+        assert check_certificate(hg, cert) == []
+        assert list(cert.vector) == [0.5, 1.0]
 
     def test_negative_entry_rejected(self):
         member, _ = theta_membership(cycle_graph(5), [0.1, -0.2, 0, 0, 0])
@@ -186,6 +205,21 @@ class TestDual:
             assert lo - 1e-6 <= v <= hi + 1e-6
 
 
+    def test_gauge_of_complement_body(self):
+        # lam = min{t : w in t * body(complement)}: w / lam sits on its boundary
+        rng = random.Random(34)
+        cases = [(cycle_graph(5), [1.0] * 5)]
+        cases.append((cycle_graph(7), [rng.uniform(0.2, 1.0) for _ in range(7)]))
+        for _ in range(3):
+            hg = random_hypergraph(rng.randint(5, 7), 3, 0.4, rng)
+            cases.append((hg, [rng.uniform(0.2, 1.0) for _ in range(hg.n)]))
+        for hg, w in cases:
+            lam = theta_dual(hg, w).value
+            cbar = complement(hg)
+            assert theta_membership(cbar, [v / (lam * (1 + 1e-4)) for v in w])[0]
+            assert not theta_membership(cbar, [v / (lam * (1 - 1e-4)) for v in w])[0]
+
+
 class TestProbe:
     def test_single_edge_counterexample(self):
         r = 3
@@ -262,3 +296,11 @@ class TestCertificates:
             res.certificate, children={**res.certificate.children, 0: bad_child}
         )
         assert check_certificate(complete_hypergraph(3, 3), broken2) != []
+
+    def test_out_of_range_root_map_is_a_violation(self):
+        text = (
+            '{"scale": 1.0, "uniformity": 2, "vertex_map": [7],'
+            ' "matrix": [[0.5]], "children": {}}'
+        )
+        problems = check_certificate(cycle_graph(5), certificate_from_json(text))
+        assert problems == ["root vertex map (7,) is not a vertex subset"]
