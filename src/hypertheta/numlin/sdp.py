@@ -10,8 +10,9 @@ Problems are stated in the form
 with dense symmetric data on each block.  The solver is aimed at dense desk
 scale instances (a few hundred total dimensions): every iteration factors the
 blocks directly and solves the Schur-complement normal equations by Cholesky.
-A presolve pass removes linearly dependent equality rows (rank threshold
-1e-10) and detects inconsistent dependencies.
+A presolve pass keeps, in order, each equality row whose distance from the
+span of the rows kept before it passes a QR rank test (threshold 1e-10), and
+checks the right-hand sides of the dropped rows by one least-squares solve.
 
 Solves are deterministic per numpy/BLAS build: on one build, identical
 inputs give bit-identical iterates; other builds may differ in the last
@@ -89,98 +90,81 @@ class SdpSolution:
     residuals: dict = field(default_factory=dict)
 
 
-def _svec(mat: np.ndarray) -> np.ndarray:
-    """Isometric vectorization of a symmetric matrix (off-diagonals * sqrt 2)."""
-    n = mat.shape[0]
-    iu = np.triu_indices(n)
-    out = mat[iu].copy()
-    out[iu[0] != iu[1]] *= np.sqrt(2.0)
-    return out
+def _stack(problem: SdpProblem):
+    """All constraint rows as one matrix; the only reader of the rows.
 
-
-def _presolve(problem: SdpProblem, tol: float = 1e-10):
-    """Greedy rank filter on the constraint rows.
-
-    Returns (kept_indices, None) or (None, "infeasible") when a dependent
-    row carries an inconsistent right-hand side.
+    Row i is vec(A_i0), vec(A_i1), ... in block order, so Frobenius inner
+    products of constraints are dot products of rows.  Returns the matrix,
+    the right-hand sides and the column offsets of the blocks and the end.
     """
-    dims = problem.block_dims
-    offsets = np.cumsum([0] + [d * (d + 1) // 2 for d in dims])
-    width = offsets[-1]
-    full_rows = []
-    for coeffs, _ in problem.constraints:
-        row = np.zeros(width)
+    offsets = np.cumsum([0] + [d * d for d in problem.block_dims])
+    a = np.zeros((problem.num_constraints, offsets[-1]))
+    rhs = np.zeros(problem.num_constraints)
+    for i, (coeffs, value) in enumerate(problem.constraints):
         for b, mat in coeffs.items():
-            row[offsets[b] : offsets[b + 1]] = _svec(mat)
-        full_rows.append(row)
+            a[i, offsets[b] : offsets[b + 1]] = mat.ravel()
+        rhs[i] = value
+    return a, rhs, offsets
 
-    kept: list[int] = []
-    qbasis: list[np.ndarray] = []
-    for i, row in enumerate(full_rows):
-        res = row.copy()
-        for q in qbasis:
-            res -= (q @ res) * q
-        for q in qbasis:  # second orthogonalization pass for stability
-            res -= (q @ res) * q
-        norm = np.linalg.norm(res)
-        if norm > tol * (1.0 + np.linalg.norm(row)):
-            kept.append(i)
-            qbasis.append(res / norm)
-        else:
-            if kept:
-                mat = np.array([full_rows[k] for k in kept]).T
-                coef, *_ = np.linalg.lstsq(mat, row, rcond=None)
-                implied = float(
-                    np.dot(coef, [problem.constraints[k][1] for k in kept])
-                )
-            else:
-                implied = 0.0
-            want = problem.constraints[i][1]
-            if abs(want - implied) > 1e-7 * (1.0 + abs(want)):
-                return None, "infeasible"
+
+def _presolve(a: np.ndarray, rhs: np.ndarray, tol: float = 1e-10):
+    """Greedy rank filter on the constraint rows, taken in order.
+
+    Row i is kept when its distance from the span of the rows kept before it
+    exceeds tol * (1 + |row i|).  In the QR factorization of a^T that
+    distance is |R_ii| up to the first dependent row p; the columns of
+    R[p:, p+1:] hold the later rows' parts orthogonal to the kept ones, and
+    the test repeats on them.  Returns (kept_indices, None), or
+    (None, "infeasible") when a dependent row carries an inconsistent
+    right-hand side.
+    """
+    limit = tol * (1.0 + np.linalg.norm(a, axis=1))
+    keep = np.zeros(len(a), dtype=bool)
+    rest, res = np.arange(len(a)), a.T
+    while len(rest) and len(res):
+        r = np.linalg.qr(res, mode="r")
+        dist = np.zeros(len(rest))
+        dist[: len(r)] = np.abs(np.diag(r))
+        p = np.append(dist <= limit[rest], True).argmax()  # first dependent
+        keep[rest[:p]] = True
+        rest, res = rest[p + 1 :], r[p:, p + 1 :]
+    kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
+    if len(dropped):
+        coef, *_ = np.linalg.lstsq(a[kept].T, a[dropped].T, rcond=None)
+        implied = rhs[kept] @ coef
+        want = rhs[dropped]
+        if np.any(np.abs(want - implied) > 1e-7 * (1.0 + np.abs(want))):
+            return None, "infeasible"
     return kept, None
 
 
 class _BlockData:
-    """Per-block stacked constraint matrices for fast A / A-transpose action."""
+    """One block's touched constraint rows and their stacked matrices."""
 
-    def __init__(self, dim, rows, mats):
-        self.dim = dim
-        self.rows = np.array(rows, dtype=int)
-        self.mats = np.array(mats, dtype=float) if mats else np.zeros((0, dim, dim))
-        self.flat = self.mats.reshape(len(rows), -1)
+    def __init__(self, rows, flat, dim):
+        self.rows = rows
+        self.flat = flat
+        self.mats = flat.reshape(len(rows), dim, dim)
 
 
-def _prepare(problem: SdpProblem, kept: list[int]):
-    dims = problem.block_dims
-    rhs = np.array([problem.constraints[i][1] for i in kept], dtype=float)
+def _prepare(dims, a, offsets, kept):
     blocks = []
     for b, d in enumerate(dims):
-        rows, mats = [], []
-        for local, i in enumerate(kept):
-            coeffs = problem.constraints[i][0]
-            if b in coeffs:
-                rows.append(local)
-                mats.append(coeffs[b])
-        blocks.append(_BlockData(d, rows, mats))
-    return rhs, blocks
+        cols = a[kept, offsets[b] : offsets[b + 1]]
+        rows = np.flatnonzero(cols.any(axis=1))
+        blocks.append(_BlockData(rows, cols[rows], d))
+    return blocks
 
 
 def _apply_a(blocks, xs, m):
     out = np.zeros(m)
     for b, data in enumerate(blocks):
-        if len(data.rows):
-            np.add.at(out, data.rows, data.flat @ xs[b].ravel())
+        np.add.at(out, data.rows, data.flat @ xs[b].ravel())
     return out
 
 
 def _apply_at(blocks, y):
-    return [
-        np.einsum("m,mij->ij", y[data.rows], data.mats)
-        if len(data.rows)
-        else np.zeros((data.dim, data.dim))
-        for data in blocks
-    ]
+    return [np.einsum("m,mij->ij", y[data.rows], data.mats) for data in blocks]
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -188,8 +172,7 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     vals, vecs = np.linalg.eigh(x)
     vals = np.maximum(vals, 1e-300)
     z = vecs / np.sqrt(vals)
-    lam = np.linalg.eigvalsh(z.T @ dx @ z)
-    lo = lam.min() if lam.size else 0.0
+    lo = np.linalg.eigvalsh(z.T @ dx @ z).min()
     if lo >= -1e-13:
         return np.inf
     return -1.0 / lo
@@ -212,16 +195,19 @@ def solve_sdp(
     added to the Schur complement when its Cholesky factorization failed
     (0.0 when it never did).
     """
-    kept, bad = _presolve(problem)
+    a, rhs, offsets = _stack(problem)
+    kept, bad = _presolve(a, rhs)
     if bad is not None:
         return SdpSolution(status="infeasible")
-    rhs, blocks = _prepare(problem, kept)
     m = len(kept)
-    dims = problem.block_dims
-    cs = [np.array(c) for c in problem.objective]
-    total_dim = sum(dims)
     if m == 0:
         raise ValueError("SDP needs at least one equality constraint")
+    dims = problem.block_dims
+    rhs = rhs[kept]
+    blocks = _prepare(dims, a, offsets, kept)
+    del a  # the blocks hold all the constraint data from here on
+    cs = [np.array(c) for c in problem.objective]
+    total_dim = sum(dims)
 
     scale0 = max(1.0, float(np.abs(rhs).max()))
     scale_c = max(1.0, max(float(np.abs(c).max()) for c in cs))
@@ -247,7 +233,7 @@ def solve_sdp(
         gap = sum(float(np.tensordot(xs[b], ss[b])) for b in range(len(dims)))
         mu = gap / total_dim
         rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
-        rp_norm = float(np.abs(rp).max()) / b_norm if m else 0.0
+        rp_norm = float(np.abs(rp).max()) / b_norm
         rd_norm = max(float(np.abs(r).max()) for r in rd) / c_norm
         if rel_gap <= tol and rp_norm <= tol * 10 and rd_norm <= tol * 10:
             status = "optimal"
@@ -282,19 +268,14 @@ def solve_sdp(
 
         # Schur complement M[i,j] = <A_i, W A_j W>.
         mmat = np.zeros((m, m))
-        waws = []
         for b, data in enumerate(blocks):
-            if not len(data.rows):
-                waws.append(None)
-                continue
-            waw = np.einsum("pk,mkl,lq->mpq", ws[b], data.mats, ws[b], optimize=True)
-            waws.append(waw)
+            waw = ws[b] @ data.mats @ ws[b]
             sub = data.flat @ waw.reshape(len(data.rows), -1).T
             mmat[np.ix_(data.rows, data.rows)] += sub
 
         chol = None
         ridge = 0.0
-        base = np.trace(mmat) / m if m else 1.0
+        base = np.trace(mmat) / m
         for attempt in range(8):
             try:
                 chol = np.linalg.cholesky(
@@ -367,8 +348,7 @@ def solve_sdp(
         status = "numerical-failure"
 
     y_full = np.zeros(problem.num_constraints)
-    for local, i in enumerate(kept):
-        y_full[i] = y[local]
+    y_full[kept] = y
 
     return SdpSolution(
         status=status,

@@ -27,6 +27,7 @@ state between calls, so concurrent independent calls are safe.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -421,8 +422,8 @@ def check_certificate(
     problems: list[str] = []
     if tuple(cert.vertex_map) != tuple(range(hg.n)):
         try:
-            hg, smap = induced(hg, cert.vertex_map)
-        except HypergraphError:
+            hg, smap = induced(hg, [operator.index(v) for v in cert.vertex_map])
+        except (HypergraphError, TypeError):
             smap = None
         if smap != tuple(cert.vertex_map):
             return [f"root vertex map {cert.vertex_map} is not a vertex subset"]
@@ -470,11 +471,13 @@ def check_certificate(
                 continue
             if abs(child.scale - mat[x, x]) > tol:
                 problems.append(f"{label}: child {x} scaling mismatch")
-            cd = np.diag(np.asarray(child.matrix, dtype=float))
-            for j, v in enumerate(submap):
-                if abs(cd[j] - mat[x, v]) > tol:
-                    problems.append(f"{label}: child {x} diagonal mismatch at {j}")
-                    break
+            cmat = np.asarray(child.matrix, dtype=float)
+            # A wrongly shaped child is reported by its own visit.
+            if cmat.shape == (sub.n, sub.n):
+                for j, v in enumerate(submap):
+                    if abs(cmat[j, j] - mat[x, v]) > tol:
+                        problems.append(f"{label}: child {x} diagonal mismatch at {j}")
+                        break
             visit(sub, child, f"{label}.{x}")
 
     if abs(cert.scale - float(root_scale)) > tol:

@@ -13,6 +13,7 @@ from hypertheta.numlin import (
     solve_lp,
     solve_sdp,
 )
+from hypertheta.numlin.sdp import _presolve, _stack
 from hypertheta.thetabody import assemble_theta_sdp
 
 
@@ -140,6 +141,22 @@ class TestLp:
             solve_lp([1, 2], [[1]], [0])
 
 
+def _gram_schmidt_kept(a, tol=1e-10):
+    """Reference greedy rank filter: row i is kept when its distance from
+    the span of the rows kept before it exceeds tol * (1 + |row i|)."""
+    kept, basis = [], []
+    for i, row in enumerate(a):
+        res = row.copy()
+        for _ in range(2):  # second pass for stability
+            for q in basis:
+                res -= (q @ res) * q
+        norm = np.linalg.norm(res)
+        if norm > tol * (1.0 + np.linalg.norm(row)):
+            kept.append(i)
+            basis.append(res / norm)
+    return kept
+
+
 class TestSdp:
     def test_scalar_block(self):
         p = SdpProblem([1], [np.array([[1.0]])], [({0: np.array([[1.0]])}, 0.5)])
@@ -192,6 +209,47 @@ class TestSdp:
         eye = np.array([[1.0]])
         p = SdpProblem([1], [eye], [({0: eye}, 0.5), ({0: 2 * eye}, 2.0)])
         assert solve_sdp(p).status == "infeasible"
+
+    def test_presolve_keeps_rows_in_order_and_checks_dropped_rhs(self):
+        e11, e22, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[1.0]])
+        objective = [np.array([[0.0, 1.0], [1.0, 0.0]]), one]
+        base = [({0: e11}, 1.0), ({0: e22}, 1.0), ({1: one}, 0.5)]
+
+        def solve(extra):
+            return solve_sdp(SdpProblem([2, 1], objective, base + extra))
+
+        want = solve([])
+        assert want.status == "optimal" and abs(want.primal - 2.5) < 1e-8
+        # sum of the first and last rows, which sit on different blocks
+        summed = {0: e11, 1: one}
+        for extra in ([(summed, 1.5)], [({}, 0.0)]):
+            s = solve(extra)
+            assert s.status == "optimal" and s.y[3] == 0.0
+            assert abs(s.primal - want.primal) < 1e-8
+        assert solve([(summed, 2.0)]).status == "infeasible"
+        assert solve([({}, 1.0)]).status == "infeasible"
+        # more rows than the block has coordinates
+        rows = [({0: k * one}, 0.5 * k) for k in (1, 2, 3)]
+        s = solve_sdp(SdpProblem([1], [one], rows))
+        assert s.status == "optimal" and abs(s.primal - 0.5) < 1e-8
+
+    def test_presolve_matches_gram_schmidt_reference(self):
+        rng = np.random.default_rng(7)
+        graphs = (cycle_graph(5), complete_hypergraph(3, 3), complete_hypergraph(3, 4))
+        cases = [_stack(assemble_theta_sdp(hg)[0])[:2] for hg in graphs]
+        for m, width in ((6, 10), (12, 5)):
+            a = rng.normal(size=(m, width))
+            a[2] = 0.0
+            a[3] = a[0] - 2.0 * a[1]
+            a[m - 1] = a[4] + a[1]
+            cases.append((a, a @ rng.normal(size=width)))
+        # a duplicate row followed by a row in a direction not yet seen
+        a = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
+        cases.append((a, np.array([1.0, 1, 2])))
+        for a, rhs in cases:
+            kept, bad = _presolve(a, rhs)
+            assert bad is None
+            assert list(kept) == _gram_schmidt_kept(a)
 
     def test_psd_blocks_at_optimum(self):
         problem, _ = assemble_theta_sdp(complete_hypergraph(3, 3))

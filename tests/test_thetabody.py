@@ -304,3 +304,25 @@ class TestCertificates:
         )
         problems = check_certificate(cycle_graph(5), certificate_from_json(text))
         assert problems == ["root vertex map (7,) is not a vertex subset"]
+
+    def test_short_child_matrix_is_a_violation(self):
+        import json
+
+        hg = complete_hypergraph(3, 3)
+        data = json.loads(certificate_to_json(theta(hg).certificate))
+        child = data["children"]["0"]
+        child["matrix"] = [[child["matrix"][0][0]]]
+        problems = check_certificate(hg, certificate_from_json(json.dumps(data)))
+        assert problems and all("diagonal mismatch" not in p for p in problems)
+        assert any("root.0: matrix shape (1, 1)" in p for p in problems)
+
+    def test_non_integer_root_map_is_a_violation(self):
+        for vmap in ('["a"]', "[1.5]", '[1, "a"]'):
+            text = (
+                f'{{"scale": 1.0, "uniformity": 2, "vertex_map": {vmap},'
+                ' "matrix": [[0.5]], "children": {}}'
+            )
+            cert = certificate_from_json(text)
+            problems = check_certificate(cycle_graph(5), cert)
+            want = f"root vertex map {cert.vertex_map} is not a vertex subset"
+            assert problems == [want]
