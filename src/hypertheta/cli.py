@@ -129,10 +129,7 @@ def _cmd_theta(args) -> int:
 
 def _cmd_theta_dual(args) -> int:
     hg = read_hypergraph(args.file)
-    w = _load_weights(args, hg)
-    if w is None:
-        w = [1] * hg.n
-    res = theta_dual(hg, w, tol=args.tol)
+    res = theta_dual(hg, _load_weights(args, hg), tol=args.tol)
     _emit(
         {
             "command": "theta-dual",
@@ -291,13 +288,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mantel", help="exact value for the triangle family")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exact", action="store_true", help="rational output (always on)")
     p.set_defaults(func=_cmd_mantel)
 
     p = sub.add_parser("hamming", help="closed forms for cube triangle hypergraphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--exact", action="store_true", help="rational output (always on)")
     p.set_defaults(func=_cmd_hamming)
 
     p = sub.add_parser(

@@ -186,14 +186,14 @@ def theta_hamming_link_lp(n: int, s: int) -> Fraction:
     return res.value
 
 
-def theta_hamming_lp(n: int, s: int) -> tuple[Fraction, list[Fraction]]:
+def theta_hamming_lp(n: int, s: int) -> tuple[Fraction, list[Fraction], Fraction]:
     """Cube value via the rational LP over Krawtchouk coefficients.
 
     Maximizes 2^n a_0 over convex coefficient vectors whose distance-s
     combination stays below the link value divided by the slice size; the
-    inequality is handled with one surplus column.  Returns the optimum and
-    the distance-s combination at the optimum (used to confirm that the
-    omitted nonnegativity constraint is slack).
+    inequality is handled with one surplus column.  Returns the optimum, the
+    coefficients a_0..a_n at the optimum, and their distance-s combination
+    (used to confirm that the omitted nonnegativity constraint is slack).
     """
     _require_instance(n, s)
     kvals = [krawtchouk(n, k, s) for k in range(n + 1)]

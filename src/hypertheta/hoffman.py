@@ -12,10 +12,10 @@ spectral gaps of the operator and of the worst links at each depth:
 
     bound(X) = 1 - 1 / prod_{i=0}^{r-2} (1 - lambda_i(X)),
 
-an upper bound on the induced-weight independence density that the
-relaxation value never exceeds... and never beats from above: the
-relaxation of the underlying hypergraph at the induced vertex weights sits
-between the exact density and this bound.
+an upper bound on the induced-weight independence density.  The
+relaxation value of the underlying hypergraph at the induced vertex weights
+never exceeds this bound and is never below the exact density, so it sits
+between the two.
 
 Measures are kept as exact rationals whenever possible; eigenvalues are
 computed on the symmetrized conjugate D^(1/2) T D^(-1/2), which shares the
@@ -39,7 +39,7 @@ from .hypercore import (
     FormatError,
     Hypergraph,
     HypergraphError,
-    _parse_number,
+    parse_records,
     random_hypergraph,
 )
 from .numlin import eig_sym
@@ -82,7 +82,8 @@ class WeightedHypergraph:
         return self.hyper.n
 
     def vertex_measure(self) -> list:
-        return induced_measure_vector(self, 1)
+        meas = induced_measure(self, 1)
+        return [meas.get((x,), 0) for x in range(self.n)]
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,11 @@ class AdjacencyOperator:
 
 def weighted_hypergraph(n: int, r: int, edges, weights) -> WeightedHypergraph:
     """Normalize edge weights to a probability measure and drop isolated
-    vertices (they carry no induced weight and cannot affect independence)."""
-    pairs = [
-        (tuple(sorted(e)), w) for e, w in zip(edges, weights) if w != 0
-    ]
+    vertices (they carry no induced weight and cannot affect independence).
+    Each edge must consist of r distinct vertices below n."""
+    edges = [tuple(sorted(e)) for e in edges]
+    Hypergraph(r, n, edges)  # raises on an edge that breaks that rule
+    pairs = [(e, w) for e, w in zip(edges, weights) if w != 0]
     if any(w < 0 for _, w in pairs):
         raise HypergraphError("edge weights must be nonnegative")
     if not pairs:
@@ -154,13 +156,6 @@ def induced_measure(wh: WeightedHypergraph, i: int) -> dict:
         for sigma in itertools.combinations(e, i):
             out[sigma] = out.get(sigma, 0) + share
     return out
-
-
-def induced_measure_vector(wh: WeightedHypergraph, i: int = 1) -> list:
-    meas = induced_measure(wh, 1) if i == 1 else None
-    if i != 1:
-        raise HypergraphError("vector form only for single vertices")
-    return [meas.get((x,), 0) for x in range(wh.n)]
 
 
 def link_measure(wh: WeightedHypergraph, sigma) -> WeightedHypergraph:
@@ -245,42 +240,13 @@ def random_weighted_hypergraph(
 
 
 # ---------------------------------------------------------------------------
-# File format: header plus one weight token appended to each edge line
+# File format (.whg): .hg edge lines, each ending in a weight
 # ---------------------------------------------------------------------------
 
 def parse_weighted_hypergraph(text: str) -> WeightedHypergraph:
-    header = None
-    edges = []
-    weights = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
-        if header is None:
-            if len(fields) != 3:
-                raise FormatError("header must be 'r n m'", lineno)
-            try:
-                header = tuple(int(t) for t in fields)
-            except ValueError:
-                raise FormatError("header entries must be integers", lineno) from None
-            continue
-        if len(fields) != header[0] + 1:
-            raise FormatError(
-                f"expected {header[0]} vertices and one weight", lineno
-            )
-        try:
-            e = tuple(int(t) for t in fields[: header[0]])
-        except ValueError:
-            raise FormatError("vertex indices must be integers", lineno) from None
-        edges.append(e)
-        weights.append(_parse_number(fields[-1], lineno))
-    if header is None:
-        raise FormatError("empty weighted hypergraph file", 1)
-    if len(edges) != header[2]:
-        raise FormatError(f"header announced {header[2]} edges, found {len(edges)}")
+    (r, n, _), edges, weights = parse_records(text, weighted=True)
     try:
-        return weighted_hypergraph(header[1], header[0], edges, weights)
+        return weighted_hypergraph(n, r, edges, weights)
     except HypergraphError as exc:
         raise FormatError(str(exc)) from None
 

@@ -42,6 +42,7 @@ __all__ = [
     "cycle_graph",
     "random_hypergraph",
     "check_weights",
+    "parse_records",
     "parse_hypergraph",
     "read_hypergraph",
     "format_hypergraph",
@@ -353,19 +354,18 @@ def enumerate_cliques(hg: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> list[tuple
     return sorted(out)
 
 
-def in_clique_polytope(
-    hg: Hypergraph, f: Sequence, cap: int = DEFAULT_ENUM_CAP, tol: float = 1e-9
-) -> bool:
-    """Membership in the clique-inequality relaxation.
+def in_clique_polytope(hg: Hypergraph, f: Sequence) -> bool:
+    """Membership in the clique-inequality relaxation, to within 1e-9.
 
     Requires 0 <= f <= 1 entrywise and f(C) <= r-1 on every maximal clique;
     maximality suffices because f is nonnegative.
     """
+    tol = 1e-9
     vals = check_weights(hg, f)
     if any(v < -tol or v > 1 + tol for v in vals):
         return False
     bound = hg.r - 1
-    for c in enumerate_cliques(hg, cap):
+    for c in enumerate_cliques(hg):
         if sum(vals[v] for v in c) > bound + tol:
             return False
     return True
@@ -485,46 +485,68 @@ def random_hypergraph(n: int, r: int, p: float, rng: random.Random) -> Hypergrap
 #
 # Hypergraph text format (.hg):
 #   first data line:  r n m
-#   then m lines, each r strictly increasing 0-based indices, space separated
+#   then m lines, each r strictly increasing 0-based indices below n
 #   '#' starts a comment line; blank lines are ignored
-# Weight file: one decimal or p/q rational per line, n lines.
+# Weighted hypergraph (.whg): each edge line ends in a weight.
+# Weight file: one decimal or p/q rational per line, n lines, no header.
 
-def parse_hypergraph(text: str) -> Hypergraph:
-    header = None
-    edges = []
-    expected = None
+def parse_records(text: str, weighted: bool, header: tuple | None = None) -> tuple:
+    """Header (r, n, m), edges and numbers of a .hg, .whg or weight file.
+
+    header stands in for a header line (weight files have none); weighted
+    lines end in one number.  Errors name the line where there is one.
+    """
+    edges, numbers = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         fields = stripped.split()
         if header is None:
-            if len(fields) != 3:
+            header = _integers(fields, lineno)
+            if len(header) != 3:
                 raise FormatError("header must be 'r n m'", lineno)
-            try:
-                r, n, m = (int(t) for t in fields)
-            except ValueError:
-                raise FormatError("header entries must be integers", lineno) from None
-            header = (r, n, m)
-            expected = m
             continue
-        if len(fields) != header[0]:
-            raise FormatError(
-                f"expected {header[0]} vertices on edge line, got {len(fields)}", lineno
-            )
-        try:
-            e = tuple(int(t) for t in fields)
-        except ValueError:
-            raise FormatError("vertex indices must be integers", lineno) from None
+        r, n, _ = header
+        if len(fields) != r + weighted:
+            raise FormatError(f"expected {r + weighted} tokens, found {len(fields)}", lineno)
+        e = _integers(fields[:r], lineno)
         if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
             raise FormatError("edge vertices must be strictly increasing", lineno)
+        if any(not 0 <= v < n for v in e):
+            raise FormatError(f"edge {e} out of range for n={n}", lineno)
         edges.append(e)
+        if weighted:
+            numbers.append(_parse_number(fields[r], lineno))
     if header is None:
-        raise FormatError("empty hypergraph file", 1)
-    if len(edges) != expected:
-        raise FormatError(f"header announced {expected} edges, found {len(edges)}")
+        raise FormatError("empty file", 1)
+    if len(edges) != header[2]:
+        raise FormatError(f"expected {header[2]} data lines, found {len(edges)}")
+    return header, edges, numbers
+
+
+def _integers(tokens: list, lineno: int) -> tuple:
     try:
-        return Hypergraph(header[0], header[1], tuple(edges))
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise FormatError(f"expected integers, got {' '.join(tokens)!r}", lineno) from None
+
+
+def _parse_number(token: str, lineno: int):
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        raise FormatError(f"cannot parse number {token!r}", lineno) from None
+
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    (r, n, _), edges, _ = parse_records(text, weighted=False)
+    try:
+        return Hypergraph(r, n, tuple(edges))
     except HypergraphError as exc:
         raise FormatError(str(exc)) from None
 
@@ -545,27 +567,8 @@ def write_hypergraph(hg: Hypergraph, path) -> None:
         fh.write(format_hypergraph(hg))
 
 
-def _parse_number(token: str, lineno: int):
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise FormatError(f"cannot parse number {token!r}", lineno) from None
-
-
 def parse_weights(text: str, n: int) -> list:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append(_parse_number(stripped, lineno))
-    if len(out) != n:
-        raise FormatError(f"expected {n} weights, found {len(out)}")
-    return out
+    return parse_records(text, weighted=True, header=(0, n, n))[2]
 
 
 def read_weights(path, n: int) -> list:

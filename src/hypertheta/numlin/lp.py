@@ -17,6 +17,8 @@ import numpy as np
 
 __all__ = ["LpResult", "solve_lp"]
 
+_EPS = 1e-9  # pivoting tolerance in float mode
+
 
 @dataclass
 class LpResult:
@@ -100,14 +102,14 @@ def solve_lp(
     bounds: Sequence[tuple] | None = None,
     sense: str = "max",
     exact: bool = False,
-    eps: float = 1e-9,
 ) -> LpResult:
     """Optimize c'x subject to a_eq x = b_eq and per-variable bounds.
 
     bounds entries are (lo, hi) with None for unbounded; the default is
-    (0, None).  In exact mode all data is converted to Fractions and eps is
-    ignored.  Returns the optimum, a basic optimal point, and multipliers
-    for the equality rows oriented so they price the stated sense.
+    (0, None).  In exact mode all data is converted to Fractions and every
+    comparison is exact; float mode pivots with tolerance 1e-9.  Returns the
+    optimum, a basic optimal point, and multipliers for the equality rows
+    oriented so they price the stated sense.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -126,8 +128,7 @@ def solve_lp(
         raise ValueError("bounds length does not match c")
 
     conv = Fraction if exact else float
-    if exact:
-        eps = 0
+    eps = 0 if exact else _EPS
     zero, one = conv(0), conv(1)
     cvec = [conv(v) for v in c]
     amat = [[conv(v) for v in row] for row in a_eq]
@@ -219,7 +220,7 @@ def solve_lp(
     while i < len(tab):
         if basis[i] >= ncols:
             piv_col = next(
-                (j for j in range(ncols) if abs(tab[i][j]) > (eps or 0)), None
+                (j for j in range(ncols) if abs(tab[i][j]) > eps), None
             )
             if piv_col is None and not exact:
                 piv_col = next(

@@ -30,6 +30,9 @@ from .eig import as_symmetric
 
 __all__ = ["SdpProblem", "SdpSolution", "solve_sdp"]
 
+_MAX_ITER = 300
+_PSD_TOL = 1e-9  # an "optimal" solve keeps every block PSD to -_PSD_TOL
+
 
 @dataclass(frozen=True)
 class SdpProblem:
@@ -178,12 +181,7 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lo
 
 
-def solve_sdp(
-    problem: SdpProblem,
-    tol: float = 1e-8,
-    max_iter: int = 300,
-    psd_tol: float = 1e-9,
-) -> SdpSolution:
+def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     """Solve the block SDP to the requested duality-gap tolerance.
 
     The feasible regions produced by this package are bounded with interior
@@ -224,7 +222,7 @@ def solve_sdp(
     rp_norm = rd_norm = np.inf
     max_ridge = 0.0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         aty = _apply_at(blocks, y)
         rp = rhs - _apply_a(blocks, xs, m)
         rd = [cs[b] + ss[b] - aty[b] for b in range(len(dims))]
@@ -344,7 +342,7 @@ def solve_sdp(
     dobj = float(y @ rhs)
     gap = sum(float(np.tensordot(xs[b], ss[b])) for b in range(len(dims)))
     min_eig = min(float(np.linalg.eigvalsh(x).min()) for x in xs)
-    if status == "optimal" and min_eig < -psd_tol:
+    if status == "optimal" and min_eig < -_PSD_TOL:
         status = "numerical-failure"
 
     y_full = np.zeros(problem.num_constraints)

@@ -129,14 +129,11 @@ def vertex_orbits(group: PermGroup) -> list[list[int]]:
     return orbits
 
 
-def pair_orbits(group: PermGroup, n: int | None = None, cap: int = PAIR_CLOSURE_CAP) -> OrbitStructure:
+def pair_orbits(group: PermGroup) -> OrbitStructure:
     """Orbits of ordered vertex pairs under the diagonal action."""
-    if n is None:
-        n = group.degree
-    if n != group.degree:
-        raise HypergraphError("group degree does not match vertex count")
-    if n * n > cap:
-        raise HypergraphError(f"pair closure would exceed cap {cap}")
+    n = group.degree
+    if n * n > PAIR_CLOSURE_CAP:
+        raise HypergraphError(f"pair closure would exceed cap {PAIR_CLOSURE_CAP}")
     seen = [[False] * n for _ in range(n)]
     orbits = []
     for sx in range(n):
@@ -184,13 +181,13 @@ def is_transitive(group: PermGroup) -> bool:
 # Vertex-transitive reduction
 # ---------------------------------------------------------------------------
 
-def theta_transitive(hg: Hypergraph, group: PermGroup, x0: int = 0, tol: float = 1e-8) -> float:
+def theta_transitive(hg: Hypergraph, group: PermGroup, tol: float = 1e-8) -> float:
     """Unit-weight relaxation value via the transitive reduction.
 
     Solves the full-size PSD program with variables identified along pair
-    orbits, normalized diagonal at x0, and the link-membership block imposed
-    at x0 only; orbit identification makes that single row constraint
-    suffice.
+    orbits, normalized diagonal at vertex 0, and the link-membership block
+    imposed at vertex 0 only; orbit identification makes that single row
+    constraint suffice, and for a transitive group any base vertex would do.
     """
     if hg.r < 2:
         raise HypergraphError("transitive reduction needs uniformity at least 2")
@@ -198,13 +195,11 @@ def theta_transitive(hg: Hypergraph, group: PermGroup, x0: int = 0, tol: float =
         raise HypergraphError("group does not preserve the edge set")
     if not is_transitive(group):
         raise HypergraphError("group is not vertex transitive")
-    if not 0 <= x0 < hg.n:
-        raise HypergraphError("base vertex out of range")
 
-    orbits = pair_orbits(group, hg.n)
+    orbits = pair_orbits(group)
     builder = _Builder()
     blk = builder.block(hg.n)
-    builder.add([(blk, x0, x0, 1.0)], 1.0)
+    builder.add([(blk, 0, 0, 1.0)], 1.0)
     for orbit in orbits.pair_orbits:
         ax, ay = orbit[0]
         for x, y in orbit[1:]:
@@ -212,7 +207,7 @@ def theta_transitive(hg: Hypergraph, group: PermGroup, x0: int = 0, tol: float =
                 continue  # symmetric entry already tied
             builder.add([(blk, x, y, 1.0), (blk, ax, ay, -1.0)], 0.0)
 
-    _attach_link(builder, blk, x0, *link(hg, x0), shift=0)
+    _attach_link(builder, blk, 0, *link(hg, 0), shift=0)
     cobj = np.full((hg.n, hg.n), 1.0 / hg.n)
     problem = builder.problem({blk: cobj})
     sol = _solved(problem, tol, "theta_transitive")

@@ -136,6 +136,17 @@ class TestErrors:
         code, *_ = run_cli(capsys, "theta", "--file", edge3_file, "--tol", "-1")
         assert code == 2
 
+    def test_solver_failure_exits_3(self, capsys, monkeypatch, edge3_file):
+        from hypertheta import thetabody
+        from hypertheta.numlin import SdpSolution
+
+        failed = SdpSolution(status="numerical-failure", iterations=7)
+        monkeypatch.setattr(thetabody, "solve_sdp", lambda problem, tol: failed)
+        code, out, err = run_cli(capsys, "theta", "--file", edge3_file)
+        assert code == 3
+        assert out == ""
+        assert "numerical-failure" in json.loads(err)["error"]
+
     def test_check_reports_raising_block_and_continues(self, capsys, monkeypatch):
         from hypertheta import checks
         from hypertheta.thetabody import ThetaSolverError

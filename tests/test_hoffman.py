@@ -67,6 +67,11 @@ class TestMeasures:
         wh = weighted_hypergraph(3, 3, [(0, 1, 2)], [7])
         assert wh.mu == (Fraction(1),)
 
+    def test_edges_checked_against_n(self):
+        for edges, weights in (([(0, 1, 5)], [1]), ([(0, 1, 2), (1, 2, 3)], [1, 0])):
+            with pytest.raises(HypergraphError):
+                weighted_hypergraph(3, 3, edges, weights)
+
 
 class TestLinks:
     def test_single_edge_vertex_link(self):

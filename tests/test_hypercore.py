@@ -28,6 +28,7 @@ from hypertheta.hypercore import (
     parse_weights,
     random_hypergraph,
 )
+from hypertheta.hoffman import parse_weighted_hypergraph
 from hypertheta.symmetry import mantel_hypergraph
 
 
@@ -344,3 +345,45 @@ class TestFiles:
             parse_weights("1\nx\n", 2)
         with pytest.raises(FormatError):
             parse_weights("1\n2\n", 3)
+
+
+READERS = {
+    "hg": parse_hypergraph,
+    "whg": parse_weighted_hypergraph,
+    "weights": lambda text: parse_weights(text, 3),
+}
+
+# (format, text, line the error names or None); one case per error branch.
+FORMAT_ERRORS = [
+    pytest.param("hg", "2 3\n", 1, id="hg-header-is-not-r-n-m"),
+    pytest.param("hg", "2 x 1\n", 1, id="hg-header-entry-not-an-integer"),
+    pytest.param("hg", "# no data\n\n", 1, id="hg-no-header-at-all"),
+    pytest.param("hg", "2 3 1\n0 1 2\n", 2, id="hg-token-count"),
+    pytest.param("hg", "2 3 1\n0 a\n", 2, id="hg-index-not-an-integer"),
+    pytest.param("hg", "2 3 1\n1 0\n", 2, id="hg-indices-not-increasing"),
+    pytest.param("hg", "3 3 1\n0 1 5\n", 2, id="hg-index-not-below-n"),
+    pytest.param("hg", "2 3 1\n-1 1\n", 2, id="hg-negative-index"),
+    pytest.param("hg", "2 3 2\n0 1\n", None, id="hg-edge-count-differs-from-m"),
+    pytest.param("hg", "0 3 0\n", None, id="hg-uniformity-below-1"),
+    pytest.param("whg", "# weights\n3 4\n", 2, id="whg-header-is-not-r-n-m"),
+    pytest.param("whg", "3 4 y\n", 1, id="whg-header-entry-not-an-integer"),
+    pytest.param("whg", "\n# no data\n", 1, id="whg-no-header-at-all"),
+    pytest.param("whg", "3 4 1\n0 1 2\n", 2, id="whg-weight-missing"),
+    pytest.param("whg", "3 4 1\n0 1 b 1\n", 2, id="whg-index-not-an-integer"),
+    pytest.param("whg", "3 3 1\n2 1 0 1\n", 2, id="whg-indices-not-increasing"),
+    pytest.param("whg", "3 3 1\n0 1 5 1\n", 2, id="whg-index-not-below-n"),
+    pytest.param("whg", "3 3 1\n# c\n0 1 2 w\n", 3, id="whg-weight-not-a-number"),
+    pytest.param("whg", "3 4 2\n0 1 2 1\n", None, id="whg-edge-count-differs-from-m"),
+    pytest.param("whg", "3 3 1\n0 1 2 -1\n", None, id="whg-negative-weight"),
+    pytest.param("whg", "3 3 1\n0 1 2 0\n", None, id="whg-no-edge-carries-weight"),
+    pytest.param("weights", "1\n\n# c\nx\n", 4, id="weights-not-a-number"),
+    pytest.param("weights", "1\n1/2 1\n1\n", 2, id="weights-two-tokens-on-a-line"),
+    pytest.param("weights", "1\n2\n", None, id="weights-fewer-than-n-lines"),
+]
+
+
+@pytest.mark.parametrize("fmt,text,line", FORMAT_ERRORS)
+def test_format_errors(fmt, text, line):
+    with pytest.raises(FormatError) as err:
+        READERS[fmt](text)
+    assert err.value.line == line

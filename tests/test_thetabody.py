@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+
+from hypertheta import thetabody
+from hypertheta.numlin import SdpSolution
 
 from hypertheta.hypercore import (
     Hypergraph,
@@ -21,6 +25,8 @@ from hypertheta.hypercore import (
 from hypertheta.symmetry import mantel_hypergraph
 from hypertheta.hamming import build_hamming_hypergraph, theta_hamming
 from hypertheta.thetabody import (
+    ThetaCertificate,
+    ThetaSolverError,
     antiblocker_probe,
     assemble_theta_sdp,
     certificate_from_json,
@@ -85,6 +91,13 @@ class TestTheta:
         res = theta(hg, [1, 1, 1])
         assert check_certificate(hg, res.certificate) == []
         assert list(res.certificate.vector) == list(res.optimizer)
+
+    def test_solver_failure_raises_with_solution(self, monkeypatch):
+        failed = SdpSolution(status="numerical-failure", iterations=7)
+        monkeypatch.setattr(thetabody, "solve_sdp", lambda problem, tol: failed)
+        with pytest.raises(ThetaSolverError) as err:
+            theta(cycle_graph(5))
+        assert err.value.solution is failed
 
     def test_optimizer_in_unit_box(self):
         res = theta(mantel_hypergraph(4))
@@ -205,6 +218,27 @@ class TestDual:
             assert lo - 1e-6 <= v <= hi + 1e-6
 
 
+    def test_witness_passes_audit_on_complement(self):
+        # the root is rebuilt on the support, children keyed by local index
+        rng = random.Random(8)
+        cases = [(cycle_graph(5), [1.0] * 5), (cycle_graph(5), [1.0, 0, 0.5, 1, 0.3])]
+        for _ in range(5):
+            hg = random_hypergraph(7, 3, 0.4, rng)
+            w = [rng.uniform(0.2, 1.0) if rng.random() < 0.8 else 0.0 for _ in range(7)]
+            cases.append((hg, w))
+        for hg, w in cases:
+            res = theta_dual(hg, w)
+            support = tuple(x for x in range(hg.n) if w[x] > 0)
+            local = {v: j for j, v in enumerate(support)}
+            cert = ThetaCertificate(
+                scale=res.value,
+                matrix=res.matrix[np.ix_(support, support)],
+                uniformity=hg.r,
+                vertex_map=support,
+                children={local[x]: c for x, c in res.certificate_children.items()},
+            )
+            assert check_certificate(complement(hg), cert, root_scale=res.value) == []
+
     def test_gauge_of_complement_body(self):
         # lam = min{t : w in t * body(complement)}: w / lam sits on its boundary
         rng = random.Random(34)
@@ -296,6 +330,62 @@ class TestCertificates:
             res.certificate, children={**res.certificate.children, 0: bad_child}
         )
         assert check_certificate(complete_hypergraph(3, 3), broken2) != []
+
+    # One mutation of a passing witness per violation that check_certificate
+    # reports; each mutation breaks exactly one rule.
+
+    def test_detects_matrix_not_psd(self):
+        cert = theta(cycle_graph(5)).certificate
+        mat = cert.matrix.copy()
+        mat[0, 2] = mat[2, 0] = 1.0  # (0, 2) is not an edge of C5
+        problems = check_certificate(cycle_graph(5), dataclasses.replace(cert, matrix=mat))
+        assert problems == ["root: bordered matrix not PSD within 1e-06"]
+
+    def test_detects_wrong_uniformity(self):
+        cert = dataclasses.replace(theta(cycle_graph(5)).certificate, uniformity=3)
+        assert check_certificate(cycle_graph(5), cert) == ["root: uniformity 3 != 2"]
+
+    def test_detects_base_box_violation(self):
+        # a witness for [0.5, 1, 1] on the edgeless 1-uniform hypergraph,
+        # audited where vertex 0 is an edge and so must be 0
+        _, cert = theta_membership(Hypergraph(1, 3, ()), [0.5, 1, 1])
+        problems = check_certificate(Hypergraph(1, 3, ((0,),)), cert)
+        assert problems == ["root: base box violated at 0"]
+
+    def test_detects_nonzero_graph_edge_entry(self):
+        # F = ff' + diag(f - f^2) with f = 0.3 is PSD but nonzero on every edge
+        f = np.full(5, 0.3)
+        mat = np.outer(f, f)
+        np.fill_diagonal(mat, f)
+        cert = ThetaCertificate(1.0, mat, 2, tuple(range(5)))
+        problems = check_certificate(cycle_graph(5), cert)
+        assert problems == [
+            f"root: edge entry ({u},{v}) nonzero" for u, v in cycle_graph(5).edges
+        ]
+
+    def test_detects_missing_child(self):
+        cert = theta(complete_hypergraph(3, 3)).certificate
+        children = {x: c for x, c in cert.children.items() if x != 0}
+        broken = dataclasses.replace(cert, children=children)
+        problems = check_certificate(complete_hypergraph(3, 3), broken)
+        assert problems == ["root: missing child at vertex 0"]
+
+    def test_detects_child_with_wrong_vertex_map(self):
+        cert = theta(complete_hypergraph(3, 3)).certificate
+        child = dataclasses.replace(cert.children[0], vertex_map=(2, 1))
+        broken = dataclasses.replace(cert, children={**cert.children, 0: child})
+        problems = check_certificate(complete_hypergraph(3, 3), broken)
+        assert problems == ["root: child 0 has wrong vertex map"]
+
+    def test_detects_child_diagonal_mismatch(self):
+        # halving one diagonal entry keeps the child's bordered matrix PSD
+        cert = theta(complete_hypergraph(3, 3)).certificate
+        mat = cert.children[0].matrix.copy()
+        mat[0, 0] /= 2
+        child = dataclasses.replace(cert.children[0], matrix=mat)
+        broken = dataclasses.replace(cert, children={**cert.children, 0: child})
+        problems = check_certificate(complete_hypergraph(3, 3), broken)
+        assert problems == ["root: child 0 diagonal mismatch at 0"]
 
     def test_out_of_range_root_map_is_a_violation(self):
         text = (
