@@ -158,7 +158,7 @@ def _check_numlin(rng: random.Random):
     p = SdpProblem(
         [2],
         [np.eye(2)],
-        [({0: np.eye(2)}, 1.0), ({0: np.array([[1.0, 0.0], [0.0, 0.0]])}, 0.25)],
+        [([(0, 0, 0, 1.0), (0, 1, 1, 1.0)], 1.0), ([(0, 0, 0, 1.0)], 0.25)],
     )
     s1 = solve_sdp(p)
     s2 = solve_sdp(p)

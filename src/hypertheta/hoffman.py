@@ -112,8 +112,12 @@ class AdjacencyOperator:
 def weighted_hypergraph(n: int, r: int, edges, weights) -> WeightedHypergraph:
     """Normalize edge weights to a probability measure and drop isolated
     vertices (they carry no induced weight and cannot affect independence).
-    Each edge must consist of r distinct vertices below n."""
+    Each edge must consist of r distinct vertices below n, and each must
+    have one weight."""
     edges = [tuple(sorted(e)) for e in edges]
+    weights = list(weights)
+    if len(weights) != len(edges):
+        raise HypergraphError(f"{len(edges)} edges but {len(weights)} weights")
     Hypergraph(r, n, edges)  # raises on an edge that breaks that rule
     pairs = [(e, w) for e, w in zip(edges, weights) if w != 0]
     if any(w < 0 for _, w in pairs):

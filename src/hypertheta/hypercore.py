@@ -494,9 +494,11 @@ def parse_records(text: str, weighted: bool, header: tuple | None = None) -> tup
     """Header (r, n, m), edges and numbers of a .hg, .whg or weight file.
 
     header stands in for a header line (weight files have none); weighted
-    lines end in one number.  Errors name the line where there is one.
+    lines end in one number.  An unweighted file may not repeat an edge; the
+    weighted reader leaves repeats to its caller, which adds up their
+    weights.  Errors name the line where there is one.
     """
-    edges, numbers = [], []
+    edges, numbers, seen = [], [], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -515,6 +517,9 @@ def parse_records(text: str, weighted: bool, header: tuple | None = None) -> tup
             raise FormatError("edge vertices must be strictly increasing", lineno)
         if any(not 0 <= v < n for v in e):
             raise FormatError(f"edge {e} out of range for n={n}", lineno)
+        if not weighted and e in seen:
+            raise FormatError(f"edge {e} repeats an earlier line", lineno)
+        seen.add(e)
         edges.append(e)
         if weighted:
             numbers.append(_parse_number(fields[r], lineno))

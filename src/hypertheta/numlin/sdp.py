@@ -7,12 +7,13 @@ Problems are stated in the form
     subject to sum_b <A_ib, X_b> = rhs_i   (i = 1..m)
                X_b positive semidefinite,
 
-with dense symmetric data on each block.  The solver is aimed at dense desk
-scale instances (a few hundred total dimensions): every iteration factors the
-blocks directly and solves the Schur-complement normal equations by Cholesky.
-A presolve pass keeps, in order, each equality row whose distance from the
-span of the rows kept before it passes a QR rank test (threshold 1e-10), and
-checks the right-hand sides of the dropped rows by one least-squares solve.
+with a dense symmetric objective C_b per block and each row A_i given by
+sparse terms (see SdpProblem).  The solver is aimed at desk scale instances
+(a few hundred total dimensions): every iteration factors the blocks directly
+and solves the Schur-complement normal equations by Cholesky.  A presolve
+pass keeps, in order, each equality row whose distance from the span of the
+rows kept before it passes a QR rank test (threshold 1e-10), and checks the
+right-hand sides of the dropped rows by one least-squares solve.
 
 Solves are deterministic per numpy/BLAS build: on one build, identical
 inputs give bit-identical iterates; other builds may differ in the last
@@ -38,47 +39,60 @@ _PSD_TOL = 1e-9  # an "optimal" solve keeps every block PSD to -_PSD_TOL
 class SdpProblem:
     """Block PSD program data: dimensions, per-block objectives, equality rows.
 
-    constraints is a list of (coeffs, rhs) with coeffs a dict mapping block
-    index to a dense symmetric coefficient matrix.
+    Each constraint is (entries, rhs); an entry (block, i, j, coef) is coef
+    times the unordered entry {i, j}: coef on a diagonal entry, coef/2 on each
+    side of an off-diagonal one, and repeated terms add up.  Stored as
+    read-only arrays index ((row, block, i, j) per term, i <= j), coef and
+    rhs; the constraints property gives the dense view.
     """
 
     block_dims: tuple
     objective: tuple
-    constraints: tuple
+    rhs: np.ndarray
+    index: np.ndarray
+    coef: np.ndarray
 
     def __init__(self, block_dims, objective, constraints):
         dims = tuple(int(d) for d in block_dims)
         if any(d < 1 for d in dims):
             raise ValueError("block dimensions must be positive")
-        if len(objective) != len(dims):
-            raise ValueError("objective must provide one matrix per block")
-        obj = tuple(
-            as_symmetric(np.asarray(c, dtype=float)) for c in objective
-        )
-        for b, c in enumerate(obj):
-            if c.shape != (dims[b], dims[b]):
-                raise ValueError(f"objective block {b} has wrong shape")
-        cons = []
-        for coeffs, rhs in constraints:
-            clean = {}
-            for b, mat in coeffs.items():
-                if not 0 <= b < len(dims):
-                    raise ValueError(f"constraint references unknown block {b}")
-                mat = as_symmetric(np.asarray(mat, dtype=float))
-                if mat.shape != (dims[b], dims[b]):
-                    raise ValueError("constraint block has wrong shape")
-                clean[b] = mat
-            rhs = float(rhs)
-            if not np.isfinite(rhs):
-                raise ValueError("constraint right-hand side must be finite")
-            cons.append((clean, rhs))
-        object.__setattr__(self, "block_dims", dims)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(cons))
+        obj = tuple(as_symmetric(c) for c in objective)
+        if [c.shape for c in obj] != [(d, d) for d in dims]:
+            raise ValueError("objective must provide one d x d matrix per block")
+        rows = list(constraints)
+        terms = [(r, b, i, j, c) for r, (ts, _) in enumerate(rows) for b, i, j, c in ts]
+        terms = np.array(terms, dtype=float).reshape(-1, 5)
+        index, coef = terms[:, :4].astype(np.intp), terms[:, 4]
+        rhs = np.array([value for _, value in rows], dtype=float)
+        if np.any(index != terms[:, :4]):
+            raise ValueError("constraint term indices must be integers")
+        index[:, 2:].sort(axis=1)
+        blk, lo, hi = index[:, 1:].T
+        if np.any((blk < 0) | (blk >= len(dims))):
+            raise ValueError("constraint references unknown block")
+        if np.any((lo < 0) | (hi >= np.array(dims, dtype=np.intp)[blk])):
+            raise ValueError("constraint entry lies outside its block")
+        if not (np.isfinite(coef).all() and np.isfinite(rhs).all()):
+            raise ValueError("constraint data must be finite")
+        for arr in (rhs, index, coef):
+            arr.flags.writeable = False
+        fields = dict(block_dims=dims, objective=obj, rhs=rhs, index=index, coef=coef)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
+
+    @property
+    def constraints(self) -> tuple:
+        """Per row ({block: dense symmetric matrix}, rhs), built on each read."""
+        rows = [({}, float(v)) for v in self.rhs]
+        for (row, b, i, j), c in zip(self.index.tolist(), self.coef.tolist()):
+            mat = rows[row][0].setdefault(b, np.zeros((self.block_dims[b],) * 2))
+            mat[i, j] += c / 2.0  # twice on a diagonal entry
+            mat[j, i] += c / 2.0
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -94,20 +108,18 @@ class SdpSolution:
 
 
 def _stack(problem: SdpProblem):
-    """All constraint rows as one matrix; the only reader of the rows.
+    """The constraint rows as one matrix and the right-hand sides.
 
-    Row i is vec(A_i0), vec(A_i1), ... in block order, so Frobenius inner
-    products of constraints are dot products of rows.  Returns the matrix,
-    the right-hand sides and the column offsets of the blocks and the end.
+    Column k is one (block, i <= j) entry that some term names; off-diagonal
+    columns carry coef * sqrt(1/2), so dot products of rows are the Frobenius
+    inner products of the constraint matrices.
     """
-    offsets = np.cumsum([0] + [d * d for d in problem.block_dims])
-    a = np.zeros((problem.num_constraints, offsets[-1]))
-    rhs = np.zeros(problem.num_constraints)
-    for i, (coeffs, value) in enumerate(problem.constraints):
-        for b, mat in coeffs.items():
-            a[i, offsets[b] : offsets[b + 1]] = mat.ravel()
-        rhs[i] = value
-    return a, rhs, offsets
+    row, entry = problem.index[:, 0], problem.index[:, 1:]
+    keys, col = np.unique(entry, axis=0, return_inverse=True)
+    scale = np.where(entry[:, 1] == entry[:, 2], 1.0, np.sqrt(0.5))
+    a = np.zeros((problem.num_constraints, len(keys)))
+    np.add.at(a, (row, col.ravel()), problem.coef * scale)
+    return a, problem.rhs
 
 
 def _presolve(a: np.ndarray, rhs: np.ndarray, tol: float = 1e-10):
@@ -142,21 +154,23 @@ def _presolve(a: np.ndarray, rhs: np.ndarray, tol: float = 1e-10):
 
 
 class _BlockData:
-    """One block's touched constraint rows and their stacked matrices."""
+    """One block's kept constraint rows and their (k, d, d) matrix stack,
+    scattered from the terms: coef/2 on entry (i, j) and on (j, i), which
+    sums to coef on the diagonal.  kept is sorted, as _presolve returns it,
+    and rows are positions in kept."""
 
-    def __init__(self, rows, flat, dim):
-        self.rows = rows
-        self.flat = flat
-        self.mats = flat.reshape(len(rows), dim, dim)
+    def __init__(self, problem: SdpProblem, b: int, d: int, kept: np.ndarray):
+        row, blk, i, j = problem.index.T
+        on = (blk == b) & np.isin(row, kept)
+        self.rows, slot = np.unique(np.searchsorted(kept, row[on]), return_inverse=True)
+        mats = np.zeros((len(self.rows), d, d))
+        np.add.at(mats, (slot.ravel(), i[on], j[on]), problem.coef[on] / 2.0)
+        self.mats = mats + mats.transpose(0, 2, 1)
+        self.flat = self.mats.reshape(len(self.rows), -1)
 
 
-def _prepare(dims, a, offsets, kept):
-    blocks = []
-    for b, d in enumerate(dims):
-        cols = a[kept, offsets[b] : offsets[b + 1]]
-        rows = np.flatnonzero(cols.any(axis=1))
-        blocks.append(_BlockData(rows, cols[rows], d))
-    return blocks
+def _prepare(problem: SdpProblem, kept):
+    return [_BlockData(problem, b, d, kept) for b, d in enumerate(problem.block_dims)]
 
 
 def _apply_a(blocks, xs, m):
@@ -193,17 +207,15 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     added to the Schur complement when its Cholesky factorization failed
     (0.0 when it never did).
     """
-    a, rhs, offsets = _stack(problem)
-    kept, bad = _presolve(a, rhs)
+    kept, bad = _presolve(*_stack(problem))
     if bad is not None:
         return SdpSolution(status="infeasible")
     m = len(kept)
     if m == 0:
         raise ValueError("SDP needs at least one equality constraint")
     dims = problem.block_dims
-    rhs = rhs[kept]
-    blocks = _prepare(dims, a, offsets, kept)
-    del a  # the blocks hold all the constraint data from here on
+    rhs = problem.rhs[kept]
+    blocks = _prepare(problem, kept)
     cs = [np.array(c) for c in problem.objective]
     total_dim = sum(dims)
 

@@ -100,10 +100,14 @@ class ThetaResult:
 
 @dataclass(frozen=True)
 class DualResult:
+    """The gauge value (= lam, the corner), the diagonal-w matrix over all
+    vertices, and the witness tree for w in value * body(H-bar) rooted on
+    the support of w."""
+
     value: float
     lam: float
     matrix: np.ndarray
-    certificate_children: dict
+    certificate: ThetaCertificate
     diagnostics: dict
 
 
@@ -123,25 +127,12 @@ class _Builder:
         return len(self.dims) - 1
 
     def add(self, entries: list[tuple[int, int, int, float]], rhs: float) -> None:
-        """entries: (block, i, j, coefficient) acting on the unordered entry."""
+        """entries: (block, i, j, coefficient) terms, as SdpProblem reads them."""
         self.cons.append((entries, rhs))
 
     def problem(self, objective: dict[int, np.ndarray]) -> SdpProblem:
-        obj = []
-        for b, d in enumerate(self.dims):
-            obj.append(objective.get(b, np.zeros((d, d))))
-        cons = []
-        for entries, rhs in self.cons:
-            mats: dict[int, np.ndarray] = {}
-            for b, i, j, v in entries:
-                mat = mats.setdefault(b, np.zeros((self.dims[b], self.dims[b])))
-                if i == j:
-                    mat[i, i] += v
-                else:
-                    mat[i, j] += v / 2.0
-                    mat[j, i] += v / 2.0
-            cons.append((mats, rhs))
-        return SdpProblem(self.dims, obj, cons)
+        obj = [objective.get(b, np.zeros((d, d))) for b, d in enumerate(self.dims)]
+        return SdpProblem(self.dims, obj, self.cons)
 
 
 @dataclass
@@ -358,7 +349,8 @@ def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
         raise HypergraphError("theta_dual requires nonnegative weights")
     sub, smap, wsub = _restrict(hg, wv)
     if sub.n == 0:
-        return DualResult(0.0, 0.0, np.zeros((hg.n, hg.n)), {}, {"mode": "zero"})
+        empty = ThetaCertificate(0.0, np.zeros((0, 0)), sub.r, smap)
+        return DualResult(0.0, 0.0, np.zeros((hg.n, hg.n)), empty, {"mode": "zero"})
 
     builder = _Builder()
     root = _membership_node(builder, complement(sub), smap)
@@ -377,14 +369,11 @@ def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
     zfull = np.zeros((hg.n, hg.n))
     idx = np.array(smap)
     zfull[np.ix_(idx, idx)] = big[1:, 1:]
-    cert_children = {
-        smap[x]: _extract(child, sol.blocks) for x, child in root.children.items()
-    }
     return DualResult(
         lam,
         lam,
         zfull,
-        cert_children,
+        _extract(root, sol.blocks),
         {
             "mode": "sdp",
             "iterations": sol.iterations,

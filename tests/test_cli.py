@@ -176,6 +176,15 @@ class TestErrors:
         assert json.loads(lines[-1])["failures"] == 1
 
 
+class TestPropertySuite:
+    def test_run_all_reports_no_failure(self):
+        # the unpatched runner behind `hypertheta check`
+        from hypertheta import checks
+
+        failed = [(name, detail) for name, ok, detail in checks.run_all(seed=42) if not ok]
+        assert failed == []
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys, mantel4_file):
         _, out1, _ = run_cli(capsys, "theta", "--file", mantel4_file)

@@ -68,9 +68,13 @@ class TestMeasures:
         assert wh.mu == (Fraction(1),)
 
     def test_edges_checked_against_n(self):
-        for edges, weights in (([(0, 1, 5)], [1]), ([(0, 1, 2), (1, 2, 3)], [1, 0])):
+        for n, edges, weights in (
+            (3, [(0, 1, 5)], [1]),
+            (3, [(0, 1, 2), (1, 2, 3)], [1, 0]),
+            (4, [(0, 1, 2), (1, 2, 3)], [1]),  # one weight short: no edge dropped
+        ):
             with pytest.raises(HypergraphError):
-                weighted_hypergraph(3, 3, edges, weights)
+                weighted_hypergraph(n, 3, edges, weights)
 
 
 class TestLinks:

@@ -364,6 +364,7 @@ FORMAT_ERRORS = [
     pytest.param("hg", "3 3 1\n0 1 5\n", 2, id="hg-index-not-below-n"),
     pytest.param("hg", "2 3 1\n-1 1\n", 2, id="hg-negative-index"),
     pytest.param("hg", "2 3 2\n0 1\n", None, id="hg-edge-count-differs-from-m"),
+    pytest.param("hg", "2 3 2\n0 1\n0 1\n", 3, id="hg-repeated-edge"),
     pytest.param("hg", "0 3 0\n", None, id="hg-uniformity-below-1"),
     pytest.param("whg", "# weights\n3 4\n", 2, id="whg-header-is-not-r-n-m"),
     pytest.param("whg", "3 4 y\n", 1, id="whg-header-entry-not-an-integer"),

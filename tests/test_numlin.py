@@ -159,13 +159,13 @@ def _gram_schmidt_kept(a, tol=1e-10):
 
 class TestSdp:
     def test_scalar_block(self):
-        p = SdpProblem([1], [np.array([[1.0]])], [({0: np.array([[1.0]])}, 0.5)])
+        p = SdpProblem([1], [np.array([[1.0]])], [([(0, 0, 0, 1.0)], 0.5)])
         s = solve_sdp(p)
         assert s.status == "optimal"
         assert abs(s.primal - 0.5) < 1e-8
 
     def test_reports_no_ridge_when_cholesky_succeeds(self):
-        p = SdpProblem([1], [np.array([[1.0]])], [({0: np.array([[1.0]])}, 0.5)])
+        p = SdpProblem([1], [np.array([[1.0]])], [([(0, 0, 0, 1.0)], 0.5)])
         assert solve_sdp(p).residuals["max_ridge"] == 0.0
 
     def test_pentagon_value(self):
@@ -200,20 +200,20 @@ class TestSdp:
         p = SdpProblem(
             [1],
             [eye],
-            [({0: eye}, 0.5), ({0: 2 * eye}, 1.0)],  # second row dependent
+            [([(0, 0, 0, 1.0)], 0.5), ([(0, 0, 0, 2.0)], 1.0)],  # second row dependent
         )
         s = solve_sdp(p)
         assert s.status == "optimal" and abs(s.primal - 0.5) < 1e-8
 
     def test_presolve_flags_inconsistent(self):
         eye = np.array([[1.0]])
-        p = SdpProblem([1], [eye], [({0: eye}, 0.5), ({0: 2 * eye}, 2.0)])
+        p = SdpProblem([1], [eye], [([(0, 0, 0, 1.0)], 0.5), ([(0, 0, 0, 2.0)], 2.0)])
         assert solve_sdp(p).status == "infeasible"
 
     def test_presolve_keeps_rows_in_order_and_checks_dropped_rhs(self):
-        e11, e22, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[1.0]])
-        objective = [np.array([[0.0, 1.0], [1.0, 0.0]]), one]
-        base = [({0: e11}, 1.0), ({0: e22}, 1.0), ({1: one}, 0.5)]
+        e11, e22, one = (0, 0, 0, 1.0), (0, 1, 1, 1.0), (1, 0, 0, 1.0)
+        objective = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0]])]
+        base = [([e11], 1.0), ([e22], 1.0), ([one], 0.5)]
 
         def solve(extra):
             return solve_sdp(SdpProblem([2, 1], objective, base + extra))
@@ -221,16 +221,16 @@ class TestSdp:
         want = solve([])
         assert want.status == "optimal" and abs(want.primal - 2.5) < 1e-8
         # sum of the first and last rows, which sit on different blocks
-        summed = {0: e11, 1: one}
-        for extra in ([(summed, 1.5)], [({}, 0.0)]):
+        summed = [e11, one]
+        for extra in ([(summed, 1.5)], [([], 0.0)]):
             s = solve(extra)
             assert s.status == "optimal" and s.y[3] == 0.0
             assert abs(s.primal - want.primal) < 1e-8
         assert solve([(summed, 2.0)]).status == "infeasible"
-        assert solve([({}, 1.0)]).status == "infeasible"
+        assert solve([([], 1.0)]).status == "infeasible"
         # more rows than the block has coordinates
-        rows = [({0: k * one}, 0.5 * k) for k in (1, 2, 3)]
-        s = solve_sdp(SdpProblem([1], [one], rows))
+        rows = [([(0, 0, 0, float(k))], 0.5 * k) for k in (1, 2, 3)]
+        s = solve_sdp(SdpProblem([1], [np.array([[1.0]])], rows))
         assert s.status == "optimal" and abs(s.primal - 0.5) < 1e-8
 
     def test_presolve_matches_gram_schmidt_reference(self):
@@ -261,4 +261,40 @@ class TestSdp:
         with pytest.raises(ValueError):
             SdpProblem([1], [np.eye(2)], [])
         with pytest.raises(ValueError):
-            SdpProblem([2], [np.eye(2)], [({0: np.eye(2)}, float("inf"))])
+            SdpProblem([2], [np.eye(2)], [([(0, 0, 0, 1.0), (0, 1, 1, 1.0)], float("inf"))])
+
+    @pytest.mark.parametrize(
+        "dims, objective, rows",
+        [
+            pytest.param([2], [np.eye(2)], [([(1, 0, 0, 1.0)], 1.0)], id="unknown-block"),
+            pytest.param([2], [np.eye(2)], [([(-1, 0, 0, 1.0)], 1.0)], id="negative-block"),
+            pytest.param([2], [np.eye(2)], [([(0, 2, 0, 1.0)], 1.0)], id="i-at-d"),
+            pytest.param([2], [np.eye(2)], [([(0, 0, 3, 1.0)], 1.0)], id="j-past-d"),
+            pytest.param([2], [np.eye(2)], [([(0, -1, 0, 1.0)], 1.0)], id="negative-i"),
+            pytest.param([2], [np.eye(2)], [([(0, 0.5, 0, 1.0)], 1.0)], id="non-integer-i"),
+            pytest.param([2], [np.eye(2)], [([(0, 0, 1, np.nan)], 1.0)], id="nan-coef"),
+            pytest.param([2], [np.eye(2)], [([(0, 0, 1, np.inf)], 1.0)], id="inf-coef"),
+            pytest.param([2], [np.eye(2)], [([(0, 0, 0, 1.0)], np.nan)], id="nan-rhs"),
+            pytest.param([2, 1], [np.eye(2)], [([(0, 0, 0, 1.0)], 1.0)], id="objective-count"),
+            pytest.param([2], [np.eye(3)], [([(0, 0, 0, 1.0)], 1.0)], id="objective-shape"),
+        ],
+    )
+    def test_rejects_bad_terms(self, dims, objective, rows):
+        with pytest.raises(ValueError):
+            SdpProblem(dims, objective, rows)
+
+    def test_constraints_view_is_dense_and_symmetric(self):
+        rows = [
+            ([(0, 0, 0, 2.0), (0, 1, 0, 3.0), (0, 0, 1, 1.0), (0, 1, 1, 0.5)], 1.5),
+            ([(1, 2, 2, 1.0), (1, 2, 2, -4.0), (1, 2, 0, 6.0)], -1.0),
+        ]
+        p = SdpProblem([2, 3], [np.zeros((2, 2)), np.zeros((3, 3))], rows)
+        (first, rhs0), (second, rhs1) = p.constraints
+        assert (rhs0, rhs1) == (1.5, -1.0)
+        assert set(first) == {0} and set(second) == {1}  # untouched blocks left out
+        # coef on the diagonal, coef/2 on each side, repeated terms summed
+        assert np.array_equal(first[0], [[2.0, 2.0], [2.0, 0.5]])
+        want = np.zeros((3, 3))
+        want[2, 2], want[0, 2], want[2, 0] = -3.0, 3.0, 3.0
+        assert np.array_equal(second[1], want)
+        assert p.num_constraints == 2

@@ -219,25 +219,16 @@ class TestDual:
 
 
     def test_witness_passes_audit_on_complement(self):
-        # the root is rebuilt on the support, children keyed by local index
         rng = random.Random(8)
         cases = [(cycle_graph(5), [1.0] * 5), (cycle_graph(5), [1.0, 0, 0.5, 1, 0.3])]
+        cases.append((cycle_graph(5), [0.0] * 5))  # the empty-support witness
         for _ in range(5):
             hg = random_hypergraph(7, 3, 0.4, rng)
             w = [rng.uniform(0.2, 1.0) if rng.random() < 0.8 else 0.0 for _ in range(7)]
             cases.append((hg, w))
         for hg, w in cases:
             res = theta_dual(hg, w)
-            support = tuple(x for x in range(hg.n) if w[x] > 0)
-            local = {v: j for j, v in enumerate(support)}
-            cert = ThetaCertificate(
-                scale=res.value,
-                matrix=res.matrix[np.ix_(support, support)],
-                uniformity=hg.r,
-                vertex_map=support,
-                children={local[x]: c for x, c in res.certificate_children.items()},
-            )
-            assert check_certificate(complement(hg), cert, root_scale=res.value) == []
+            assert check_certificate(complement(hg), res.certificate, root_scale=res.value) == []
 
     def test_gauge_of_complement_body(self):
         # lam = min{t : w in t * body(complement)}: w / lam sits on its boundary
