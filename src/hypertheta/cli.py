@@ -130,12 +130,15 @@ def _cmd_theta(args) -> int:
 def _cmd_theta_dual(args) -> int:
     hg = read_hypergraph(args.file)
     res = theta_dual(hg, _load_weights(args, hg), tol=args.tol)
+    diagonal = [0.0] * hg.n  # w is zero off the certificate's support
+    for x, v in zip(res.certificate.vertex_map, res.certificate.vector):
+        diagonal[x] = float(v)
     _emit(
         {
             "command": "theta-dual",
             "value": float(res.value),
-            "corner": float(res.lam),
-            "diagonal": [float(res.matrix[i, i]) for i in range(hg.n)],
+            "corner": float(res.value),
+            "diagonal": diagonal,
         }
     )
     return 0

@@ -227,7 +227,7 @@ def side_for(n: int, c) -> int:
     """Triangle side for the scan: the even integer closest to n/c."""
     if c <= 1:
         raise HypergraphError("scan ratio must exceed 1")
-    return closest_even(Fraction(n, c) if isinstance(c, int) else Fraction(str(c)))
+    return closest_even(Fraction(n) / Fraction(str(c)))
 
 
 def log_fraction(q: Fraction) -> float:

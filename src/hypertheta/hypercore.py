@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Sequence
 
 DEFAULT_ALPHA_CAP = 24
@@ -543,9 +543,12 @@ def _parse_number(token: str, lineno: int):
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise FormatError(f"cannot parse number {token!r}", lineno) from None
+    if not isfinite(value):
+        raise FormatError(f"number {token!r} is not finite", lineno)
+    return value
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -9,11 +9,9 @@ are converted internally to standard form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 __all__ = ["LpResult", "solve_lp"]
 
@@ -22,29 +20,11 @@ _EPS = 1e-9  # pivoting tolerance in float mode
 
 @dataclass
 class LpResult:
+    """Status, and for an optimal LP its value and a basic optimal point."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: object = None
     x: list | None = None
-    y: list | None = None  # multipliers for the equality rows, sense-oriented
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _fraction_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination with partial (nonzero) pivoting."""
-    n = len(mat)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular basis matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def _simplex(tab, basis, cost, limit_col, eps):
@@ -108,8 +88,7 @@ def solve_lp(
     bounds entries are (lo, hi) with None for unbounded; the default is
     (0, None).  In exact mode all data is converted to Fractions and every
     comparison is exact; float mode pivots with tolerance 1e-9.  Returns the
-    optimum, a basic optimal point, and multipliers for the equality rows
-    oriented so they price the stated sense.
+    status and, when optimal, the optimum and a basic optimal point.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -189,14 +168,10 @@ def solve_lp(
         cmin = list(chat)
 
     nrows = len(rows)
-    signs = [one] * nrows
     for i in range(nrows):
         if rhs[i] < 0:
-            signs[i] = -one
             rows[i] = [-v for v in rows[i]]
             rhs[i] = -rhs[i]
-
-    a0 = [row[:] for row in rows]  # frozen post-flip matrix, for duals
 
     # Phase 1: artificial basis.
     tab = [rows[i] + [zero] * nrows + [rhs[i]] for i in range(nrows)]
@@ -208,14 +183,13 @@ def solve_lp(
         for j in range(ncols):
             cost[j] -= tab[i][j]
         cost[-1] -= tab[i][-1]
-    status = _simplex(tab, basis, cost, ncols, eps)
+    _simplex(tab, basis, cost, ncols, eps)  # phase 1 is bounded below by 0
     scale_b = max([abs(v) for v in rhs], default=zero)
     tol_inf = zero if exact else 1e-7 * (1 + float(scale_b))
     if -cost[-1] > tol_inf:
         return LpResult("infeasible")
 
     # Drive artificials out of the basis; all-zero rows are redundant.
-    kept_rows = list(range(nrows))
     i = 0
     while i < len(tab):
         if basis[i] >= ncols:
@@ -229,7 +203,6 @@ def solve_lp(
             if piv_col is None:
                 tab.pop(i)
                 basis.pop(i)
-                kept_rows.pop(i)
                 continue
             _pivot(tab, basis, cost, i, piv_col)
         i += 1
@@ -253,41 +226,4 @@ def solve_lp(
     for k, (j, sg) in enumerate(col_var):
         x[j] = x[j] + sg * u[k]
     value = sum((cvec[j] * x[j] for j in range(nv)), zero)
-
-    # Multipliers: solve B' y = c_B over the surviving rows.
-    y_rows = [zero] * nrows
-    dual_ok = True
-    if basis:
-        # bt = B-transpose: bt[r][i] is the basis-column r entry of kept row i
-        bt = [[a0[kept_rows[i]][basis[r]] for i in range(len(basis))] for r in range(len(basis))]
-        cb = [cmin[b] for b in basis]
-        try:
-            if exact:
-                ysm = _fraction_solve([row[:] for row in bt], cb)
-            else:
-                ysm = list(np.linalg.solve(np.array(bt, dtype=float), np.array(cb, dtype=float)))
-                ysm = [float(v) for v in ysm]
-        except (ValueError, np.linalg.LinAlgError):
-            ysm = None
-            dual_ok = False
-        if ysm is not None:
-            for i, ri in enumerate(kept_rows):
-                y_rows[ri] = ysm[i]
-
-    diagnostics = {}
-    if dual_ok:
-        red = [
-            cmin[j] - sum((a0[i][j] * y_rows[i] for i in range(nrows)), zero)
-            for j in range(ncols)
-        ]
-        cs = max((abs(u[j] * red[j]) for j in range(ncols)), default=zero)
-        dfeas = min((red[j] for j in range(ncols)), default=zero)
-        diagnostics["cs_residual"] = float(cs)
-        diagnostics["dual_feasibility"] = float(dfeas)
-        y_eq = [y_rows[i] * signs[i] for i in range(m0)]
-        if sense == "max":
-            y_eq = [-v for v in y_eq]
-    else:
-        y_eq = None
-
-    return LpResult("optimal", value, x, y_eq, diagnostics)
+    return LpResult("optimal", value, x)

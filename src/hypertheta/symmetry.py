@@ -73,7 +73,6 @@ class PermGroup:
 class OrbitStructure:
     vertex_orbits: tuple
     pair_orbits: tuple  # tuples of ordered pairs
-    representatives: tuple
     sizes: tuple
 
     def orbit_of(self, x: int, y: int) -> int:
@@ -107,26 +106,30 @@ def group_elements(group: PermGroup, cap: int = ELEMENT_CAP) -> list[tuple]:
     return sorted(seen)
 
 
-def vertex_orbits(group: PermGroup) -> list[list[int]]:
-    n = group.degree
-    seen = [False] * n
+def _orbits(points, image, generators) -> list[list]:
+    """Orbits of points under the generators, each sorted, in the order of
+    their first point; image(g, p) is the image of p under g."""
+    seen = set()
     orbits = []
-    for start in range(n):
-        if seen[start]:
+    for start in points:
+        if start in seen:
             continue
-        orbit = [start]
-        seen[start] = True
-        queue = [start]
+        seen.add(start)
+        orbit, queue = [start], [start]
         while queue:
-            x = queue.pop()
-            for g in group.generators:
-                y = g[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
-                    queue.append(y)
+            p = queue.pop()
+            for g in generators:
+                q = image(g, p)
+                if q not in seen:
+                    seen.add(q)
+                    orbit.append(q)
+                    queue.append(q)
         orbits.append(sorted(orbit))
     return orbits
+
+
+def vertex_orbits(group: PermGroup) -> list[list[int]]:
+    return _orbits(range(group.degree), lambda g, x: g[x], group.generators)
 
 
 def pair_orbits(group: PermGroup) -> OrbitStructure:
@@ -134,29 +137,12 @@ def pair_orbits(group: PermGroup) -> OrbitStructure:
     n = group.degree
     if n * n > PAIR_CLOSURE_CAP:
         raise HypergraphError(f"pair closure would exceed cap {PAIR_CLOSURE_CAP}")
-    seen = [[False] * n for _ in range(n)]
-    orbits = []
-    for sx in range(n):
-        for sy in range(n):
-            if seen[sx][sy]:
-                continue
-            orbit = [(sx, sy)]
-            seen[sx][sy] = True
-            queue = [(sx, sy)]
-            while queue:
-                x, y = queue.pop()
-                for g in group.generators:
-                    p = (g[x], g[y])
-                    if not seen[p[0]][p[1]]:
-                        seen[p[0]][p[1]] = True
-                        orbit.append(p)
-                        queue.append(p)
-            orbits.append(tuple(sorted(orbit)))
-    orbits = tuple(sorted(orbits))
+    pairs = itertools.product(range(n), repeat=2)
+    orbits = _orbits(pairs, lambda g, p: (g[p[0]], g[p[1]]), group.generators)
+    orbits = tuple(tuple(o) for o in sorted(orbits))
     return OrbitStructure(
         vertex_orbits=tuple(tuple(o) for o in vertex_orbits(group)),
         pair_orbits=orbits,
-        representatives=tuple(o[0] for o in orbits),
         sizes=tuple(len(o) for o in orbits),
     )
 

@@ -100,13 +100,11 @@ class ThetaResult:
 
 @dataclass(frozen=True)
 class DualResult:
-    """The gauge value (= lam, the corner), the diagonal-w matrix over all
-    vertices, and the witness tree for w in value * body(H-bar) rooted on
-    the support of w."""
+    """The gauge value (the root corner) and the witness tree for w in
+    value * body(H-bar), rooted on the support of w: its diagonal is w there,
+    and w is zero off its vertex_map."""
 
     value: float
-    lam: float
-    matrix: np.ndarray
     certificate: ThetaCertificate
     diagnostics: dict
 
@@ -350,7 +348,7 @@ def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
     sub, smap, wsub = _restrict(hg, wv)
     if sub.n == 0:
         empty = ThetaCertificate(0.0, np.zeros((0, 0)), sub.r, smap)
-        return DualResult(0.0, 0.0, np.zeros((hg.n, hg.n)), empty, {"mode": "zero"})
+        return DualResult(0.0, empty, {"mode": "zero"})
 
     builder = _Builder()
     root = _membership_node(builder, complement(sub), smap)
@@ -364,16 +362,10 @@ def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
     cobj[0, 0] = -1.0
     problem = builder.problem({root.blk: cobj})
     sol = _solved(problem, tol, "theta_dual")
-    big = np.array(sol.blocks[root.blk])
-    lam = float(big[0, 0])
-    zfull = np.zeros((hg.n, hg.n))
-    idx = np.array(smap)
-    zfull[np.ix_(idx, idx)] = big[1:, 1:]
+    cert = _extract(root, sol.blocks)
     return DualResult(
-        lam,
-        lam,
-        zfull,
-        _extract(root, sol.blocks),
+        cert.scale,
+        cert,
         {
             "mode": "sdp",
             "iterations": sol.iterations,

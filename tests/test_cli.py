@@ -1,10 +1,18 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from hypertheta.cli import main, render_json
-from hypertheta.hypercore import complete_hypergraph, format_hypergraph, write_hypergraph
+from hypertheta.hypercore import (
+    alpha,
+    complete_hypergraph,
+    cycle_graph,
+    format_hypergraph,
+    write_hypergraph,
+)
 from hypertheta.symmetry import mantel_hypergraph
+from hypertheta.thetabody import theta
 
 
 @pytest.fixture
@@ -29,8 +37,6 @@ def run_cli(capsys, *args):
 
 class TestRenderJson:
     def test_fixed_order_and_formats(self):
-        from fractions import Fraction
-
         text = render_json({"b": 1.0, "a": Fraction(1, 3), "c": [True, None]})
         assert text == '{"b":1,"a":"1/3","c":[true,null]}'
 
@@ -62,6 +68,18 @@ class TestCommands:
         assert code == 0
         data = json.loads(out)
         assert data["value"] == pytest.approx(1.0, abs=1e-5)
+
+    def test_weights_file(self, capsys, tmp_path):
+        hg = cycle_graph(5)
+        path, wpath = tmp_path / "c5.hg", tmp_path / "w.txt"
+        write_hypergraph(hg, path)
+        wpath.write_text("1\n0\n1/2\n0\n2\n")
+        w = [1, 0, Fraction(1, 2), 0, 2]
+        want = {"alpha": alpha(hg, w)[0], "theta": float(theta(hg, w).value)}
+        for command, value in want.items():
+            code, out, _ = run_cli(capsys, command, "--file", str(path), "--weights", str(wpath))
+            assert code == 0
+            assert json.loads(out)["value"] == json.loads(render_json(value))
 
     def test_member(self, capsys, edge3_file, tmp_path):
         vec = tmp_path / "f.txt"

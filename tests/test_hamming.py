@@ -205,6 +205,8 @@ class TestClosedForms:
 class TestScan:
     def test_rounding_rule(self):
         assert side_for(20, 3) == 6
+        assert side_for(30, 3.0) == 10  # a float ratio still divides n
+        assert side_for(10, Fraction(5, 2)) == 4
         assert closest_even(Fraction(7)) == 6  # tie rounds down
         assert closest_even(Fraction(22, 3)) == 8
         assert closest_even(Fraction(13)) == 12

@@ -377,9 +377,12 @@ FORMAT_ERRORS = [
     pytest.param("whg", "3 4 2\n0 1 2 1\n", None, id="whg-edge-count-differs-from-m"),
     pytest.param("whg", "3 3 1\n0 1 2 -1\n", None, id="whg-negative-weight"),
     pytest.param("whg", "3 3 1\n0 1 2 0\n", None, id="whg-no-edge-carries-weight"),
+    pytest.param("whg", "3 3 1\n0 1 2 inf\n", 2, id="whg-weight-not-finite"),
     pytest.param("weights", "1\n\n# c\nx\n", 4, id="weights-not-a-number"),
     pytest.param("weights", "1\n1/2 1\n1\n", 2, id="weights-two-tokens-on-a-line"),
     pytest.param("weights", "1\n2\n", None, id="weights-fewer-than-n-lines"),
+    pytest.param("weights", "nan\n1\n1\n", 1, id="weights-nan"),
+    pytest.param("weights", "1\n# c\ninf\n1\n", 3, id="weights-inf"),
 ]
 
 

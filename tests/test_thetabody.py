@@ -143,6 +143,16 @@ class TestMembership:
         member, _ = theta_membership(cycle_graph(5), [0.1, -0.2, 0, 0, 0])
         assert not member
 
+    def test_early_rejections_need_no_solve(self, monkeypatch):
+        def no_solve(problem, tol):
+            raise AssertionError("rejected before any solve")
+
+        monkeypatch.setattr(thetabody, "solve_sdp", no_solve)
+        # an entry above 1 + tol, then positive f on a blocked vertex
+        assert theta_membership(cycle_graph(5), [1.2, 0, 0, 0, 0]) == (False, None)
+        hg = Hypergraph(1, 3, ((0,),))
+        assert theta_membership(hg, [0.5, 0.5, 0]) == (False, None)
+
     def test_interior_and_exterior_probes(self):
         hg = cycle_graph(5)
         inner = [SQRT5 / 5 * 0.98] * 5
@@ -180,7 +190,7 @@ class TestDual:
 
     def test_zero_weight(self):
         res = theta_dual(cycle_graph(5), [0] * 5)
-        assert res.value == 0.0 and res.lam == 0.0
+        assert res.value == 0.0
 
     def test_monotone_in_weights(self):
         rng = random.Random(61)
@@ -205,7 +215,9 @@ class TestDual:
         hg = mantel_hypergraph(4)
         w = [0.5, 1.0, 0.25, 0.0, 1.5, 0.75]
         res = theta_dual(hg, w)
-        assert np.abs(np.diag(res.matrix) - np.array(w)).max() < 1e-6
+        diag = np.zeros(hg.n)  # w is zero off the certificate's support
+        diag[list(res.certificate.vertex_map)] = res.certificate.vector
+        assert np.abs(diag - np.array(w)).max() < 1e-6
 
     def test_sandwich(self):
         rng = random.Random(21)
