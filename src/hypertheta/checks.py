@@ -247,6 +247,19 @@ def _check_thetabody(rng: random.Random):
     v2 = theta(Hypergraph(3, 5, ((0, 1, 4), (0, 2, 3), (1, 2, 3))), [1, 0, 1, 1, 0]).value
     yield "thetabody.negative_weights", abs(v1 - v2) <= 1e-6, f"{v1} vs {v2}"
 
+    # TH(G) antiblocks TH(G-bar): on graphs the gauge equals the support value
+    ok = True
+    detail = ""
+    for _ in range(4):
+        n = rng.randint(4, 8)
+        g = random_hypergraph(n, 2, rng.choice((0.3, 0.5)), rng)
+        w = [rng.uniform(0.1, 1.0) for _ in range(n)]
+        d, t = theta_dual(g, w).value, theta(g, w).value
+        if abs(d - t) > 1e-6:
+            ok = False
+            detail = f"theta_dual={d} theta={t} on n={n}"
+    yield "thetabody.graph_duality", ok, detail
+
 
 def _check_symmetry(rng: random.Random):
     h4 = mantel_hypergraph(4)

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every command prints one JSON object to stdout with a fixed key order;
+Each command ends its stdout with one JSON object in a fixed key order;
 floats are rendered with 12 significant digits and exact rationals as
 "p/q" strings, so identical invocations on one numpy/BLAS build produce
-byte-identical output.  Exit codes: 0 success, 2 bad input, 3 solver
+byte-identical output.  Two commands print more: check prints one line per
+property before its JSON line, and scan-decay without --out prints its CSV
+in place of the JSON line.  Exit codes: 0 success, 2 bad input, 3 solver
 failure.
 """
 

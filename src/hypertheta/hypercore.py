@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isfinite
+from math import comb, inf, isfinite
 from typing import Iterable, Sequence
 
 DEFAULT_ALPHA_CAP = 24
@@ -137,12 +137,19 @@ def _bits(mask: int) -> list[int]:
 
 
 def check_weights(hg: Hypergraph, w: Sequence | None) -> list:
-    """Return the weight vector as a list, defaulting to unit weights."""
+    """Return the weight vector as a list, defaulting to unit weights.
+
+    Entries keep their type (ints and Fractions stay exact); nan and
+    infinite entries are refused.
+    """
     if w is None:
         return [1] * hg.n
     w = list(w)
     if len(w) != hg.n:
         raise HypergraphError(f"weight vector has length {len(w)}, expected {hg.n}")
+    for i, v in enumerate(w):
+        if not -inf < v < inf:
+            raise HypergraphError(f"weight {i} is not finite: {v}")
     return w
 
 

@@ -16,9 +16,9 @@ Graph nodes need no child blocks: the link of a vertex in a graph is a
 1-uniform hypergraph all of whose vertices are edges, so its body is {0}
 and the row constraint collapses to zero entries on graph edges.
 
-Every program here is built from that one node and its link tie: theta_dual,
-the gauge min{lam : w in lam * body(H-bar)} of the complement body (the
-antiblocker pairing), puts the same root node on the complement.
+Two programs are built on that one node: theta's, and max{t : t*v in body},
+which theta_membership runs on f and theta_dual on the complement with w; the
+antiblocker pairing's gauge min{lam : w in lam * body(H-bar)} is 1/t*.
 
 All assemblies here are pure; solves are delegated to numlin and share no
 state between calls, so concurrent independent calls are safe.
@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -204,15 +203,16 @@ def assemble_theta_sdp(hg: Hypergraph, w=None) -> tuple[SdpProblem, "_Node"]:
     return builder.problem({root.blk: cobj}), root
 
 
-def _extract(node: _Node, blocks) -> ThetaCertificate:
-    mat = np.array(blocks[node.blk])
+def _extract(node: _Node, blocks, c: float = 1.0) -> ThetaCertificate:
+    """The solution's witness tree times c; all ties are linear and homogeneous."""
+    mat = c * np.array(blocks[node.blk])
     return ThetaCertificate(
         scale=float(mat[0, 0]),
         matrix=mat[1:, 1:].copy(),
         uniformity=node.hyper.r,
         vertex_map=tuple(node.vmap),
         children={
-            x: _extract(child, blocks) for x, child in node.children.items()
+            x: _extract(child, blocks, c) for x, child in node.children.items()
         },
     )
 
@@ -281,8 +281,25 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
 
 
 # ---------------------------------------------------------------------------
-# Membership
+# Scaled membership: theta_membership and the gauge theta_dual
 # ---------------------------------------------------------------------------
+
+def _max_scaling(
+    hg: Hypergraph, v: list, vmap: tuple, tol: float, what: str
+) -> tuple[float, _Node, SdpSolution]:
+    """Largest t with t*v in the body: the root node with corner 1, a 1x1 scale
+    block t and the rows F_jj = t*v_j.  Returns t*, the root node and the
+    solution (a witness of t* v); v > 0 keeps the program strictly feasible."""
+    builder = _Builder()
+    root = _membership_node(builder, hg, vmap)
+    builder.add([(root.blk, 0, 0, 1.0)], 1.0)
+    scale_blk = builder.block(1)
+    for j in range(hg.n):
+        builder.add([(root.blk, j + 1, j + 1, 1.0), (scale_blk, 0, 0, -v[j])], 0.0)
+    problem = builder.problem({scale_blk: np.array([[1.0]])})
+    sol = _solved(problem, tol, what)
+    return float(sol.primal), root, sol
+
 
 def theta_membership(
     hg: Hypergraph, f, tol: float = MEMBERSHIP_TOL
@@ -292,13 +309,11 @@ def theta_membership(
     Implemented as the largest scaling t with t*f in the body (the body is
     of antiblocking type, so that set is an interval [0, t*]); f belongs iff
     t* >= 1 - tol.  Points within tol of the boundary may flip either way.
-    The instance is first restricted to the support of f, which keeps the
-    scaled program strictly feasible.
+    The witness has corner 1 and diagonal min(t*, 1)*f.  The instance is
+    first restricted to the support of f, as _max_scaling requires.
     """
     fv = [float(v) for v in check_weights(hg, f)]
-    if any(v < -1e-12 for v in fv):
-        return False, None
-    if any(v > 1.0 + tol for v in fv):
+    if any(v < -1e-12 or v > 1.0 + tol for v in fv):
         return False, None
     sub, smap, fsub = _restrict(hg, fv)
     if sub.n == 0:
@@ -310,38 +325,26 @@ def theta_membership(
             return False, None
         return True, _box_certificate(fsub, smap)
 
-    builder = _Builder()
-    root = _membership_node(builder, sub, smap)
-    builder.add([(root.blk, 0, 0, 1.0)], 1.0)
-    scale_blk = builder.block(1)
-    for j in range(sub.n):
-        builder.add(
-            [(root.blk, j + 1, j + 1, 1.0), (scale_blk, 0, 0, -fsub[j])], 0.0
-        )
-    problem = builder.problem({scale_blk: np.array([[1.0]])})
-    sol = _solved(problem, min(tol * 1e-2, 1e-8), "theta_membership")
-    t_max = float(sol.primal)
-    member = t_max >= 1.0 - tol
-    if not member:
+    t_max, root, sol = _max_scaling(
+        sub, fsub, smap, min(tol * 1e-2, 1e-8), "theta_membership"
+    )
+    if t_max < 1.0 - tol:
         return False, None
-    return True, _extract(root, sol.blocks)
+    # Raising the root corner to 1 keeps the bordered block PSD.
+    cert = _extract(root, sol.blocks, min(t_max, 1.0) / t_max)
+    return True, replace(cert, scale=1.0)
 
-
-# ---------------------------------------------------------------------------
-# The bordered minimization program
-# ---------------------------------------------------------------------------
 
 def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
     """Gauge of the complement body: the least lam with w in lam * body(H-bar).
 
-    The program is the root node of the complement, the same bordered block
-    that theta builds, with diagonal fixed to w and its corner lam
-    minimized; the rows lie in the scaled bodies of the complement links.
-    Defined for uniformity at least 2 and nonnegative weights; w = 0 gives 0
-    immediately.  The support restriction is the one theta_membership uses.
+    lam = 1/t* for the largest t* with t*w in body(H-bar): theta_membership's
+    program on the complement, whose tree divided by t* has corner lam and
+    diagonal w.  Defined for uniformity at least 2 and nonnegative weights;
+    w = 0 gives 0 immediately.
     """
     if hg.r < 2:
-        raise UniformityError("the bordered program needs uniformity at least 2")
+        raise UniformityError("the gauge program needs uniformity at least 2")
     wv = [float(v) for v in check_weights(hg, w)]
     if any(v < 0 for v in wv):
         raise HypergraphError("theta_dual requires nonnegative weights")
@@ -350,22 +353,14 @@ def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
         empty = ThetaCertificate(0.0, np.zeros((0, 0)), sub.r, smap)
         return DualResult(0.0, empty, {"mode": "zero"})
 
-    builder = _Builder()
-    root = _membership_node(builder, complement(sub), smap)
-    for j in range(sub.n):  # the node ties the diagonal to this border entry
-        builder.add([(root.blk, 0, j + 1, 1.0)], wsub[j])
-    # Cap the corner so the feasible region is compact; never binding, since
-    # the optimum is at most the total weight (cover by singletons).
-    cap_blk = builder.block(1)
-    builder.add([(root.blk, 0, 0, 1.0), (cap_blk, 0, 0, 1.0)], float(sum(wsub)) + 1.0)
-    cobj = np.zeros((sub.n + 1, sub.n + 1))
-    cobj[0, 0] = -1.0
-    problem = builder.problem({root.blk: cobj})
-    sol = _solved(problem, tol, "theta_dual")
-    cert = _extract(root, sol.blocks)
+    # The solve's gap is relative to 1 + t*; for w / max(w), t* is in [1/n, 1]
+    top = max(wsub)
+    t_max, root, sol = _max_scaling(
+        complement(sub), [v / top for v in wsub], smap, tol, "theta_dual"
+    )
     return DualResult(
-        cert.scale,
-        cert,
+        top / t_max,
+        _extract(root, sol.blocks, top / t_max),
         {
             "mode": "sdp",
             "iterations": sol.iterations,
@@ -392,7 +387,8 @@ def check_certificate(
 ) -> list[str]:
     """Structural audit of a witness tree; returns a list of violations.
 
-    Checks, per node: the bordered matrix is PSD to -tol; child scalings
+    Checks, per node: entries and scale are finite, the matrix is symmetric
+    to tol and the bordered matrix is PSD to -tol; child scalings
     match the parent diagonal; child diagonals match the parent row on the
     link; graph nodes vanish on edges; base nodes sit in the scaled box.
 
@@ -420,6 +416,11 @@ def check_certificate(
         bordered[0, 1:] = diag
         bordered[1:, 0] = diag
         bordered[1:, 1:] = mat
+        if not np.isfinite(bordered).all():
+            problems.append(f"{label}: non-finite entry or scale")
+            return
+        if np.abs(mat - mat.T).max(initial=0.0) > tol:
+            problems.append(f"{label}: matrix not symmetric within {tol}")
         if node_hg.n and np.linalg.eigvalsh(bordered).min() < -tol:
             problems.append(f"{label}: bordered matrix not PSD within {tol}")
         if cert.uniformity != node_hg.r:
@@ -427,11 +428,8 @@ def check_certificate(
         if node_hg.r == 1:
             blocked = {e[0] for e in node_hg.edges}
             for x in range(node_hg.n):
-                hi = cert.scale + tol
-                bad = diag[x] < -tol or diag[x] > hi or (
-                    x in blocked and abs(diag[x]) > tol
-                )
-                if bad:
+                hi = min(cert.scale, 0.0) if x in blocked else cert.scale
+                if diag[x] < -tol or diag[x] > hi + tol:
                     problems.append(f"{label}: base box violated at {x}")
             return
         if node_hg.r == 2:

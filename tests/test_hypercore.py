@@ -12,6 +12,7 @@ from hypertheta.hypercore import (
     NoColoringError,
     UniformityError,
     alpha,
+    check_weights,
     chi_star,
     complement,
     complete_hypergraph,
@@ -99,6 +100,18 @@ class TestConstruction:
             Hypergraph(2, 3, ((0, 3),))
         with pytest.raises(HypergraphError):
             Hypergraph(0, 3, ())
+
+
+class TestWeights:
+    def test_entries_keep_their_type(self):
+        w = [Fraction(1, 3), 10**400, 0.5]
+        got = check_weights(empty_hypergraph(2, 3), w)
+        assert got == w and [type(v) for v in got] == [Fraction, int, float]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_names_its_index(self, bad):
+        with pytest.raises(HypergraphError, match="weight 2 is not finite"):
+            check_weights(empty_hypergraph(2, 3), [1, 0.5, bad])
 
 
 class TestLink:

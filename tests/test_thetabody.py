@@ -159,6 +159,12 @@ class TestMembership:
         outer = [SQRT5 / 5 * 1.02] * 5
         assert theta_membership(hg, inner)[0]
         assert not theta_membership(hg, outer)[0]
+        # the witness is for inner itself, not for t* times inner
+        _, cert = theta_membership(hg, inner)
+        diag = np.zeros(hg.n)
+        diag[list(cert.vertex_map)] = cert.vector
+        assert np.abs(diag - np.array(inner)).max() < 1e-7
+        assert check_certificate(hg, cert) == []
 
     def test_integer_points_are_independent_sets(self):
         rng = random.Random(77)
@@ -187,6 +193,15 @@ class TestDual:
     def test_pentagon_self_polar(self):
         res = theta_dual(cycle_graph(5), [1] * 5)
         assert abs(res.value - SQRT5) < 1e-6
+        for c in (1e-6, 1e6):  # the gauge is homogeneous at any weight scale
+            assert abs(theta_dual(cycle_graph(5), [c] * 5).value / c - SQRT5) < 1e-6
+        # TH(G) antiblocks TH(G-bar) (Groetschel, Lovasz and Schrijver), so on
+        # graphs the gauge of the complement body is the support value theta
+        rng = random.Random(40)
+        for n in range(4, 9):
+            g = random_hypergraph(n, 2, rng.choice((0.3, 0.5)), rng)
+            w = [rng.uniform(0.1, 1.0) for _ in range(n)]
+            assert abs(theta_dual(g, w).value - theta(g, w).value) < 1e-6
 
     def test_zero_weight(self):
         res = theta_dual(cycle_graph(5), [0] * 5)
@@ -255,6 +270,22 @@ class TestDual:
             cbar = complement(hg)
             assert theta_membership(cbar, [v / (lam * (1 + 1e-4)) for v in w])[0]
             assert not theta_membership(cbar, [v / (lam * (1 - 1e-4)) for v in w])[0]
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: theta_membership(cycle_graph(5), [math.nan] * 5),
+            lambda: theta_dual(cycle_graph(5), [math.nan, 1, 1, 1, 1]),
+            lambda: theta(Hypergraph(1, 3, ()), [math.nan, 1, 1]),
+            lambda: alpha(cycle_graph(5), [math.nan, 1, 1, 1, 1]),
+        ],
+        ids=["theta_membership", "theta_dual", "theta", "alpha"],
+    )
+    def test_refused_naming_the_index(self, call):
+        with pytest.raises(HypergraphError, match="weight 0 is not finite"):
+            call()
 
 
 class TestProbe:
@@ -408,6 +439,29 @@ class TestCertificates:
         problems = check_certificate(hg, certificate_from_json(json.dumps(data)))
         assert problems and all("diagonal mismatch" not in p for p in problems)
         assert any("root.0: matrix shape (1, 1)" in p for p in problems)
+
+    def test_asymmetric_matrix_is_a_violation(self):
+        # eigvalsh reads the lower triangle (all ones, so PSD) while the edge
+        # test reads the upper one (zero on edges); the diagonal sums to 5
+        mat = np.ones((5, 5))
+        for u, v in cycle_graph(5).edges:
+            mat[u, v] = 0.0
+        cert = ThetaCertificate(1.0, mat, 2, tuple(range(5)))
+        problems = check_certificate(cycle_graph(5), cert)
+        assert problems == ["root: matrix not symmetric within 1e-06"]
+
+    def test_non_finite_scale_or_entry_is_a_violation(self):
+        cert = theta(complete_hypergraph(3, 3)).certificate
+        mat = cert.matrix.copy()
+        mat[1, 2] = mat[2, 1] = math.inf
+        child = dataclasses.replace(cert.children[0], scale=math.nan)
+        for broken, label in [
+            (dataclasses.replace(cert, scale=math.nan), "root"),
+            (dataclasses.replace(cert, matrix=mat), "root"),
+            (dataclasses.replace(cert, children={**cert.children, 0: child}), "root.0"),
+        ]:
+            problems = check_certificate(complete_hypergraph(3, 3), broken)
+            assert f"{label}: non-finite entry or scale" in problems
 
     def test_non_integer_root_map_is_a_violation(self):
         for vmap in ('["a"]', "[1.5]", '[1, "a"]'):
