@@ -10,15 +10,17 @@ Problems are stated in the form
 with a dense symmetric objective C_b per block and each row A_i given by
 sparse terms (see SdpProblem).  The solver is aimed at desk scale instances
 (a few hundred total dimensions): every iteration factors the blocks directly
-and solves the Schur-complement normal equations by Cholesky.  A presolve
-pass keeps, in order, each equality row whose distance from the span of the
-rows kept before it passes a QR rank test (threshold 1e-10), and checks the
+and solves the Schur-complement normal equations by Cholesky, then blocked
+forward and back substitution on the factor, with one refinement step
+against the unregularized Schur complement.  A presolve pass keeps, in
+order, each equality row whose distance from the span of the rows kept
+before it passes a QR rank test (threshold 1e-10), and checks the
 right-hand sides of the dropped rows by one least-squares solve.
 
-Solves are deterministic per numpy/BLAS build: on one build, identical
-inputs give bit-identical iterates; other builds may differ in the last
-digits.  Problem and solution objects are immutable after construction and
-may be shared across threads.
+Solves are deterministic per numpy/BLAS build and BLAS thread count: with
+both fixed, identical inputs give bit-identical iterates; another build or
+thread count may differ in the last digits.  Problem and solution objects
+are immutable after construction and may be shared across threads.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ __all__ = ["SdpProblem", "SdpSolution", "solve_sdp"]
 
 _MAX_ITER = 300
 _PSD_TOL = 1e-9  # an "optimal" solve keeps every block PSD to -_PSD_TOL
+# Rows per diagonal block of the triangular substitutions.  The summation
+# order it sets decides some 1e-11 endgames: 16 fails the tolerance sweep.
+_SUBST_BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -184,9 +189,31 @@ def _apply_at(blocks, y):
     return [np.einsum("m,mij->ij", y[data.rows], data.mats) for data in blocks]
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest a with x + a*dx psd, computed through the x-whitened pencil."""
-    vals, vecs = np.linalg.eigh(x)
+def _chol_solve(chol: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """x with chol @ chol.T @ x = vec, for lower triangular chol.
+
+    Blocked forward, then back substitution: each diagonal block of the
+    factor is solved directly and the rest of the right-hand side updated by
+    one product, O(m^2) in all.  With m <= _SUBST_BLOCK this is the two
+    plain solves by the whole factor.
+    """
+    out = np.array(vec, dtype=float)
+    starts = range(0, len(out), _SUBST_BLOCK)
+    for lo in starts:
+        hi = lo + _SUBST_BLOCK
+        out[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi], out[lo:hi])
+        out[hi:] -= chol[hi:, lo:hi] @ out[lo:hi]
+    for lo in reversed(starts):
+        hi = lo + _SUBST_BLOCK
+        out[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi].T, out[lo:hi])
+        out[:lo] -= chol[lo:hi, :lo].T @ out[lo:hi]
+    return out
+
+
+def _max_step(eig: tuple, dx: np.ndarray) -> float:
+    """Largest a with x + a*dx psd, computed through the x-whitened pencil;
+    eig is np.linalg.eigh(x)."""
+    vals, vecs = eig
     vals = np.maximum(vals, 1e-300)
     z = vecs / np.sqrt(vals)
     lo = np.linalg.eigvalsh(z.T @ dx @ z).min()
@@ -251,11 +278,14 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
         # Nesterov-Todd scaling point per block.  Steps keep the iterates
         # definite mathematically; eigenvalues at roundoff scale are clamped,
-        # anything more negative is a genuine breakdown.
+        # anything more negative is a genuine breakdown.  eigh(S) here, like
+        # eigh(X) below, is computed once per iteration and also serves the
+        # step lengths.
+        seigs = [np.linalg.eigh(s) for s in ss]
         ws, sinvs = [], []
         broke = False
         for b in range(len(dims)):
-            sval, svec = np.linalg.eigh(ss[b])
+            sval, svec = seigs[b]
             floor = 1e-14 * max(float(sval.max()), 1e-30)
             if sval.min() < -10 * floor:
                 broke = True
@@ -299,11 +329,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             break
 
         def solve_normal(vec):
-            z = np.linalg.solve(chol, vec)
-            out = np.linalg.solve(chol.T, z)
-            resid = vec - mmat @ out
-            z = np.linalg.solve(chol, resid)
-            out += np.linalg.solve(chol.T, z)
+            out = _chol_solve(chol, vec)
+            out += _chol_solve(chol, vec - mmat @ out)
             return out
 
         def directions(rmats):
@@ -322,9 +349,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
         # Predictor (affine scaling) fixes the centering weight from its full
         # steps to the cone boundary.
+        xeigs = [np.linalg.eigh(x) for x in xs]
         dxa, dya, dsa = directions([-xs[b] for b in range(len(dims))])
-        ap = min(1.0, min(_max_step(xs[b], dxa[b]) for b in range(len(dims))))
-        ad = min(1.0, min(_max_step(ss[b], dsa[b]) for b in range(len(dims))))
+        ap = min(1.0, min(_max_step(xeigs[b], dxa[b]) for b in range(len(dims))))
+        ad = min(1.0, min(_max_step(seigs[b], dsa[b]) for b in range(len(dims))))
         gap_aff = sum(
             float(np.tensordot(xs[b] + ap * dxa[b], ss[b] + ad * dsa[b]))
             for b in range(len(dims))
@@ -338,8 +366,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         # while the predictor is blocked keep the endgame off the cone
         # boundary, where the Schur complement loses all accuracy.
         gamma = 0.9 + 0.09 * min(ap, ad)
-        ap = min(1.0, gamma * min(_max_step(xs[b], dx[b]) for b in range(len(dims))))
-        ad = min(1.0, gamma * min(_max_step(ss[b], ds[b]) for b in range(len(dims))))
+        ap = min(1.0, gamma * min(_max_step(xeigs[b], dx[b]) for b in range(len(dims))))
+        ad = min(1.0, gamma * min(_max_step(seigs[b], ds[b]) for b in range(len(dims))))
         if max(ap, ad) < 1e-10:
             stall += 1
             if stall >= 3:

@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hypertheta
 from hypertheta.hoffman import (
     adjacency_operator,
     format_weighted_hypergraph,
@@ -198,6 +202,22 @@ class TestLevelsAndBound:
         # theta raises ThetaSolverError unless the solve ends "optimal"
         t = theta(hg, mu1, tol=tol).value
         assert abs(t - hoff(wh)) < 1e-6
+
+    def test_tolerance_sweep_passes_with_one_and_two_blas_threads(self):
+        # OpenBLAS reads its thread count when it loads, so each count runs
+        # the sweep above in a fresh interpreter.
+        src = os.path.dirname(os.path.dirname(hypertheta.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        sweep = f"{__file__}::TestLevelsAndBound::test_transitive_tightness_at_every_tolerance"
+        for threads in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", sweep],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                timeout=600,
+            )
+            assert out.returncode == 0 and "12 passed" in out.stdout, (threads, out.stdout)
 
 
 def _independent_sets(hg):

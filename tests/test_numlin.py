@@ -13,7 +13,7 @@ from hypertheta.numlin import (
     solve_lp,
     solve_sdp,
 )
-from hypertheta.numlin.sdp import _presolve, _stack
+from hypertheta.numlin.sdp import _SUBST_BLOCK, _chol_solve, _presolve, _stack
 from hypertheta.thetabody import assemble_theta_sdp
 
 
@@ -154,6 +154,24 @@ def _gram_schmidt_kept(a, tol=1e-10):
             kept.append(i)
             basis.append(res / norm)
     return kept
+
+
+class TestCholSolve:
+    B = _SUBST_BLOCK
+
+    @pytest.mark.parametrize("m", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_solves_the_factored_system(self, m):
+        rng = np.random.default_rng(m)
+        g = rng.normal(size=(m, m))
+        mmat = g @ g.T / m + np.eye(m)
+        chol = np.linalg.cholesky(mmat)
+        vec = rng.normal(size=m)
+        x = _chol_solve(chol, vec)
+        resid = np.linalg.norm(mmat @ x - vec)
+        assert resid <= 1e-12 * np.linalg.norm(mmat, 2) * np.linalg.norm(x)
+        if m <= self.B:  # one block: the two solves by the whole factor
+            plain = np.linalg.solve(chol.T, np.linalg.solve(chol, vec))
+            assert x.tobytes() == plain.tobytes()
 
 
 class TestSdp:
