@@ -35,6 +35,7 @@ from .hypercore import (
 )
 from .numlin import SdpProblem, eig_sym, solve_lp, solve_sdp
 from .symmetry import (
+    PermGroup,
     cyclic_group,
     dihedral_group,
     group_elements,
@@ -302,6 +303,31 @@ def _check_symmetry(rng: random.Random):
         if math.floor(mantel_theta(n)[0]) != alpha(mantel_hypergraph(n))[0]:
             ok = False
     yield "symmetry.mantel_floor", ok, "rounded value differs from alpha"
+
+    bad = []
+    for n in range(5, 9):
+        v = theta_transitive(mantel_hypergraph(n), symmetric_group_pair_action(n))
+        if abs(v - n * n / 4) > 1e-6:
+            bad.append(f"Mantel {n}: {v}")
+    for n, s in ((5, 2), (6, 4)):
+        v = theta_transitive(hm.build_hamming_hypergraph(n, s), _cube_group(n))
+        if abs(v - float(hm.theta_hamming(n, s))) > 1e-6:
+            bad.append(f"H({n},{s}): {v}")
+    yield "symmetry.transitive_closed_forms", not bad, "; ".join(bad)
+
+
+def _cube_group(n: int) -> PermGroup:
+    """Automorphisms of the n-cube on integer-coded words: the n bit flips,
+    a transposition and an n-cycle of the coordinates."""
+    size = 1 << n
+
+    def move_bits(p):
+        return tuple(sum(((x >> i) & 1) << p[i] for i in range(n)) for x in range(size))
+
+    flips = [tuple(x ^ (1 << i) for x in range(size)) for i in range(n)]
+    swap = [1, 0] + list(range(2, n))
+    cycle = [(i + 1) % n for i in range(n)]
+    return PermGroup(size, flips + [move_bits(swap), move_bits(cycle)])
 
 
 def _check_hamming(rng: random.Random):

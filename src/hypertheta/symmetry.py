@@ -2,11 +2,15 @@
 
 Permutation groups act on vertices; invariance of the weight vector lets the
 SDP restrict to invariant matrices.  For a vertex-transitive action the
-whole program collapses to one normalized PSD matrix with a single
-link-membership constraint at a base vertex; invariance is imposed by
-identifying variables along orbits of vertex pairs inside the full-size
-block rather than by block-diagonalizing the commutant, which keeps the
-code free of representation theory at these instance sizes.
+whole program collapses to one normalized invariant PSD matrix with a single
+link-membership constraint at a base vertex.  When the symmetrized orbital
+matrices A_k + A_k' commute, as they do for the pair action of S_n and the
+cyclic, dihedral and Hamming groups, an invariant matrix is a combination
+of the projectors onto their common eigenspaces, and PSD-ness is one
+nonnegative scalar per eigenspace (Gatermann & Parrilo 2004; Schrijver
+2005).  The eigenspaces are found numerically and checked; when the check
+fails the program keeps the full-size block with its variables tied along
+pair orbits.
 
 The triangle-encoding family (vertices = edges of a complete graph, edges =
 triangles) is solved in closed form: its pair orbits form the two-class
@@ -26,7 +30,7 @@ from math import comb
 import numpy as np
 
 from .hypercore import Hypergraph, HypergraphError, check_weights, link
-from .numlin import solve_lp
+from .numlin import SdpProblem, solve_lp
 from .thetabody import _attach_link, _Builder, _solved
 
 __all__ = [
@@ -167,13 +171,96 @@ def is_transitive(group: PermGroup) -> bool:
 # Vertex-transitive reduction
 # ---------------------------------------------------------------------------
 
+_EIGEN_SEED = 0
+_EIGEN_TOL = 1e-9
+
+
+def _orbital_matrices(orbits: OrbitStructure) -> list[np.ndarray]:
+    """The 0/1 indicator matrix of each pair orbit, in the order of
+    orbits.pair_orbits."""
+    n = sum(len(o) for o in orbits.vertex_orbits)
+    labels = np.empty((n, n), dtype=np.intp)
+    for k, orbit in enumerate(orbits.pair_orbits):
+        labels[tuple(np.array(orbit).T)] = k
+    return [(labels == k).astype(float) for k in range(len(orbits.pair_orbits))]
+
+
+def _common_eigenspaces(orbits: OrbitStructure) -> list[np.ndarray] | None:
+    """Projectors E_j onto the common eigenspaces of S_k = A_k + A_k', or None.
+
+    The spaces are the eigenspaces of one fixed-seed random combination of
+    the distinct S_k.  They are returned only when there are as many spaces
+    as distinct S_k and every S_k is scalar on every space, to _EIGEN_TOL
+    relative to its norm; then the E_j span the same space as the S_k, the
+    invariant symmetric matrices.  Otherwise (the S_k do not commute, or the
+    draw merged two spaces) the result is None.
+    """
+    sym = []
+    for k, (a, orbit) in enumerate(zip(_orbital_matrices(orbits), orbits.pair_orbits)):
+        x, y = orbit[0]
+        if orbits.orbit_of(y, x) >= k:  # the transposed orbit gives the same S_k
+            sym.append(a + a.T)
+    coef = np.random.default_rng(_EIGEN_SEED).standard_normal(len(sym))
+    w, q = np.linalg.eigh(sum(c * m for c, m in zip(coef, sym)))
+    cut = np.flatnonzero(np.diff(w) > _EIGEN_TOL * np.abs(w).max(initial=0.0))
+    spaces = np.split(q, cut + 1, axis=1)
+    if len(spaces) != len(sym):
+        return None
+    for m in sym:
+        limit = _EIGEN_TOL * np.abs(m).sum(axis=1).max()
+        for qj in spaces:
+            mq = m @ qj
+            if np.abs(mq - np.vdot(qj, mq) / qj.shape[1] * qj).max() > limit:
+                return None
+    return [qj @ qj.T for qj in spaces]
+
+
+def _transitive_program(hg: Hypergraph, group: PermGroup) -> SdpProblem:
+    """The program theta_transitive solves: over the common eigenspaces when
+    _common_eigenspaces finds them, else the full block tied along pair orbits."""
+    orbits = pair_orbits(group)
+    builder = _Builder()
+    projectors = _common_eigenspaces(orbits)
+    if projectors is None:
+        blk = builder.block(hg.n)
+
+        def entry(i, j):
+            return [(blk, i, j, 1.0)]
+
+        builder.add(entry(0, 0), 1.0)
+        for orbit in orbits.pair_orbits:
+            ax, ay = orbit[0]
+            for x, y in orbit[1:]:
+                if x > y:
+                    continue  # symmetric entry already tied
+                builder.add(entry(x, y) + [(blk, ax, ay, -1.0)], 0.0)
+        objective = {blk: np.full((hg.n, hg.n), 1.0 / hg.n)}
+    else:
+        blocks = [builder.block(1) for _ in projectors]
+
+        def entry(i, j):
+            return [(b, 0, 0, float(e[i, j])) for b, e in zip(blocks, projectors)]
+
+        builder.add(entry(0, 0), 1.0)
+        objective = {b: np.array([[e.sum() / hg.n]]) for b, e in zip(blocks, projectors)}
+    _attach_link(builder, entry, 0, *link(hg, 0))
+    return builder.problem(objective)
+
+
 def theta_transitive(hg: Hypergraph, group: PermGroup, tol: float = 1e-8) -> float:
     """Unit-weight relaxation value via the transitive reduction.
 
-    Solves the full-size PSD program with variables identified along pair
-    orbits, normalized diagonal at vertex 0, and the link-membership block
-    imposed at vertex 0 only; orbit identification makes that single row
-    constraint suffice, and for a transitive group any base vertex would do.
+    An invariant optimum exists, so the program keeps only invariant
+    symmetric X, with X[0,0] = 1, objective <J/n, X> and the link-membership
+    block at vertex 0 only; invariance makes that one row suffice, and for a
+    transitive group any base vertex would do.  When the symmetrized orbital
+    matrices S_k = A_k + A_k' commute (checked numerically by
+    _common_eigenspaces), X = sum_j lam_j E_j over their common eigenspaces,
+    so X >= 0 is lam_j >= 0: one 1x1 block per eigenspace.  This holds for
+    the pair action of S_n, the cyclic, dihedral and Hamming groups.
+    Otherwise (for example S_3 acting regularly on itself) the program keeps
+    the full n x n block with one tie row per pair outside its orbit's
+    representative.
     """
     if hg.r < 2:
         raise HypergraphError("transitive reduction needs uniformity at least 2")
@@ -181,22 +268,7 @@ def theta_transitive(hg: Hypergraph, group: PermGroup, tol: float = 1e-8) -> flo
         raise HypergraphError("group does not preserve the edge set")
     if not is_transitive(group):
         raise HypergraphError("group is not vertex transitive")
-
-    orbits = pair_orbits(group)
-    builder = _Builder()
-    blk = builder.block(hg.n)
-    builder.add([(blk, 0, 0, 1.0)], 1.0)
-    for orbit in orbits.pair_orbits:
-        ax, ay = orbit[0]
-        for x, y in orbit[1:]:
-            if x > y:
-                continue  # symmetric entry already tied
-            builder.add([(blk, x, y, 1.0), (blk, ax, ay, -1.0)], 0.0)
-
-    _attach_link(builder, blk, 0, *link(hg, 0), shift=0)
-    cobj = np.full((hg.n, hg.n), 1.0 / hg.n)
-    problem = builder.problem({blk: cobj})
-    sol = _solved(problem, tol, "theta_transitive")
+    sol = _solved(_transitive_program(hg, group), tol, "theta_transitive")
     return float(sol.primal)
 
 
@@ -277,20 +349,12 @@ def mantel_pair_orbit_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Indicator matrices of the three pair orbits (by intersection size
     2, 1, 0) of complete-graph edges; the two-class Johnson scheme."""
     pairs = _pair_list(n)
-    nv = len(pairs)
-    a0 = np.eye(nv)
-    a1 = np.zeros((nv, nv))
-    a2 = np.zeros((nv, nv))
-    for i, p in enumerate(pairs):
-        for j, q in enumerate(pairs):
-            if i == j:
-                continue
-            common = len(set(p) & set(q))
-            if common == 1:
-                a1[i, j] = 1.0
-            else:
-                a2[i, j] = 1.0
-    return a0, a1, a2
+    orbits = pair_orbits(symmetric_group_pair_action(n))
+    by_common = {
+        len(set(pairs[x]) & set(pairs[y])): a
+        for ((x, y), *_), a in zip(orbits.pair_orbits, _orbital_matrices(orbits))
+    }
+    return tuple(by_common.get(c, np.zeros((len(pairs),) * 2)) for c in (2, 1, 0))
 
 
 def mantel_theta(n: int) -> tuple[Fraction, Fraction, Fraction]:

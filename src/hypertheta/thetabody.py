@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -152,34 +153,44 @@ def _membership_node(builder: _Builder, hg: Hypergraph, vmap: tuple) -> _Node:
         for u, v in hg.edges:
             builder.add([(blk, u + 1, v + 1, 1.0)], 0.0)
     else:
+        def entry(i, j):
+            return [(blk, i + 1, j + 1, 1.0)]
+
         for x in range(hg.n):
-            child = _attach_link(builder, blk, x, *link(hg, x))
+            child = _attach_link(builder, entry, x, *link(hg, x))
             if child is not None:
                 children[x] = child
     return _Node(hg, blk, vmap, children)
 
 
 def _attach_link(
-    builder: _Builder, blk: int, x: int, sub: Hypergraph, smap: tuple, shift: int = 1
+    builder: _Builder,
+    entry: Callable[[int, int], list],
+    x: int,
+    sub: Hypergraph,
+    smap: tuple,
 ) -> _Node | None:
-    """Tie row x of block blk to F(x,x) times the body of its link sub.
+    """Tie row x of the parent matrix F to F(x,x) times the body of its link sub.
 
-    Vertex v sits at index v + shift of the block (1 for a bordered block).
+    entry(i, j) gives the terms (block, a, b, coef) whose sum is F(i, j).
     Returns the child node, or None when the link needs no child block: an
     empty link constrains nothing, and a 1-uniform link (every vertex an
     edge, body {0}) makes the row zero on it.
     """
     if sub.n == 0:
         return None
-    row = x + shift
+
+    def minus(i, j):
+        return [(b, p, q, -c) for b, p, q, c in entry(i, j)]
+
     if sub.r == 1:
         for v in smap:
-            builder.add([(blk, row, v + shift, 1.0)], 0.0)
+            builder.add(entry(x, v), 0.0)
         return None
     child = _membership_node(builder, sub, smap)
-    builder.add([(child.blk, 0, 0, 1.0), (blk, row, row, -1.0)], 0.0)
+    builder.add([(child.blk, 0, 0, 1.0)] + minus(x, x), 0.0)
     for j, v in enumerate(smap):
-        builder.add([(child.blk, j + 1, j + 1, 1.0), (blk, row, v + shift, -1.0)], 0.0)
+        builder.add([(child.blk, j + 1, j + 1, 1.0)] + minus(x, v), 0.0)
     return child
 
 

@@ -1,10 +1,13 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hypertheta import hamming
 from hypertheta.hypercore import (
+    Hypergraph,
     HypergraphError,
     alpha,
     complete_hypergraph,
@@ -12,6 +15,8 @@ from hypertheta.hypercore import (
 )
 from hypertheta.symmetry import (
     PermGroup,
+    _common_eigenspaces,
+    _transitive_program,
     cyclic_group,
     dihedral_group,
     group_elements,
@@ -227,3 +232,94 @@ class TestMantelPipeline:
             hg = mantel_hypergraph(n)
             sub, _ = link(hg, 0)
             assert abs(theta(sub).value - (n - 2)) < 1e-6
+
+
+def cube_group(n):
+    """Bit flips, a transposition and an n-cycle of the coordinates."""
+    size = 1 << n
+
+    def move_bits(p):
+        return tuple(sum(((x >> i) & 1) << p[i] for i in range(n)) for x in range(size))
+
+    flips = [tuple(x ^ (1 << i) for x in range(size)) for i in range(n)]
+    swap = [1, 0] + list(range(2, n))
+    return PermGroup(size, flips + [move_bits(swap), move_bits([(i + 1) % n for i in range(n)])])
+
+
+def s3_regular():
+    """S_3 acting on its 6 elements by left multiplication, and the Cayley
+    graph for {t, c, c^-1} and the 3-uniform hypergraph with edges
+    {g, g t, g c}, both built by right multiplication."""
+    elements = sorted(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(elements)}
+
+    def mul(a, b):
+        return tuple(a[b[i]] for i in range(3))
+
+    t, c = (1, 0, 2), (1, 2, 0)
+    group = PermGroup(6, [tuple(index[mul(h, g)] for g in elements) for h in (t, c)])
+    cayley = {
+        tuple(sorted((index[g], index[mul(g, h)]))) for g in elements for h in (t, c, mul(c, c))
+    }
+    triples = {tuple(sorted(index[x] for x in (g, mul(g, t), mul(g, c)))) for g in elements}
+    return group, Hypergraph(2, 6, tuple(sorted(cayley))), Hypergraph(3, 6, tuple(sorted(triples)))
+
+
+class TestEigenspaceReduction:
+    def test_projectors_span_the_invariant_matrices(self):
+        groups = [
+            symmetric_group_pair_action(5),
+            cyclic_group(9),
+            dihedral_group(8),
+            S3,
+            cube_group(4),
+        ]
+        for group in groups:
+            orbits = pair_orbits(group)
+            classes = {
+                frozenset((k, orbits.orbit_of(y, x)))
+                for k, ((x, y), *_) in enumerate(orbits.pair_orbits)
+            }
+            projectors = _common_eigenspaces(orbits)
+            assert projectors is not None
+            assert len(projectors) == len(classes)
+            assert np.allclose(sum(projectors), np.eye(group.degree), atol=1e-12)
+            for e in projectors:
+                assert np.allclose(e @ e, e, atol=1e-12)
+                for orbit in orbits.pair_orbits:
+                    values = [e[x, y] for x, y in orbit] + [e[y, x] for x, y in orbit]
+                    assert max(values) - min(values) < 1e-12
+
+    def test_reduced_program_on_mantel_7_and_8(self):
+        for n, rows in ((7, 27), (8, 32)):
+            problem = _transitive_program(mantel_hypergraph(n), symmetric_group_pair_action(n))
+            # three eigenspaces of the Johnson scheme, then the link child
+            assert problem.block_dims[:3] == (1, 1, 1)
+            assert problem.block_dims[3:] == (2 * (n - 2) + 1,)
+            assert len(problem.rhs) == rows
+
+    def test_fallback_on_regular_s3(self):
+        group, cayley, triples = s3_regular()
+        assert _common_eigenspaces(pair_orbits(group)) is None
+        for hg, want in ((cayley, 2.0), (triples, 4.0)):
+            assert _transitive_program(hg, group).block_dims[0] == 6
+            value = theta_transitive(hg, group)
+            assert abs(value - theta(hg).value) < 1e-6
+            assert abs(value - want) < 1e-6
+
+    def test_hamming_closed_forms(self):
+        for n, s in ((3, 2), (4, 2), (5, 2), (6, 2), (6, 4), (7, 2), (7, 4)):
+            value = theta_transitive(hamming.build_hamming_hypergraph(n, s), cube_group(n))
+            assert abs(value - float(hamming.theta_hamming(n, s))) < 1e-6, (n, s)
+
+    def test_mantel_closed_forms(self):
+        for n in range(4, 10):
+            value = theta_transitive(mantel_hypergraph(n), symmetric_group_pair_action(n))
+            assert abs(value - float(mantel_theta(n)[0])) < 1e-6, n
+
+    def test_mantel_orbit_matrices_by_intersection(self):
+        for n in (4, 5, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            want = np.array([[len(set(p) & set(q)) for q in pairs] for p in pairs])
+            for common, mat in zip((2, 1, 0), mantel_pair_orbit_matrices(n)):
+                assert np.array_equal(mat, (want == common).astype(float))
