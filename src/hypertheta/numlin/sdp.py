@@ -9,12 +9,16 @@ Problems are stated in the form
 
 with a dense symmetric objective C_b per block and each row A_i given by
 sparse terms (see SdpProblem).  The solver is aimed at desk scale instances
-(a few hundred total dimensions): every iteration factors the blocks directly
-and solves the Schur-complement normal equations by Cholesky, then blocked
-forward and back substitution on the factor, with one refinement step
-against the unregularized Schur complement.  A presolve pass keeps, in
-order, each equality row whose distance from the span of the rows kept
-before it passes a QR rank test (threshold 1e-10), and checks the
+(a few hundred total dimensions).  Blocks of equal size are kept as one
+(k, d, d) stack, so every per-block step of an iteration (the
+eigendecompositions of the Nesterov-Todd scaling, the directions, the step
+lengths) is one broadcast numpy call per distinct size; the rows act on the
+stacks through one gather and one np.bincount over the terms.  The
+Schur-complement normal equations are built block by block and solved by
+Cholesky, then blocked forward and back substitution on the factor, with
+one refinement step against the unregularized Schur complement.  A presolve
+pass keeps, in order, each equality row whose distance from the span of the
+rows kept before it passes a QR rank test (threshold 1e-10), and checks the
 right-hand sides of the dropped rows by one least-squares solve.
 
 Solves are deterministic per numpy/BLAS build and BLAS thread count: with
@@ -162,7 +166,8 @@ class _BlockData:
     """One block's kept constraint rows and their (k, d, d) matrix stack,
     scattered from the terms: coef/2 on entry (i, j) and on (j, i), which
     sums to coef on the diagonal.  kept is sorted, as _presolve returns it,
-    and rows are positions in kept."""
+    and rows are positions in kept.  Only the Schur-complement build reads
+    these dense stacks."""
 
     def __init__(self, problem: SdpProblem, b: int, d: int, kept: np.ndarray):
         row, blk, i, j = problem.index.T
@@ -174,19 +179,83 @@ class _BlockData:
         self.flat = self.mats.reshape(len(self.rows), -1)
 
 
-def _prepare(problem: SdpProblem, kept):
-    return [_BlockData(problem, b, d, kept) for b, d in enumerate(problem.block_dims)]
+@dataclass(frozen=True)
+class _Layout:
+    """The blocks grouped by size.  A block quantity is a list of (k, d, d)
+    stacks, one per distinct size in increasing order, and block b of the
+    problem is slot where[b][1] of stack where[b][0].  The stacks raveled and
+    concatenated give the flat vector that pos indexes: each kept term
+    appears twice in (row, pos, half), at entry (i, j) and at (j, i), with
+    half its coefficient."""
+
+    sizes: tuple
+    counts: tuple
+    bounds: tuple  # stack s spans bounds[s]:bounds[s + 1] of the flat vector
+    where: tuple
+    m: int
+    row: np.ndarray
+    pos: np.ndarray
+    half: np.ndarray
+    schur: tuple  # per block _BlockData
 
 
-def _apply_a(blocks, xs, m):
-    out = np.zeros(m)
-    for b, data in enumerate(blocks):
-        np.add.at(out, data.rows, data.flat @ xs[b].ravel())
+def _prepare(problem: SdpProblem, kept: np.ndarray) -> _Layout:
+    """The (size, slot) map of the blocks and the terms of the kept rows."""
+    dims = problem.block_dims
+    sizes = sorted(set(dims))
+    counts = [0] * len(sizes)
+    where = []
+    for d in dims:
+        g = sizes.index(d)
+        where.append((g, counts[g]))
+        counts[g] += 1
+    offsets = np.cumsum([0] + [k * d * d for k, d in zip(counts, sizes)])
+    start = np.array([offsets[g] + slot * d * d for d, (g, slot) in zip(dims, where)])
+    row, blk, i, j = problem.index.T
+    on = np.isin(row, kept)
+    dim, base = np.array(dims)[blk[on]], start[blk[on]]
+    i, j = i[on], j[on]
+    return _Layout(
+        sizes=tuple(sizes),
+        counts=tuple(counts),
+        bounds=tuple(int(v) for v in offsets),
+        where=tuple(where),
+        m=len(kept),
+        row=np.tile(np.searchsorted(kept, row[on]), 2),
+        pos=np.concatenate([base + i * dim + j, base + j * dim + i]),
+        half=np.tile(problem.coef[on] / 2.0, 2),
+        schur=tuple(_BlockData(problem, b, d, kept) for b, d in enumerate(dims)),
+    )
+
+
+def _stacked(lay: _Layout, mats) -> list:
+    """Per-block matrices, in block order, as the layout's stacks."""
+    out = [np.empty((k, d, d)) for d, k in zip(lay.sizes, lay.counts)]
+    for (g, slot), mat in zip(lay.where, mats):
+        out[g][slot] = mat
     return out
 
 
-def _apply_at(blocks, y):
-    return [np.einsum("m,mij->ij", y[data.rows], data.mats) for data in blocks]
+def _apply_a(lay: _Layout, stacks) -> np.ndarray:
+    """<A_i, X> for every kept row i, read from the symmetric part of X."""
+    flat = np.concatenate([x.ravel() for x in stacks])
+    return np.bincount(lay.row, lay.half * flat[lay.pos], minlength=lay.m)
+
+
+def _apply_at(lay: _Layout, y: np.ndarray) -> list:
+    """sum_i y_i A_i as stacks."""
+    flat = np.bincount(lay.pos, lay.half * y[lay.row], minlength=lay.bounds[-1])
+    spans = zip(lay.bounds, lay.bounds[1:], lay.sizes)
+    return [flat[lo:hi].reshape(-1, d, d) for lo, hi, d in spans]
+
+
+def _inner(a, b) -> float:
+    """sum_b <a_b, b_b> over two block quantities."""
+    return sum(float(np.vdot(p, q)) for p, q in zip(a, b))
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return (a + a.transpose(0, 2, 1)) / 2.0
 
 
 def _chol_solve(chol: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -211,15 +280,49 @@ def _chol_solve(chol: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def _max_step(eig: tuple, dx: np.ndarray) -> float:
-    """Largest a with x + a*dx psd, computed through the x-whitened pencil;
-    eig is np.linalg.eigh(x)."""
+    """Largest a with x + a*dx psd in every block of one stack, computed
+    through the x-whitened pencils; eig is np.linalg.eigh(x).  A block whose
+    pencil has no eigenvalue below -1e-13 allows any step; since that rule
+    is monotone in the eigenvalue, applying it to the stack's smallest one
+    gives the smallest of the per-block steps."""
     vals, vecs = eig
-    vals = np.maximum(vals, 1e-300)
-    z = vecs / np.sqrt(vals)
-    lo = np.linalg.eigvalsh(z.T @ dx @ z).min()
+    z = vecs / np.sqrt(np.maximum(vals, 1e-300))[:, None, :]
+    lo = np.linalg.eigvalsh(z.transpose(0, 2, 1) @ dx @ z).min()
     if lo >= -1e-13:
         return np.inf
     return -1.0 / lo
+
+
+def _nt_scaling(seig: tuple, xeig: tuple):
+    """(W, S^-1) of the Nesterov-Todd scaling point of one stack, or None on
+    breakdown; seig and xeig are np.linalg.eigh of s and x.  Steps keep the
+    iterates definite mathematically, so per block, eigenvalues at roundoff
+    scale are clamped and anything more negative is a genuine breakdown.
+
+    W = S^-1/2 T^1/2 S^-1/2 with T = S^1/2 X S^1/2.  T^1/2 comes from the SVD
+    of S^1/2 X^1/2: near the optimum every eigenvalue of T is about mu, below
+    the roundoff of forming T itself, while the singular values of the
+    factor product keep their accuracy.
+    """
+
+    def floored(vals):
+        floor = 1e-14 * np.maximum(vals.max(axis=1, keepdims=True), 1e-30)
+        return None if np.any(vals < -10 * floor) else np.maximum(vals, floor)
+
+    (sval, svec), (xval, xvec) = seig, xeig
+    sval, xval = floored(sval), floored(xval)
+    if sval is None or xval is None:
+        return None
+    svt = svec.transpose(0, 2, 1)
+    shalf = (svec * np.sqrt(sval)[:, None, :]) @ svt
+    sinvh = (svec / np.sqrt(sval)[:, None, :]) @ svt
+    sinv = (svec / sval[:, None, :]) @ svt
+    xhalf = (xvec * np.sqrt(xval)[:, None, :]) @ xvec.transpose(0, 2, 1)
+    u, sig, _ = np.linalg.svd(shalf @ xhalf)
+    # T's eigenvalues sig^2, floored at 1e-14 of the largest like S's
+    sig = np.maximum(sig, 1e-7 * np.maximum(sig[:, :1], 1e-15))
+    thalf = (u * sig[:, None, :]) @ u.transpose(0, 2, 1)
+    return _sym(sinvh @ thalf @ sinvh), sinv
 
 
 def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
@@ -240,16 +343,16 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     m = len(kept)
     if m == 0:
         raise ValueError("SDP needs at least one equality constraint")
-    dims = problem.block_dims
     rhs = problem.rhs[kept]
-    blocks = _prepare(problem, kept)
-    cs = [np.array(c) for c in problem.objective]
-    total_dim = sum(dims)
+    lay = _prepare(problem, kept)
+    cs = _stacked(lay, problem.objective)
+    eyes = _stacked(lay, [np.eye(d) for d in problem.block_dims])
+    total_dim = sum(problem.block_dims)
 
     scale0 = max(1.0, float(np.abs(rhs).max()))
     scale_c = max(1.0, max(float(np.abs(c).max()) for c in cs))
-    xs = [np.eye(d) * scale0 for d in dims]
-    ss = [np.eye(d) * scale_c for d in dims]
+    xs = [e * scale0 for e in eyes]
+    ss = [e * scale_c for e in eyes]
     y = np.zeros(m)
 
     b_norm = 1.0 + float(np.abs(rhs).max())
@@ -262,12 +365,11 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     max_ridge = 0.0
 
     for iterations in range(1, _MAX_ITER + 1):
-        aty = _apply_at(blocks, y)
-        rp = rhs - _apply_a(blocks, xs, m)
-        rd = [cs[b] + ss[b] - aty[b] for b in range(len(dims))]
-        pobj = sum(float(np.tensordot(cs[b], xs[b])) for b in range(len(dims)))
+        rp = rhs - _apply_a(lay, xs)
+        rd = [c + s - a for c, s, a in zip(cs, ss, _apply_at(lay, y))]
+        pobj = _inner(cs, xs)
         dobj = float(y @ rhs)
-        gap = sum(float(np.tensordot(xs[b], ss[b])) for b in range(len(dims)))
+        gap = _inner(xs, ss)
         mu = gap / total_dim
         rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
         rp_norm = float(np.abs(rp).max()) / b_norm
@@ -276,40 +378,19 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             status = "optimal"
             break
 
-        # Nesterov-Todd scaling point per block.  Steps keep the iterates
-        # definite mathematically; eigenvalues at roundoff scale are clamped,
-        # anything more negative is a genuine breakdown.  eigh(S) here, like
-        # eigh(X) below, is computed once per iteration and also serves the
-        # step lengths.
+        # eigh(S) and eigh(X) are computed once per iteration; they serve the
+        # scaling point and the step lengths.
         seigs = [np.linalg.eigh(s) for s in ss]
-        ws, sinvs = [], []
-        broke = False
-        for b in range(len(dims)):
-            sval, svec = seigs[b]
-            floor = 1e-14 * max(float(sval.max()), 1e-30)
-            if sval.min() < -10 * floor:
-                broke = True
-                break
-            sval = np.maximum(sval, floor)
-            shalf = (svec * np.sqrt(sval)) @ svec.T
-            sinvh = (svec / np.sqrt(sval)) @ svec.T
-            sinvs.append((svec / sval) @ svec.T)
-            tval, tvec = np.linalg.eigh(shalf @ xs[b] @ shalf)
-            tfloor = 1e-14 * max(float(tval.max()), 1e-30)
-            if tval.min() < -10 * tfloor:
-                broke = True
-                break
-            tval = np.maximum(tval, tfloor)
-            thalf = (tvec * np.sqrt(tval)) @ tvec.T
-            w = sinvh @ thalf @ sinvh
-            ws.append((w + w.T) / 2.0)
-        if broke:
+        xeigs = [np.linalg.eigh(x) for x in xs]
+        scaling = [_nt_scaling(e, x) for e, x in zip(seigs, xeigs)]
+        if None in scaling:
             break
+        ws, sinvs = zip(*scaling)
 
         # Schur complement M[i,j] = <A_i, W A_j W>.
         mmat = np.zeros((m, m))
-        for b, data in enumerate(blocks):
-            waw = ws[b] @ data.mats @ ws[b]
+        for data, (g, slot) in zip(lay.schur, lay.where):
+            waw = ws[g][slot] @ data.mats @ ws[g][slot]
             sub = data.flat @ waw.reshape(len(data.rows), -1).T
             mmat[np.ix_(data.rows, data.rows)] += sub
 
@@ -334,53 +415,43 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             return out
 
         def directions(rmats):
-            inner = [
-                rmats[b] + ws[b] @ rd[b] @ ws[b] for b in range(len(dims))
-            ]
-            vec = _apply_a(blocks, inner, m) - rp
-            dy = solve_normal(vec)
-            aty_dy = _apply_at(blocks, dy)
-            ds = [aty_dy[b] - rd[b] for b in range(len(dims))]
-            dx = []
-            for b in range(len(dims)):
-                d = rmats[b] - ws[b] @ ds[b] @ ws[b]
-                dx.append((d + d.T) / 2.0)
+            inner = [r + w @ q @ w for r, w, q in zip(rmats, ws, rd)]
+            dy = solve_normal(_apply_a(lay, inner) - rp)
+            ds = [a - q for a, q in zip(_apply_at(lay, dy), rd)]
+            dx = [_sym(r - w @ d @ w) for r, w, d in zip(rmats, ws, ds)]
             return dx, dy, ds
 
         # Predictor (affine scaling) fixes the centering weight from its full
         # steps to the cone boundary.
-        xeigs = [np.linalg.eigh(x) for x in xs]
-        dxa, dya, dsa = directions([-xs[b] for b in range(len(dims))])
-        ap = min(1.0, min(_max_step(xeigs[b], dxa[b]) for b in range(len(dims))))
-        ad = min(1.0, min(_max_step(seigs[b], dsa[b]) for b in range(len(dims))))
-        gap_aff = sum(
-            float(np.tensordot(xs[b] + ap * dxa[b], ss[b] + ad * dsa[b]))
-            for b in range(len(dims))
+        dxa, dya, dsa = directions([-x for x in xs])
+        ap = min(1.0, *map(_max_step, xeigs, dxa))
+        ad = min(1.0, *map(_max_step, seigs, dsa))
+        gap_aff = _inner(
+            [x + ap * d for x, d in zip(xs, dxa)],
+            [s + ad * d for s, d in zip(ss, dsa)],
         )
         sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3)) if gap > 0 else 0.1
 
-        dx, dy, ds = directions(
-            [sigma * mu * sinvs[b] - xs[b] for b in range(len(dims))]
-        )
+        dx, dy, ds = directions([sigma * mu * v - x for v, x in zip(sinvs, xs)])
         # Step fraction of SDPT3 (Toh, Todd & Tutuncu 1999): shorter steps
         # while the predictor is blocked keep the endgame off the cone
         # boundary, where the Schur complement loses all accuracy.
         gamma = 0.9 + 0.09 * min(ap, ad)
-        ap = min(1.0, gamma * min(_max_step(xeigs[b], dx[b]) for b in range(len(dims))))
-        ad = min(1.0, gamma * min(_max_step(seigs[b], ds[b]) for b in range(len(dims))))
+        ap = min(1.0, gamma * min(map(_max_step, xeigs, dx)))
+        ad = min(1.0, gamma * min(map(_max_step, seigs, ds)))
         if max(ap, ad) < 1e-10:
             stall += 1
             if stall >= 3:
                 break
         else:
             stall = 0
-        xs = [(xs[b] + ap * dx[b] + (xs[b] + ap * dx[b]).T) / 2.0 for b in range(len(dims))]
-        ss = [(ss[b] + ad * ds[b] + (ss[b] + ad * ds[b]).T) / 2.0 for b in range(len(dims))]
+        xs = [_sym(x + ap * d) for x, d in zip(xs, dx)]
+        ss = [_sym(s + ad * d) for s, d in zip(ss, ds)]
         y = y + ad * dy
 
-    pobj = sum(float(np.tensordot(cs[b], xs[b])) for b in range(len(dims)))
+    pobj = _inner(cs, xs)
     dobj = float(y @ rhs)
-    gap = sum(float(np.tensordot(xs[b], ss[b])) for b in range(len(dims)))
+    gap = _inner(xs, ss)
     min_eig = min(float(np.linalg.eigvalsh(x).min()) for x in xs)
     if status == "optimal" and min_eig < -_PSD_TOL:
         status = "numerical-failure"
@@ -390,7 +461,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
     return SdpSolution(
         status=status,
-        blocks=tuple(x.copy() for x in xs),
+        blocks=tuple(xs[g][slot].copy() for g, slot in lay.where),
         y=tuple(float(v) for v in y_full),
         primal=pobj,
         dual=dobj,

@@ -155,11 +155,16 @@ def verify_automorphisms(hg: Hypergraph, group: PermGroup) -> bool:
     """True iff every generator maps every edge to an edge."""
     if group.degree != hg.n:
         return False
-    present = hg.edge_set()
-    for g in group.generators:
-        for e in hg.edges:
-            if tuple(sorted(g[v] for v in e)) not in present:
-                return False
+    edges = np.sort(np.array(hg.edges, dtype=np.intp).reshape(-1, hg.r), axis=1)
+    for g in np.array(group.generators, dtype=np.intp).reshape(-1, hg.n):
+        rows = np.concatenate([edges, np.sort(g[edges], axis=1)])
+        # Rank the rows column by column: equal rows get equal keys, and no
+        # key exceeds len(rows) * n.
+        key = np.zeros(len(rows), dtype=np.intp)
+        for col in rows.T:
+            _, key = np.unique(key * hg.n + col, return_inverse=True)
+        if not np.isin(key[len(edges) :], key[: len(edges)]).all():
+            return False
     return True
 
 

@@ -273,20 +273,23 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
         value = float(sum(float(wv[x]) for x in range(hg.n) if f[x] > 0))
         cert = _box_certificate(f, range(hg.n))
         return ThetaResult(value, f, cert, {"mode": "exact-base"})
-    problem, root = assemble_theta_sdp(hg, wv)
+    # The solve's gap is relative to 1 + |value|, so it runs on w / max(w)
+    # and the value scales back: the optimizer does not depend on the scale.
+    top = max((float(v) for v in wv if v > 0), default=1.0)
+    problem, root = assemble_theta_sdp(hg, [float(v) / top for v in wv])
     sol = _solved(problem, tol, "theta")
     cert = _extract(root, sol.blocks)
     f = cert.vector
     return ThetaResult(
-        float(sol.primal),
+        top * float(sol.primal),
         f,
         cert,
         {
             "mode": "sdp",
             "iterations": sol.iterations,
-            "gap": sol.gap,
+            "gap": top * sol.gap,
             "residuals": sol.residuals,
-            "dual": sol.dual,
+            "dual": top * sol.dual,
         },
     )
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypertheta.hypercore import complete_hypergraph, cycle_graph
+from hypertheta.hypercore import Hypergraph, complete_hypergraph, cycle_graph
 from hypertheta.numlin import (
     SdpProblem,
     as_symmetric,
@@ -13,7 +13,14 @@ from hypertheta.numlin import (
     solve_lp,
     solve_sdp,
 )
-from hypertheta.numlin.sdp import _SUBST_BLOCK, _chol_solve, _presolve, _stack
+from hypertheta.numlin.sdp import (
+    _SUBST_BLOCK,
+    _chol_solve,
+    _max_step,
+    _nt_scaling,
+    _presolve,
+    _stack,
+)
 from hypertheta.thetabody import assemble_theta_sdp
 
 
@@ -174,6 +181,51 @@ class TestCholSolve:
             assert x.tobytes() == plain.tobytes()
 
 
+def _random_spd(rng, k, d):
+    g = rng.normal(size=(k, d, d))
+    return g @ g.transpose(0, 2, 1) + 0.1 * np.eye(d)
+
+
+class TestStackedSteps:
+    def test_step_length_comes_from_the_limiting_block(self):
+        rng = np.random.default_rng(3)
+        xs = _random_spd(rng, 3, 4)
+        # block 1 reaches the cone boundary at a = 0.4; blocks 0 and 2
+        # allow any step and a step of 2.5
+        dxs = np.stack([np.eye(4), -xs[1] / 0.4, -xs[2] / 2.5])
+        dxs[1] -= 0.01 * _random_spd(rng, 1, 4)[0]
+        limit = []  # per block: the pencil rule on its own
+        for x, dx in zip(xs, dxs):
+            inv = np.linalg.inv(np.linalg.cholesky(x))
+            lo = np.linalg.eigvalsh(inv @ dx @ inv.T).min()
+            limit.append(np.inf if lo >= -1e-13 else -1.0 / lo)
+        assert limit[0] == np.inf and limit[2] > 1.0 and limit[1] < 0.4
+        a = _max_step(np.linalg.eigh(xs), dxs)
+        assert a == pytest.approx(limit[1], rel=1e-10)
+        # the fraction of it that the solver takes keeps every block PSD,
+        # and a longer step leaves the cone in the limiting block only
+        for x, dx in zip(xs, dxs):
+            assert np.linalg.eigvalsh(x + 0.99 * a * dx).min() > 0
+        past = [np.linalg.eigvalsh(x + 1.01 * a * dx).min() for x, dx in zip(xs, dxs)]
+        assert past[1] < 0 and past[0] > 0 and past[2] > 0
+        assert _max_step(np.linalg.eigh(xs[[0]]), dxs[[0]]) == np.inf
+
+    def test_scaling_point_per_block(self):
+        rng = np.random.default_rng(5)
+        ss, xs = _random_spd(rng, 3, 4), _random_spd(rng, 3, 4)
+        w, sinv = _nt_scaling(np.linalg.eigh(ss), np.linalg.eigh(xs))
+        for wb, sb, xb, vb in zip(w, ss, xs, sinv):
+            assert np.array_equal(wb, wb.T)
+            assert np.abs(wb @ sb @ wb - xb).max() <= 1e-10 * np.abs(xb).max()
+            assert np.abs(vb @ sb - np.eye(4)).max() <= 1e-10
+        # an indefinite block of either iterate is a breakdown
+        for k in range(3):
+            bad = ss.copy()
+            bad[k] -= 2.0 * np.linalg.eigvalsh(ss[k]).min() * np.eye(4)
+            assert _nt_scaling(np.linalg.eigh(bad), np.linalg.eigh(xs)) is None
+            assert _nt_scaling(np.linalg.eigh(ss), np.linalg.eigh(bad)) is None
+
+
 class TestSdp:
     def test_scalar_block(self):
         p = SdpProblem([1], [np.array([[1.0]])], [([(0, 0, 0, 1.0)], 0.5)])
@@ -273,6 +325,45 @@ class TestSdp:
         s = solve_sdp(problem)
         for block in s.blocks:
             assert np.linalg.eigvalsh(block).min() >= -1e-9
+
+    def test_block_order_does_not_change_the_solution(self):
+        # interleaved sizes, so the size stacks hold blocks out of order
+        dims = [3, 1, 3, 2, 1, 3]
+        rng = np.random.default_rng(11)
+        objective = [(c + c.T) / 2 for c in (rng.normal(size=(d, d)) for d in dims)]
+        rows = [([(b, i, i, 1.0) for i in range(d)], 1.0) for b, d in enumerate(dims) if d > 1]
+        rows += [
+            ([(1, 0, 0, 1.0), (4, 0, 0, 1.0)], 1.0),
+            ([(1, 0, 0, 1.0), (0, 2, 2, -1.0)], 0.0),
+            ([(0, 0, 1, 1.0), (2, 0, 2, -1.0)], 0.0),
+            ([(3, 0, 1, 1.0), (5, 1, 2, -1.0)], 0.0),
+        ]
+        perm = [5, 3, 1, 0, 4, 2]  # new block k is old block perm[k]
+        new = {old: k for k, old in enumerate(perm)}
+        permuted = SdpProblem(
+            [dims[b] for b in perm],
+            [objective[b] for b in perm],
+            [([(new[b], i, j, c) for b, i, j, c in terms], v) for terms, v in rows],
+        )
+        s1 = solve_sdp(SdpProblem(dims, objective, rows))
+        s2 = solve_sdp(permuted)
+        assert s1.status == s2.status == "optimal"
+        # The Schur complement sums the coupled rows' block terms in block
+        # order, so the two solves differ by roundoff that the endgame
+        # amplifies: about 1e-10 in the value and 1e-8 in the blocks here.
+        assert abs(s1.primal - s2.primal) <= 1e-9
+        assert [b.shape[0] for b in s1.blocks] == dims
+        for k, b in enumerate(perm):
+            assert np.abs(s2.blocks[k] - s1.blocks[b]).max() <= 1e-6
+
+    def test_tight_tolerance_on_a_weighted_instance(self):
+        # S^1/2 X S^1/2 formed directly lost its definiteness to roundoff in
+        # this endgame, which stopped the solve as a breakdown.
+        hg = Hypergraph(3, 5, ((0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
+        problem, _ = assemble_theta_sdp(hg, [0.51, 0.59, 0.18, 0.51, 0.63])
+        s = solve_sdp(problem, tol=1e-11)
+        assert s.status == "optimal"
+        assert abs(s.primal - solve_sdp(problem).primal) < 1e-7
 
     def test_validates_input(self):
         with pytest.raises(ValueError):

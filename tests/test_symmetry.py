@@ -66,6 +66,35 @@ class TestAutomorphisms:
         assert not verify_automorphisms(cycle_graph(5), swap01)
 
 
+    def test_matches_loop_reference(self):
+        def loop_reference(hg, group):
+            present = hg.edge_set()
+            return group.degree == hg.n and all(
+                tuple(sorted(g[v] for v in e)) in present
+                for g in group.generators
+                for e in hg.edges
+            )
+
+        def swap(n):
+            return (1, 0) + tuple(range(2, n))
+
+        hamming42 = hamming.build_hamming_hypergraph(4, 2)
+        s5 = symmetric_group_pair_action(5)
+        cases = [
+            (mantel_hypergraph(5), s5, True),
+            (hamming42, cube_group(4), True),
+            # a transposition of two vertices is no automorphism of H(4,2)
+            (hamming42, PermGroup(16, (swap(16),)), False),
+            (mantel_hypergraph(5), PermGroup(10, s5.generators + (swap(10),)), False),
+            (Hypergraph(3, 4, ()), cyclic_group(4), True),
+            (cycle_graph(5), PermGroup(5, ()), True),
+            (cycle_graph(5), cyclic_group(6), False),
+        ]
+        for hg, group, want in cases:
+            assert loop_reference(hg, group) is want
+            assert verify_automorphisms(hg, group) is want
+
+
 class TestPairOrbits:
     def test_complete_graph_action(self):
         orbits = pair_orbits(symmetric_group_pair_action(4))

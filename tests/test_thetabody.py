@@ -80,6 +80,18 @@ class TestTheta:
             wp = [max(v, 0.0) for v in w]
             assert abs(theta(hg, w).value - theta(hg, wp).value) < 1e-6
 
+    def test_value_is_homogeneous_at_small_weights(self):
+        rng = random.Random(29)
+        cases = [(cycle_graph(5), [1.0] * 5)]
+        hg = random_hypergraph(7, 3, 0.4, rng)
+        cases.append((hg, [rng.uniform(0.1, 1.0) for _ in range(hg.n)]))
+        for hg, w in cases:
+            res = theta(hg, w)
+            small = theta(hg, [1e-6 * v for v in w])
+            assert abs(small.value - 1e-6 * res.value) <= 1e-7 * 1e-6 * res.value
+            assert abs(small.diagnostics["dual"] - small.value) <= 1e-6 * small.value
+            assert check_certificate(hg, small.certificate) == []
+
     def test_base_case_exact(self):
         hg = Hypergraph(1, 3, ((1,),))
         res = theta(hg, [2.0, 5.0, -1.0])
