@@ -333,12 +333,10 @@ def _cube_group(n: int) -> PermGroup:
 def _check_hamming(rng: random.Random):
     ok = True
     for n in range(1, 13):
+        cols = [hm.krawtchouk_values(n, t) for t in range(n + 1)]
         for k in range(n + 1):
             for l in range(k + 1, n + 1):
-                s = sum(
-                    math.comb(n, t) * hm.krawtchouk(n, k, t) * hm.krawtchouk(n, l, t)
-                    for t in range(n + 1)
-                )
+                s = sum(math.comb(n, t) * col[k] * col[l] for t, col in enumerate(cols))
                 if s != 0:
                     ok = False
     yield "hamming.krawtchouk_orthogonality", ok, "nonzero inner product"
@@ -347,14 +345,12 @@ def _check_hamming(rng: random.Random):
     for n in range(2, 9):
         for s in range(1, n):
             kmax = min(s, n - s)  # larger distances have zero multiplicity
+            cols = [hm.hahn_values(n, s, t) for t in range(kmax + 1)]
             for k in range(kmax + 1):
                 for l in range(k + 1, kmax + 1):
                     tot = sum(
-                        math.comb(s, t)
-                        * math.comb(n - s, t)
-                        * hm.hahn(n, s, k, t)
-                        * hm.hahn(n, s, l, t)
-                        for t in range(kmax + 1)
+                        math.comb(s, t) * math.comb(n - s, t) * col[k] * col[l]
+                        for t, col in enumerate(cols)
                     )
                     if tot != 0:
                         ok = False

@@ -18,16 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import checks
-from .hamming import (
-    build_hamming_hypergraph,
-    decay_scan,
-    m_k,
-    m_q,
-    side_for,
-    theta_hamming,
-    theta_hamming_link,
-    triangles_exist,
-)
+from .hamming import _closed_forms, decay_scan
 from .hoffman import hoff, lambda_levels, read_weighted_hypergraph
 from .hypercore import (
     DEFAULT_ALPHA_CAP,
@@ -173,10 +164,7 @@ def _cmd_mantel(args) -> int:
 
 
 def _cmd_hamming(args) -> int:
-    mk, mk_arg = m_k(args.n, args.s)
-    mq, mq_arg = m_q(args.n, args.s)
-    th = theta_hamming(args.n, args.s)
-    th0 = theta_hamming_link(args.n, args.s)
+    (mk, mk_arg), (mq, mq_arg), th0, th = _closed_forms(args.n, args.s)
     _emit(
         {
             "command": "hamming",
@@ -201,6 +189,8 @@ def _parse_range(text: str) -> list[int]:
         return [int(parts[0])]
     if len(parts) == 2:
         lo, hi = int(parts[0]), int(parts[1])
+        if lo > hi:
+            raise HypergraphError(f"empty range {text!r}: start exceeds end")
         return list(range(lo, hi + 1))
     raise HypergraphError(f"cannot parse range {text!r}; use start:end")
 

@@ -10,9 +10,11 @@ two orthogonal-polynomial minima,
 
 where M_K minimizes the degree-k Krawtchouk values at s and M_Q minimizes
 the degree-k Hahn values at s/2.  Both polynomial families are normalized
-to 1 at 0 and evaluated in exact rational arithmetic: the binomials
-involved overflow doubles around n = 150, well inside the scan range, so
-floats appear only in the final logarithm.
+to 1 at 0 and evaluated in exact arithmetic, one column over all degrees
+per point: the Krawtchouk column by its integer three-term recurrence, the
+Hahn column as integer numerators over one common denominator.  The
+binomials involved overflow doubles around n = 150, well inside the scan
+range, so floats appear only in the final logarithm.
 
 The Hahn index range is clipped to k <= min(s, n-s): the evaluation formula
 divides by C(n-s, i) and the underlying scheme has only min(s, n-s) + 1
@@ -36,7 +38,9 @@ __all__ = [
     "triangles_exist",
     "build_hamming_hypergraph",
     "krawtchouk",
+    "krawtchouk_values",
     "hahn",
+    "hahn_values",
     "m_k",
     "m_q",
     "theta_hamming_link",
@@ -92,28 +96,73 @@ def build_hamming_hypergraph(n: int, s: int) -> Hypergraph:
 # Orthogonal polynomial values (exact)
 # ---------------------------------------------------------------------------
 
+def krawtchouk_values(n: int, t: int) -> list[Fraction]:
+    """Krawtchouk values K_k(t) / C(n, k) at t for every degree k = 0..n.
+
+    The unnormalized values satisfy the integer three-term recurrence
+    (k+1) K_{k+1} = (n-2t) K_k - (n-k+1) K_{k-1} with K_0 = 1, K_1 = n - 2t,
+    and each division in it is exact.
+    """
+    if not (0 <= t <= n):
+        raise HypergraphError(f"krawtchouk out of range: n={n} t={t}")
+    prev, cur = 0, 1  # K_{k-1}, K_k
+    binom = 1  # C(n, k)
+    values = [Fraction(1)]
+    for k in range(n):
+        prev, cur = cur, ((n - 2 * t) * cur - (n - k + 1) * prev) // (k + 1)
+        binom = binom * (n - k) // (k + 1)
+        values.append(Fraction(cur, binom))
+    return values
+
+
 def krawtchouk(n: int, k: int, t: int) -> Fraction:
     """Degree-k Krawtchouk value at t, normalized to 1 at t = 0."""
     if not (0 <= k <= n and 0 <= t <= n):
         raise HypergraphError(f"krawtchouk out of range: n={n} k={k} t={t}")
-    total = sum(
-        (-1) ** i * comb(t, i) * comb(n - t, k - i) for i in range(k + 1)
-    )
-    return Fraction(total, comb(n, k))
+    return krawtchouk_values(n, t)[k]
+
+
+def hahn_values(n: int, s: int, t: int) -> list[Fraction]:
+    """Hahn values at t for the weight-s slice, for every degree
+    k = 0..min(s, n-s), each normalized to 1 at t = 0.
+
+    The degree-k value is the alternating sum over i of
+    C(k,i) C(n+1-k,i) C(t,i) / D_i with D_i = C(s,i) C(n-s,i).  The D_i do
+    not depend on k, so every value is an integer numerator over the one
+    denominator L = lcm(D_0..D_imax), imax = min(t, s, n-s).
+    """
+    if not (0 <= s <= n):
+        raise HypergraphError(f"hahn slice out of range: n={n} s={s}")
+    if not (0 <= t <= s):
+        raise HypergraphError(f"hahn argument out of range: t={t}")
+    kmax = min(s, n - s)
+    imax = min(t, kmax)
+    dens = [comb(s, i) * comb(n - s, i) for i in range(imax + 1)]
+    lcm = math.lcm(*dens)
+    weights = [
+        (-1) ** i * comb(t, i) * (lcm // d) for i, d in enumerate(dens)
+    ]
+    values = []
+    for k in range(kmax + 1):
+        total = 0
+        p = 1  # C(k, i) C(n+1-k, i)
+        for i in range(min(k, imax) + 1):
+            total += weights[i] * p
+            p = p * (k - i) * (n + 1 - k - i) // ((i + 1) * (i + 1))
+        values.append(Fraction(total, lcm))
+    return values
 
 
 def hahn(n: int, s: int, k: int, t: int) -> Fraction:
     """Degree-k Hahn value at t for the weight-s slice, normalized to 1 at 0."""
     if not (0 <= k <= min(s, n - s)):
         raise HypergraphError(f"hahn degree out of range: n={n} s={s} k={k}")
-    if not (0 <= t <= s):
-        raise HypergraphError(f"hahn argument out of range: t={t}")
-    total = Fraction(0)
-    for i in range(k + 1):
-        term = Fraction(comb(k, i) * comb(n + 1 - k, i) * comb(t, i))
-        term /= comb(s, i) * comb(n - s, i)
-        total += -term if i % 2 else term
-    return total
+    return hahn_values(n, s, t)[k]
+
+
+def _first_min(values: list[Fraction]) -> tuple[Fraction, int]:
+    k = min(range(len(values)), key=values.__getitem__)
+    return values[k], k
 
 
 def m_k(n: int, s: int) -> tuple[Fraction, int]:
@@ -121,24 +170,15 @@ def m_k(n: int, s: int) -> tuple[Fraction, int]:
     attaining degree."""
     if not (0 <= s <= n):
         raise HypergraphError(f"m_k out of range: n={n} s={s}")
-    best, best_k = None, None
-    for k in range(n + 1):
-        v = krawtchouk(n, k, s)
-        if best is None or v < best:
-            best, best_k = v, k
-    return best, best_k
+    return _first_min(krawtchouk_values(n, s))
 
 
 def m_q(n: int, s: int) -> tuple[Fraction, int]:
-    """Minimum Hahn value at s/2 over the valid degrees, with argmin."""
+    """Minimum Hahn value at s/2 over the valid degrees, with the smallest
+    attaining degree."""
     if s % 2 != 0 or not (0 <= s <= n):
         raise HypergraphError(f"m_q needs even s in range: n={n} s={s}")
-    best, best_k = None, None
-    for k in range(min(s, n - s) + 1):
-        v = hahn(n, s, k, s // 2)
-        if best is None or v < best:
-            best, best_k = v, k
-    return best, best_k
+    return _first_min(hahn_values(n, s, s // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +192,34 @@ def _require_instance(n: int, s: int) -> None:
         )
 
 
-def theta_hamming_link(n: int, s: int) -> Fraction:
-    """Relaxation value of the base-vertex link: the distance-s graph on the
-    weight-s words."""
-    _require_instance(n, s)
-    mq, _ = m_q(n, s)
+def _link_value(n: int, s: int, mq: Fraction) -> Fraction:
     if mq >= 0:
         raise HammingInstanceError("link graph degenerate: no negative Hahn value")
     return comb(n, s) * mq / (mq - 1)
 
 
+def _closed_forms(n: int, s: int):
+    """Both minima with their argmins, then the link and cube values built
+    from them: ((M_K, k), (M_Q, k), link value, cube value)."""
+    mk = m_k(n, s)
+    mq = m_q(n, s)
+    _require_instance(n, s)
+    link_value = _link_value(n, s, mq[0])
+    value = (1 << n) * (mk[0] - Fraction(link_value, comb(n, s))) / (mk[0] - 1)
+    return mk, mq, link_value, value
+
+
+def theta_hamming_link(n: int, s: int) -> Fraction:
+    """Relaxation value of the base-vertex link: the distance-s graph on the
+    weight-s words."""
+    _require_instance(n, s)
+    return _link_value(n, s, m_q(n, s)[0])
+
+
 def theta_hamming(n: int, s: int) -> Fraction:
     """Closed-form relaxation value of H(n, s), an exact rational."""
     _require_instance(n, s)
-    mk, _ = m_k(n, s)
-    link_value = theta_hamming_link(n, s)
-    return (1 << n) * (mk - Fraction(link_value, comb(n, s))) / (mk - 1)
+    return _closed_forms(n, s)[3]
 
 
 def theta_hamming_link_lp(n: int, s: int) -> Fraction:
@@ -176,7 +228,7 @@ def theta_hamming_link_lp(n: int, s: int) -> Fraction:
     distance-s combination vanishing."""
     _require_instance(n, s)
     kmax = min(s, n - s)
-    q = [hahn(n, s, k, s // 2) for k in range(kmax + 1)]
+    q = hahn_values(n, s, s // 2)
     c = [Fraction(comb(n, s))] + [Fraction(0)] * kmax
     rows = [[Fraction(1)] * (kmax + 1), q]
     rhs = [Fraction(1), Fraction(0)]
@@ -196,13 +248,13 @@ def theta_hamming_lp(n: int, s: int) -> tuple[Fraction, list[Fraction], Fraction
     (used to confirm that the omitted nonnegativity constraint is slack).
     """
     _require_instance(n, s)
-    kvals = [krawtchouk(n, k, s) for k in range(n + 1)]
+    kvals = krawtchouk_values(n, s)
     bound = Fraction(theta_hamming_link(n, s), comb(n, s))
     nv = n + 2  # a_0..a_n plus slack
     c = [Fraction(1 << n)] + [Fraction(0)] * (nv - 1)
     rows = [
         [Fraction(1)] * (n + 1) + [Fraction(0)],
-        list(kvals) + [Fraction(1)],
+        kvals + [Fraction(1)],
     ]
     rhs = [Fraction(1), bound]
     res = solve_lp(c, rows, rhs, [(0, None)] * nv, sense="max", exact=True)

@@ -4,7 +4,10 @@ One implementation serves two arithmetic modes: exact Fractions (every
 comparison is exact, results are rationals) and floats with tolerance-based
 pivoting.  Bland's rule is used throughout, so degenerate instances cannot
 cycle.  Problems are stated with equality rows plus per-variable bounds and
-are converted internally to standard form.
+are converted internally to standard form.  A pivot finds the nonzero
+columns of the pivot row once and updates only those entries of the other
+rows and of the cost row, in place; the covering LPs built here are mostly
+zeros, and in exact mode every skipped entry saves Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -61,17 +64,18 @@ def _simplex(tab, basis, cost, limit_col, eps):
 
 
 def _pivot(tab, basis, cost, row, col):
+    """Pivot on tab[row][col] in place, touching only the columns where the
+    pivot row is nonzero: elsewhere every other row keeps its entry."""
     piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
     prow = tab[row]
-    for i, other in enumerate(tab):
-        if i != row and other[col] != 0:
-            f = other[col]
-            tab[i] = [a - f * b for a, b in zip(other, prow)]
-    if cost[col] != 0:
-        f = cost[col]
-        for j in range(len(cost)):
-            cost[j] -= f * prow[j]
+    nz = [j for j, v in enumerate(prow) if v != 0]
+    for j in nz:
+        prow[j] /= piv
+    for other in tab + [cost]:
+        f = other[col]
+        if other is not prow and f != 0:
+            for j in nz:
+                other[j] -= f * prow[j]
     basis[row] = col
 
 

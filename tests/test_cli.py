@@ -150,6 +150,16 @@ class TestErrors:
         code, *_ = run_cli(capsys, "alpha", "--nope")
         assert code == 2
 
+    def test_empty_scan_range(self, capsys, tmp_path):
+        out_path = tmp_path / "scan.csv"
+        code, out, err = run_cli(
+            capsys, "scan-decay", "--c", "2", "--n", "30:20", "--out", str(out_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "30:20" in json.loads(err)["error"]
+        assert not out_path.exists()
+
     def test_bad_tolerance(self, capsys, edge3_file):
         code, *_ = run_cli(capsys, "theta", "--file", edge3_file, "--tol", "-1")
         assert code == 2

@@ -11,7 +11,9 @@ from hypertheta.hamming import (
     closest_even,
     decay_scan,
     hahn,
+    hahn_values,
     krawtchouk,
+    krawtchouk_values,
     log_fraction,
     m_k,
     m_q,
@@ -24,6 +26,32 @@ from hypertheta.hamming import (
 )
 from hypertheta.hypercore import HypergraphError, InstanceTooLargeError, alpha
 from hypertheta.thetabody import theta
+
+
+# Literal-sum definitions, one value at a time: the reference the exact
+# columns are checked against.
+def reference_krawtchouk(n, k, t):
+    total = sum(
+        (-1) ** i * comb(t, i) * comb(n - t, k - i) for i in range(k + 1)
+    )
+    return Fraction(total, comb(n, k))
+
+
+def reference_hahn(n, s, k, t):
+    total = Fraction(0)
+    for i in range(k + 1):
+        term = Fraction(comb(k, i) * comb(n + 1 - k, i) * comb(t, i))
+        term /= comb(s, i) * comb(n - s, i)
+        total += -term if i % 2 else term
+    return total
+
+
+def reference_minimum(values):
+    best, best_k = None, None
+    for k, v in enumerate(values):
+        if best is None or v < best:
+            best, best_k = v, k
+    return best, best_k
 
 
 class TestBuilder:
@@ -122,6 +150,55 @@ class TestHahn:
                             for t in range(min(s, n - s) + 1)
                         )
                         assert total == 0
+
+
+class TestColumns:
+    def test_krawtchouk_column_matches_literal_sum(self):
+        for n in range(31):
+            for t in range(n + 1):
+                want = [reference_krawtchouk(n, k, t) for k in range(n + 1)]
+                assert krawtchouk_values(n, t) == want, (n, t)
+
+    def test_hahn_column_matches_literal_sum(self):
+        for n in range(1, 31):
+            for s in range(n + 1):
+                kmax = min(s, n - s)
+                for t in range(s + 1):
+                    want = [reference_hahn(n, s, k, t) for k in range(kmax + 1)]
+                    assert hahn_values(n, s, t) == want, (n, s, t)
+
+    def test_single_values_index_the_column(self):
+        for n in (1, 7, 12):
+            for t in range(n + 1):
+                for k in range(n + 1):
+                    assert krawtchouk(n, k, t) == reference_krawtchouk(n, k, t)
+            for s in range(n + 1):
+                for k in range(min(s, n - s) + 1):
+                    for t in range(s + 1):
+                        assert hahn(n, s, k, t) == reference_hahn(n, s, k, t)
+
+    def test_column_range_errors(self):
+        with pytest.raises(HypergraphError):
+            krawtchouk_values(4, 5)
+        with pytest.raises(HypergraphError):
+            krawtchouk_values(4, -1)
+        with pytest.raises(HypergraphError):
+            hahn_values(6, 4, 5)
+        with pytest.raises(HypergraphError):
+            hahn_values(6, 7, 0)
+
+    def test_minima_match_reference_on_the_scan_grid(self):
+        for c in (2, 3, 4):
+            for n in list(range(20, 150, 10)) + [150]:
+                s = side_for(n, c)
+                want_k = reference_minimum(
+                    [reference_krawtchouk(n, k, s) for k in range(n + 1)]
+                )
+                want_q = reference_minimum(
+                    [reference_hahn(n, s, k, s // 2) for k in range(min(s, n - s) + 1)]
+                )
+                assert m_k(n, s) == want_k, (n, s)
+                assert m_q(n, s) == want_q, (n, s)
 
 
 class TestMinima:

@@ -13,6 +13,7 @@ from hypertheta.numlin import (
     solve_lp,
     solve_sdp,
 )
+from hypertheta.numlin import lp
 from hypertheta.numlin.sdp import (
     _SUBST_BLOCK,
     _chol_solve,
@@ -145,6 +146,102 @@ class TestLp:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_lp([1, 2], [[1]], [0])
+
+
+def _dense_pivot(tab, basis, cost, row, col):
+    """Reference pivot that rebuilds every row in full."""
+    piv = tab[row][col]
+    tab[row] = [v / piv for v in tab[row]]
+    prow = tab[row]
+    for i, other in enumerate(tab):
+        if i != row and other[col] != 0:
+            f = other[col]
+            tab[i] = [a - f * b for a, b in zip(other, prow)]
+    if cost[col] != 0:
+        f = cost[col]
+        for j in range(len(cost)):
+            cost[j] -= f * prow[j]
+    basis[row] = col
+
+
+def _covering_lp(rng, exact):
+    """A 0/1 covering LP of the shape chi_star builds: one column per set,
+    one surplus column per vertex, coverage - surplus = w, minimize the
+    total set weight."""
+    nrows, nsets = rng.randint(3, 9), rng.randint(3, 12)
+    a = [[rng.randint(0, 1) for _ in range(nsets)] for _ in range(nrows)]
+    for i, row in enumerate(a):
+        row[rng.randrange(nsets)] = 1  # every vertex lies in some set
+        row.extend(-1 if k == i else 0 for k in range(nrows))
+    if exact:
+        w = [Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(nrows)]
+    else:
+        w = [rng.uniform(0.05, 2.0) for _ in range(nrows)]
+    return [1] * nsets + [0] * nrows, a, w, [(0, None)] * (nsets + nrows), "min"
+
+
+def _mantel_lp(n):
+    """The two-variable program of symmetry.mantel_theta at n."""
+    nv = math.comb(n, 2)
+    c = [Fraction(nv * 2 * (n - 2), nv), Fraction(nv * math.comb(n - 2, 2), nv), 0, 0, 0]
+    rows = [
+        [2, -1, 1, 0, 0],
+        [-(n - 4), (n - 3), 0, 1, 0],
+        [-(2 * n - 4), Fraction(-(n - 2) * (n - 3), 2), 0, 0, 1],
+    ]
+    bounds = [(0, Fraction(1, 2)), (None, None), (0, None), (0, None), (0, None)]
+    return c, rows, [1, 1, 1], bounds, "max"
+
+
+class TestSparsePivot:
+    """The pivot touches only the pivot row's nonzero columns; every result
+    must equal the one of the dense reference pivot."""
+
+    def _both(self, monkeypatch, c, a, b, bounds, sense, exact):
+        got = solve_lp(c, a, b, bounds, sense=sense, exact=exact)
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_pivot", _dense_pivot)
+            want = solve_lp(c, a, b, bounds, sense=sense, exact=exact)
+        return got, want
+
+    def _assert_same(self, got, want):
+        assert got.status == want.status
+        assert got.value == want.value
+        assert got.x == want.x
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_covering_lps(self, monkeypatch, exact):
+        rng = random.Random(17)
+        for _ in range(25):
+            got, want = self._both(monkeypatch, *_covering_lp(rng, exact), exact)
+            assert got.status == "optimal"
+            self._assert_same(got, want)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_redundant_row_drives_artificial_out_on_negative_pivot(
+        self, monkeypatch, exact
+    ):
+        # row 3 = row 1 - row 2; phase 1 ends with an artificial basic at 0
+        c, a, b = [0, -2, 3], [[2, 1, 2], [0, -1, 0], [2, 2, 2]], [3, 0, 3]
+        pivots = []
+        sparse = lp._pivot
+
+        def spy(tab, basis, cost, row, col):
+            pivots.append(tab[row][col])
+            sparse(tab, basis, cost, row, col)
+
+        monkeypatch.setattr(lp, "_pivot", spy)
+        got, want = self._both(monkeypatch, c, a, b, [(0, None)] * 3, "min", exact)
+        assert any(p < 0 for p in pivots)
+        assert got.status == "optimal" and got.x == [Fraction(3, 2), 0, 0]
+        self._assert_same(got, want)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_mantel_lps(self, monkeypatch, exact):
+        for n in range(4, 30):
+            got, want = self._both(monkeypatch, *_mantel_lp(n), exact)
+            assert got.status == "optimal"
+            self._assert_same(got, want)
 
 
 def _gram_schmidt_kept(a, tol=1e-10):
