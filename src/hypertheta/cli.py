@@ -63,8 +63,8 @@ def _emit(payload: dict) -> None:
 
 def _positive(text: str) -> float:
     v = float(text)
-    if v <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
+    if not 0 < v < float("inf"):
+        raise argparse.ArgumentTypeError("tolerance must be positive and finite")
     return v
 
 
@@ -197,6 +197,8 @@ def _parse_range(text: str) -> list[int]:
 
 def _cmd_scan_decay(args) -> int:
     cs = [int(t) for t in args.c.split(",") if t]
+    if not cs:
+        raise HypergraphError(f"no ratio in --c {args.c!r}")
     ns = _parse_range(args.n)
     rows = decay_scan(ns, cs)
     lines = ["n,c,s,log_density"]

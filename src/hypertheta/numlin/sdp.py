@@ -12,13 +12,13 @@ sparse terms (see SdpProblem).  The solver is aimed at desk scale instances
 (a few hundred total dimensions).  Blocks of equal size are kept as one
 (k, d, d) stack, so every per-block step of an iteration (the
 eigendecompositions of the Nesterov-Todd scaling, the directions, the step
-lengths) is one broadcast numpy call per distinct size; the rows act on the
-stacks through one gather and one np.bincount over the terms.  The
-Schur-complement normal equations are built block by block and solved by
-Cholesky, then blocked forward and back substitution on the factor, with
-one refinement step against the unregularized Schur complement.  A presolve
-pass keeps, in order, each equality row whose distance from the span of the
-rows kept before it passes a QR rank test (threshold 1e-10), and checks the
+lengths) is one broadcast numpy call per distinct size.  The rows act on the
+stacks by one gather and one np.bincount over their terms; the Schur
+complement is built the same way from the pairs of terms that share a
+block, and solved by Cholesky and blocked triangular substitution, with one
+refinement step against the unregularized Schur complement.  A presolve pass
+keeps, in order, each equality row whose distance from the span of the rows
+kept before it passes a QR rank test (threshold 1e-10), and checks the
 right-hand sides of the dropped rows by one least-squares solve.
 
 Solves are deterministic per numpy/BLAS build and BLAS thread count: with
@@ -162,31 +162,15 @@ def _presolve(a: np.ndarray, rhs: np.ndarray, tol: float = 1e-10):
     return kept, None
 
 
-class _BlockData:
-    """One block's kept constraint rows and their (k, d, d) matrix stack,
-    scattered from the terms: coef/2 on entry (i, j) and on (j, i), which
-    sums to coef on the diagonal.  kept is sorted, as _presolve returns it,
-    and rows are positions in kept.  Only the Schur-complement build reads
-    these dense stacks."""
-
-    def __init__(self, problem: SdpProblem, b: int, d: int, kept: np.ndarray):
-        row, blk, i, j = problem.index.T
-        on = (blk == b) & np.isin(row, kept)
-        self.rows, slot = np.unique(np.searchsorted(kept, row[on]), return_inverse=True)
-        mats = np.zeros((len(self.rows), d, d))
-        np.add.at(mats, (slot.ravel(), i[on], j[on]), problem.coef[on] / 2.0)
-        self.mats = mats + mats.transpose(0, 2, 1)
-        self.flat = self.mats.reshape(len(self.rows), -1)
-
-
 @dataclass(frozen=True)
 class _Layout:
-    """The blocks grouped by size.  A block quantity is a list of (k, d, d)
-    stacks, one per distinct size in increasing order, and block b of the
-    problem is slot where[b][1] of stack where[b][0].  The stacks raveled and
-    concatenated give the flat vector that pos indexes: each kept term
+    """The blocks grouped by size and the kept terms.  A block quantity is a
+    list of (k, d, d) stacks, one per distinct size in increasing order;
+    block b of the problem is slot where[b][1] of stack where[b][0].  pos
+    and quad index the stacks raveled and concatenated.  Each kept term
     appears twice in (row, pos, half), at entry (i, j) and at (j, i), with
-    half its coefficient."""
+    half its coefficient.  Each pair of kept terms that share a block has a
+    column of quad, a weight and two entries of cell, as _schur reads them."""
 
     sizes: tuple
     counts: tuple
@@ -196,36 +180,56 @@ class _Layout:
     row: np.ndarray
     pos: np.ndarray
     half: np.ndarray
-    schur: tuple  # per block _BlockData
+    quad: np.ndarray
+    cell: np.ndarray
+    weight: np.ndarray
 
 
 def _prepare(problem: SdpProblem, kept: np.ndarray) -> _Layout:
-    """The (size, slot) map of the blocks and the terms of the kept rows."""
+    """The (size, slot) map of the blocks, the kept terms and their pairs."""
     dims = problem.block_dims
     sizes = sorted(set(dims))
-    counts = [0] * len(sizes)
-    where = []
-    for d in dims:
-        g = sizes.index(d)
-        where.append((g, counts[g]))
-        counts[g] += 1
+    counts = [dims.count(d) for d in sizes]
+    where = [(sizes.index(d), dims[:b].count(d)) for b, d in enumerate(dims)]
     offsets = np.cumsum([0] + [k * d * d for k, d in zip(counts, sizes)])
     start = np.array([offsets[g] + slot * d * d for d, (g, slot) in zip(dims, where)])
-    row, blk, i, j = problem.index.T
-    on = np.isin(row, kept)
-    dim, base = np.array(dims)[blk[on]], start[blk[on]]
-    i, j = i[on], j[on]
+    on = np.isin(problem.index[:, 0], kept)
+    row, blk, i, j = problem.index[on].T
+    row, coef, m = np.searchsorted(kept, row), problem.coef[on], len(kept)
+    dim, base = np.array(dims)[blk], start[blk]
+    ri, rj = base + i * dim, base + j * dim  # flat positions of rows i and j
+    # In the terms sorted by block, u runs from t to the last term of t's block.
+    order = np.argsort(blk, kind="stable")
+    lens = np.searchsorted(blk[order], blk[order], side="right") - np.arange(len(order))
+    first = np.repeat(np.arange(len(order)), lens)
+    second = first + np.arange(len(first)) - np.repeat(np.cumsum(lens) - lens, lens)
+    t, u = order[first], order[second]
     return _Layout(
         sizes=tuple(sizes),
         counts=tuple(counts),
         bounds=tuple(int(v) for v in offsets),
         where=tuple(where),
-        m=len(kept),
-        row=np.tile(np.searchsorted(kept, row[on]), 2),
-        pos=np.concatenate([base + i * dim + j, base + j * dim + i]),
-        half=np.tile(problem.coef[on] / 2.0, 2),
-        schur=tuple(_BlockData(problem, b, d, kept) for b, d in enumerate(dims)),
+        m=m,
+        row=np.tile(row, 2),
+        pos=np.concatenate([ri + j, rj + i]),
+        half=np.tile(coef / 2.0, 2),
+        quad=np.stack([ri[t] + i[u], rj[t] + j[u], ri[t] + j[u], rj[t] + i[u]]),
+        cell=np.concatenate([row[t] * m + row[u], row[u] * m + row[t]]),
+        weight=coef[t] * coef[u] / np.where(t == u, 4.0, 2.0),
     )
+
+
+def _schur(lay: _Layout, ws) -> np.ndarray:
+    """The Schur complement M[r, s] = <A_r, W A_s W> of the kept rows, by
+    SDPA's F3 formula (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997):
+    terms t = (i, j, c), u = (k, l, c') of one block give
+    c c' (W_ik W_jl + W_il W_jk) / 2, read at the flat positions in quad and
+    added at M positions (row_t, row_u) and (row_u, row_t) from cell.  A pair
+    t = u thus lands twice on one entry and weighs c^2/4; a pair t < u, c c'/2."""
+    flat = np.concatenate([w.ravel() for w in ws])
+    ik, jl, il, jk = lay.quad
+    value = lay.weight * (flat[ik] * flat[jl] + flat[il] * flat[jk])
+    return np.bincount(lay.cell, np.tile(value, 2), lay.m**2).reshape(lay.m, -1)
 
 
 def _stacked(lay: _Layout, mats) -> list:
@@ -335,8 +339,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     final relative gap, the scaled primal and dual residuals, the smallest
     block eigenvalue and max_ridge, the largest multiple of the identity
     added to the Schur complement when its Cholesky factorization failed
-    (0.0 when it never did).
+    (0.0 when it never did).  Raises ValueError unless 0 < tol < inf.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     kept, bad = _presolve(*_stack(problem))
     if bad is not None:
         return SdpSolution(status="infeasible")
@@ -358,10 +364,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     b_norm = 1.0 + float(np.abs(rhs).max())
     c_norm = 1.0 + scale_c
     status = "numerical-failure"
-    iterations = 0
-    stall = 0
-    rel_gap = np.inf
-    rp_norm = rd_norm = np.inf
+    iterations = stall = 0
+    rel_gap = rp_norm = rd_norm = np.inf
     max_ridge = 0.0
 
     for iterations in range(1, _MAX_ITER + 1):
@@ -386,13 +390,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         if None in scaling:
             break
         ws, sinvs = zip(*scaling)
-
-        # Schur complement M[i,j] = <A_i, W A_j W>.
-        mmat = np.zeros((m, m))
-        for data, (g, slot) in zip(lay.schur, lay.where):
-            waw = ws[g][slot] @ data.mats @ ws[g][slot]
-            sub = data.flat @ waw.reshape(len(data.rows), -1).T
-            mmat[np.ix_(data.rows, data.rows)] += sub
+        mmat = _schur(lay, ws)
 
         chol = None
         ridge = 0.0

@@ -77,7 +77,6 @@ class PermGroup:
 class OrbitStructure:
     vertex_orbits: tuple
     pair_orbits: tuple  # tuples of ordered pairs
-    sizes: tuple
 
     def orbit_of(self, x: int, y: int) -> int:
         return self._index[(x, y)]
@@ -147,7 +146,6 @@ def pair_orbits(group: PermGroup) -> OrbitStructure:
     return OrbitStructure(
         vertex_orbits=tuple(tuple(o) for o in vertex_orbits(group)),
         pair_orbits=orbits,
-        sizes=tuple(len(o) for o in orbits),
     )
 
 

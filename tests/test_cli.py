@@ -152,17 +152,21 @@ class TestErrors:
 
     def test_empty_scan_range(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"
-        code, out, err = run_cli(
-            capsys, "scan-decay", "--c", "2", "--n", "30:20", "--out", str(out_path)
-        )
-        assert code == 2
-        assert out == ""
-        assert "30:20" in json.loads(err)["error"]
-        assert not out_path.exists()
+        cases = [("2", "30:20", "30:20"), (",", "20:30", "','"), ("", "20:30", "''")]
+        for ratios, ns, named in cases:
+            code, out, err = run_cli(
+                capsys, "scan-decay", "--c", ratios, "--n", ns, "--out", str(out_path)
+            )
+            assert code == 2
+            assert out == ""
+            assert named in json.loads(err)["error"]
+            assert not out_path.exists()
 
     def test_bad_tolerance(self, capsys, edge3_file):
-        code, *_ = run_cli(capsys, "theta", "--file", edge3_file, "--tol", "-1")
-        assert code == 2
+        for tol in ("-1", "0", "inf", "nan"):
+            code, out, _ = run_cli(capsys, "theta", "--file", edge3_file, "--tol", tol)
+            assert code == 2, tol
+            assert out == ""
 
     def test_solver_failure_exits_3(self, capsys, monkeypatch, edge3_file):
         from hypertheta import thetabody

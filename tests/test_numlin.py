@@ -19,8 +19,16 @@ from hypertheta.numlin.sdp import (
     _chol_solve,
     _max_step,
     _nt_scaling,
+    _prepare,
     _presolve,
+    _schur,
     _stack,
+    _stacked,
+)
+from hypertheta.symmetry import (
+    _transitive_program,
+    mantel_hypergraph,
+    symmetric_group_pair_action,
 )
 from hypertheta.thetabody import assemble_theta_sdp
 
@@ -323,6 +331,80 @@ class TestStackedSteps:
             assert _nt_scaling(np.linalg.eigh(ss), np.linalg.eigh(bad)) is None
 
 
+class _Captured(Exception):
+    pass
+
+
+def _problem_solved_by(monkeypatch, call):
+    """The SdpProblem that call hands to the solver first."""
+    from hypertheta import thetabody
+
+    def capture(problem, tol):
+        raise _Captured(problem)
+
+    monkeypatch.setattr(thetabody, "solve_sdp", capture)
+    with pytest.raises(_Captured) as caught:
+        call()
+    return caught.value.args[0]
+
+
+class TestSchur:
+    """_schur against sum_b <A_ib, W_b A_jb W_b> from the dense constraint view."""
+
+    @staticmethod
+    def check(problem, kept=None, seed=0):
+        if kept is None:
+            kept, _ = _presolve(*_stack(problem))
+        rng = np.random.default_rng(seed)
+        ws = [_random_spd(rng, 1, d)[0] for d in problem.block_dims]
+        view = problem.constraints
+        rows = [view[r][0] for r in kept]
+        want = np.zeros((len(kept), len(kept)))
+        for a, ra in enumerate(rows):
+            for b, rb in enumerate(rows):
+                both = [k for k in ra if k in rb]
+                want[a, b] = sum(np.vdot(ra[k], ws[k] @ rb[k] @ ws[k]) for k in both)
+        lay = _prepare(problem, kept)
+        got = _schur(lay, _stacked(lay, ws))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_theta_program(self):
+        self.check(assemble_theta_sdp(mantel_hypergraph(5))[0])
+
+    def test_scaled_membership_program(self, monkeypatch):
+        from hypertheta.thetabody import theta_membership
+
+        hg = mantel_hypergraph(5)
+        problem = _problem_solved_by(
+            monkeypatch, lambda: theta_membership(hg, [0.5] * hg.n)
+        )
+        assert problem.block_dims[-1] == 1  # the scale block t
+        self.check(problem)
+
+    def test_eigenspace_program(self):
+        group = symmetric_group_pair_action(7)
+        problem = _transitive_program(mantel_hypergraph(7), group)
+        # one 1x1 block per eigenspace; X[0, 0] = 1 is a row on all three
+        assert problem.block_dims == (1, 1, 1, 11)
+        assert set(problem.index[problem.index[:, 0] == 0, 1]) == {0, 1, 2}
+        self.check(problem)
+
+    def test_repeated_off_diagonal_and_dropped_rows(self):
+        rows = [
+            ([(0, 0, 0, 1.0), (0, 0, 0, 0.5), (0, 1, 2, 2.0)], 1.0),
+            ([(0, 2, 1, -1.5), (1, 0, 1, 1.0), (1, 1, 1, 3.0)], 0.0),
+            ([(0, 0, 0, 3.0), (0, 2, 1, 4.0)], 2.0),  # twice row 0
+            ([(2, 0, 0, 1.0), (1, 0, 0, 1.0)], 1.0),
+            ([(1, 0, 1, 2.0), (1, 1, 0, -2.0)], 0.0),  # terms cancel
+            ([(0, 1, 1, 1.0), (2, 0, 0, -1.0), (0, 1, 1, 1.0), (0, 0, 2, 0.5)], 0),
+        ]
+        problem = SdpProblem([3, 2, 1], [np.eye(3), np.eye(2), np.eye(1)], rows)
+        kept, _ = _presolve(*_stack(problem))
+        assert list(kept) == [0, 1, 3, 5]
+        for seed in range(3):
+            self.check(problem, kept, seed)
+
+
 class TestSdp:
     def test_scalar_block(self):
         p = SdpProblem([1], [np.array([[1.0]])], [([(0, 0, 0, 1.0)], 0.5)])
@@ -467,6 +549,10 @@ class TestSdp:
             SdpProblem([1], [np.eye(2)], [])
         with pytest.raises(ValueError):
             SdpProblem([2], [np.eye(2)], [([(0, 0, 0, 1.0), (0, 1, 1, 1.0)], float("inf"))])
+        p = SdpProblem([1], [np.array([[1.0]])], [([(0, 0, 0, 1.0)], 0.5)])
+        for tol in (0.0, -1e-8, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                solve_sdp(p, tol=tol)
 
     @pytest.mark.parametrize(
         "dims, objective, rows",

@@ -98,12 +98,12 @@ class TestAutomorphisms:
 class TestPairOrbits:
     def test_complete_graph_action(self):
         orbits = pair_orbits(symmetric_group_pair_action(4))
-        assert sorted(orbits.sizes) == [6, 6, 24]
+        assert sorted(len(o) for o in orbits.pair_orbits) == [6, 6, 24]
 
     def test_trivial_group(self):
         orbits = pair_orbits(PermGroup(3, ()))
         assert len(orbits.pair_orbits) == 9
-        assert all(s == 1 for s in orbits.sizes)
+        assert all(len(o) == 1 for o in orbits.pair_orbits)
 
     def test_cycle_rotation_orbits(self):
         orbits = pair_orbits(cyclic_group(5))
@@ -115,7 +115,7 @@ class TestPairOrbits:
             seen = [p for orbit in orbits.pair_orbits for p in orbit]
             n = group.degree
             assert sorted(seen) == [(x, y) for x in range(n) for y in range(n)]
-            assert sum(orbits.sizes) == n * n
+            assert sum(len(o) for o in orbits.pair_orbits) == n * n
             flat = [v for orbit in orbits.vertex_orbits for v in orbit]
             assert sorted(flat) == list(range(n))
 
