@@ -334,7 +334,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
     The feasible regions produced by this package are bounded with interior
     points, so the central path exists and the method converges at desk
-    scale; if progress stalls the solution is returned with status
+    scale; if progress stalls or the iterates diverge (an unbounded or
+    infeasible program), the solution is returned with status
     "numerical-failure" and diagnostics attached.  The residuals hold the
     final relative gap, the scaled primal and dual residuals, the smallest
     block eigenvalue and max_ridge, the largest multiple of the identity
@@ -368,84 +369,89 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     rel_gap = rp_norm = rd_norm = np.inf
     max_ridge = 0.0
 
-    for iterations in range(1, _MAX_ITER + 1):
-        rp = rhs - _apply_a(lay, xs)
-        rd = [c + s - a for c, s, a in zip(cs, ss, _apply_at(lay, y))]
-        pobj = _inner(cs, xs)
-        dobj = float(y @ rhs)
-        gap = _inner(xs, ss)
-        mu = gap / total_dim
-        rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
-        rp_norm = float(np.abs(rp).max()) / b_norm
-        rd_norm = max(float(np.abs(r).max()) for r in rd) / c_norm
-        if rel_gap <= tol and rp_norm <= tol * 10 and rd_norm <= tol * 10:
-            status = "optimal"
-            break
-
-        # eigh(S) and eigh(X) are computed once per iteration; they serve the
-        # scaling point and the step lengths.
-        seigs = [np.linalg.eigh(s) for s in ss]
-        xeigs = [np.linalg.eigh(x) for x in xs]
-        scaling = [_nt_scaling(e, x) for e, x in zip(seigs, xeigs)]
-        if None in scaling:
-            break
-        ws, sinvs = zip(*scaling)
-        mmat = _schur(lay, ws)
-
-        chol = None
-        ridge = 0.0
-        base = np.trace(mmat) / m
-        for attempt in range(8):
-            try:
-                chol = np.linalg.cholesky(
-                    mmat + ridge * np.eye(m) if ridge else mmat
-                )
+    try:
+        for iterations in range(1, _MAX_ITER + 1):
+            rp = rhs - _apply_a(lay, xs)
+            rd = [c + s - a for c, s, a in zip(cs, ss, _apply_at(lay, y))]
+            pobj = _inner(cs, xs)
+            dobj = float(y @ rhs)
+            gap = _inner(xs, ss)
+            mu = gap / total_dim
+            rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
+            rp_norm = float(np.abs(rp).max()) / b_norm
+            rd_norm = max(float(np.abs(r).max()) for r in rd) / c_norm
+            if rel_gap <= tol and rp_norm <= tol * 10 and rd_norm <= tol * 10:
+                status = "optimal"
                 break
-            except np.linalg.LinAlgError:
-                ridge = max(ridge * 100.0, 1e-14 * max(base, 1.0))
-        max_ridge = max(max_ridge, ridge)
-        if chol is None:
-            break
+            if not np.isfinite([pobj, dobj, gap, rp_norm, rd_norm]).all():
+                break  # diverged: an unbounded program, or overflow
 
-        def solve_normal(vec):
-            out = _chol_solve(chol, vec)
-            out += _chol_solve(chol, vec - mmat @ out)
-            return out
-
-        def directions(rmats):
-            inner = [r + w @ q @ w for r, w, q in zip(rmats, ws, rd)]
-            dy = solve_normal(_apply_a(lay, inner) - rp)
-            ds = [a - q for a, q in zip(_apply_at(lay, dy), rd)]
-            dx = [_sym(r - w @ d @ w) for r, w, d in zip(rmats, ws, ds)]
-            return dx, dy, ds
-
-        # Predictor (affine scaling) fixes the centering weight from its full
-        # steps to the cone boundary.
-        dxa, dya, dsa = directions([-x for x in xs])
-        ap = min(1.0, *map(_max_step, xeigs, dxa))
-        ad = min(1.0, *map(_max_step, seigs, dsa))
-        gap_aff = _inner(
-            [x + ap * d for x, d in zip(xs, dxa)],
-            [s + ad * d for s, d in zip(ss, dsa)],
-        )
-        sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3)) if gap > 0 else 0.1
-
-        dx, dy, ds = directions([sigma * mu * v - x for v, x in zip(sinvs, xs)])
-        # Step fraction of SDPT3 (Toh, Todd & Tutuncu 1999): shorter steps
-        # while the predictor is blocked keep the endgame off the cone
-        # boundary, where the Schur complement loses all accuracy.
-        gamma = 0.9 + 0.09 * min(ap, ad)
-        ap = min(1.0, gamma * min(map(_max_step, xeigs, dx)))
-        ad = min(1.0, gamma * min(map(_max_step, seigs, ds)))
-        if max(ap, ad) < 1e-10:
-            stall += 1
-            if stall >= 3:
+            # eigh(S) and eigh(X) are computed once per iteration; they serve the
+            # scaling point and the step lengths.
+            seigs = [np.linalg.eigh(s) for s in ss]
+            xeigs = [np.linalg.eigh(x) for x in xs]
+            scaling = [_nt_scaling(e, x) for e, x in zip(seigs, xeigs)]
+            if None in scaling:
                 break
-        else:
-            stall = 0
-        xs = [_sym(x + ap * d) for x, d in zip(xs, dx)]
-        ss = [_sym(s + ad * d) for s, d in zip(ss, ds)]
-        y = y + ad * dy
+            ws, sinvs = zip(*scaling)
+            mmat = _schur(lay, ws)
+
+            chol = None
+            ridge = 0.0
+            base = np.trace(mmat) / m
+            for attempt in range(8):
+                try:
+                    chol = np.linalg.cholesky(
+                        mmat + ridge * np.eye(m) if ridge else mmat
+                    )
+                    break
+                except np.linalg.LinAlgError:
+                    ridge = max(ridge * 100.0, 1e-14 * max(base, 1.0))
+            max_ridge = max(max_ridge, ridge)
+            if chol is None:
+                break
+
+            def solve_normal(vec):
+                out = _chol_solve(chol, vec)
+                out += _chol_solve(chol, vec - mmat @ out)
+                return out
+
+            def directions(rmats):
+                inner = [r + w @ q @ w for r, w, q in zip(rmats, ws, rd)]
+                dy = solve_normal(_apply_a(lay, inner) - rp)
+                ds = [a - q for a, q in zip(_apply_at(lay, dy), rd)]
+                dx = [_sym(r - w @ d @ w) for r, w, d in zip(rmats, ws, ds)]
+                return dx, dy, ds
+
+            # Predictor (affine scaling) fixes the centering weight from its full
+            # steps to the cone boundary.
+            dxa, dya, dsa = directions([-x for x in xs])
+            ap = min(1.0, *map(_max_step, xeigs, dxa))
+            ad = min(1.0, *map(_max_step, seigs, dsa))
+            gap_aff = _inner(
+                [x + ap * d for x, d in zip(xs, dxa)],
+                [s + ad * d for s, d in zip(ss, dsa)],
+            )
+            sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3)) if gap > 0 else 0.1
+
+            dx, dy, ds = directions([sigma * mu * v - x for v, x in zip(sinvs, xs)])
+            # Step fraction of SDPT3 (Toh, Todd & Tutuncu 1999): shorter steps
+            # while the predictor is blocked keep the endgame off the cone
+            # boundary, where the Schur complement loses all accuracy.
+            gamma = 0.9 + 0.09 * min(ap, ad)
+            ap = min(1.0, gamma * min(map(_max_step, xeigs, dx)))
+            ad = min(1.0, gamma * min(map(_max_step, seigs, ds)))
+            if max(ap, ad) < 1e-10:
+                stall += 1
+                if stall >= 3:
+                    break
+            else:
+                stall = 0
+            xs = [_sym(x + ap * d) for x, d in zip(xs, dx)]
+            ss = [_sym(s + ad * d) for s, d in zip(ss, ds)]
+            y = y + ad * dy
+    except np.linalg.LinAlgError:
+        pass  # LAPACK gave up on an overflowing iterate: the solve diverged
 
     pobj = _inner(cs, xs)
     dobj = float(y @ rhs)

@@ -1,12 +1,15 @@
 """Symmetry reduction for the relaxation programs.
 
 Permutation groups act on vertices; invariance of the weight vector lets the
-SDP restrict to invariant matrices.  For a vertex-transitive action the
-whole program collapses to one normalized invariant PSD matrix with a single
+SDP restrict to invariant matrices.  Orbits come from one integer label
+array: each vertex, and each ordered pair (x, y) as point x * n + y, carries
+the smallest point of its orbit, found by min-label propagation over the
+generators' images.  For a vertex-transitive action the whole program
+collapses to one normalized invariant PSD matrix with a single
 link-membership constraint at a base vertex.  When the symmetrized orbital
 matrices A_k + A_k' commute, as they do for the pair action of S_n and the
-cyclic, dihedral and Hamming groups, an invariant matrix is a combination
-of the projectors onto their common eigenspaces, and PSD-ness is one
+cyclic, dihedral and Hamming groups, an invariant matrix is a combination of
+the projectors onto their common eigenspaces, and PSD-ness is one
 nonnegative scalar per eigenspace (Gatermann & Parrilo 2004; Schrijver
 2005).  The eigenspaces are found numerically and checked; when the check
 fails the program keeps the full-size block with its variables tied along
@@ -49,6 +52,7 @@ __all__ = [
     "mantel_theta",
     "cyclic_group",
     "dihedral_group",
+    "cube_group",
 ]
 
 PAIR_CLOSURE_CAP = 10**7
@@ -73,20 +77,28 @@ class PermGroup:
         object.__setattr__(self, "generators", tuple(gens))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitStructure:
-    vertex_orbits: tuple
-    pair_orbits: tuple  # tuples of ordered pairs
+    """Orbits of a group of degree n on ordered vertex pairs, as the read-only
+    labels[x, y] = smallest x' * n + y' over the orbit of (x, y).  Orbits are
+    listed by smallest pair; vertex orbits, read off (x, x), by smallest vertex."""
+
+    labels: np.ndarray
+
+    @property
+    def vertex_orbits(self) -> tuple:
+        diagonal = np.diagonal(self.labels) // (len(self.labels) + 1)
+        return tuple(tuple(o.tolist()) for o in _orbit_lists(diagonal))
+
+    @property
+    def pair_orbits(self) -> tuple:  # tuples of ordered pairs
+        n = len(self.labels)
+        orbits = _orbit_lists(self.labels.ravel())
+        return tuple(tuple(zip((o // n).tolist(), (o % n).tolist())) for o in orbits)
 
     def orbit_of(self, x: int, y: int) -> int:
-        return self._index[(x, y)]
-
-    def __post_init__(self):
-        index = {}
-        for k, orbit in enumerate(self.pair_orbits):
-            for p in orbit:
-                index[p] = k
-        object.__setattr__(self, "_index", index)
+        """The index of the orbit of (x, y) in pair_orbits."""
+        return len(np.unique(self.labels[self.labels < self.labels[x, y]]))
 
 
 def group_elements(group: PermGroup, cap: int = ELEMENT_CAP) -> list[tuple]:
@@ -109,30 +121,34 @@ def group_elements(group: PermGroup, cap: int = ELEMENT_CAP) -> list[tuple]:
     return sorted(seen)
 
 
-def _orbits(points, image, generators) -> list[list]:
-    """Orbits of points under the generators, each sorted, in the order of
-    their first point; image(g, p) is the image of p under g."""
-    seen = set()
-    orbits = []
-    for start in points:
-        if start in seen:
-            continue
-        seen.add(start)
-        orbit, queue = [start], [start]
-        while queue:
-            p = queue.pop()
-            for g in generators:
-                q = image(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    orbit.append(q)
-                    queue.append(q)
-        orbits.append(sorted(orbit))
-    return orbits
+def _orbit_labels(group: PermGroup, pairs: bool) -> np.ndarray:
+    """Label each vertex, or each ordered pair (x, y) as point x * n + y, by
+    the smallest point of its orbit: min-label propagation along the edges
+    p -> g(p) with pointer jumping, until a sweep changes no label."""
+    n = group.degree
+    gens = np.array(group.generators, dtype=np.intp).reshape(len(group.generators), n)
+    label = np.arange(n * n if pairs else n)
+    while True:
+        before = label
+        for g in gens:
+            image = (g[:, None] * n + g).ravel() if pairs else g
+            label = np.minimum(label, label[image])
+            label[image] = np.minimum(label[image], label)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        if np.array_equal(label, before):
+            return label
+
+
+def _orbit_lists(label: np.ndarray) -> list[np.ndarray]:
+    """The points of each orbit of a labelling, ascending, in label order."""
+    order = np.argsort(label, kind="stable")
+    bounds = np.flatnonzero(np.diff(label[order], prepend=-1, append=-1))
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def vertex_orbits(group: PermGroup) -> list[list[int]]:
-    return _orbits(range(group.degree), lambda g, x: g[x], group.generators)
+    return [o.tolist() for o in _orbit_lists(_orbit_labels(group, pairs=False))]
 
 
 def pair_orbits(group: PermGroup) -> OrbitStructure:
@@ -140,13 +156,9 @@ def pair_orbits(group: PermGroup) -> OrbitStructure:
     n = group.degree
     if n * n > PAIR_CLOSURE_CAP:
         raise HypergraphError(f"pair closure would exceed cap {PAIR_CLOSURE_CAP}")
-    pairs = itertools.product(range(n), repeat=2)
-    orbits = _orbits(pairs, lambda g, p: (g[p[0]], g[p[1]]), group.generators)
-    orbits = tuple(tuple(o) for o in sorted(orbits))
-    return OrbitStructure(
-        vertex_orbits=tuple(tuple(o) for o in vertex_orbits(group)),
-        pair_orbits=orbits,
-    )
+    labels = _orbit_labels(group, pairs=True).reshape(n, n)
+    labels.flags.writeable = False
+    return OrbitStructure(labels)
 
 
 def verify_automorphisms(hg: Hypergraph, group: PermGroup) -> bool:
@@ -154,7 +166,7 @@ def verify_automorphisms(hg: Hypergraph, group: PermGroup) -> bool:
     if group.degree != hg.n:
         return False
     edges = np.sort(np.array(hg.edges, dtype=np.intp).reshape(-1, hg.r), axis=1)
-    for g in np.array(group.generators, dtype=np.intp).reshape(-1, hg.n):
+    for g in np.array(group.generators, dtype=np.intp).reshape(len(group.generators), hg.n):
         rows = np.concatenate([edges, np.sort(g[edges], axis=1)])
         # Rank the rows column by column: equal rows get equal keys, and no
         # key exceeds len(rows) * n.
@@ -167,7 +179,7 @@ def verify_automorphisms(hg: Hypergraph, group: PermGroup) -> bool:
 
 
 def is_transitive(group: PermGroup) -> bool:
-    return len(vertex_orbits(group)) <= 1
+    return not _orbit_labels(group, pairs=False).any()
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +188,6 @@ def is_transitive(group: PermGroup) -> bool:
 
 _EIGEN_SEED = 0
 _EIGEN_TOL = 1e-9
-
-
-def _orbital_matrices(orbits: OrbitStructure) -> list[np.ndarray]:
-    """The 0/1 indicator matrix of each pair orbit, in the order of
-    orbits.pair_orbits."""
-    n = sum(len(o) for o in orbits.vertex_orbits)
-    labels = np.empty((n, n), dtype=np.intp)
-    for k, orbit in enumerate(orbits.pair_orbits):
-        labels[tuple(np.array(orbit).T)] = k
-    return [(labels == k).astype(float) for k in range(len(orbits.pair_orbits))]
 
 
 def _common_eigenspaces(orbits: OrbitStructure) -> list[np.ndarray] | None:
@@ -198,18 +200,19 @@ def _common_eigenspaces(orbits: OrbitStructure) -> list[np.ndarray] | None:
     invariant symmetric matrices.  Otherwise (the S_k do not commute, or the
     draw merged two spaces) the result is None.
     """
-    sym = []
-    for k, (a, orbit) in enumerate(zip(_orbital_matrices(orbits), orbits.pair_orbits)):
-        x, y = orbit[0]
-        if orbits.orbit_of(y, x) >= k:  # the transposed orbit gives the same S_k
-            sym.append(a + a.T)
-    coef = np.random.default_rng(_EIGEN_SEED).standard_normal(len(sym))
-    w, q = np.linalg.eigh(sum(c * m for c, m in zip(coef, sym)))
+    # S_k is 2 on a self-paired orbit k, 1 on k and its transpose otherwise.
+    labels = orbits.labels
+    keys, cls = np.unique(np.minimum(labels, labels.T), return_inverse=True)
+    cls = cls.reshape(labels.shape)
+    twice = np.where(labels == labels.T, 2.0, 1.0)
+    coef = np.random.default_rng(_EIGEN_SEED).standard_normal(len(keys))
+    w, q = np.linalg.eigh(coef[cls] * twice)
     cut = np.flatnonzero(np.diff(w) > _EIGEN_TOL * np.abs(w).max(initial=0.0))
     spaces = np.split(q, cut + 1, axis=1)
-    if len(spaces) != len(sym):
+    if len(spaces) != len(keys):
         return None
-    for m in sym:
+    for k in range(len(keys)):
+        m = (cls == k) * twice
         limit = _EIGEN_TOL * np.abs(m).sum(axis=1).max()
         for qj in spaces:
             mq = m @ qj
@@ -222,6 +225,8 @@ def _transitive_program(hg: Hypergraph, group: PermGroup) -> SdpProblem:
     """The program theta_transitive solves: over the common eigenspaces when
     _common_eigenspaces finds them, else the full block tied along pair orbits."""
     orbits = pair_orbits(group)
+    if np.diagonal(orbits.labels).any():  # some (x, x) lies outside the orbit of (0, 0)
+        raise HypergraphError("group is not vertex transitive")
     builder = _Builder()
     projectors = _common_eigenspaces(orbits)
     if projectors is None:
@@ -231,12 +236,10 @@ def _transitive_program(hg: Hypergraph, group: PermGroup) -> SdpProblem:
             return [(blk, i, j, 1.0)]
 
         builder.add(entry(0, 0), 1.0)
-        for orbit in orbits.pair_orbits:
-            ax, ay = orbit[0]
-            for x, y in orbit[1:]:
-                if x > y:
-                    continue  # symmetric entry already tied
-                builder.add(entry(x, y) + [(blk, ax, ay, -1.0)], 0.0)
+        for (ax, ay), *rest in orbits.pair_orbits:
+            for x, y in rest:
+                if x <= y:  # the symmetric entry (y, x) is tied with it
+                    builder.add(entry(x, y) + [(blk, ax, ay, -1.0)], 0.0)
         objective = {blk: np.full((hg.n, hg.n), 1.0 / hg.n)}
     else:
         blocks = [builder.block(1) for _ in projectors]
@@ -262,15 +265,14 @@ def theta_transitive(hg: Hypergraph, group: PermGroup, tol: float = 1e-8) -> flo
     so X >= 0 is lam_j >= 0: one 1x1 block per eigenspace.  This holds for
     the pair action of S_n, the cyclic, dihedral and Hamming groups.
     Otherwise (for example S_3 acting regularly on itself) the program keeps
-    the full n x n block with one tie row per pair outside its orbit's
-    representative.
+    the full n x n block, each pair tied to its orbit's smallest pair.
     """
     if hg.r < 2:
         raise HypergraphError("transitive reduction needs uniformity at least 2")
     if not verify_automorphisms(hg, group):
         raise HypergraphError("group does not preserve the edge set")
-    if not is_transitive(group):
-        raise HypergraphError("group is not vertex transitive")
+    if hg.n == 0:
+        return 0.0  # no vertex to carry X[0,0] = 1
     sol = _solved(_transitive_program(hg, group), tol, "theta_transitive")
     return float(sol.primal)
 
@@ -281,15 +283,13 @@ def invariant_membership_reduction(hg: Hypergraph, group: PermGroup, f, tol: flo
     Such a vector is constant, f = c * ones, and belongs to the body iff
     c >= 0 and c * n is at most the unit-weight relaxation value.
     """
-    fv = [float(v) for v in check_weights(hg, f)]
-    orbits = vertex_orbits(group)
-    for orbit in orbits:
-        vals = {fv[x] for x in orbit}
-        if max(vals) - min(vals) > 1e-12:
-            raise HypergraphError("vector is not invariant under the group")
-    if not is_transitive(group):
+    fv = np.array(check_weights(hg, f), dtype=float)
+    labels = _orbit_labels(group, pairs=False)
+    if any(np.ptp(fv[orbit]) > 1e-12 for orbit in _orbit_lists(labels)):
+        raise HypergraphError("vector is not invariant under the group")
+    if labels.any():
         raise HypergraphError("reduction implemented for vertex-transitive groups")
-    c = fv[0] if fv else 0.0
+    c = float(fv[0]) if len(fv) else 0.0
     if c < -1e-12:
         return False
     if c == 0.0 or hg.n == 0:
@@ -348,16 +348,30 @@ def dihedral_group(n: int) -> PermGroup:
     return PermGroup(n, (rot, refl))
 
 
+def cube_group(n: int) -> PermGroup:
+    """Automorphisms of the n-cube on integer-coded words: the n bit flips,
+    a transposition and an n-cycle of the coordinates."""
+    size = 1 << n
+
+    def move_bits(p):
+        return tuple(sum(((x >> i) & 1) << p[i] for i in range(n)) for x in range(size))
+
+    flips = [tuple(x ^ (1 << i) for x in range(size)) for i in range(n)]
+    swap = [1, 0] + list(range(2, n)) if n >= 2 else list(range(n))
+    cycle = [(i + 1) % n for i in range(n)]
+    return PermGroup(size, flips + [move_bits(swap), move_bits(cycle)])
+
+
 def mantel_pair_orbit_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indicator matrices of the three pair orbits (by intersection size
     2, 1, 0) of complete-graph edges; the two-class Johnson scheme."""
     pairs = _pair_list(n)
-    orbits = pair_orbits(symmetric_group_pair_action(n))
-    by_common = {
-        len(set(pairs[x]) & set(pairs[y])): a
-        for ((x, y), *_), a in zip(orbits.pair_orbits, _orbital_matrices(orbits))
+    labels = pair_orbits(symmetric_group_pair_action(n)).labels
+    common = {  # points shared by the two edges of the orbit's smallest pair
+        len(set(pairs[p // len(pairs)]) & set(pairs[p % len(pairs)])): p
+        for p in np.unique(labels).tolist()
     }
-    return tuple(by_common.get(c, np.zeros((len(pairs),) * 2)) for c in (2, 1, 0))
+    return tuple((labels == common.get(c, -1)).astype(float) for c in (2, 1, 0))
 
 
 def mantel_theta(n: int) -> tuple[Fraction, Fraction, Fraction]:

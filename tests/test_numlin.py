@@ -554,6 +554,53 @@ class TestSdp:
             with pytest.raises(ValueError):
                 solve_sdp(p, tol=tol)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "dims, objective, rows, early",
+        [
+            # unbounded: the iterates overflow to a non-finite gap or residual
+            pytest.param([2], [np.eye(2)], [([(0, 0, 1, 1.0)], 0.0)], True, id="unbounded-x01"),
+            pytest.param([2], [np.eye(2)], [([(0, 0, 0, 1.0)], 0.0)], True, id="unbounded-x00"),
+            pytest.param(
+                [1, 1], [np.eye(1)] * 2, [([(0, 0, 0, 1.0)], 1.0)], True, id="unbounded-1x1"
+            ),
+            # unbounded: LAPACK gives up on a finite but overflowing step
+            pytest.param(
+                [1, 3], [np.eye(1), np.eye(3)], [([(0, 0, 0, 1.0)], 1.0)], True, id="unbounded-3x3"
+            ),
+            pytest.param(
+                [2, 2],
+                [np.diag([-2.0, 2.0]), np.array([[1.0, -0.5], [-0.5, -1.0]])],
+                [([(0, 1, 1, 1.0)], 0.0)],
+                True,
+                id="nt-breakdown",
+            ),
+            # X1 = -1/2, with X01 = 0 given as two terms: eight ridges fail
+            pytest.param(
+                [2, 1],
+                [np.zeros((2, 2)), np.eye(1)],
+                [([(1, 0, 0, 2.0)], -1.0), ([(0, 1, 0, 2.0), (0, 0, 1, -1.0)], 0.0)],
+                True,
+                id="cholesky-failure",
+            ),
+            # X00 = X11 = 1 and X01 = 2 has no PSD point: the steps stall
+            pytest.param(
+                [2],
+                [np.eye(2)],
+                [([(0, 0, 0, 1.0)], 1.0), ([(0, 1, 1, 1.0)], 1.0), ([(0, 0, 1, 1.0)], 2.0)],
+                True,
+                id="stall",
+            ),
+            # X = -1 runs every iteration
+            pytest.param([1], [np.eye(1)], [([(0, 0, 0, 1.0)], -1.0)], False, id="x-negative"),
+        ],
+    )
+    def test_failure_exits_return_numerical_failure(self, dims, objective, rows, early):
+        s = solve_sdp(SdpProblem(dims, objective, rows))
+        assert s.status == "numerical-failure"
+        assert (s.iterations < 300) is early
+
     @pytest.mark.parametrize(
         "dims, objective, rows",
         [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,12 @@ from hypertheta.symmetry import (
     PermGroup,
     _common_eigenspaces,
     _transitive_program,
+    cube_group,
     cyclic_group,
     dihedral_group,
     group_elements,
     invariant_membership_reduction,
+    is_transitive,
     mantel_hypergraph,
     mantel_pair_orbit_matrices,
     mantel_theta,
@@ -44,6 +47,11 @@ class TestGroups:
         assert len(group_elements(S3)) == 6
         assert len(group_elements(dihedral_group(5))) == 10
         assert len(group_elements(symmetric_group_pair_action(4))) == 24
+
+    def test_cube_group_is_the_whole_automorphism_group(self):
+        # the hyperoctahedral group has 2^n n! elements
+        for n in range(5):
+            assert len(group_elements(cube_group(n))) == 2**n * math.factorial(n)
 
     def test_vertex_orbits(self):
         assert vertex_orbits(cyclic_group(5)) == [[0, 1, 2, 3, 4]]
@@ -123,6 +131,69 @@ class TestPairOrbits:
         orbits = pair_orbits(cyclic_group(5))
         assert orbits.orbit_of(0, 1) == orbits.orbit_of(1, 2)
         assert orbits.orbit_of(0, 1) != orbits.orbit_of(0, 2)
+
+
+def bfs_orbits(points, image, generators):
+    """Reference orbits by breadth-first search over the generators' images,
+    each sorted, in the order of their smallest point; image(g, p) is the
+    image of p under g."""
+    seen, orbits = set(), []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit, queue = [start], [start]
+        while queue:
+            p = queue.pop()
+            for g in generators:
+                q = image(g, p)
+                if q not in seen:
+                    seen.add(q)
+                    orbit.append(q)
+                    queue.append(q)
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+class TestOrbitLabels:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_match_breadth_first_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 12)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            # a random permutation of a random subset, so that some groups
+            # are intransitive
+            moved = rng.sample(range(n), rng.randint(0, n))
+            g = list(range(n))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                g[x] = y
+            gens.append(g)
+        group = PermGroup(n, gens)
+        want_vertices = bfs_orbits(range(n), lambda g, x: g[x], group.generators)
+        pairs = itertools.product(range(n), repeat=2)
+        want_pairs = bfs_orbits(pairs, lambda g, p: (g[p[0]], g[p[1]]), group.generators)
+        assert vertex_orbits(group) == want_vertices
+        assert is_transitive(group) is (len(want_vertices) <= 1)
+        orbits = pair_orbits(group)
+        assert orbits.vertex_orbits == tuple(map(tuple, want_vertices))
+        assert orbits.pair_orbits == tuple(map(tuple, want_pairs))
+        for k, orbit in enumerate(want_pairs):
+            assert {orbits.orbit_of(x, y) for x, y in orbit} == {k}
+
+    def test_labels_are_read_only(self):
+        with pytest.raises(ValueError):
+            pair_orbits(cyclic_group(4)).labels[0, 0] = 3
+
+    def test_degree_zero(self):
+        hg = Hypergraph(2, 0, ())
+        for group in (PermGroup(0, ()), PermGroup(0, ((),))):
+            assert vertex_orbits(group) == []
+            assert pair_orbits(group).pair_orbits == ()
+            assert is_transitive(group)
+            assert verify_automorphisms(hg, group)
+            assert theta_transitive(hg, group) == theta(hg).value == 0.0
+            assert invariant_membership_reduction(hg, group, [])
 
 
 class TestTransitiveReduction:
@@ -261,18 +332,6 @@ class TestMantelPipeline:
             hg = mantel_hypergraph(n)
             sub, _ = link(hg, 0)
             assert abs(theta(sub).value - (n - 2)) < 1e-6
-
-
-def cube_group(n):
-    """Bit flips, a transposition and an n-cycle of the coordinates."""
-    size = 1 << n
-
-    def move_bits(p):
-        return tuple(sum(((x >> i) & 1) << p[i] for i in range(n)) for x in range(size))
-
-    flips = [tuple(x ^ (1 << i) for x in range(size)) for i in range(n)]
-    swap = [1, 0] + list(range(2, n))
-    return PermGroup(size, flips + [move_bits(swap), move_bits([(i + 1) % n for i in range(n)])])
 
 
 def s3_regular():
