@@ -8,7 +8,6 @@ runner exists so deployments can self-verify without a test install.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import traceback
@@ -24,8 +23,6 @@ from .hypercore import (
     chi_star,
     complement,
     complete_hypergraph,
-    cycle_graph,
-    empty_hypergraph,
     enumerate_cliques,
     in_clique_polytope,
     is_independent,
@@ -36,18 +33,15 @@ from .hypercore import (
 from .numlin import SdpProblem, eig_sym, solve_lp, solve_sdp
 from .symmetry import (
     cube_group,
-    cyclic_group,
-    dihedral_group,
     group_elements,
     mantel_hypergraph,
     mantel_pair_orbit_matrices,
     mantel_theta,
-    pair_orbits,
     symmetric_group_pair_action,
     theta_transitive,
     verify_automorphisms,
 )
-from .thetabody import antiblocker_probe, check_certificate, theta, theta_dual, theta_membership
+from .thetabody import check_certificate, theta, theta_dual, theta_membership
 
 __all__ = ["run_all"]
 

@@ -2,11 +2,11 @@
 
 Each command ends its stdout with one JSON object in a fixed key order;
 floats are rendered with 12 significant digits and exact rationals as
-"p/q" strings, so identical invocations on one numpy/BLAS build produce
-byte-identical output.  Two commands print more: check prints one line per
-property before its JSON line, and scan-decay without --out prints its CSV
-in place of the JSON line.  Exit codes: 0 success, 2 bad input, 3 solver
-failure.
+"p/q" strings, so identical invocations on one numpy/BLAS build and BLAS
+thread count produce byte-identical output.  Two commands print more:
+check prints one line per property before its JSON line, and scan-decay
+without --out prints its CSV in place of the JSON line.  Exit codes:
+0 success, 2 bad input, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .hamming import _closed_forms, decay_scan
 from .hoffman import hoff, lambda_levels, read_weighted_hypergraph
 from .hypercore import (
     DEFAULT_ALPHA_CAP,
+    DEFAULT_ENUM_CAP,
     HypergraphError,
     alpha,
     chi_star,
@@ -29,7 +30,7 @@ from .hypercore import (
     read_weights,
 )
 from .symmetry import mantel_theta
-from .thetabody import ThetaSolverError, theta, theta_dual, theta_membership
+from .thetabody import MEMBERSHIP_TOL, ThetaSolverError, theta, theta_dual, theta_membership
 
 __all__ = ["main", "render_json"]
 
@@ -264,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chistar", help="fractional cover number of the complementable weights")
     add_common(p)
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=_cmd_chistar)
 
     p = sub.add_parser("theta", help="relaxation value by the recursive SDP")
@@ -280,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="test a vector for membership in the body")
     add_common(p, weights=False)
     p.add_argument("--vec", required=True, help="vector file, one value per line")
-    p.add_argument("--tol", type=_positive, default=1e-7)
+    p.add_argument("--tol", type=_positive, default=MEMBERSHIP_TOL)
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("mantel", help="exact value for the triangle family")

@@ -328,15 +328,15 @@ def maximal_independent_sets(hg: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> lis
     return sorted(out)
 
 
-def enumerate_cliques(hg: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, ...]]:
+def enumerate_cliques(hg: Hypergraph) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques.
 
     A clique is a set all of whose r-subsets are edges; any set with fewer
     than r vertices qualifies vacuously, so maximal cliques of sparse
     hypergraphs are typically (r-1)-sets.
     """
-    if hg.n > cap:
-        raise InstanceTooLargeError(f"{hg.n} vertices exceeds enumeration cap {cap}")
+    if hg.n > DEFAULT_ENUM_CAP:
+        raise InstanceTooLargeError(f"{hg.n} vertices exceeds enumeration cap {DEFAULT_ENUM_CAP}")
     present = hg.edge_set()
 
     def extends(c: tuple[int, ...], v: int) -> bool:

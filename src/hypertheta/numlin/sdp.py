@@ -39,8 +39,9 @@ __all__ = ["SdpProblem", "SdpSolution", "solve_sdp"]
 
 _MAX_ITER = 300
 _PSD_TOL = 1e-9  # an "optimal" solve keeps every block PSD to -_PSD_TOL
-# Rows per diagonal block of the triangular substitutions.  The summation
-# order it sets decides some 1e-11 endgames: 16 fails the tolerance sweep.
+_PRESOLVE_TOL = 1e-10  # rank threshold of _presolve
+# Rows per diagonal block of the triangular substitutions.  It sets the
+# summation order; the tolerance sweep passes at 16 to 128 with 1 or 2 threads.
 _SUBST_BLOCK = 48
 
 
@@ -131,18 +132,18 @@ def _stack(problem: SdpProblem):
     return a, problem.rhs
 
 
-def _presolve(a: np.ndarray, rhs: np.ndarray, tol: float = 1e-10):
+def _presolve(a: np.ndarray, rhs: np.ndarray):
     """Greedy rank filter on the constraint rows, taken in order.
 
     Row i is kept when its distance from the span of the rows kept before it
-    exceeds tol * (1 + |row i|).  In the QR factorization of a^T that
+    exceeds _PRESOLVE_TOL * (1 + |row i|).  In the QR factorization of a^T that
     distance is |R_ii| up to the first dependent row p; the columns of
     R[p:, p+1:] hold the later rows' parts orthogonal to the kept ones, and
     the test repeats on them.  Returns (kept_indices, None), or
     (None, "infeasible") when a dependent row carries an inconsistent
     right-hand side.
     """
-    limit = tol * (1.0 + np.linalg.norm(a, axis=1))
+    limit = _PRESOLVE_TOL * (1.0 + np.linalg.norm(a, axis=1))
     keep = np.zeros(len(a), dtype=bool)
     rest, res = np.arange(len(a)), a.T
     while len(rest) and len(res):
@@ -411,6 +412,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             if chol is None:
                 break
 
+            # The refinement step against the unridged mmat stays: without it
+            # the tolerance sweep fails at _SUBST_BLOCK 16, 64 and 128.
             def solve_normal(vec):
                 out = _chol_solve(chol, vec)
                 out += _chol_solve(chol, vec - mmat @ out)

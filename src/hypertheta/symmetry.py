@@ -11,9 +11,9 @@ matrices A_k + A_k' commute, as they do for the pair action of S_n and the
 cyclic, dihedral and Hamming groups, an invariant matrix is a combination of
 the projectors onto their common eigenspaces, and PSD-ness is one
 nonnegative scalar per eigenspace (Gatermann & Parrilo 2004; Schrijver
-2005).  The eigenspaces are found numerically and checked; when the check
-fails the program keeps the full-size block with its variables tied along
-pair orbits.
+2005).  They commute exactly when one random combination of the distinct
+ones has as many eigenspaces as there are of them; else the program keeps
+the full-size block with its variables tied along pair orbits.
 
 The triangle-encoding family (vertices = edges of a complete graph, edges =
 triangles) is solved in closed form: its pair orbits form the two-class
@@ -194,31 +194,25 @@ def _common_eigenspaces(orbits: OrbitStructure) -> list[np.ndarray] | None:
     """Projectors E_j onto the common eigenspaces of S_k = A_k + A_k', or None.
 
     The spaces are the eigenspaces of one fixed-seed random combination of
-    the distinct S_k.  They are returned only when there are as many spaces
-    as distinct S_k and every S_k is scalar on every space, to _EIGEN_TOL
-    relative to its norm; then the E_j span the same space as the S_k, the
-    invariant symmetric matrices.  Otherwise (the S_k do not commute, or the
-    draw merged two spaces) the result is None.
+    the distinct S_k (eigenvalues within _EIGEN_TOL relative share a space),
+    returned when there are as many spaces as S_k.  The count decides:
+    span{S_k}, the invariant symmetric matrices, is the symmetric part of
+    the orbital algebra, a sum of M_{m_c}(F_c) with F_c = R, C or H.  An
+    element in general position has sum_c m_c distinct eigenvalues against
+    sum_c dim Herm_{m_c}(F_c) classes, equal iff every m_c = 1, that is iff
+    every S_k is scalar on every space.  When they are not, or when the draw
+    merges two eigenvalues, there are fewer spaces than classes: None.
     """
     # S_k is 2 on a self-paired orbit k, 1 on k and its transpose otherwise.
     labels = orbits.labels
     keys, cls = np.unique(np.minimum(labels, labels.T), return_inverse=True)
-    cls = cls.reshape(labels.shape)
     twice = np.where(labels == labels.T, 2.0, 1.0)
     coef = np.random.default_rng(_EIGEN_SEED).standard_normal(len(keys))
-    w, q = np.linalg.eigh(coef[cls] * twice)
+    w, q = np.linalg.eigh(coef[cls.reshape(labels.shape)] * twice)
     cut = np.flatnonzero(np.diff(w) > _EIGEN_TOL * np.abs(w).max(initial=0.0))
-    spaces = np.split(q, cut + 1, axis=1)
-    if len(spaces) != len(keys):
+    if len(cut) + 1 != len(keys):
         return None
-    for k in range(len(keys)):
-        m = (cls == k) * twice
-        limit = _EIGEN_TOL * np.abs(m).sum(axis=1).max()
-        for qj in spaces:
-            mq = m @ qj
-            if np.abs(mq - np.vdot(qj, mq) / qj.shape[1] * qj).max() > limit:
-                return None
-    return [qj @ qj.T for qj in spaces]
+    return [qj @ qj.T for qj in np.split(q, cut + 1, axis=1)]
 
 
 def _transitive_program(hg: Hypergraph, group: PermGroup) -> SdpProblem:
@@ -260,12 +254,13 @@ def theta_transitive(hg: Hypergraph, group: PermGroup, tol: float = 1e-8) -> flo
     symmetric X, with X[0,0] = 1, objective <J/n, X> and the link-membership
     block at vertex 0 only; invariance makes that one row suffice, and for a
     transitive group any base vertex would do.  When the symmetrized orbital
-    matrices S_k = A_k + A_k' commute (checked numerically by
-    _common_eigenspaces), X = sum_j lam_j E_j over their common eigenspaces,
-    so X >= 0 is lam_j >= 0: one 1x1 block per eigenspace.  This holds for
-    the pair action of S_n, the cyclic, dihedral and Hamming groups.
-    Otherwise (for example S_3 acting regularly on itself) the program keeps
-    the full n x n block, each pair tied to its orbit's smallest pair.
+    matrices S_k = A_k + A_k' commute (_common_eigenspaces counts the
+    eigenspaces of a random combination), X = sum_j lam_j E_j over their
+    common eigenspaces, so X >= 0 is lam_j >= 0: one 1x1 block per
+    eigenspace.  This holds for the pair action of S_n, the cyclic, dihedral
+    and Hamming groups.  Otherwise (for example S_3 acting regularly on
+    itself) the program keeps the full n x n block, each pair tied to its
+    orbit's smallest pair.
     """
     if hg.r < 2:
         raise HypergraphError("transitive reduction needs uniformity at least 2")
@@ -284,6 +279,8 @@ def invariant_membership_reduction(hg: Hypergraph, group: PermGroup, f, tol: flo
     c >= 0 and c * n is at most the unit-weight relaxation value.
     """
     fv = np.array(check_weights(hg, f), dtype=float)
+    if group.degree != hg.n:
+        raise HypergraphError(f"group of degree {group.degree} on {hg.n} vertices")
     labels = _orbit_labels(group, pairs=False)
     if any(np.ptp(fv[orbit]) > 1e-12 for orbit in _orbit_lists(labels)):
         raise HypergraphError("vector is not invariant under the group")

@@ -27,6 +27,7 @@ from hypertheta.hypercore import (
     complete_hypergraph,
     cycle_graph,
 )
+from hypertheta.numlin import sdp
 from hypertheta.symmetry import mantel_hypergraph
 from hypertheta.thetabody import theta
 
@@ -218,6 +219,15 @@ class TestLevelsAndBound:
                 timeout=600,
             )
             assert out.returncode == 0 and "12 passed" in out.stdout, (threads, out.stdout)
+
+    def test_tolerance_sweep_passes_at_small_and_large_substitution_blocks(self, monkeypatch):
+        # The block size sets the summation order of the normal solves; the
+        # refinement step in solve_sdp keeps the 1e-11 endgames at both ends.
+        for block in (16, 128):
+            monkeypatch.setattr(sdp, "_SUBST_BLOCK", block)
+            for name in ("mantel4", "mantel5", "edge3"):
+                for tol in (1e-8, 1e-9, 1e-10, 1e-11):
+                    self.test_transitive_tightness_at_every_tolerance(name, tol)
 
 
 def _independent_sets(hg):

@@ -294,6 +294,12 @@ class TestInvariantMembership:
                 cycle_graph(5), dihedral_group(5), [1, 0, 0, 0, 0]
             )
 
+    def test_rejects_group_of_other_degree(self):
+        # the degree is checked before any orbit is read, and at f = 0 too
+        for degree, c in ((7, 0.1), (3, 0.0)):
+            with pytest.raises(HypergraphError):
+                invariant_membership_reduction(cycle_graph(5), cyclic_group(degree), [c] * 5)
+
 
 class TestMantelPipeline:
     def test_exact_values(self):
