@@ -37,9 +37,7 @@ __all__ = [
     "HammingInstanceError",
     "triangles_exist",
     "build_hamming_hypergraph",
-    "krawtchouk",
     "krawtchouk_values",
-    "hahn",
     "hahn_values",
     "m_k",
     "m_q",
@@ -115,13 +113,6 @@ def krawtchouk_values(n: int, t: int) -> list[Fraction]:
     return values
 
 
-def krawtchouk(n: int, k: int, t: int) -> Fraction:
-    """Degree-k Krawtchouk value at t, normalized to 1 at t = 0."""
-    if not (0 <= k <= n and 0 <= t <= n):
-        raise HypergraphError(f"krawtchouk out of range: n={n} k={k} t={t}")
-    return krawtchouk_values(n, t)[k]
-
-
 def hahn_values(n: int, s: int, t: int) -> list[Fraction]:
     """Hahn values at t for the weight-s slice, for every degree
     k = 0..min(s, n-s), each normalized to 1 at t = 0.
@@ -151,13 +142,6 @@ def hahn_values(n: int, s: int, t: int) -> list[Fraction]:
             p = p * (k - i) * (n + 1 - k - i) // ((i + 1) * (i + 1))
         values.append(Fraction(total, lcm))
     return values
-
-
-def hahn(n: int, s: int, k: int, t: int) -> Fraction:
-    """Degree-k Hahn value at t for the weight-s slice, normalized to 1 at 0."""
-    if not (0 <= k <= min(s, n - s)):
-        raise HypergraphError(f"hahn degree out of range: n={n} s={s} k={k}")
-    return hahn_values(n, s, t)[k]
 
 
 def _first_min(values: list[Fraction]) -> tuple[Fraction, int]:
@@ -201,9 +185,9 @@ def _link_value(n: int, s: int, mq: Fraction) -> Fraction:
 def _closed_forms(n: int, s: int):
     """Both minima with their argmins, then the link and cube values built
     from them: ((M_K, k), (M_Q, k), link value, cube value)."""
+    _require_instance(n, s)
     mk = m_k(n, s)
     mq = m_q(n, s)
-    _require_instance(n, s)
     link_value = _link_value(n, s, mq[0])
     value = (1 << n) * (mk[0] - Fraction(link_value, comb(n, s))) / (mk[0] - 1)
     return mk, mq, link_value, value
@@ -218,7 +202,6 @@ def theta_hamming_link(n: int, s: int) -> Fraction:
 
 def theta_hamming(n: int, s: int) -> Fraction:
     """Closed-form relaxation value of H(n, s), an exact rational."""
-    _require_instance(n, s)
     return _closed_forms(n, s)[3]
 
 

@@ -31,7 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -119,6 +119,9 @@ def weighted_hypergraph(n: int, r: int, edges, weights) -> WeightedHypergraph:
     if len(weights) != len(edges):
         raise HypergraphError(f"{len(edges)} edges but {len(weights)} weights")
     Hypergraph(r, n, edges)  # raises on an edge that breaks that rule
+    for i, w in enumerate(weights):
+        if not -inf < w < inf:
+            raise HypergraphError(f"edge weight {i} is not finite: {w}")
     pairs = [(e, w) for e, w in zip(edges, weights) if w != 0]
     if any(w < 0 for _, w in pairs):
         raise HypergraphError("edge weights must be nonnegative")

@@ -38,7 +38,6 @@ from .thetabody import _attach_link, _Builder, _solved
 
 __all__ = [
     "PermGroup",
-    "OrbitStructure",
     "group_elements",
     "vertex_orbits",
     "pair_orbits",
@@ -75,30 +74,6 @@ class PermGroup:
             gens.append(t)
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "generators", tuple(gens))
-
-
-@dataclass(frozen=True, eq=False)
-class OrbitStructure:
-    """Orbits of a group of degree n on ordered vertex pairs, as the read-only
-    labels[x, y] = smallest x' * n + y' over the orbit of (x, y).  Orbits are
-    listed by smallest pair; vertex orbits, read off (x, x), by smallest vertex."""
-
-    labels: np.ndarray
-
-    @property
-    def vertex_orbits(self) -> tuple:
-        diagonal = np.diagonal(self.labels) // (len(self.labels) + 1)
-        return tuple(tuple(o.tolist()) for o in _orbit_lists(diagonal))
-
-    @property
-    def pair_orbits(self) -> tuple:  # tuples of ordered pairs
-        n = len(self.labels)
-        orbits = _orbit_lists(self.labels.ravel())
-        return tuple(tuple(zip((o // n).tolist(), (o % n).tolist())) for o in orbits)
-
-    def orbit_of(self, x: int, y: int) -> int:
-        """The index of the orbit of (x, y) in pair_orbits."""
-        return len(np.unique(self.labels[self.labels < self.labels[x, y]]))
 
 
 def group_elements(group: PermGroup, cap: int = ELEMENT_CAP) -> list[tuple]:
@@ -151,14 +126,16 @@ def vertex_orbits(group: PermGroup) -> list[list[int]]:
     return [o.tolist() for o in _orbit_lists(_orbit_labels(group, pairs=False))]
 
 
-def pair_orbits(group: PermGroup) -> OrbitStructure:
-    """Orbits of ordered vertex pairs under the diagonal action."""
+def pair_orbits(group: PermGroup) -> np.ndarray:
+    """Orbits of ordered vertex pairs under the diagonal action, as the
+    read-only (n, n) array labels[x, y] = the smallest x' * n + y' over the
+    orbit of (x, y)."""
     n = group.degree
     if n * n > PAIR_CLOSURE_CAP:
         raise HypergraphError(f"pair closure would exceed cap {PAIR_CLOSURE_CAP}")
     labels = _orbit_labels(group, pairs=True).reshape(n, n)
     labels.flags.writeable = False
-    return OrbitStructure(labels)
+    return labels
 
 
 def verify_automorphisms(hg: Hypergraph, group: PermGroup) -> bool:
@@ -190,7 +167,7 @@ _EIGEN_SEED = 0
 _EIGEN_TOL = 1e-9
 
 
-def _common_eigenspaces(orbits: OrbitStructure) -> list[np.ndarray] | None:
+def _common_eigenspaces(labels: np.ndarray) -> list[np.ndarray] | None:
     """Projectors E_j onto the common eigenspaces of S_k = A_k + A_k', or None.
 
     The spaces are the eigenspaces of one fixed-seed random combination of
@@ -204,7 +181,6 @@ def _common_eigenspaces(orbits: OrbitStructure) -> list[np.ndarray] | None:
     merges two eigenvalues, there are fewer spaces than classes: None.
     """
     # S_k is 2 on a self-paired orbit k, 1 on k and its transpose otherwise.
-    labels = orbits.labels
     keys, cls = np.unique(np.minimum(labels, labels.T), return_inverse=True)
     twice = np.where(labels == labels.T, 2.0, 1.0)
     coef = np.random.default_rng(_EIGEN_SEED).standard_normal(len(keys))
@@ -218,11 +194,11 @@ def _common_eigenspaces(orbits: OrbitStructure) -> list[np.ndarray] | None:
 def _transitive_program(hg: Hypergraph, group: PermGroup) -> SdpProblem:
     """The program theta_transitive solves: over the common eigenspaces when
     _common_eigenspaces finds them, else the full block tied along pair orbits."""
-    orbits = pair_orbits(group)
-    if np.diagonal(orbits.labels).any():  # some (x, x) lies outside the orbit of (0, 0)
+    labels = pair_orbits(group)
+    if np.diagonal(labels).any():  # some (x, x) lies outside the orbit of (0, 0)
         raise HypergraphError("group is not vertex transitive")
     builder = _Builder()
-    projectors = _common_eigenspaces(orbits)
+    projectors = _common_eigenspaces(labels)
     if projectors is None:
         blk = builder.block(hg.n)
 
@@ -230,8 +206,9 @@ def _transitive_program(hg: Hypergraph, group: PermGroup) -> SdpProblem:
             return [(blk, i, j, 1.0)]
 
         builder.add(entry(0, 0), 1.0)
-        for (ax, ay), *rest in orbits.pair_orbits:
-            for x, y in rest:
+        for smallest, *rest in (o.tolist() for o in _orbit_lists(labels.ravel())):
+            ax, ay = divmod(smallest, hg.n)
+            for x, y in (divmod(p, hg.n) for p in rest):
                 if x <= y:  # the symmetric entry (y, x) is tied with it
                     builder.add(entry(x, y) + [(blk, ax, ay, -1.0)], 0.0)
         objective = {blk: np.full((hg.n, hg.n), 1.0 / hg.n)}
@@ -264,6 +241,8 @@ def theta_transitive(hg: Hypergraph, group: PermGroup, tol: float = 1e-8) -> flo
     """
     if hg.r < 2:
         raise HypergraphError("transitive reduction needs uniformity at least 2")
+    if group.degree != hg.n:
+        raise HypergraphError(f"group of degree {group.degree} on {hg.n} vertices")
     if not verify_automorphisms(hg, group):
         raise HypergraphError("group does not preserve the edge set")
     if hg.n == 0:
@@ -363,7 +342,7 @@ def mantel_pair_orbit_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Indicator matrices of the three pair orbits (by intersection size
     2, 1, 0) of complete-graph edges; the two-class Johnson scheme."""
     pairs = _pair_list(n)
-    labels = pair_orbits(symmetric_group_pair_action(n)).labels
+    labels = pair_orbits(symmetric_group_pair_action(n))
     common = {  # points shared by the two edges of the orbit's smallest pair
         len(set(pairs[p // len(pairs)]) & set(pairs[p % len(pairs)])): p
         for p in np.unique(labels).tolist()

@@ -53,7 +53,6 @@ __all__ = [
     "theta",
     "theta_membership",
     "theta_dual",
-    "antiblocker_probe",
     "check_certificate",
     "certificate_to_json",
     "certificate_from_json",
@@ -381,15 +380,6 @@ def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
             "residuals": sol.residuals,
         },
     )
-
-
-def antiblocker_probe(hg: Hypergraph, f, g) -> float:
-    """Inner product of two candidate vectors; at most 1 whenever f is in
-    the body of the hypergraph and g is in the polar-style body of the
-    complement."""
-    fv = check_weights(hg, f)
-    gv = check_weights(hg, g)
-    return float(sum(float(a) * float(b) for a, b in zip(fv, gv)))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,13 @@ class TestErrors:
             assert named in json.loads(err)["error"]
             assert not out_path.exists()
 
+    def test_hamming_without_triangles(self, capsys):
+        for n, s in (("3", "1"), ("2", "4")):
+            code, out, err = run_cli(capsys, "hamming", "--n", n, "--s", s)
+            assert code == 2
+            assert out == ""
+            assert f"no {s}-triangles in the {n}-cube" in json.loads(err)["error"]
+
     def test_bad_tolerance(self, capsys, edge3_file):
         for tol in ("-1", "0", "inf", "nan"):
             code, out, _ = run_cli(capsys, "theta", "--file", edge3_file, "--tol", tol)

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -30,3 +32,11 @@ def test_numpy_is_the_only_runtime_dependency():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.split() == ["numpy"]
+
+
+def test_every_exported_name_resolves():
+    # `from m import *` fails on the first name in __all__ that m lacks
+    for info in pkgutil.walk_packages(hypertheta.__path__, "hypertheta."):
+        module = importlib.import_module(info.name)
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], info.name

@@ -10,9 +10,7 @@ from hypertheta.hamming import (
     build_hamming_hypergraph,
     closest_even,
     decay_scan,
-    hahn,
     hahn_values,
-    krawtchouk,
     krawtchouk_values,
     log_fraction,
     m_k,
@@ -89,30 +87,27 @@ class TestBuilder:
 class TestKrawtchouk:
     def test_normalized_at_zero(self):
         for n in range(1, 9):
-            for k in range(n + 1):
-                assert krawtchouk(n, k, 0) == 1
+            assert krawtchouk_values(n, 0) == [1] * (n + 1)
 
     def test_small_value(self):
-        assert krawtchouk(4, 2, 2) == Fraction(-1, 3)
+        assert krawtchouk_values(4, 2)[2] == Fraction(-1, 3)
 
     def test_half_distance_identity(self):
         for n in (8, 12, 16, 20):
-            assert krawtchouk(n, 2, n // 2) == Fraction(-1, n - 1)
+            assert krawtchouk_values(n, n // 2)[2] == Fraction(-1, n - 1)
 
     def test_range_errors(self):
+        # one value per degree 0..n; a point outside 0..n is refused
+        assert len(krawtchouk_values(4, 0)) == 5
         with pytest.raises(HypergraphError):
-            krawtchouk(4, 5, 0)
-        with pytest.raises(HypergraphError):
-            krawtchouk(4, 2, 5)
+            krawtchouk_values(4, 5)
 
     def test_orthogonality(self):
         for n in range(1, 13):
+            columns = [krawtchouk_values(n, t) for t in range(n + 1)]
             for k in range(n + 1):
                 for l in range(k + 1, n + 1):
-                    total = sum(
-                        comb(n, t) * krawtchouk(n, k, t) * krawtchouk(n, l, t)
-                        for t in range(n + 1)
-                    )
+                    total = sum(comb(n, t) * col[k] * col[l] for t, col in enumerate(columns))
                     assert total == 0
 
 
@@ -120,9 +115,8 @@ class TestHahn:
     def test_degree_zero_and_normalization(self):
         for n in range(2, 9):
             for s in range(1, n):
-                for k in range(min(s, n - s) + 1):
-                    assert hahn(n, s, k, 0) == 1
-                assert hahn(n, s, 0, s) == 1
+                assert hahn_values(n, s, 0) == [1] * (min(s, n - s) + 1)
+                assert hahn_values(n, s, s)[0] == 1
 
     def test_degree_one_formula(self):
         for n in range(2, 9):
@@ -131,23 +125,23 @@ class TestHahn:
                     continue
                 for t in range(s + 1):
                     want = 1 - Fraction(n * t, s * (n - s))
-                    assert hahn(n, s, 1, t) == want
-        assert hahn(3, 2, 1, 1) == Fraction(-1, 2)
+                    assert hahn_values(n, s, t)[1] == want
+        assert hahn_values(3, 2, 1)[1] == Fraction(-1, 2)
 
     def test_clipped_range(self):
-        with pytest.raises(HypergraphError):
-            hahn(6, 4, 3, 1)  # degree above min(s, n-s) = 2
+        # degrees stop at min(s, n-s) = 2, at every point of the slice
+        assert {len(hahn_values(6, 4, t)) for t in range(5)} == {3}
 
     def test_orthogonality_with_multiplicities(self):
         for n in range(2, 9):
             for s in range(1, n):
                 kmax = min(s, n - s)
+                columns = [hahn_values(n, s, t) for t in range(kmax + 1)]
                 for k in range(kmax + 1):
                     for l in range(k + 1, kmax + 1):
                         total = sum(
-                            comb(s, t) * comb(n - s, t)
-                            * hahn(n, s, k, t) * hahn(n, s, l, t)
-                            for t in range(min(s, n - s) + 1)
+                            comb(s, t) * comb(n - s, t) * col[k] * col[l]
+                            for t, col in enumerate(columns)
                         )
                         assert total == 0
 
@@ -166,16 +160,6 @@ class TestColumns:
                 for t in range(s + 1):
                     want = [reference_hahn(n, s, k, t) for k in range(kmax + 1)]
                     assert hahn_values(n, s, t) == want, (n, s, t)
-
-    def test_single_values_index_the_column(self):
-        for n in (1, 7, 12):
-            for t in range(n + 1):
-                for k in range(n + 1):
-                    assert krawtchouk(n, k, t) == reference_krawtchouk(n, k, t)
-            for s in range(n + 1):
-                for k in range(min(s, n - s) + 1):
-                    for t in range(s + 1):
-                        assert hahn(n, s, k, t) == reference_hahn(n, s, k, t)
 
     def test_column_range_errors(self):
         with pytest.raises(HypergraphError):
@@ -215,7 +199,7 @@ class TestMinima:
     def test_hahn_minimum(self):
         assert m_q(3, 2) == (Fraction(-1, 2), 1)
         best, arg = m_q(6, 4)
-        assert best == min(hahn(6, 4, k, 2) for k in range(3))
+        assert best == min(hahn_values(6, 4, 2))
 
     def test_half_distance_argmin_two(self):
         # observed for multiples of 4; checked, not assumed

@@ -81,6 +81,12 @@ class TestMeasures:
             with pytest.raises(HypergraphError):
                 weighted_hypergraph(n, 3, edges, weights)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_edge_weight_refused(self, bad):
+        edges = [(0, 1, 2), (1, 2, 3)]
+        with pytest.raises(HypergraphError, match="edge weight 1 is not finite"):
+            weighted_hypergraph(4, 3, edges, [1.0, bad])
+
 
 class TestLinks:
     def test_single_edge_vertex_link(self):

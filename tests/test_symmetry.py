@@ -17,6 +17,7 @@ from hypertheta.hypercore import (
 from hypertheta.symmetry import (
     PermGroup,
     _common_eigenspaces,
+    _orbit_lists,
     _transitive_program,
     cube_group,
     cyclic_group,
@@ -103,34 +104,35 @@ class TestAutomorphisms:
             assert verify_automorphisms(hg, group) is want
 
 
+def orbit_sizes(labels):
+    return sorted(np.unique(labels, return_counts=True)[1].tolist())
+
+
 class TestPairOrbits:
     def test_complete_graph_action(self):
-        orbits = pair_orbits(symmetric_group_pair_action(4))
-        assert sorted(len(o) for o in orbits.pair_orbits) == [6, 6, 24]
+        assert orbit_sizes(pair_orbits(symmetric_group_pair_action(4))) == [6, 6, 24]
 
     def test_trivial_group(self):
-        orbits = pair_orbits(PermGroup(3, ()))
-        assert len(orbits.pair_orbits) == 9
-        assert all(len(o) == 1 for o in orbits.pair_orbits)
+        labels = pair_orbits(PermGroup(3, ()))
+        assert labels.shape == (3, 3)
+        assert labels.ravel().tolist() == list(range(9))
 
     def test_cycle_rotation_orbits(self):
-        orbits = pair_orbits(cyclic_group(5))
-        assert len(orbits.pair_orbits) == 5
+        assert orbit_sizes(pair_orbits(cyclic_group(5))) == [5] * 5
 
     def test_orbits_partition_pairs(self):
+        # every label is the smallest point x * n + y of its own orbit
         for group in (cyclic_group(5), symmetric_group_pair_action(4), PermGroup(4, ())):
-            orbits = pair_orbits(group)
-            seen = [p for orbit in orbits.pair_orbits for p in orbit]
-            n = group.degree
-            assert sorted(seen) == [(x, y) for x in range(n) for y in range(n)]
-            assert sum(len(o) for o in orbits.pair_orbits) == n * n
-            flat = [v for orbit in orbits.vertex_orbits for v in orbit]
-            assert sorted(flat) == list(range(n))
+            labels = pair_orbits(group).ravel()
+            assert (labels <= np.arange(len(labels))).all()
+            assert (labels[labels] == labels).all()
+            flat = [v for orbit in vertex_orbits(group) for v in orbit]
+            assert sorted(flat) == list(range(group.degree))
 
     def test_orbit_lookup(self):
-        orbits = pair_orbits(cyclic_group(5))
-        assert orbits.orbit_of(0, 1) == orbits.orbit_of(1, 2)
-        assert orbits.orbit_of(0, 1) != orbits.orbit_of(0, 2)
+        labels = pair_orbits(cyclic_group(5))
+        assert labels[0, 1] == labels[1, 2] == 1
+        assert labels[0, 1] != labels[0, 2]
 
 
 def bfs_orbits(points, image, generators):
@@ -175,21 +177,24 @@ class TestOrbitLabels:
         want_pairs = bfs_orbits(pairs, lambda g, p: (g[p[0]], g[p[1]]), group.generators)
         assert vertex_orbits(group) == want_vertices
         assert is_transitive(group) is (len(want_vertices) <= 1)
-        orbits = pair_orbits(group)
-        assert orbits.vertex_orbits == tuple(map(tuple, want_vertices))
-        assert orbits.pair_orbits == tuple(map(tuple, want_pairs))
-        for k, orbit in enumerate(want_pairs):
-            assert {orbits.orbit_of(x, y) for x, y in orbit} == {k}
+        labels = pair_orbits(group)
+        assert labels.shape == (n, n)
+        for orbit in want_pairs:
+            x0, y0 = orbit[0]
+            assert all(labels[x, y] == x0 * n + y0 for x, y in orbit)
+        # the lists the tied fallback walks: orbits by smallest pair, ascending
+        points = [[x * n + y for x, y in orbit] for orbit in want_pairs]
+        assert [o.tolist() for o in _orbit_lists(labels.ravel())] == points
 
     def test_labels_are_read_only(self):
         with pytest.raises(ValueError):
-            pair_orbits(cyclic_group(4)).labels[0, 0] = 3
+            pair_orbits(cyclic_group(4))[0, 0] = 3
 
     def test_degree_zero(self):
         hg = Hypergraph(2, 0, ())
         for group in (PermGroup(0, ()), PermGroup(0, ((),))):
             assert vertex_orbits(group) == []
-            assert pair_orbits(group).pair_orbits == ()
+            assert pair_orbits(group).shape == (0, 0)
             assert is_transitive(group)
             assert verify_automorphisms(hg, group)
             assert theta_transitive(hg, group) == theta(hg).value == 0.0
@@ -223,6 +228,11 @@ class TestTransitiveReduction:
         with pytest.raises(HypergraphError):
             theta_transitive(cycle_graph(5), PermGroup(5, ()))
 
+    def test_rejects_group_of_other_degree(self):
+        for degree in (4, 6):
+            with pytest.raises(HypergraphError, match=f"group of degree {degree} on 5 vertices"):
+                theta_transitive(cycle_graph(5), cyclic_group(degree))
+
     def test_rejects_non_automorphism(self):
         with pytest.raises(HypergraphError):
             theta_transitive(cycle_graph(5), PermGroup(5, ((1, 0, 2, 3, 4),)))
@@ -235,14 +245,14 @@ class TestTransitiveReduction:
 
         hg = mantel_hypergraph(4)
         group = symmetric_group_pair_action(4)
-        orbits = pair_orbits(group)
+        labels = pair_orbits(group)
         builder = tb._Builder()
         blk = builder.block(hg.n)
         builder.add([(blk, 0, 0, 1.0)], 1.0)
-        for orbit in orbits.pair_orbits:
-            ax, ay = orbit[0]
-            for x, y in orbit[1:]:
-                if x <= y:
+        for x in range(hg.n):
+            for y in range(x, hg.n):
+                ax, ay = divmod(int(labels[x, y]), hg.n)
+                if (ax, ay) != (x, y):
                     builder.add([(blk, x, y, 1.0), (blk, ax, ay, -1.0)], 0.0)
         sub, smap = link(hg, 0)
         child = tb._membership_node(builder, sub, smap)
@@ -369,20 +379,18 @@ class TestEigenspaceReduction:
             cube_group(4),
         ]
         for group in groups:
-            orbits = pair_orbits(group)
-            classes = {
-                frozenset((k, orbits.orbit_of(y, x)))
-                for k, ((x, y), *_) in enumerate(orbits.pair_orbits)
-            }
-            projectors = _common_eigenspaces(orbits)
+            labels = pair_orbits(group)
+            # a class joins the orbit of (x, y) with the orbit of (y, x)
+            classes = np.minimum(labels, labels.T)
+            projectors = _common_eigenspaces(labels)
             assert projectors is not None
-            assert len(projectors) == len(classes)
+            assert len(projectors) == len(np.unique(classes))
             assert np.allclose(sum(projectors), np.eye(group.degree), atol=1e-12)
             for e in projectors:
                 assert np.allclose(e @ e, e, atol=1e-12)
-                for orbit in orbits.pair_orbits:
-                    values = [e[x, y] for x, y in orbit] + [e[y, x] for x, y in orbit]
-                    assert max(values) - min(values) < 1e-12
+                for c in np.unique(classes):
+                    values = e[classes == c]
+                    assert values.max() - values.min() < 1e-12
 
     def test_reduced_program_on_mantel_7_and_8(self):
         for n, rows in ((7, 27), (8, 32)):
