@@ -1,9 +1,11 @@
 """Property suite behind the `check` subcommand.
 
-One function per module; each yields (name, ok, detail) triples covering the
-module's invariants at a scale that finishes in about a minute.  The pytest
-suite runs the same properties (and more) with independent oracles; this
-runner exists so deployments can self-verify without a test install.
+_PROPERTIES lists (name, property) pairs covering every module's invariants
+at a scale that finishes in about a minute.  A property takes its own
+random.Random(seed) and returns None when it holds, else a one-line failure
+detail.  The pytest suite runs the same properties (and more) with
+independent oracles; this runner exists so deployments can self-verify
+without a test install.
 """
 
 from __future__ import annotations
@@ -46,15 +48,14 @@ from .thetabody import check_certificate, theta, theta_dual, theta_membership
 __all__ = ["run_all"]
 
 
-def _check_hypercore(rng: random.Random):
-    ok = True
+def _complement_involution(rng):
     for _ in range(25):
         hg = random_hypergraph(rng.randint(3, 8), 3, 0.4, rng)
         if complement(complement(hg)) != hg:
-            ok = False
-    yield "hypercore.complement_involution", ok, "complement twice differs"
+            return "complement twice differs"
 
-    ok = True
+
+def _link_round_trip(rng):
     for _ in range(25):
         hg = random_hypergraph(rng.randint(3, 7), 3, 0.4, rng)
         x = rng.randrange(hg.n)
@@ -62,27 +63,25 @@ def _check_hypercore(rng: random.Random):
         back = {tuple(sorted(vmap[v] for v in e)) for e in sub.edges}
         want = {tuple(sorted(set(e) - {x})) for e in hg.edges if x in e}
         if back != want:
-            ok = False
-    yield "hypercore.link_round_trip", ok, "link edges do not map back"
+            return "link edges do not map back"
 
-    ok = True
+
+def _clique_complement_duality(rng):
     for _ in range(20):
         hg = random_hypergraph(rng.randint(3, 8), 3, 0.35, rng)
-        cliques = set(enumerate_cliques(hg))
-        indep = set(maximal_independent_sets(complement(hg)))
-        if cliques != indep:
-            ok = False
-    yield "hypercore.clique_complement_duality", ok, "cliques != complement independents"
+        if set(enumerate_cliques(hg)) != set(maximal_independent_sets(complement(hg))):
+            return "cliques != complement independents"
 
-    ok = True
+
+def _alpha_lower_bound(rng):
     for _ in range(20):
         n = rng.randint(3, 8)
         hg = random_hypergraph(n, 3, 0.4, rng)
         if n >= hg.r - 1 and alpha(hg)[0] < hg.r - 1:
-            ok = False
-    yield "hypercore.alpha_lower_bound", ok, "alpha below r-1"
+            return "alpha below r-1"
 
-    ok = True
+
+def _chi_star_exact_reconstruction(rng):
     for _ in range(10):
         hg = random_hypergraph(rng.randint(3, 7), 3, 0.4, rng)
         w = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(hg.n)]
@@ -91,43 +90,37 @@ def _check_hypercore(rng: random.Random):
         for lam, vs in parts:
             for v in vs:
                 recon[v] += lam
-        if recon != [Fraction(x) for x in w]:
-            ok = False
-        if sum((lam for lam, _ in parts), Fraction(0)) != value:
-            ok = False
-    yield "hypercore.chi_star_exact_reconstruction", ok, "parts do not rebuild w"
+        if recon != [Fraction(x) for x in w] or sum(lam for lam, _ in parts) != value:
+            return "parts do not rebuild w"
 
-    ok = True
+
+def _clique_polytope_indicators(rng):
     for _ in range(15):
         hg = random_hypergraph(rng.randint(3, 7), 3, 0.4, rng)
         _, wit = alpha(hg)
-        chi = [1 if v in wit else 0 for v in range(hg.n)]
-        if not in_clique_polytope(hg, chi):
-            ok = False
+        if not in_clique_polytope(hg, [1 if v in wit else 0 for v in range(hg.n)]):
+            return "indicator membership wrong"
         for c in enumerate_cliques(hg):
-            if len(c) >= hg.r:
-                chi_c = [1 if v in c else 0 for v in range(hg.n)]
-                if in_clique_polytope(hg, chi_c):
-                    ok = False
-    yield "hypercore.clique_polytope_indicators", ok, "indicator membership wrong"
+            chi_c = [1 if v in c else 0 for v in range(hg.n)]
+            if len(c) >= hg.r and in_clique_polytope(hg, chi_c):
+                return "indicator membership wrong"
 
 
-def _check_numlin(rng: random.Random):
-    ok = True
+def _eig_orthonormal_reconstruction(rng):
     for _ in range(10):
         n = rng.randint(2, 10)
         m = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
         m = (m + m.T) / 2
         vals, vecs = eig_sym(m)
-        if np.abs(vecs.T @ vecs - np.eye(n)).max() > 1e-9:
-            ok = False
-        if np.abs(vecs @ np.diag(vals) @ vecs.T - m).max() > 1e-9 * (1 + np.abs(m).max()):
-            ok = False
-        if not np.all(np.diff(vals) >= -1e-12):
-            ok = False
-    yield "numlin.eig_orthonormal_reconstruction", ok, "eigendecomposition drift"
+        if (
+            np.abs(vecs.T @ vecs - np.eye(n)).max() > 1e-9
+            or np.abs(vecs @ np.diag(vals) @ vecs.T - m).max() > 1e-9 * (1 + np.abs(m).max())
+            or not np.all(np.diff(vals) >= -1e-12)
+        ):
+            return "eigendecomposition drift"
 
-    ok = True
+
+def _lp_exact_feasibility(rng):
     for _ in range(10):
         nv = rng.randint(2, 5)
         c = [Fraction(rng.randint(-3, 3)) for _ in range(nv)]
@@ -135,21 +128,19 @@ def _check_numlin(rng: random.Random):
         x0 = [Fraction(rng.randint(0, 3)) for _ in range(nv)]
         b = [sum(a[0][j] * x0[j] for j in range(nv))]
         res = solve_lp(c, a, b, [(0, 3)] * nv, sense="max", exact=True)
-        if res.status == "optimal":
-            lhs = sum(a[0][j] * res.x[j] for j in range(nv))
-            if lhs != b[0]:
-                ok = False
-    yield "numlin.lp_exact_feasibility", ok, "rational LP violates constraints"
+        if res.status == "optimal" and sum(a[0][j] * res.x[j] for j in range(nv)) != b[0]:
+            return "rational LP violates constraints"
 
-    ok = True
+
+def _sdp_weak_duality(rng):
     for _ in range(5):
         hg = random_hypergraph(rng.randint(4, 6), 3, 0.4, rng)
         res = theta(hg)
-        if res.diagnostics.get("mode") == "sdp":
-            if res.value > res.diagnostics["dual"] + 1e-6:
-                ok = False
-    yield "numlin.sdp_weak_duality", ok, "primal exceeded dual"
+        if res.diagnostics.get("mode") == "sdp" and res.value > res.diagnostics["dual"] + 1e-6:
+            return "primal exceeded dual"
 
+
+def _sdp_determinism(rng):
     p = SdpProblem(
         [2],
         [np.eye(2)],
@@ -157,15 +148,11 @@ def _check_numlin(rng: random.Random):
     )
     s1 = solve_sdp(p)
     s2 = solve_sdp(p)
-    same = s1.primal == s2.primal and all(
-        (a == b).all() for a, b in zip(s1.blocks, s2.blocks)
-    )
-    yield "numlin.sdp_determinism", same, "repeat solve differs bitwise"
+    if s1.primal != s2.primal or not all((a == b).all() for a, b in zip(s1.blocks, s2.blocks)):
+        return "repeat solve differs bitwise"
 
 
-def _check_thetabody(rng: random.Random):
-    ok = True
-    detail = ""
+def _sandwich(rng):
     for _ in range(12):
         n = rng.randint(4, 8)
         hg = random_hypergraph(n, 3, rng.choice((0.3, 0.5)), rng)
@@ -174,38 +161,31 @@ def _check_thetabody(rng: random.Random):
         t = theta(hg, w).value
         x = chi_star(complement(hg), w)[0]
         if not (a <= t + 1e-6 and t <= 2 * float(x) + 1e-6):
-            ok = False
-            detail = f"alpha={a} theta={t} cover={float(x)}"
-    yield "thetabody.sandwich", ok, detail
+            return f"alpha={a} theta={t} cover={float(x)}"
 
-    ok = True
+
+def _antiblocking_and_certificates(rng):
     for _ in range(6):
         hg = random_hypergraph(rng.randint(4, 6), 3, 0.4, rng)
         _, wit = alpha(hg)
         f = [1.0 if v in wit else 0.0 for v in range(hg.n)]
         member, cert = theta_membership(hg, f)
-        if not member:
-            ok = False
-            continue
-        g = [v * rng.random() for v in f]
-        member2, _ = theta_membership(hg, g)
-        if not member2:
-            ok = False
+        if not member or not theta_membership(hg, [v * rng.random() for v in f])[0]:
+            return "downward closure failed"
         if cert is not None and check_certificate(hg, cert, tol=1e-5):
-            ok = False
-    yield "thetabody.antiblocking_and_certificates", ok, "downward closure failed"
+            return "downward closure failed"
 
-    ok = True
+
+def _integer_points(rng):
     for _ in range(8):
         hg = random_hypergraph(rng.randint(4, 6), 3, 0.5, rng)
         f = [float(rng.random() < 0.5) for _ in range(hg.n)]
         member, _ = theta_membership(hg, f)
-        indep = is_independent(hg, [v for v in range(hg.n) if f[v] > 0])
-        if member != indep:
-            ok = False
-    yield "thetabody.integer_points", ok, "0-1 member not an independent set"
+        if member != is_independent(hg, [v for v in range(hg.n) if f[v] > 0]):
+            return "0-1 member not an independent set"
 
-    ok = True
+
+def _scaling(rng):
     for _ in range(5):
         hg = random_hypergraph(rng.randint(4, 6), 3, 0.4, rng)
         w = [rng.random() for _ in range(hg.n)]
@@ -213,21 +193,20 @@ def _check_thetabody(rng: random.Random):
         v1 = theta(hg, w, tol=1e-9).value
         v2 = theta(hg, [cscale * x for x in w], tol=1e-9).value
         if abs(v2 - cscale * v1) > 1e-8 * (1 + abs(v2)):
-            ok = False
-    yield "thetabody.scaling", ok, "value not positively homogeneous"
+            return "value not positively homogeneous"
 
-    ok = True
+
+def _duality_product(rng):
     for _ in range(8):
         hg = random_hypergraph(rng.randint(4, 7), 3, 0.4, rng)
         l = [rng.random() for _ in range(hg.n)]
         w = [rng.random() for _ in range(hg.n)]
         lhs = theta(hg, l).value * theta_dual(complement(hg), w).value
-        rhs = sum(a * b for a, b in zip(l, w))
-        if lhs < rhs - 1e-6:
-            ok = False
-    yield "thetabody.duality_product", ok, "product bound violated"
+        if lhs < sum(a * b for a, b in zip(l, w)) - 1e-6:
+            return "product bound violated"
 
-    ok = True
+
+def _dual_sandwich(rng):
     for _ in range(8):
         hg = random_hypergraph(rng.randint(4, 7), 3, 0.4, rng)
         w = [rng.random() for _ in range(hg.n)]
@@ -235,53 +214,54 @@ def _check_thetabody(rng: random.Random):
         lo = alpha(hg, w)[0] / (hg.r - 1)
         hi = float(chi_star(complement(hg), w)[0])
         if not (lo - 1e-6 <= v <= hi + 1e-6):
-            ok = False
-    yield "thetabody.dual_sandwich", ok, "bordered value outside its bounds"
+            return "bordered value outside its bounds"
 
-    v1 = theta(Hypergraph(3, 5, ((0, 1, 4), (0, 2, 3), (1, 2, 3))), [1, -2, 1, 1, -1]).value
-    v2 = theta(Hypergraph(3, 5, ((0, 1, 4), (0, 2, 3), (1, 2, 3))), [1, 0, 1, 1, 0]).value
-    yield "thetabody.negative_weights", abs(v1 - v2) <= 1e-6, f"{v1} vs {v2}"
 
+def _negative_weights(rng):
+    hg = Hypergraph(3, 5, ((0, 1, 4), (0, 2, 3), (1, 2, 3)))
+    v1 = theta(hg, [1, -2, 1, 1, -1]).value
+    v2 = theta(hg, [1, 0, 1, 1, 0]).value
+    if not abs(v1 - v2) <= 1e-6:
+        return f"{v1} vs {v2}"
+
+
+def _graph_duality(rng):
     # TH(G) antiblocks TH(G-bar): on graphs the gauge equals the support value
-    ok = True
-    detail = ""
     for _ in range(4):
         n = rng.randint(4, 8)
         g = random_hypergraph(n, 2, rng.choice((0.3, 0.5)), rng)
         w = [rng.uniform(0.1, 1.0) for _ in range(n)]
         d, t = theta_dual(g, w).value, theta(g, w).value
         if abs(d - t) > 1e-6:
-            ok = False
-            detail = f"theta_dual={d} theta={t} on n={n}"
-    yield "thetabody.graph_duality", ok, detail
+            return f"theta_dual={d} theta={t} on n={n}"
 
 
-def _check_symmetry(rng: random.Random):
+def _automorphisms(rng):
+    if not verify_automorphisms(mantel_hypergraph(4), symmetric_group_pair_action(4)):
+        return "triangle family not preserved"
+
+
+def _transitive_agreement(rng):
     h4 = mantel_hypergraph(4)
-    g4 = symmetric_group_pair_action(4)
-    ok = verify_automorphisms(h4, g4)
-    yield "symmetry.automorphisms", ok, "triangle family not preserved"
-
-    v_red = theta_transitive(h4, g4)
+    v_red = theta_transitive(h4, symmetric_group_pair_action(4))
     v_gen = theta(h4).value
-    yield (
-        "symmetry.transitive_agreement",
-        abs(v_red - v_gen) <= 1e-5,
-        f"{v_red} vs {v_gen}",
-    )
+    if not abs(v_red - v_gen) <= 1e-5:
+        return f"{v_red} vs {v_gen}"
 
-    res = theta(h4)
-    f = res.optimizer
-    elements = group_elements(g4, cap=1000)
+
+def _group_averaging(rng):
+    h4 = mantel_hypergraph(4)
+    f = theta(h4).optimizer
+    elements = group_elements(symmetric_group_pair_action(4))
     avg = np.zeros(h4.n)
     for sigma in elements:
-        for x in range(h4.n):
-            avg[sigma[x]] += f[x]
+        avg[list(sigma)] += f
     avg /= len(elements)
-    member, _ = theta_membership(h4, np.minimum(avg, 1.0) * (1 - 1e-9))
-    yield "symmetry.group_averaging", member, "averaged optimizer left the body"
+    if not theta_membership(h4, np.minimum(avg, 1.0) * (1 - 1e-9))[0]:
+        return "averaged optimizer left the body"
 
-    ok = True
+
+def _scheme_eigenvalues(rng):
     for n in range(4, 9):
         _, a1, a2 = mantel_pair_orbit_matrices(n)
         got1 = sorted(set(int(round(v)) for v in np.linalg.eigvalsh(a1)))
@@ -289,15 +269,16 @@ def _check_symmetry(rng: random.Random):
         want1 = sorted({-2, n - 4, 2 * n - 4})
         want2 = sorted({1, -(n - 3), (n - 2) * (n - 3) // 2})
         if got1 != want1 or got2 != want2:
-            ok = False
-    yield "symmetry.scheme_eigenvalues", ok, "orbit matrix spectra wrong"
+            return "orbit matrix spectra wrong"
 
-    ok = True
+
+def _mantel_floor(rng):
     for n in (4, 5, 6):
         if math.floor(mantel_theta(n)[0]) != alpha(mantel_hypergraph(n))[0]:
-            ok = False
-    yield "symmetry.mantel_floor", ok, "rounded value differs from alpha"
+            return "rounded value differs from alpha"
 
+
+def _transitive_closed_forms(rng):
     bad = []
     for n in range(5, 9):
         v = theta_transitive(mantel_hypergraph(n), symmetric_group_pair_action(n))
@@ -307,21 +288,20 @@ def _check_symmetry(rng: random.Random):
         v = theta_transitive(hm.build_hamming_hypergraph(n, s), cube_group(n))
         if abs(v - float(hm.theta_hamming(n, s))) > 1e-6:
             bad.append(f"H({n},{s}): {v}")
-    yield "symmetry.transitive_closed_forms", not bad, "; ".join(bad)
+    if bad:
+        return "; ".join(bad)
 
 
-def _check_hamming(rng: random.Random):
-    ok = True
+def _krawtchouk_orthogonality(rng):
     for n in range(1, 13):
         cols = [hm.krawtchouk_values(n, t) for t in range(n + 1)]
         for k in range(n + 1):
             for l in range(k + 1, n + 1):
-                s = sum(math.comb(n, t) * col[k] * col[l] for t, col in enumerate(cols))
-                if s != 0:
-                    ok = False
-    yield "hamming.krawtchouk_orthogonality", ok, "nonzero inner product"
+                if sum(math.comb(n, t) * col[k] * col[l] for t, col in enumerate(cols)) != 0:
+                    return "nonzero inner product"
 
-    ok = True
+
+def _hahn_orthogonality(rng):
     for n in range(2, 9):
         for s in range(1, n):
             kmax = min(s, n - s)  # larger distances have zero multiplicity
@@ -333,35 +313,31 @@ def _check_hamming(rng: random.Random):
                         for t, col in enumerate(cols)
                     )
                     if tot != 0:
-                        ok = False
-    yield "hamming.hahn_orthogonality", ok, "nonzero inner product"
+                        return "nonzero inner product"
 
-    ok = True
+
+def _lp_matches_closed_form(rng):
     for (n, s) in ((3, 2), (4, 2), (6, 2), (6, 4), (8, 4)):
         lp_val, _, combo = hm.theta_hamming_lp(n, s)
-        if lp_val != hm.theta_hamming(n, s):
-            ok = False
-        if combo < 0:
-            ok = False
-        if hm.theta_hamming_link_lp(n, s) != hm.theta_hamming_link(n, s):
-            ok = False
-    yield "hamming.lp_matches_closed_form", ok, "LP and formula disagree"
+        if (
+            lp_val != hm.theta_hamming(n, s)
+            or combo < 0
+            or hm.theta_hamming_link_lp(n, s) != hm.theta_hamming_link(n, s)
+        ):
+            return "LP and formula disagree"
 
-    ok = True
+
+def _value_bounds_alpha(rng):
     for n in (3, 4, 5):
         for s in (2, 4):
             if not hm.triangles_exist(n, s):
                 continue
-            hg = hm.build_hamming_hypergraph(n, s)
-            a = alpha(hg, cap=32)[0]
+            a = alpha(hm.build_hamming_hypergraph(n, s), cap=32)[0]
             if hm.theta_hamming(n, s) < a:
-                ok = False
-    yield "hamming.value_bounds_alpha", ok, "closed form below alpha"
+                return "closed form below alpha"
 
 
-def _check_hoffman(rng: random.Random):
-    ok = True
-    detail = ""
+def _hoffman_sandwich(rng):
     for _ in range(15):
         n = rng.randint(4, 8)
         wh = hf.random_weighted_hypergraph(n, 3, rng.choice((0.3, 0.5)), rng)
@@ -370,57 +346,78 @@ def _check_hoffman(rng: random.Random):
         t = theta(wh.hyper, mu1).value
         h = hf.hoff(wh)
         if not (a <= t + 1e-6 and t <= h + 1e-6):
-            ok = False
-            detail = f"alpha={a} theta={t} hoff={h}"
-    yield "hoffman.sandwich", ok, detail
+            return f"alpha={a} theta={t} hoff={h}"
 
-    ok = True
+
+def _spectral_range(rng):
     for _ in range(10):
         wh = hf.random_weighted_hypergraph(rng.randint(4, 7), 3, 0.4, rng)
         op = hf.adjacency_operator(wh)
-        vals = np.linalg.eigvalsh(
-            np.sqrt(op.vertex_measure)[:, None]
-            * op.matrix
-            / np.sqrt(op.vertex_measure)[None, :]
-        )
-        if vals.min() < -1 - 1e-9 or abs(vals.max() - 1.0) > 1e-9:
-            ok = False
-        one = np.ones(wh.n)
-        if np.abs(op.matrix @ one - one).max() > 1e-9:
-            ok = False
-        if vals.min() >= 0:
-            ok = False  # trace zero forces a negative eigenvalue
-    yield "hoffman.spectral_range", ok, "operator spectrum out of range"
+        root = np.sqrt(op.vertex_measure)
+        vals = np.linalg.eigvalsh(root[:, None] * op.matrix / root[None, :])
+        if (
+            vals.min() < -1 - 1e-9
+            or abs(vals.max() - 1.0) > 1e-9
+            or np.abs(op.matrix @ np.ones(wh.n) - 1.0).max() > 1e-9
+            or vals.min() >= 0  # trace zero forces a negative eigenvalue
+        ):
+            return "operator spectrum out of range"
 
-    x_edge = hf.uniform_weighted(complete_hypergraph(3, 3))
-    x_mantel = hf.uniform_weighted(mantel_hypergraph(4))
-    ok = True
-    for wh in (x_edge, x_mantel):
+
+def _transitive_tightness(rng):
+    for hg in (complete_hypergraph(3, 3), mantel_hypergraph(4)):
+        wh = hf.uniform_weighted(hg)
         mu1 = [float(v) for v in wh.vertex_measure()]
-        t = theta(wh.hyper, mu1, tol=1e-11).value
-        if abs(t - hf.hoff(wh)) > 1e-6:
-            ok = False
-    yield "hoffman.transitive_tightness", ok, "bounds differ on transitive instances"
+        if abs(theta(wh.hyper, mu1, tol=1e-11).value - hf.hoff(wh)) > 1e-6:
+            return "bounds differ on transitive instances"
+
+
+_PROPERTIES = (
+    ("hypercore.complement_involution", _complement_involution),
+    ("hypercore.link_round_trip", _link_round_trip),
+    ("hypercore.clique_complement_duality", _clique_complement_duality),
+    ("hypercore.alpha_lower_bound", _alpha_lower_bound),
+    ("hypercore.chi_star_exact_reconstruction", _chi_star_exact_reconstruction),
+    ("hypercore.clique_polytope_indicators", _clique_polytope_indicators),
+    ("numlin.eig_orthonormal_reconstruction", _eig_orthonormal_reconstruction),
+    ("numlin.lp_exact_feasibility", _lp_exact_feasibility),
+    ("numlin.sdp_weak_duality", _sdp_weak_duality),
+    ("numlin.sdp_determinism", _sdp_determinism),
+    ("thetabody.sandwich", _sandwich),
+    ("thetabody.antiblocking_and_certificates", _antiblocking_and_certificates),
+    ("thetabody.integer_points", _integer_points),
+    ("thetabody.scaling", _scaling),
+    ("thetabody.duality_product", _duality_product),
+    ("thetabody.dual_sandwich", _dual_sandwich),
+    ("thetabody.negative_weights", _negative_weights),
+    ("thetabody.graph_duality", _graph_duality),
+    ("symmetry.automorphisms", _automorphisms),
+    ("symmetry.transitive_agreement", _transitive_agreement),
+    ("symmetry.group_averaging", _group_averaging),
+    ("symmetry.scheme_eigenvalues", _scheme_eigenvalues),
+    ("symmetry.mantel_floor", _mantel_floor),
+    ("symmetry.transitive_closed_forms", _transitive_closed_forms),
+    ("hamming.krawtchouk_orthogonality", _krawtchouk_orthogonality),
+    ("hamming.hahn_orthogonality", _hahn_orthogonality),
+    ("hamming.lp_matches_closed_form", _lp_matches_closed_form),
+    ("hamming.value_bounds_alpha", _value_bounds_alpha),
+    ("hoffman.sandwich", _hoffman_sandwich),
+    ("hoffman.spectral_range", _spectral_range),
+    ("hoffman.transitive_tightness", _transitive_tightness),
+)
 
 
 def run_all(seed: int = 42):
-    """Run every module's property block; yields (name, ok, detail).
+    """Run every property in order; yields (name, ok, detail).
 
-    A block that raises yields one failing triple named after its module,
-    with the error as detail, and prints its traceback to stderr; the
-    remaining blocks still run.
+    Each property gets its own random.Random(seed).  One that raises yields
+    a failing triple under its own name, with the error as detail, and
+    prints its traceback to stderr; the remaining properties still run.
     """
-    for module, fn in (
-        ("hypercore", _check_hypercore),
-        ("numlin", _check_numlin),
-        ("thetabody", _check_thetabody),
-        ("symmetry", _check_symmetry),
-        ("hamming", _check_hamming),
-        ("hoffman", _check_hoffman),
-    ):
-        rng = random.Random(seed)
+    for name, prop in _PROPERTIES:
         try:
-            yield from fn(rng)
+            detail = prop(random.Random(seed))
         except Exception as exc:
             traceback.print_exc()
-            yield module, False, f"{type(exc).__name__}: {exc}"
+            detail = f"{type(exc).__name__}: {exc}"
+        yield name, detail is None, detail or ""

@@ -11,6 +11,7 @@ vertex-count caps and raise instead of silently grinding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -299,13 +300,30 @@ def alpha(hg: Hypergraph, w: Sequence | None = None, cap: int = DEFAULT_ALPHA_CA
 # Independent sets and cliques
 # ---------------------------------------------------------------------------
 
+def _maximal_sets(n: int, can_add, cap: int) -> list[tuple[int, ...]]:
+    """All inclusion-maximal members of a family of vertex sets closed under
+    taking subsets, sorted; can_add(s_mask, v) says whether v may join the
+    member with bitmask s_mask.  Each member is grown once, in increasing
+    vertex order, and kept when no outside vertex can join it."""
+    if n > cap:
+        raise InstanceTooLargeError(f"{n} vertices exceeds enumeration cap {cap}")
+    out = []
+
+    def grow(s_mask: int, start: int):
+        if all((s_mask >> v) & 1 or not can_add(s_mask, v) for v in range(n)):
+            out.append(tuple(_bits(s_mask)))
+        for v in range(start, n):
+            if can_add(s_mask, v):
+                grow(s_mask | (1 << v), v + 1)
+
+    grow(0, 0)
+    return sorted(out)
+
+
 def maximal_independent_sets(hg: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, ...]]:
     """All inclusion-maximal independent sets, by exhaustive search."""
-    if hg.n > cap:
-        raise InstanceTooLargeError(f"{hg.n} vertices exceeds enumeration cap {cap}")
-    edges = hg.edge_masks()
     by_vertex: list[list[int]] = [[] for _ in range(hg.n)]
-    for m in edges:
+    for m in hg.edge_masks():
         for v in _bits(m):
             by_vertex[v].append(m)
 
@@ -313,19 +331,7 @@ def maximal_independent_sets(hg: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> lis
         s2 = s_mask | (1 << v)
         return all(m & s2 != m for m in by_vertex[v])
 
-    out = []
-
-    def grow(s_mask: int, start: int):
-        if all(
-            (s_mask >> v) & 1 or not can_add(s_mask, v) for v in range(hg.n)
-        ):
-            out.append(tuple(_bits(s_mask)))
-        for v in range(start, hg.n):
-            if can_add(s_mask, v):
-                grow(s_mask | (1 << v), v + 1)
-
-    grow(0, 0)
-    return sorted(out)
+    return _maximal_sets(hg.n, can_add, cap)
 
 
 def enumerate_cliques(hg: Hypergraph) -> list[tuple[int, ...]]:
@@ -335,30 +341,18 @@ def enumerate_cliques(hg: Hypergraph) -> list[tuple[int, ...]]:
     than r vertices qualifies vacuously, so maximal cliques of sparse
     hypergraphs are typically (r-1)-sets.
     """
-    if hg.n > DEFAULT_ENUM_CAP:
-        raise InstanceTooLargeError(f"{hg.n} vertices exceeds enumeration cap {DEFAULT_ENUM_CAP}")
-    present = hg.edge_set()
+    present = set(hg.edge_masks())
 
-    def extends(c: tuple[int, ...], v: int) -> bool:
-        if len(c) < hg.r - 1:
-            return True
-        return all(
-            tuple(sorted(sub + (v,))) in present
-            for sub in itertools.combinations(c, hg.r - 1)
-        )
+    # The (r-1)-subsets of a set as masks; n + 1 entries hold about one
+    # path of the depth-first search.
+    @functools.lru_cache(maxsize=hg.n + 1)
+    def faces(s_mask: int) -> list[int]:
+        return [_mask(sub) for sub in itertools.combinations(_bits(s_mask), hg.r - 1)]
 
-    out = []
+    def can_add(s_mask: int, v: int) -> bool:
+        return all((face | (1 << v)) in present for face in faces(s_mask))
 
-    def grow(c: tuple[int, ...], start: int):
-        inside = set(c)
-        if all(v in inside or not extends(c, v) for v in range(hg.n)):
-            out.append(c)
-        for v in range(start, hg.n):
-            if extends(c, v):
-                grow(c + (v,), v + 1)
-
-    grow((), 0)
-    return sorted(out)
+    return _maximal_sets(hg.n, can_add, DEFAULT_ENUM_CAP)
 
 
 def in_clique_polytope(hg: Hypergraph, f: Sequence) -> bool:

@@ -53,7 +53,8 @@ class SdpProblem:
     times the unordered entry {i, j}: coef on a diagonal entry, coef/2 on each
     side of an off-diagonal one, and repeated terms add up.  Stored as
     read-only arrays index ((row, block, i, j) per term, i <= j), coef and
-    rhs; the constraints property gives the dense view.
+    rhs, next to the read-only objective matrices; the constraints property
+    gives the dense view.
     """
 
     block_dims: tuple
@@ -84,7 +85,7 @@ class SdpProblem:
             raise ValueError("constraint entry lies outside its block")
         if not (np.isfinite(coef).all() and np.isfinite(rhs).all()):
             raise ValueError("constraint data must be finite")
-        for arr in (rhs, index, coef):
+        for arr in (rhs, index, coef, *obj):
             arr.flags.writeable = False
         fields = dict(block_dims=dims, objective=obj, rhs=rhs, index=index, coef=coef)
         for name, value in fields.items():
@@ -333,6 +334,13 @@ def _nt_scaling(seig: tuple, xeig: tuple):
 def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     """Solve the block SDP to the requested duality-gap tolerance.
 
+    The solve stops as "optimal" when |gap| / (1 + |pobj| + |dobj|) <= tol
+    and the primal and dual residuals, scaled by 1 + max |rhs| and by
+    1 + max(1, max |objective entry|), are at most 10 * tol.  So tol does
+    not bound the error of the value: the primal value of theta on H(5, 2)
+    at tol 1e-8 lies 2.1e-7 below its optimum 12, at a relative gap of
+    9.5e-9.
+
     The feasible regions produced by this package are bounded with interior
     points, so the central path exists and the method converges at desk
     scale; if progress stalls or the iterates diverge (an unbounded or
@@ -465,10 +473,13 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
     y_full = np.zeros(problem.num_constraints)
     y_full[kept] = y
+    blocks = tuple(xs[g][slot].copy() for g, slot in lay.where)
+    for block in blocks:
+        block.flags.writeable = False
 
     return SdpSolution(
         status=status,
-        blocks=tuple(xs[g][slot].copy() for g, slot in lay.where),
+        blocks=blocks,
         y=tuple(float(v) for v in y_full),
         primal=pobj,
         dual=dobj,

@@ -76,8 +76,9 @@ class PermGroup:
         object.__setattr__(self, "generators", tuple(gens))
 
 
-def group_elements(group: PermGroup, cap: int = ELEMENT_CAP) -> list[tuple]:
-    """All group elements by breadth-first closure over the generators."""
+def group_elements(group: PermGroup) -> list[tuple]:
+    """All group elements by breadth-first closure over the generators;
+    raises HypergraphError past ELEMENT_CAP elements."""
     n = group.degree
     ident = tuple(range(n))
     seen = {ident}
@@ -88,8 +89,8 @@ def group_elements(group: PermGroup, cap: int = ELEMENT_CAP) -> list[tuple]:
             for g in group.generators:
                 comp = tuple(g[el[i]] for i in range(n))
                 if comp not in seen:
-                    if len(seen) >= cap:
-                        raise HypergraphError(f"group exceeds element cap {cap}")
+                    if len(seen) >= ELEMENT_CAP:
+                        raise HypergraphError(f"group exceeds element cap {ELEMENT_CAP}")
                     seen.add(comp)
                     nxt.append(comp)
         frontier = nxt
@@ -251,11 +252,15 @@ def theta_transitive(hg: Hypergraph, group: PermGroup, tol: float = 1e-8) -> flo
     return float(sol.primal)
 
 
-def invariant_membership_reduction(hg: Hypergraph, group: PermGroup, f, tol: float = 1e-6) -> bool:
+_MEMBERSHIP_TOL = 1e-6
+
+
+def invariant_membership_reduction(hg: Hypergraph, group: PermGroup, f) -> bool:
     """Membership test for invariant vectors under a vertex-transitive group.
 
     Such a vector is constant, f = c * ones, and belongs to the body iff
-    c >= 0 and c * n is at most the unit-weight relaxation value.
+    c >= 0 and c * n is at most the unit-weight relaxation value, to within
+    _MEMBERSHIP_TOL.
     """
     fv = np.array(check_weights(hg, f), dtype=float)
     if group.degree != hg.n:
@@ -271,7 +276,7 @@ def invariant_membership_reduction(hg: Hypergraph, group: PermGroup, f, tol: flo
     if c == 0.0 or hg.n == 0:
         return True
     value = theta_transitive(hg, group)
-    return c * hg.n <= value + tol
+    return c * hg.n <= value + _MEMBERSHIP_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from hypertheta import checks
 from hypertheta.cli import main, render_json
 from hypertheta.hypercore import (
     alpha,
@@ -13,6 +15,8 @@ from hypertheta.hypercore import (
 )
 from hypertheta.symmetry import mantel_hypergraph
 from hypertheta.thetabody import theta
+
+PROPERTIES = dict(checks._PROPERTIES)
 
 
 @pytest.fixture
@@ -187,41 +191,40 @@ class TestErrors:
         assert "numerical-failure" in json.loads(err)["error"]
 
     def test_check_reports_raising_block_and_continues(self, capsys, monkeypatch):
-        from hypertheta import checks
-        from hypertheta.thetabody import ThetaSolverError
+        # every property is reported under its own name, also when theta raises
+        calls_theta = {
+            "numlin.sdp_weak_duality",
+            "thetabody.sandwich",
+            "thetabody.scaling",
+            "thetabody.duality_product",
+            "thetabody.negative_weights",
+            "thetabody.graph_duality",
+            "symmetry.transitive_agreement",
+            "symmetry.group_averaging",
+            "hoffman.sandwich",
+            "hoffman.transitive_tightness",
+        }
 
-        def passing(name):
-            def block(rng):
-                yield f"{name}.fine", True, ""
-            return block
+        def raising(*args, **kwargs):
+            raise RuntimeError("theta unavailable")
 
-        def raising(rng):
-            yield "thetabody.before", True, ""
-            raise ThetaSolverError("theta: solver status numerical-failure")
-
-        for name in ("hypercore", "numlin", "symmetry", "hamming", "hoffman"):
-            monkeypatch.setattr(checks, f"_check_{name}", passing(name))
-        monkeypatch.setattr(checks, "_check_thetabody", raising)
+        monkeypatch.setattr(checks, "theta", raising)
         code, out, err = run_cli(capsys, "check")
         lines = out.splitlines()
         assert code == 1
         assert "Traceback" in err
-        assert "ok thetabody.before" in lines
-        assert (
-            "FAIL thetabody: ThetaSolverError: theta: solver status numerical-failure"
-            in lines
-        )
-        assert "ok hoffman.fine" in lines
-        assert json.loads(lines[-1])["failures"] == 1
+        failed = "FAIL {}: RuntimeError: theta unavailable"
+        assert lines[:-1] == [
+            failed.format(name) if name in calls_theta else f"ok {name}" for name in PROPERTIES
+        ]
+        assert json.loads(lines[-1])["failures"] == len(calls_theta)
 
 
 class TestPropertySuite:
-    def test_run_all_reports_no_failure(self):
-        # the unpatched runner behind `hypertheta check`
-        from hypertheta import checks
-
-        failed = [(name, detail) for name, ok, detail in checks.run_all(seed=42) if not ok]
-        assert failed == []
+    @pytest.mark.parametrize("name", list(PROPERTIES))
+    def test_property_holds(self, name):
+        # the unpatched properties behind `hypertheta check`, at its default seed
+        assert PROPERTIES[name](random.Random(42)) is None
 
 
 class TestDeterminism:

@@ -243,6 +243,31 @@ class TestCliques:
             )
 
 
+    def test_match_brute_force(self):
+        # oracle: every subset, filtered to the maximal independent sets or
+        # maximal cliques (no strict superset has the same property)
+        def maximal(n, good):
+            sets = [
+                frozenset(s)
+                for k in range(n + 1)
+                for s in itertools.combinations(range(n), k)
+                if good(set(s))
+            ]
+            return sorted(tuple(sorted(s)) for s in sets if not any(s < t for t in sets))
+
+        rng = random.Random(31)
+        for _ in range(60):
+            n, r = rng.randint(1, 8), rng.randint(1, 3)
+            hg = random_hypergraph(n, r, rng.random(), rng)
+            edges = [set(e) for e in hg.edges]
+            independent = maximal(n, lambda s: not any(e <= s for e in edges))
+            cliques = maximal(
+                n, lambda s: all(set(e) in edges for e in itertools.combinations(s, r))
+            )
+            assert maximal_independent_sets(hg) == independent
+            assert enumerate_cliques(hg) == cliques
+
+
 class TestCliquePolytope:
     def test_independent_indicator(self):
         rng = random.Random(3)

@@ -554,6 +554,14 @@ class TestSdp:
             with pytest.raises(ValueError):
                 solve_sdp(p, tol=tol)
 
+    def test_problem_and_solution_arrays_are_read_only(self):
+        p = SdpProblem([2], [np.eye(2)], [([(0, 0, 0, 1.0), (0, 1, 1, 1.0)], 1.0)])
+        s = solve_sdp(p)
+        for arr in (p.rhs, p.index, p.coef, *p.objective, *s.blocks):
+            with pytest.raises(ValueError):
+                arr.flat[-1] = 5
+        assert solve_sdp(p).status == "optimal"
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize(

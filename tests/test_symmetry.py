@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypertheta import hamming
+from hypertheta import hamming, symmetry
 from hypertheta.hypercore import (
     Hypergraph,
     HypergraphError,
@@ -48,6 +48,13 @@ class TestGroups:
         assert len(group_elements(S3)) == 6
         assert len(group_elements(dihedral_group(5))) == 10
         assert len(group_elements(symmetric_group_pair_action(4))) == 24
+
+    def test_element_cap(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "ELEMENT_CAP", 6)
+        assert len(group_elements(S3)) == 6
+        monkeypatch.setattr(symmetry, "ELEMENT_CAP", 5)
+        with pytest.raises(HypergraphError, match="element cap 5"):
+            group_elements(S3)
 
     def test_cube_group_is_the_whole_automorphism_group(self):
         # the hyperoctahedral group has 2^n n! elements
