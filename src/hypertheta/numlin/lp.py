@@ -8,6 +8,17 @@ are converted internally to standard form.  A pivot finds the nonzero
 columns of the pivot row once and updates only those entries of the other
 rows and of the cost row, in place; the covering LPs built here are mostly
 zeros, and in exact mode every skipped entry saves Fraction arithmetic.
+
+An exact solve first runs the float simplex on the float image of its
+standard form, only to find a basis.  That basis is then checked once in
+Fractions: the basis matrix B must be nonsingular, x_B = B^-1 b must be
+nonnegative and every reduced cost must have the optimal sign.  A basis
+that passes is optimal, and the point and value are computed from it in
+exact arithmetic.  When the float run is not optimal, drops a row as
+redundant, cannot convert the data (beyond the double range) or ends on a
+basis that fails the check, the exact simplex runs from the start.  So an
+exact result never depends on a float: "infeasible" and "unbounded" always
+come from the exact simplex, and the float run only finds a basis to check.
 """
 
 from __future__ import annotations
@@ -90,9 +101,11 @@ def solve_lp(
     """Optimize c'x subject to a_eq x = b_eq and per-variable bounds.
 
     bounds entries are (lo, hi) with None for unbounded; the default is
-    (0, None).  In exact mode all data is converted to Fractions and every
-    comparison is exact; float mode pivots with tolerance 1e-9.  Returns the
-    status and, when optimal, the optimum and a basic optimal point.
+    (0, None).  In exact mode all data is converted to Fractions and the
+    result is exact: an optimal basis found in floats is used only after an
+    exact check (see the module docstring).  Float mode pivots with
+    tolerance 1e-9.  Returns the status and, when optimal, the optimum and a
+    basic optimal point.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -111,7 +124,6 @@ def solve_lp(
         raise ValueError("bounds length does not match c")
 
     conv = Fraction if exact else float
-    eps = 0 if exact else _EPS
     zero, one = conv(0), conv(1)
     cvec = [conv(v) for v in c]
     amat = [[conv(v) for v in row] for row in a_eq]
@@ -152,13 +164,14 @@ def solve_lp(
 
     rows = []
     rhs = []
+    shifted = [j for j in range(nv) if base[j] != 0]
     for i in range(m0):
         row = [zero] * ncols
         for k, (j, sg) in enumerate(col_var):
             if amat[i][j] != 0:
-                row[k] = amat[i][j] * sg
+                row[k] = amat[i][j] if sg > 0 else -amat[i][j]
         rows.append(row)
-        rhs.append(bvec[i] - sum((amat[i][j] * base[j] for j in range(nv)), zero))
+        rhs.append(bvec[i] - sum((amat[i][j] * base[j] for j in shifted), zero))
     for t, (k, ub) in enumerate(ub_rows):
         row = [zero] * ncols
         row[k] = one
@@ -171,11 +184,37 @@ def solve_lp(
     else:
         cmin = list(chat)
 
-    nrows = len(rows)
-    for i in range(nrows):
+    for i in range(len(rows)):
         if rhs[i] < 0:
             rows[i] = [-v for v in rows[i]]
             rhs[i] = -rhs[i]
+
+    found = _from_float_basis(rows, rhs, cmin) if exact else None
+    status, basis, xb = found or _two_phase(rows, rhs, cmin, exact)
+    if status != "optimal":
+        return LpResult(status)
+
+    u = [zero] * ncols
+    for b, v in zip(basis, xb):
+        u[b] = v
+    x = [base[j] for j in range(nv)]
+    for k, (j, sg) in enumerate(col_var):
+        x[j] = x[j] + sg * u[k]
+    value = sum((cvec[j] * x[j] for j in range(nv)), zero)
+    return LpResult("optimal", value, x)
+
+
+def _two_phase(rows, rhs, cmin, exact):
+    """Two-phase simplex for min cmin'u subject to rows u = rhs >= 0, u >= 0.
+
+    Returns (status, basis, values): on "optimal", the basic column of each
+    row and its value, with rows found redundant dropped; otherwise
+    "infeasible" or "unbounded" and two empty lists.
+    """
+    conv = Fraction if exact else float
+    zero, one = conv(0), conv(1)
+    eps = 0 if exact else _EPS
+    nrows, ncols = len(rows), len(cmin)
 
     # Phase 1: artificial basis.
     tab = [rows[i] + [zero] * nrows + [rhs[i]] for i in range(nrows)]
@@ -191,7 +230,7 @@ def solve_lp(
     scale_b = max([abs(v) for v in rhs], default=zero)
     tol_inf = zero if exact else 1e-7 * (1 + float(scale_b))
     if -cost[-1] > tol_inf:
-        return LpResult("infeasible")
+        return "infeasible", [], []
 
     # Drive artificials out of the basis; all-zero rows are redundant.
     i = 0
@@ -219,15 +258,72 @@ def solve_lp(
             f = cost[b]
             for j in range(ncols + 1):
                 cost[j] -= f * tab[i][j]
-    status = _simplex(tab, basis, cost, ncols, eps)
-    if status == "unbounded":
-        return LpResult("unbounded")
+    if _simplex(tab, basis, cost, ncols, eps) == "unbounded":
+        return "unbounded", [], []
+    return "optimal", basis, [row[-1] for row in tab]
 
-    u = [zero] * ncols
-    for i, b in enumerate(basis):
-        u[b] = tab[i][-1]
-    x = [base[j] for j in range(nv)]
-    for k, (j, sg) in enumerate(col_var):
-        x[j] = x[j] + sg * u[k]
-    value = sum((cvec[j] * x[j] for j in range(nv)), zero)
-    return LpResult("optimal", value, x)
+
+def _from_float_basis(rows, rhs, cmin):
+    """The exact optimum from the basis that the float simplex ends on, or
+    None when that run is not optimal, drops a row, cannot be run (data
+    beyond the double range) or its basis fails the exact check."""
+    try:
+        image = (
+            [[float(v) for v in row] for row in rows],
+            [float(v) for v in rhs],
+            [float(v) for v in cmin],
+        )
+    except OverflowError:
+        return None
+    status, basis, _ = _two_phase(*image, exact=False)
+    if status != "optimal" or len(basis) != len(rows):
+        return None
+    xb = _certify(rows, rhs, cmin, basis)
+    return None if xb is None else ("optimal", basis, xb)
+
+
+def _certify(rows, rhs, cmin, basis):
+    """Exact values of the basic columns when basis is optimal for
+    min cmin'u subject to rows u = rhs, u >= 0; else None.
+
+    With B the basis columns, the basis is optimal when B is nonsingular,
+    x_B = B^-1 rhs >= 0, and every reduced cost cmin_j - y'A_j is >= 0,
+    where y'B = c_B'.
+    """
+    xb = _solve_square([[row[b] for b in basis] for row in rows], rhs)
+    if xb is None or any(v < 0 for v in xb):
+        return None
+    # B' is nonsingular because B is.
+    y = _solve_square([[row[b] for row in rows] for b in basis], [cmin[b] for b in basis])
+    ynz = [(row, yi) for row, yi in zip(rows, y) if yi != 0]
+    for j, cj in enumerate(cmin):
+        d = cj
+        for row, yi in ynz:
+            if row[j] != 0:
+                d -= yi * row[j]
+        if d < 0:
+            return None
+    return xb
+
+
+def _solve_square(mat, rhs):
+    """The solution of mat x = rhs by exact Gauss-Jordan elimination, or
+    None when the square matrix mat is singular."""
+    n = len(mat)
+    aug = [list(row) + [v] for row, v in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        p = prow[col]
+        nz = [j for j in range(col, n + 1) if prow[j] != 0]
+        for j in nz:
+            prow[j] /= p
+        for r, row in enumerate(aug):
+            f = row[col]
+            if r != col and f != 0:
+                for j in nz:
+                    row[j] -= f * prow[j]
+    return [row[n] for row in aug]

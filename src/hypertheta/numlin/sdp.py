@@ -30,6 +30,8 @@ are immutable after construction and may be shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -115,7 +117,7 @@ class SdpSolution:
     dual: float = float("nan")
     gap: float = float("nan")
     iterations: int = 0
-    residuals: dict = field(default_factory=dict)
+    residuals: Mapping = field(default_factory=lambda: MappingProxyType({}))
 
 
 def _stack(problem: SdpProblem):
@@ -485,11 +487,11 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         dual=dobj,
         gap=gap,
         iterations=iterations,
-        residuals={
+        residuals=MappingProxyType({
             "rel_gap": float(rel_gap),
             "primal": float(rp_norm),
             "dual": float(rd_norm),
             "min_eig": min_eig,
             "max_ridge": float(max_ridge),
-        },
+        }),
     )

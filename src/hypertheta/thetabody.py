@@ -247,7 +247,7 @@ def _solved(problem: SdpProblem, tol: float, what: str) -> SdpSolution:
     if sol.status != "optimal":
         raise ThetaSolverError(
             f"{what}: solver status {sol.status} after {sol.iterations} iterations "
-            f"(residuals {sol.residuals})",
+            f"(residuals {dict(sol.residuals)})",
             sol,
         )
     return sol

@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypertheta.hypercore import Hypergraph, complete_hypergraph, cycle_graph
+from hypertheta.hypercore import (
+    Hypergraph,
+    chi_star,
+    complement,
+    complete_hypergraph,
+    cycle_graph,
+    random_hypergraph,
+)
 from hypertheta.numlin import (
     SdpProblem,
     as_symmetric,
@@ -250,6 +257,152 @@ class TestSparsePivot:
             got, want = self._both(monkeypatch, *_mantel_lp(n), exact)
             assert got.status == "optimal"
             self._assert_same(got, want)
+
+
+def _general_lp(rng, kind):
+    """A small exact LP of the given kind: "bounds" (mixed and free bounds,
+    feasible by construction), "redundant" (one row the sum of two others),
+    "degenerate" (0/1 data with ties in the cost and zeros on the right),
+    "infeasible" (two rows that contradict) or "unbounded" (a free ray)."""
+    nv, m = rng.randint(2, 6), rng.randint(1, 4)
+    a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nv)] for _ in range(m)]
+    c = [Fraction(rng.randint(-4, 4)) for _ in range(nv)]
+    bounds = [(0, rng.randint(1, 4)) for _ in range(nv)]
+    if kind == "bounds":
+        shapes = [(0, None), (None, None), (-2, 3), (None, 1), (-1, None), (Fraction(1, 3), 2)]
+        bounds = [rng.choice(shapes) for _ in range(nv)]
+    elif kind == "degenerate":
+        a = [[Fraction(rng.randint(0, 1)) for _ in range(nv)] for _ in range(m)]
+        c = [Fraction(rng.choice([1, 1, 2])) for _ in range(nv)]
+    x0 = []  # a point within the bounds
+    for lo, hi in bounds:
+        v = Fraction(0 if kind == "degenerate" else rng.randint(-1, 2))
+        v = v if lo is None else max(v, lo)
+        x0.append(v if hi is None else min(v, hi))
+    b = [sum(row[j] * x0[j] for j in range(nv)) for row in a]
+    if kind == "redundant" and m >= 2:
+        a.append([u + v for u, v in zip(a[0], a[1])])
+        b.append(b[0] + b[1])
+    elif kind == "infeasible":
+        a.append(list(a[0]))
+        b.append(b[0] + 1)
+    elif kind == "unbounded":
+        a = [row + [Fraction(0)] for row in a]
+        c.append(Fraction(1))
+        bounds.append((None, None))
+    sense = rng.choice(["max", "min"])
+    return c, a, b, bounds, sense
+
+
+def _all_fraction(monkeypatch, c, a, b, bounds, sense):
+    """The exact result with the float basis always rejected."""
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_certify", lambda *args: None)
+        return solve_lp(c, a, b, bounds, sense=sense, exact=True)
+
+
+def _assert_feasible(res, a, b, bounds):
+    for row, rhs in zip(a, b):
+        assert sum(Fraction(v) * x for v, x in zip(row, res.x)) == rhs
+    for x, (lo, hi) in zip(res.x, bounds):
+        assert (lo is None or x >= lo) and (hi is None or x <= hi)
+
+
+class TestCertifiedBasis:
+    """Exact LPs take the float run's final basis when it passes the exact
+    optimality check; the result must equal the all-Fraction path's."""
+
+    def _compare(self, monkeypatch, c, a, b, bounds, sense):
+        got = solve_lp(c, a, b, bounds, sense=sense, exact=True)
+        want = _all_fraction(monkeypatch, c, a, b, bounds, sense)
+        assert got.status == want.status
+        assert got.value == want.value
+        if got.status == "optimal":
+            assert all(isinstance(v, Fraction) for v in got.x)
+            _assert_feasible(got, a, b, bounds)
+        return got
+
+    def test_random_lps_match_the_all_fraction_path(self, monkeypatch):
+        rng = random.Random(23)
+        statuses = []
+        for _ in range(100):
+            statuses.append(self._compare(monkeypatch, *_covering_lp(rng, True)).status)
+        kinds = ["bounds"] * 80 + ["redundant", "degenerate"] * 40 + ["infeasible", "unbounded"] * 20
+        for kind in kinds:
+            statuses.append(self._compare(monkeypatch, *_general_lp(rng, kind)).status)
+        for n in range(4, 30):
+            statuses.append(self._compare(monkeypatch, *_mantel_lp(n)).status)
+        assert len(statuses) >= 300
+        assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
+
+    @pytest.mark.parametrize("corruption", ["swap", "repeat", "reverse"])
+    def test_rejected_basis_falls_back_to_exact_pivots(self, monkeypatch, corruption):
+        verdicts = []
+        check = lp._certify
+
+        def corrupt(rows, rhs, cmin, basis):
+            # in place: the caller builds its point from this basis
+            if corruption == "swap":  # a nonbasic column replaces a basic one
+                basis[0] = next(j for j in range(len(cmin)) if j not in basis)
+            elif corruption == "repeat":  # a singular basis matrix
+                basis[0] = basis[-1]
+            else:  # feasible, but optimal for the opposite objective
+                image = [[float(v) for v in row] for row in rows], [float(v) for v in rhs]
+                status, other, _ = lp._two_phase(*image, [-float(v) for v in cmin], False)
+                assert status == "optimal" and len(other) == len(rows)
+                basis[:] = other
+            xb = check(rows, rhs, cmin, basis)
+            verdicts.append(xb is None)
+            return xb
+
+        rng = random.Random(5)
+        if corruption == "reverse":  # the Mantel LPs are bounded both ways
+            cases = [_mantel_lp(n) for n in range(4, 30)]
+        else:
+            cases = [_covering_lp(rng, True) for _ in range(20)]
+            cases += [_mantel_lp(n) for n in range(4, 12)]
+        for c, a, b, bounds, sense in cases:
+            want = _all_fraction(monkeypatch, c, a, b, bounds, sense)
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_certify", corrupt)
+                got = solve_lp(c, a, b, bounds, sense=sense, exact=True)
+            if verdicts[-1]:
+                assert (got.status, got.value, got.x) == (want.status, want.value, want.x)
+            else:  # a swapped-in column can give another optimal basis of a tied LP
+                assert (got.status, got.value) == (want.status, want.value)
+                _assert_feasible(got, a, b, bounds)
+        assert len(verdicts) == len(cases)
+        assert sum(verdicts) >= len(cases) - (2 if corruption == "swap" else 0)
+
+    def test_coefficient_beyond_the_double_range(self, monkeypatch):
+        big = 2**1100
+        c, a, b, bounds = [1, 1], [[big, 1]], [big], [(0, None)] * 2
+        got = solve_lp(c, a, b, bounds, sense="max", exact=True)
+        want = _all_fraction(monkeypatch, c, a, b, bounds, "max")
+        assert (got.status, got.value, got.x) == ("optimal", big, [0, big])
+        assert (got.status, got.value, got.x) == (want.status, want.value, want.x)
+
+    def test_rhs_below_the_double_range(self, monkeypatch):
+        tiny = Fraction(1, 2**1100)  # its float image is 0.0
+        c, a, b, bounds = [1, 2], [[1, 1]], [tiny], [(0, None)] * 2
+        got = solve_lp(c, a, b, bounds, sense="max", exact=True)
+        want = _all_fraction(monkeypatch, c, a, b, bounds, "max")
+        assert (got.status, got.value, got.x) == ("optimal", 2 * tiny, [0, tiny])
+        assert (got.status, got.value, got.x) == (want.status, want.value, want.x)
+
+    def test_chi_star_runs_no_fraction_pivot(self, monkeypatch):
+        pivots = []
+        pivot = lp._pivot
+
+        def spy(tab, basis, cost, row, col):
+            pivots.append(tab[row][col])
+            pivot(tab, basis, cost, row, col)
+
+        monkeypatch.setattr(lp, "_pivot", spy)
+        hbar = complement(random_hypergraph(11, 3, 0.4, random.Random(7)))
+        value, parts = chi_star(hbar)
+        assert pivots and not any(isinstance(p, Fraction) for p in pivots)
+        assert sum(lam for lam, _ in parts) == value
 
 
 def _gram_schmidt_kept(a, tol=1e-10):

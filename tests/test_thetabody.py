@@ -109,6 +109,16 @@ class TestTheta:
         with pytest.raises(ThetaSolverError) as err:
             theta(cycle_graph(5))
         assert err.value.solution is failed
+        assert "(residuals {})" in str(err.value)
+
+    def test_residuals_are_read_only(self):
+        res = theta(cycle_graph(5))
+        residuals = res.diagnostics["residuals"]
+        sol = thetabody.solve_sdp(assemble_theta_sdp(cycle_graph(5), [1.0] * 5)[0], tol=1e-8)
+        for mapping in (residuals, sol.residuals):
+            with pytest.raises(TypeError):
+                mapping["rel_gap"] = 5.0
+        assert residuals["rel_gap"] <= 1e-8 and sol.residuals["rel_gap"] <= 1e-8
 
     def test_optimizer_in_unit_box(self):
         res = theta(mantel_hypergraph(4))
