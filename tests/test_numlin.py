@@ -20,7 +20,7 @@ from hypertheta.numlin import (
     solve_lp,
     solve_sdp,
 )
-from hypertheta.numlin import lp
+from hypertheta.numlin import lp, sdp
 from hypertheta.numlin.sdp import (
     _SUBST_BLOCK,
     _chol_solve,
@@ -29,6 +29,7 @@ from hypertheta.numlin.sdp import (
     _prepare,
     _presolve,
     _schur,
+    _second_order,
     _stack,
     _stacked,
 )
@@ -471,17 +472,39 @@ class TestStackedSteps:
     def test_scaling_point_per_block(self):
         rng = np.random.default_rng(5)
         ss, xs = _random_spd(rng, 3, 4), _random_spd(rng, 3, 4)
-        w, sinv = _nt_scaling(np.linalg.eigh(ss), np.linalg.eigh(xs))
-        for wb, sb, xb, vb in zip(w, ss, xs, sinv):
+        w, sinv, g, ginv, lam = _nt_scaling(np.linalg.eigh(ss), np.linalg.eigh(xs))
+        assert lam.shape == (3, 4)
+        for wb, sb, xb, vb, gb, hb, lb in zip(w, ss, xs, sinv, g, ginv, lam):
             assert np.array_equal(wb, wb.T)
             assert np.abs(wb @ sb @ wb - xb).max() <= 1e-10 * np.abs(xb).max()
             assert np.abs(vb @ sb - np.eye(4)).max() <= 1e-10
+            # the factor of the corrector's scaled space
+            assert np.abs(gb @ gb.T - wb).max() <= 1e-10 * np.abs(wb).max()
+            assert np.abs(gb.T @ sb @ gb - np.diag(lb)).max() <= 1e-10 * lb.max()
+            assert np.abs(hb @ xb @ hb.T - np.diag(lb)).max() <= 1e-10 * lb.max()
+            assert np.abs(gb @ hb - np.eye(4)).max() <= 1e-10
         # an indefinite block of either iterate is a breakdown
         for k in range(3):
             bad = ss.copy()
             bad[k] -= 2.0 * np.linalg.eigvalsh(ss[k]).min() * np.eye(4)
             assert _nt_scaling(np.linalg.eigh(bad), np.linalg.eigh(xs)) is None
             assert _nt_scaling(np.linalg.eigh(ss), np.linalg.eigh(bad)) is None
+
+    def test_second_order_term_solves_the_lyapunov_equation(self):
+        rng = np.random.default_rng(9)
+        ss, xs = _random_spd(rng, 3, 4), _random_spd(rng, 3, 4)
+        dx, ds = rng.normal(size=(2, 3, 4, 4))
+        dx, ds = dx + dx.transpose(0, 2, 1), ds + ds.transpose(0, 2, 1)
+        scaling = _nt_scaling(np.linalg.eigh(ss), np.linalg.eigh(xs))
+        _, _, g, ginv, lam = scaling
+        term = _second_order(scaling, dx, ds)
+        for tb, gb, hb, lb, xb, sb in zip(term, g, ginv, lam, dx, ds):
+            z = hb @ tb @ hb.T  # back in the scaled space: G^-1 term G^-T
+            p = hb @ xb @ sb @ gb
+            lyap = np.diag(lb) @ z + z @ np.diag(lb)
+            assert np.abs(lyap - p - p.T).max() <= 1e-10 * np.abs(p).max()
+            assert np.abs(z - z.T).max() <= 1e-10 * np.abs(z).max()
+            assert np.abs(tb - tb.T).max() <= 1e-10 * np.abs(tb).max()
 
 
 class _Captured(Exception):
@@ -753,14 +776,43 @@ class TestSdp:
                 True,
                 id="stall",
             ),
-            # X = -1 runs every iteration
-            pytest.param([1], [np.eye(1)], [([(0, 0, 0, 1.0)], -1.0)], False, id="x-negative"),
+            # X = -1: the iterates overflow to a non-finite gap
+            pytest.param([1], [np.eye(1)], [([(0, 0, 0, 1.0)], -1.0)], True, id="x-negative"),
         ],
     )
     def test_failure_exits_return_numerical_failure(self, dims, objective, rows, early):
         s = solve_sdp(SdpProblem(dims, objective, rows))
         assert s.status == "numerical-failure"
         assert (s.iterations < 300) is early
+
+    def test_iteration_limit_returns_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_ITER", 3)
+        problem, _ = assemble_theta_sdp(cycle_graph(5))
+        s = solve_sdp(problem)
+        assert s.status == "numerical-failure" and s.iterations == 3
+        assert s.residuals["rel_gap"] > 1e-8
+
+    def test_centering_fallbacks_count_the_extra_normal_solves(self, monkeypatch):
+        # Before the stop, each iteration makes two normal solves (predictor
+        # and corrector) of two substitutions each, plus one more normal solve
+        # on the iterations that drop the second-order term.
+        calls = []
+        chol_solve = sdp._chol_solve
+
+        def counted(chol, vec):
+            calls.append(1)
+            return chol_solve(chol, vec)
+
+        monkeypatch.setattr(sdp, "_chol_solve", counted)
+        seen = set()
+        for hg in (cycle_graph(5), cycle_graph(7), complete_hypergraph(3, 3)):
+            calls.clear()
+            s = solve_sdp(assemble_theta_sdp(hg)[0])
+            fallbacks = s.residuals["centering_fallbacks"]
+            assert s.status == "optimal" and 0 <= fallbacks < s.iterations
+            assert len(calls) == 4 * (s.iterations - 1) + 2 * fallbacks
+            seen.add(fallbacks > 0)
+        assert seen == {False, True}
 
     @pytest.mark.parametrize(
         "dims, objective, rows",

@@ -120,6 +120,15 @@ class TestTheta:
                 mapping["rel_gap"] = 5.0
         assert residuals["rel_gap"] <= 1e-8 and sol.residuals["rel_gap"] <= 1e-8
 
+    @pytest.mark.parametrize(
+        "make", [lambda: mantel_hypergraph(6), lambda: build_hamming_hypergraph(4, 2)],
+        ids=["mantel6", "hamming4-2"],
+    )
+    def test_corrector_keeps_iterations_low(self, make):
+        # The centering direction alone took 23 and 24 iterations here.
+        res = theta(make())
+        assert res.diagnostics["iterations"] <= 16
+
     def test_optimizer_in_unit_box(self):
         res = theta(mantel_hypergraph(4))
         assert np.all(res.optimizer >= -1e-7)
