@@ -254,10 +254,7 @@ def _two_phase(rows, rhs, cmin, exact):
     tab = [row[:ncols] + [row[-1]] for row in tab]
     cost = list(cmin) + [zero]
     for i, b in enumerate(basis):
-        if cost[b] != 0:
-            f = cost[b]
-            for j in range(ncols + 1):
-                cost[j] -= f * tab[i][j]
+        _pivot(tab, basis, cost, i, b)  # column b is a unit column: prices out cost[b]
     if _simplex(tab, basis, cost, ncols, eps) == "unbounded":
         return "unbounded", [], []
     return "optimal", basis, [row[-1] for row in tab]

@@ -514,6 +514,12 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     dobj = float(y @ rhs)
     gap = _inner(xs, ss)
     min_eig = min(float(np.linalg.eigvalsh(x).min()) for x in xs)
+    # A guard against roundoff only.  In exact arithmetic X stays positive
+    # definite: X0 = scale0 * I, and a step of at most gamma <= 0.99 of the
+    # largest PSD step gives X_new >= (1 - gamma) X, while a step taken when
+    # _max_step is inf (whitened pencil >= -1e-13) gives X_new >= (1 - 1e-13) X.
+    # So min_eig can fall below -_PSD_TOL only through roundoff of order
+    # 1e-16 * ||X||, which needs entries near 1e7 or above.
     if status == "optimal" and min_eig < -_PSD_TOL:
         status = "numerical-failure"
 

@@ -12,8 +12,8 @@ cyclic, dihedral and Hamming groups, an invariant matrix is a combination of
 the projectors onto their common eigenspaces, and PSD-ness is one
 nonnegative scalar per eigenspace (Gatermann & Parrilo 2004; Schrijver
 2005).  They commute exactly when one random combination of the distinct
-ones has as many eigenspaces as there are of them; else the program keeps
-the full-size block with its variables tied along pair orbits.
+ones has as many eigenspaces as there are of them; else the unreduced
+recursion of thetabody solves the instance.
 
 The triangle-encoding family (vertices = edges of a complete graph, edges =
 triangles) is solved in closed form: its pair orbits form the two-class
@@ -34,7 +34,7 @@ import numpy as np
 
 from .hypercore import Hypergraph, HypergraphError, check_weights, link
 from .numlin import SdpProblem, solve_lp
-from .thetabody import _attach_link, _Builder, _solved
+from .thetabody import _attach_link, _Builder, _solved, theta
 
 __all__ = [
     "PermGroup",
@@ -192,40 +192,28 @@ def _common_eigenspaces(labels: np.ndarray) -> list[np.ndarray] | None:
     return [qj @ qj.T for qj in np.split(q, cut + 1, axis=1)]
 
 
-def _transitive_program(hg: Hypergraph, group: PermGroup) -> SdpProblem:
-    """The program theta_transitive solves: over the common eigenspaces when
-    _common_eigenspaces finds them, else the full block tied along pair orbits."""
+def _transitive_program(hg: Hypergraph, group: PermGroup) -> SdpProblem | None:
+    """The eigenspace program theta_transitive solves, or None when
+    _common_eigenspaces finds no common eigenspaces."""
     labels = pair_orbits(group)
     if np.diagonal(labels).any():  # some (x, x) lies outside the orbit of (0, 0)
         raise HypergraphError("group is not vertex transitive")
-    builder = _Builder()
     projectors = _common_eigenspaces(labels)
     if projectors is None:
-        blk = builder.block(hg.n)
+        return None
+    builder = _Builder()
+    blocks = [builder.block(1) for _ in projectors]
 
-        def entry(i, j):
-            return [(blk, i, j, 1.0)]
+    def entry(i, j):
+        return [(b, 0, 0, float(e[i, j])) for b, e in zip(blocks, projectors)]
 
-        builder.add(entry(0, 0), 1.0)
-        for smallest, *rest in (o.tolist() for o in _orbit_lists(labels.ravel())):
-            ax, ay = divmod(smallest, hg.n)
-            for x, y in (divmod(p, hg.n) for p in rest):
-                if x <= y:  # the symmetric entry (y, x) is tied with it
-                    builder.add(entry(x, y) + [(blk, ax, ay, -1.0)], 0.0)
-        objective = {blk: np.full((hg.n, hg.n), 1.0 / hg.n)}
-    else:
-        blocks = [builder.block(1) for _ in projectors]
-
-        def entry(i, j):
-            return [(b, 0, 0, float(e[i, j])) for b, e in zip(blocks, projectors)]
-
-        builder.add(entry(0, 0), 1.0)
-        objective = {b: np.array([[e.sum() / hg.n]]) for b, e in zip(blocks, projectors)}
+    builder.add(entry(0, 0), 1.0)
     _attach_link(builder, entry, 0, *link(hg, 0))
+    objective = {b: np.array([[e.sum() / hg.n]]) for b, e in zip(blocks, projectors)}
     return builder.problem(objective)
 
 
-def theta_transitive(hg: Hypergraph, group: PermGroup, tol: float = 1e-8) -> float:
+def theta_transitive(hg: Hypergraph, group: PermGroup) -> float:
     """Unit-weight relaxation value via the transitive reduction.
 
     An invariant optimum exists, so the program keeps only invariant
@@ -237,8 +225,7 @@ def theta_transitive(hg: Hypergraph, group: PermGroup, tol: float = 1e-8) -> flo
     common eigenspaces, so X >= 0 is lam_j >= 0: one 1x1 block per
     eigenspace.  This holds for the pair action of S_n, the cyclic, dihedral
     and Hamming groups.  Otherwise (for example S_3 acting regularly on
-    itself) the program keeps the full n x n block, each pair tied to its
-    orbit's smallest pair.
+    itself) the value is theta's, from the unreduced recursion.
     """
     if hg.r < 2:
         raise HypergraphError("transitive reduction needs uniformity at least 2")
@@ -248,8 +235,10 @@ def theta_transitive(hg: Hypergraph, group: PermGroup, tol: float = 1e-8) -> flo
         raise HypergraphError("group does not preserve the edge set")
     if hg.n == 0:
         return 0.0  # no vertex to carry X[0,0] = 1
-    sol = _solved(_transitive_program(hg, group), tol, "theta_transitive")
-    return float(sol.primal)
+    problem = _transitive_program(hg, group)
+    if problem is None:
+        return theta(hg).value
+    return float(_solved(problem, 1e-8, "theta_transitive").primal)
 
 
 _MEMBERSHIP_TOL = 1e-6

@@ -1,10 +1,13 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
 import sys
 
 import hypertheta
+from hypertheta import thetabody
+from hypertheta.hypercore import cycle_graph
 
 # Runs in a fresh interpreter: the modules loaded before the package import
 # (site hooks and the like) are the baseline, and everything the package
@@ -40,3 +43,31 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(info.name)
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], info.name
+
+
+def load_tracing(monkeypatch):
+    """perfbench/tracing.py loaded by file path, leaving perfbench/ unwritten."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_and_restores_what_it_wraps(monkeypatch):
+    # The benchmark's tracer names package functions and reads SdpProblem
+    # data; renaming or deleting either breaks it without failing any other test.
+    tracing = load_tracing(monkeypatch)
+    for name in tracing.traced_names():
+        layer, fn = name.split(".")
+        assert callable(getattr(importlib.import_module(f"hypertheta.{layer}"), fn, None)), name
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sites = list(tracer.sites)
+        thetabody.theta(cycle_graph(5))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["numlin.solve_sdp.rows"] > 0
+    assert sites and all(getattr(mod, attr) is original for mod, attr, original in sites)

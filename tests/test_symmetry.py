@@ -376,6 +376,22 @@ def s3_regular():
     return group, Hypergraph(2, 6, tuple(sorted(cayley))), Hypergraph(3, 6, tuple(sorted(triples)))
 
 
+def s5_ordered_pairs():
+    """S_5 acting on the 20 ordered pairs of distinct points, and the
+    3-uniform hypergraph of directed triangles {(a, b), (b, c), (c, a)}."""
+    pairs = list(itertools.permutations(range(5), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    group = PermGroup(
+        len(pairs),
+        [tuple(index[(g[a], g[b])] for a, b in pairs) for g in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))],
+    )
+    edges = {
+        tuple(sorted((index[(a, b)], index[(b, c)], index[(c, a)])))
+        for a, b, c in itertools.permutations(range(5), 3)
+    }
+    return group, Hypergraph(3, len(pairs), tuple(sorted(edges)))
+
+
 class TestEigenspaceReduction:
     def test_projectors_span_the_invariant_matrices(self):
         groups = [
@@ -409,10 +425,11 @@ class TestEigenspaceReduction:
 
     def test_fallback_on_regular_s3(self):
         group, cayley, triples = s3_regular()
+        s5, directed = s5_ordered_pairs()
         assert _common_eigenspaces(pair_orbits(group)) is None
-        for hg, want in ((cayley, 2.0), (triples, 4.0)):
-            assert _transitive_program(hg, group).block_dims[0] == 6
-            value = theta_transitive(hg, group)
+        for hg, grp, want in ((cayley, group, 2.0), (triples, group, 4.0), (directed, s5, 40 / 3)):
+            assert _transitive_program(hg, grp) is None
+            value = theta_transitive(hg, grp)
             assert abs(value - theta(hg).value) < 1e-6
             assert abs(value - want) < 1e-6
 
