@@ -24,8 +24,9 @@ eigendecompositions of the Nesterov-Todd scaling, the directions, the step
 lengths) is one broadcast numpy call per distinct size.  The rows act on the
 stacks by one gather and one np.bincount over their terms; the Schur
 complement is built the same way from the pairs of terms that share a
-block, and solved by Cholesky and blocked triangular substitution, with one
-refinement step against the unregularized Schur complement.  A presolve pass
+block, and solved by Cholesky and blocked triangular substitution; when the
+Cholesky needed a ridge on the diagonal, each solve takes one refinement
+step against the unregularized Schur complement.  A presolve pass
 keeps, in order, each equality row whose distance from the span of the rows
 kept before it passes a QR rank test (threshold 1e-10), and checks the
 right-hand sides of the dropped rows by one least-squares solve.
@@ -450,11 +451,14 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             if chol is None:
                 break
 
-            # The refinement step against the unridged mmat stays: without it
-            # the tolerance sweep fails at _SUBST_BLOCK 16, 64 and 128.
+            # An unridged factor gives a normwise backward stable solve by
+            # itself.  A ridged one solves M + ridge * I, so one refinement
+            # step against the unridged mmat follows: without it the tolerance
+            # sweep fails at _SUBST_BLOCK 16, 64 and 128.
             def solve_normal(vec):
                 out = _chol_solve(chol, vec)
-                out += _chol_solve(chol, vec - mmat @ out)
+                if ridge:
+                    out += _chol_solve(chol, vec - mmat @ out)
                 return out
 
             def directions(rmats):

@@ -228,7 +228,8 @@ class TestLevelsAndBound:
 
     def test_tolerance_sweep_passes_at_small_and_large_substitution_blocks(self, monkeypatch):
         # The block size sets the summation order of the normal solves; the
-        # refinement step in solve_sdp keeps the 1e-11 endgames at both ends.
+        # refinement step that solve_sdp takes after a ridged Cholesky keeps
+        # the 1e-11 endgames at both ends.
         for block in (16, 128):
             monkeypatch.setattr(sdp, "_SUBST_BLOCK", block)
             for name in ("mantel4", "mantel5", "edge3"):

@@ -794,8 +794,9 @@ class TestSdp:
 
     def test_centering_fallbacks_count_the_extra_normal_solves(self, monkeypatch):
         # Before the stop, each iteration makes two normal solves (predictor
-        # and corrector) of two substitutions each, plus one more normal solve
-        # on the iterations that drop the second-order term.
+        # and corrector), plus one more on the iterations that drop the
+        # second-order term.  A normal solve is one substitution, and two
+        # (a refinement step) on the iterations whose Cholesky needed a ridge.
         calls = []
         chol_solve = sdp._chol_solve
 
@@ -804,15 +805,25 @@ class TestSdp:
             return chol_solve(chol, vec)
 
         monkeypatch.setattr(sdp, "_chol_solve", counted)
-        seen = set()
-        for hg in (cycle_graph(5), cycle_graph(7), complete_hypergraph(3, 3)):
+
+        def solve(hg, tol):
             calls.clear()
-            s = solve_sdp(assemble_theta_sdp(hg)[0])
+            s = solve_sdp(assemble_theta_sdp(hg)[0], tol=tol)
             fallbacks = s.residuals["centering_fallbacks"]
             assert s.status == "optimal" and 0 <= fallbacks < s.iterations
-            assert len(calls) == 4 * (s.iterations - 1) + 2 * fallbacks
-            seen.add(fallbacks > 0)
+            return s, 2 * (s.iterations - 1) + fallbacks
+
+        seen = set()
+        for hg in (cycle_graph(5), cycle_graph(7), complete_hypergraph(3, 3)):
+            s, unrefined = solve(hg, 1e-8)
+            assert s.residuals["max_ridge"] == 0.0
+            assert len(calls) == unrefined
+            seen.add(s.residuals["centering_fallbacks"] > 0)
         assert seen == {False, True}
+        # the uniform-measure Mantel 4 endgame at 1e-11 needs a ridge
+        s, unrefined = solve(mantel_hypergraph(4), 1e-11)
+        assert s.residuals["max_ridge"] > 0.0
+        assert unrefined < len(calls) <= 2 * unrefined
 
     @pytest.mark.parametrize(
         "dims, objective, rows",
