@@ -21,15 +21,17 @@ counts those iterations.  The solver is aimed at desk scale instances
 (a few hundred total dimensions).  Blocks of equal size are kept as one
 (k, d, d) stack, so every per-block step of an iteration (the
 eigendecompositions of the Nesterov-Todd scaling, the directions, the step
-lengths) is one broadcast numpy call per distinct size.  The rows act on the
-stacks by one gather and one np.bincount over their terms; the Schur
-complement is built the same way from the pairs of terms that share a
-block, and solved by Cholesky and blocked triangular substitution; when the
-Cholesky needed a ridge on the diagonal, each solve takes one refinement
-step against the unregularized Schur complement.  A presolve pass
-keeps, in order, each equality row whose distance from the span of the rows
-kept before it passes a QR rank test (threshold 1e-10), and checks the
-right-hand sides of the dropped rows by one least-squares solve.
+lengths) is one broadcast numpy call per distinct size, and the S and X
+stacks of one size share their eigh call and each step's eigvalsh call.
+The rows act on the stacks by one gather and one np.bincount over their
+terms; the Schur complement is built the same way from the pairs of terms
+that share a block, and solved by Cholesky and blocked triangular
+substitution.  When the Cholesky needed a ridge on the diagonal, each solve
+of that iteration takes one refinement step against the unregularized Schur
+complement.  A presolve pass keeps, in order, each equality row whose
+distance from the span of the rows kept before it passes a QR rank test
+(threshold 1e-10), and checks the right-hand sides of the dropped rows by
+one least-squares solve.
 
 Solves are deterministic per numpy/BLAS build and BLAS thread count: with
 both fixed, identical inputs give bit-identical iterates; another build or
@@ -297,18 +299,32 @@ def _chol_solve(chol: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_step(eig: tuple, dx: np.ndarray) -> float:
-    """Largest a with x + a*dx psd in every block of one stack, computed
-    through the x-whitened pencils; eig is np.linalg.eigh(x).  A block whose
-    pencil has no eigenvalue below -1e-13 allows any step; since that rule
-    is monotone in the eigenvalue, applying it to the stack's smallest one
-    gives the smallest of the per-block steps."""
+def _whiten(eig: tuple) -> np.ndarray:
+    """z with z^T x z = I per block of one stack; eig is np.linalg.eigh(x)."""
     vals, vecs = eig
-    z = vecs / np.sqrt(np.maximum(vals, 1e-300))[:, None, :]
-    lo = np.linalg.eigvalsh(z.transpose(0, 2, 1) @ dx @ z).min()
-    if lo >= -1e-13:
-        return np.inf
-    return -1.0 / lo
+    return vecs / np.sqrt(np.maximum(vals, 1e-300))[:, None, :]
+
+
+def _max_step(z: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Per block of one stack, the largest a with x + a*dx psd, computed
+    through the whitened pencil z^T dx z with z = _whiten(np.linalg.eigh(x)).
+    A block whose pencil has no eigenvalue below -1e-13 allows any step."""
+    lo = np.linalg.eigvalsh(z.transpose(0, 2, 1) @ dx @ z).min(axis=1)
+    return np.where(lo >= -1e-13, np.inf, -1.0 / np.minimum(lo, -1e-13))
+
+
+def _max_steps(zs, dxs, dss) -> tuple:
+    """(primal, dual): the smallest _max_step over every block of X along
+    dxs and of S along dss, by one eigvalsh call per size for both; zs[g]
+    whitens stack g of S and X concatenated, in that order.  Each matrix of a
+    stacked LAPACK call is processed alone, so this equals taking the two
+    stacks apart."""
+    ap = ad = np.inf
+    for z, dx, ds in zip(zs, dxs, dss):
+        steps = _max_step(z, np.concatenate([ds, dx]))
+        ad = min(ad, steps[: len(ds)].min())
+        ap = min(ap, steps[len(ds) :].min())
+    return ap, ad
 
 
 def _nt_scaling(seig: tuple, xeig: tuple):
@@ -426,14 +442,18 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             if not np.isfinite([pobj, dobj, gap, rp_norm, rd_norm]).all():
                 break  # diverged: an unbounded program, or overflow
 
-            # eigh(S) and eigh(X) are computed once per iteration; they serve the
-            # scaling point and the step lengths.
-            seigs = [np.linalg.eigh(s) for s in ss]
-            xeigs = [np.linalg.eigh(x) for x in xs]
-            scaling = [_nt_scaling(e, x) for e, x in zip(seigs, xeigs)]
+            # One eigh per size, of S and X together, serves the scaling point
+            # and, whitened once, the step lengths of the iteration.
+            eigs = [np.linalg.eigh(np.concatenate([s, x])) for s, x in zip(ss, xs)]
+            zs = [_whiten(e) for e in eigs]
+            scaling = [
+                _nt_scaling((val[:k], vec[:k]), (val[k:], vec[k:]))
+                for (val, vec), k in zip(eigs, lay.counts)
+            ]
             if None in scaling:
                 break
             ws, sinvs, *_ = zip(*scaling)
+            wrw = [w @ q @ w for w, q in zip(ws, rd)]
             mmat = _schur(lay, ws)
 
             chol = None
@@ -462,7 +482,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                 return out
 
             def directions(rmats):
-                inner = [r + w @ q @ w for r, w, q in zip(rmats, ws, rd)]
+                inner = [r + t for r, t in zip(rmats, wrw)]
                 dy = solve_normal(_apply_a(lay, inner) - rp)
                 ds = [a - q for a, q in zip(_apply_at(lay, dy), rd)]
                 dx = [_sym(r - w @ d @ w) for r, w, d in zip(rmats, ws, ds)]
@@ -471,8 +491,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             # Predictor (affine scaling) fixes the centering weight from its full
             # steps to the cone boundary.
             dxa, dya, dsa = directions([-x for x in xs])
-            ap = min(1.0, *map(_max_step, xeigs, dxa))
-            ad = min(1.0, *map(_max_step, seigs, dsa))
+            ap, ad = (min(1.0, a) for a in _max_steps(zs, dxa, dsa))
             gap_aff = _inner(
                 [x + ap * d for x, d in zip(xs, dxa)],
                 [s + ad * d for s, d in zip(ss, dsa)],
@@ -486,10 +505,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             gamma = 0.9 + 0.09 * reach
 
             def steps(dx, ds):
-                return (
-                    min(1.0, gamma * min(map(_max_step, xeigs, dx))),
-                    min(1.0, gamma * min(map(_max_step, seigs, ds))),
-                )
+                return tuple(min(1.0, gamma * a) for a in _max_steps(zs, dx, ds))
 
             # Mehrotra's corrector: centering plus the second-order term of
             # the predictor.  When it steps shorter than the predictor could,

@@ -25,6 +25,7 @@ from hypertheta.numlin.sdp import (
     _SUBST_BLOCK,
     _chol_solve,
     _max_step,
+    _max_steps,
     _nt_scaling,
     _prepare,
     _presolve,
@@ -32,6 +33,8 @@ from hypertheta.numlin.sdp import (
     _second_order,
     _stack,
     _stacked,
+    _sym,
+    _whiten,
 )
 from hypertheta.symmetry import (
     _transitive_program,
@@ -459,7 +462,7 @@ class TestStackedSteps:
             lo = np.linalg.eigvalsh(inv @ dx @ inv.T).min()
             limit.append(np.inf if lo >= -1e-13 else -1.0 / lo)
         assert limit[0] == np.inf and limit[2] > 1.0 and limit[1] < 0.4
-        a = _max_step(np.linalg.eigh(xs), dxs)
+        a = _max_step(_whiten(np.linalg.eigh(xs)), dxs).min()
         assert a == pytest.approx(limit[1], rel=1e-10)
         # the fraction of it that the solver takes keeps every block PSD,
         # and a longer step leaves the cone in the limiting block only
@@ -467,7 +470,35 @@ class TestStackedSteps:
             assert np.linalg.eigvalsh(x + 0.99 * a * dx).min() > 0
         past = [np.linalg.eigvalsh(x + 1.01 * a * dx).min() for x, dx in zip(xs, dxs)]
         assert past[1] < 0 and past[0] > 0 and past[2] > 0
-        assert _max_step(np.linalg.eigh(xs[[0]]), dxs[[0]]) == np.inf
+        assert _max_step(_whiten(np.linalg.eigh(xs[[0]])), dxs[[0]]).min() == np.inf
+
+    @pytest.mark.parametrize("seed, sizes", [(1, (2, 5)), (2, (1, 3, 4)), (4, (3, 4, 6))])
+    def test_joint_step_lengths_equal_the_per_stack_rule(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        ss, xs, dss, dxs = [], [], [], []
+        for g, d in enumerate(sizes):
+            k = g + 1
+            ss.append(_random_spd(rng, k, d))
+            xs.append(_random_spd(rng, k, d))
+            dss.append(_sym(rng.normal(size=(k, d, d))))
+            dxs.append(_sym(rng.normal(size=(k, d, d))))
+        dss[0][0] = np.eye(sizes[0])  # a block that allows any step
+        dxs[-1][-1] = _random_spd(rng, 1, sizes[-1])[0]
+
+        def per_stack(mats, dirs):
+            return min(_max_step(_whiten(np.linalg.eigh(m)), d).min() for m, d in zip(mats, dirs))
+
+        def joint(dxs, dss):
+            zs = [_whiten(np.linalg.eigh(np.concatenate([s, x]))) for s, x in zip(ss, xs)]
+            return _max_steps(zs, dxs, dss)
+
+        ap, ad = joint(dxs, dss)
+        assert ap == per_stack(xs, dxs) and ad == per_stack(ss, dss)
+        assert np.isfinite(ap) and np.isfinite(ad)
+        # every block allowing any step on one side gives inf there alone
+        up = [np.broadcast_to(np.eye(d), s.shape) for d, s in zip(sizes, ss)]
+        assert joint(dxs, up) == (per_stack(xs, dxs), np.inf)
+        assert joint(up, dss) == (np.inf, per_stack(ss, dss))
 
     def test_scaling_point_per_block(self):
         rng = np.random.default_rng(5)
