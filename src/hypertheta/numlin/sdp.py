@@ -473,8 +473,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
             # An unridged factor gives a normwise backward stable solve by
             # itself.  A ridged one solves M + ridge * I, so one refinement
-            # step against the unridged mmat follows: without it the tolerance
-            # sweep fails at _SUBST_BLOCK 16, 64 and 128.
+            # step against the unridged mmat follows: with no refinement at
+            # all the tolerance sweep failed at _SUBST_BLOCK 16, 64 and 128.
             def solve_normal(vec):
                 out = _chol_solve(chol, vec)
                 if ridge:

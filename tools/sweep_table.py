@@ -1,0 +1,116 @@
+"""Print the tolerance-sweep table of numlin.solve_sdp.
+
+    python tools/sweep_table.py [--src DIR]
+
+Solves the uniform-measure theta of Mantel 4, Mantel 5 and K3(3) (the cases
+of tests/test_hoffman.py's tolerance sweep) at tol 1e-8 to 1e-11, with 1
+and 2 BLAS threads and substitution blocks (sdp._SUBST_BLOCK) 16, 48 and
+128.  Each cell reads "iterations / max_ridge / centering fallbacks /
+|value - hoff|"; a solve that does not end "optimal" is marked FAIL with its
+status.  --src names the source directory to import the package from
+(default: this checkout's src), so that two checkouts can be compared.
+OpenBLAS reads its thread count when it loads, so each count runs in a
+fresh interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CASES = ("mantel4", "mantel5", "edge3")
+TOLS = (1e-8, 1e-9, 1e-10, 1e-11)
+THREADS = (1, 2)
+BLOCKS = (16, 48, 128)
+
+
+def _rows() -> list[dict]:
+    """One record per (case, tol, block), in the current interpreter."""
+    from hypertheta.hoffman import hoff, uniform_weighted
+    from hypertheta.hypercore import complete_hypergraph
+    from hypertheta.numlin import sdp
+    from hypertheta.symmetry import mantel_hypergraph
+    from hypertheta.thetabody import ThetaSolverError, theta
+
+    graphs = {
+        "mantel4": mantel_hypergraph(4),
+        "mantel5": mantel_hypergraph(5),
+        "edge3": complete_hypergraph(3, 3),
+    }
+    out = []
+    for block in BLOCKS:
+        sdp._SUBST_BLOCK = block
+        for name in CASES:
+            wh = uniform_weighted(graphs[name])
+            mu = [float(v) for v in wh.vertex_measure()]
+            bound = hoff(wh)
+            for tol in TOLS:
+                row = {"case": name, "tol": tol, "block": block}
+                try:
+                    res = theta(graphs[name], mu, tol=tol)
+                    sol_res, iters = res.diagnostics["residuals"], res.diagnostics["iterations"]
+                    row.update(status="optimal", err=abs(res.value - bound))
+                except ThetaSolverError as exc:
+                    sol_res, iters = exc.solution.residuals, exc.solution.iterations
+                    row.update(status=exc.solution.status, err=None)
+                row.update(
+                    iters=iters,
+                    ridge=sol_res["max_ridge"],
+                    fallbacks=sol_res["centering_fallbacks"],
+                )
+                out.append(row)
+    return out
+
+
+def _cell(row: dict) -> str:
+    text = f"{row['iters']} / {row['ridge']:.2g} / {row['fallbacks']}"
+    if row["status"] != "optimal":
+        return f"FAIL {row['status']}: {text}"
+    return f"{text} / {row['err']:.1e}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        sys.path.insert(0, args.src)
+        print(json.dumps(_rows()))
+        return 0
+
+    table = {}
+    for threads in THREADS:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+        done = subprocess.run(
+            [sys.executable, __file__, "--worker", "--src", args.src],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        for row in json.loads(done.stdout):
+            row["threads"] = threads
+            table[row["case"], row["tol"], threads, row["block"]] = row
+
+    cols = [(t, b) for t in THREADS for b in BLOCKS]
+    print("cells: iterations / max_ridge / fallbacks / |value - hoff|")
+    print("| case | " + " | ".join(f"{t} thr, block {b}" for t, b in cols) + " |")
+    print("|---" * (len(cols) + 1) + "|")
+    for name in CASES:
+        for tol in TOLS:
+            cells = (_cell(table[name, tol, t, b]) for t, b in cols)
+            print(f"| {name} {tol:.0e} | " + " | ".join(cells) + " |")
+    rows = list(table.values())
+    worst = max(rows, key=lambda r: r["iters"])
+    print(
+        f"worst: {worst['iters']} iterations ({worst['case']} {worst['tol']:.0e}, "
+        f"{worst['threads']} thr, block {worst['block']}); largest max_ridge {max(r['ridge'] for r in rows):.2g}; "
+        f"failures {sum(r['status'] != 'optimal' for r in rows)}"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
