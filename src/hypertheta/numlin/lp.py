@@ -221,11 +221,9 @@ def _two_phase(rows, rhs, cmin, exact):
     for i in range(nrows):
         tab[i][ncols + i] = one
     basis = [ncols + i for i in range(nrows)]
-    cost = [zero] * (ncols + nrows + 1)
+    cost = [zero] * ncols + [one] * nrows + [zero]
     for i in range(nrows):
-        for j in range(ncols):
-            cost[j] -= tab[i][j]
-        cost[-1] -= tab[i][-1]
+        _pivot(tab, basis, cost, i, ncols + i)  # prices out artificial i
     _simplex(tab, basis, cost, ncols, eps)  # phase 1 is bounded below by 0
     scale_b = max([abs(v) for v in rhs], default=zero)
     tol_inf = zero if exact else 1e-7 * (1 + float(scale_b))

@@ -1,7 +1,8 @@
+import importlib.util
+import itertools
 import math
 import os
 import random
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ from hypertheta.hypercore import (
     complete_hypergraph,
     cycle_graph,
 )
-from hypertheta.numlin import sdp
 from hypertheta.symmetry import mantel_hypergraph
 from hypertheta.thetabody import theta
 
@@ -190,56 +190,32 @@ class TestLevelsAndBound:
                 for s in _independent_sets(wh.hyper)
             )[0]
 
-    def test_transitive_tightness(self):
-        for wh in (single_edge(), uniform_weighted(mantel_hypergraph(4))):
-            mu1 = [float(v) for v in wh.vertex_measure()]
-            t = theta(wh.hyper, mu1, tol=1e-11).value
-            assert abs(t - hoff(wh)) < 1e-6
+    def test_tolerance_sweep_meets_hoff_in_every_cell(self, monkeypatch):
+        # The sweep of tools/sweep_table.py, the table every change to the
+        # solver's arithmetic reports: on these transitive instances theta
+        # equals hoff, and each cell must reach it through a solve that ends
+        # "optimal" (3 cases x 4 tols x blocks 16, 48, 128 x 1 and 2 threads).
+        sweep = load_sweep_table(monkeypatch)
+        rows = sweep.run(os.path.dirname(os.path.dirname(hypertheta.__file__)))
+        cells = sorted((r["case"], r["tol"], r["block"], r["threads"]) for r in rows)
+        assert len(cells) == 72
+        assert cells == sorted(itertools.product(sweep.CASES, sweep.TOLS, sweep.BLOCKS, sweep.THREADS))
+        table = sweep.format_table(rows)
+        assert all(r["status"] == "optimal" for r in rows), table
+        assert all(r["err"] < 1e-6 for r in rows), table
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10, 1e-11])
-    @pytest.mark.parametrize("name", ["mantel4", "mantel5", "edge3"])
-    def test_transitive_tightness_at_every_tolerance(self, name, tol):
-        hg = {
-            "mantel4": mantel_hypergraph(4),
-            "mantel5": mantel_hypergraph(5),
-            "edge3": complete_hypergraph(3, 3),
-        }[name]
-        wh = uniform_weighted(hg)
-        mu1 = [float(v) for v in wh.vertex_measure()]
-        # theta raises ThetaSolverError unless the solve ends "optimal"
-        t = theta(hg, mu1, tol=tol).value
-        assert abs(t - hoff(wh)) < 1e-6
 
-    def test_tolerance_sweep_passes_with_one_and_two_blas_threads(self):
-        # OpenBLAS reads its thread count when it loads, so each count runs
-        # the sweep above in a fresh interpreter.
-        src = os.path.dirname(os.path.dirname(hypertheta.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        sweep = f"{__file__}::TestLevelsAndBound::test_transitive_tightness_at_every_tolerance"
-        for threads in ("1", "2"):
-            out = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", sweep],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-                timeout=600,
-            )
-            assert out.returncode == 0 and "12 passed" in out.stdout, (threads, out.stdout)
-
-    def test_tolerance_sweep_passes_at_small_and_large_substitution_blocks(self, monkeypatch):
-        # The block size sets the summation order of the normal solves; the
-        # refinement step that solve_sdp takes after a ridged Cholesky keeps
-        # the 1e-11 endgames at both ends.
-        for block in (16, 128):
-            monkeypatch.setattr(sdp, "_SUBST_BLOCK", block)
-            for name in ("mantel4", "mantel5", "edge3"):
-                for tol in (1e-8, 1e-9, 1e-10, 1e-11):
-                    self.test_transitive_tightness_at_every_tolerance(name, tol)
+def load_sweep_table(monkeypatch):
+    """tools/sweep_table.py loaded by file path, leaving tools/ unwritten."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "sweep_table.py")
+    spec = importlib.util.spec_from_file_location("sweep_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _independent_sets(hg):
-    import itertools
-
     from hypertheta.hypercore import is_independent
 
     for k in range(hg.n + 1):

@@ -2,15 +2,18 @@
 
     python tools/sweep_table.py [--src DIR]
 
-Solves the uniform-measure theta of Mantel 4, Mantel 5 and K3(3) (the cases
-of tests/test_hoffman.py's tolerance sweep) at tol 1e-8 to 1e-11, with 1
-and 2 BLAS threads and substitution blocks (sdp._SUBST_BLOCK) 16, 48 and
-128.  Each cell reads "iterations / max_ridge / centering fallbacks /
-|value - hoff|"; a solve that does not end "optimal" is marked FAIL with its
-status.  --src names the source directory to import the package from
-(default: this checkout's src), so that two checkouts can be compared.
-OpenBLAS reads its thread count when it loads, so each count runs in a
-fresh interpreter.
+Solves the uniform-measure theta of Mantel 4, Mantel 5 and K3(3), where it
+meets the Hoffman bound hoff, at tol 1e-8 to 1e-11, with 1 and 2 BLAS
+threads and substitution blocks (sdp._SUBST_BLOCK) 16, 48 and 128.  Each
+cell reads "iterations / max_ridge / centering fallbacks / |value - hoff|";
+a solve that does not end "optimal" is marked FAIL with its status.  --src
+names the source directory to import the package from (default: this
+checkout's src), so that two checkouts can be compared.  OpenBLAS reads its
+thread count when it loads, so each count runs in a fresh interpreter.
+
+tests/test_hoffman.py loads this file and gates every cell of run() on
+ending "optimal" with |value - hoff| < 1e-6, so CASES, TOLS, THREADS and
+BLOCKS below are the sweep's only definition.
 """
 
 from __future__ import annotations
@@ -73,6 +76,43 @@ def _cell(row: dict) -> str:
     return f"{text} / {row['err']:.1e}"
 
 
+def run(src: str) -> list[dict]:
+    """One record per cell, importing the package from src: case, tol,
+    block, threads, status, err (None unless "optimal"), iters, ridge and
+    fallbacks."""
+    rows = []
+    for threads in THREADS:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+        done = subprocess.run(
+            [sys.executable, __file__, "--worker", "--src", src],
+            env=env, stdout=subprocess.PIPE, text=True, check=True,
+        )
+        rows += [{**row, "threads": threads} for row in json.loads(done.stdout)]
+    return rows
+
+
+def format_table(rows: list[dict]) -> str:
+    """The markdown table of run()'s records, with a closing summary line."""
+    table = {(r["case"], r["tol"], r["threads"], r["block"]): r for r in rows}
+    cols = [(t, b) for t in THREADS for b in BLOCKS]
+    lines = [
+        "cells: iterations / max_ridge / fallbacks / |value - hoff|",
+        "| case | " + " | ".join(f"{t} thr, block {b}" for t, b in cols) + " |",
+        "|---" * (len(cols) + 1) + "|",
+    ]
+    for name in CASES:
+        for tol in TOLS:
+            cells = (_cell(table[name, tol, t, b]) for t, b in cols)
+            lines.append(f"| {name} {tol:.0e} | " + " | ".join(cells) + " |")
+    worst = max(rows, key=lambda r: r["iters"])
+    lines.append(
+        f"worst: {worst['iters']} iterations ({worst['case']} {worst['tol']:.0e}, "
+        f"{worst['threads']} thr, block {worst['block']}); largest max_ridge {max(r['ridge'] for r in rows):.2g}; "
+        f"failures {sum(r['status'] != 'optimal' for r in rows)}"
+    )
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
@@ -81,34 +121,8 @@ def main(argv=None) -> int:
     if args.worker:
         sys.path.insert(0, args.src)
         print(json.dumps(_rows()))
-        return 0
-
-    table = {}
-    for threads in THREADS:
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
-        done = subprocess.run(
-            [sys.executable, __file__, "--worker", "--src", args.src],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        for row in json.loads(done.stdout):
-            row["threads"] = threads
-            table[row["case"], row["tol"], threads, row["block"]] = row
-
-    cols = [(t, b) for t in THREADS for b in BLOCKS]
-    print("cells: iterations / max_ridge / fallbacks / |value - hoff|")
-    print("| case | " + " | ".join(f"{t} thr, block {b}" for t, b in cols) + " |")
-    print("|---" * (len(cols) + 1) + "|")
-    for name in CASES:
-        for tol in TOLS:
-            cells = (_cell(table[name, tol, t, b]) for t, b in cols)
-            print(f"| {name} {tol:.0e} | " + " | ".join(cells) + " |")
-    rows = list(table.values())
-    worst = max(rows, key=lambda r: r["iters"])
-    print(
-        f"worst: {worst['iters']} iterations ({worst['case']} {worst['tol']:.0e}, "
-        f"{worst['threads']} thr, block {worst['block']}); largest max_ridge {max(r['ridge'] for r in rows):.2g}; "
-        f"failures {sum(r['status'] != 'optimal' for r in rows)}"
-    )
+    else:
+        print(format_table(run(args.src)))
     return 0
 
 
