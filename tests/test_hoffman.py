@@ -36,6 +36,20 @@ def single_edge():
     return uniform_weighted(complete_hypergraph(3, 3))
 
 
+def _load_sweep_table():
+    """tools/sweep_table.py loaded by file path, leaving tools/ unwritten."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "sweep_table.py")
+        spec = importlib.util.spec_from_file_location("sweep_table", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+SWEEP = _load_sweep_table()
+
+
 class TestMeasures:
     def test_single_edge_vertex_measure(self):
         assert single_edge().vertex_measure() == [Fraction(1, 3)] * 3
@@ -190,29 +204,56 @@ class TestLevelsAndBound:
                 for s in _independent_sets(wh.hyper)
             )[0]
 
-    def test_tolerance_sweep_meets_hoff_in_every_cell(self, monkeypatch):
-        # The sweep of tools/sweep_table.py, the table every change to the
-        # solver's arithmetic reports: on these transitive instances theta
-        # equals hoff, and each cell must reach it through a solve that ends
-        # "optimal" (3 cases x 4 tols x blocks 16, 48, 128 x 1 and 2 threads).
-        sweep = load_sweep_table(monkeypatch)
-        rows = sweep.run(os.path.dirname(os.path.dirname(hypertheta.__file__)))
-        cells = sorted((r["case"], r["tol"], r["block"], r["threads"]) for r in rows)
+    # The tolerance sweep of tools/sweep_table.py, the table every change to
+    # the solver's arithmetic reports: on these transitive instances theta
+    # equals hoff, and each cell must reach it through a solve that ends
+    # "optimal".  The tool runs the sweep once per module; each test below
+    # gates a slice of its cells.
+
+    def test_transitive_tightness(self, sweep_rows):
+        _assert_cells_meet_hoff(
+            sweep_rows, lambda r: r["case"] in ("edge3", "mantel4") and r["tol"] == 1e-11
+        )
+
+    @pytest.mark.parametrize("tol", SWEEP.TOLS)
+    @pytest.mark.parametrize("name", SWEEP.CASES)
+    def test_transitive_tightness_at_every_tolerance(self, sweep_rows, name, tol):
+        _assert_cells_meet_hoff(sweep_rows, lambda r: r["case"] == name and r["tol"] == tol)
+
+    def test_tolerance_sweep_passes_with_one_and_two_blas_threads(self, sweep_rows):
+        # OpenBLAS reads its thread count when it loads, so the tool runs
+        # each count in a fresh interpreter.
+        for threads in (1, 2):
+            _assert_cells_meet_hoff(sweep_rows, lambda r: r["threads"] == threads)
+
+    def test_tolerance_sweep_passes_at_small_and_large_substitution_blocks(self, sweep_rows):
+        # The block size sets the summation order of the normal solves; the
+        # refinement step that solve_sdp takes after a ridged Cholesky keeps
+        # the 1e-11 endgames at both ends.
+        for block in (16, 128):
+            _assert_cells_meet_hoff(sweep_rows, lambda r: r["block"] == block)
+
+    def test_tolerance_sweep_meets_hoff_in_every_cell(self, sweep_rows):
+        # 3 cases x 4 tols x blocks 16, 48, 128 x 1 and 2 threads.
+        cells = sorted((r["case"], r["tol"], r["block"], r["threads"]) for r in sweep_rows)
         assert len(cells) == 72
-        assert cells == sorted(itertools.product(sweep.CASES, sweep.TOLS, sweep.BLOCKS, sweep.THREADS))
-        table = sweep.format_table(rows)
-        assert all(r["status"] == "optimal" for r in rows), table
-        assert all(r["err"] < 1e-6 for r in rows), table
+        assert cells == sorted(itertools.product(SWEEP.CASES, SWEEP.TOLS, SWEEP.BLOCKS, SWEEP.THREADS))
+        _assert_cells_meet_hoff(sweep_rows, lambda r: True)
 
 
-def load_sweep_table(monkeypatch):
-    """tools/sweep_table.py loaded by file path, leaving tools/ unwritten."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "sweep_table.py")
-    spec = importlib.util.spec_from_file_location("sweep_table", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture(scope="module")
+def sweep_rows():
+    return SWEEP.run(os.path.dirname(os.path.dirname(hypertheta.__file__)))
+
+
+def _assert_cells_meet_hoff(rows, keep):
+    """The cells of rows that keep selects exist, end "optimal" and lie
+    within 1e-6 of hoff; a failure shows the tool's table."""
+    picked = [r for r in rows if keep(r)]
+    table = SWEEP.format_table(rows)
+    assert picked, table
+    assert all(r["status"] == "optimal" for r in picked), table
+    assert all(r["err"] < 1e-6 for r in picked), table
 
 
 def _independent_sets(hg):
