@@ -9,12 +9,12 @@ two orthogonal-polynomial minima,
     theta0          = C(n,s) M_Q / (M_Q - 1)
 
 where M_K minimizes the degree-k Krawtchouk values at s and M_Q minimizes
-the degree-k Hahn values at s/2.  Both polynomial families are normalized
-to 1 at 0 and evaluated in exact arithmetic, one column over all degrees
-per point: the Krawtchouk column by its integer three-term recurrence, the
-Hahn column as integer numerators over one common denominator.  The
-binomials involved overflow doubles around n = 150, well inside the scan
-range, so floats appear only in the final logarithm.
+the degree-k Hahn values at s/2.  Both families are normalized to 1 at 0 and
+evaluated in integers, one column over all degrees per point, by three-term
+recurrences in the degree (for Hahn: Koekoek, Lesky & Swarttouw,
+Hypergeometric Orthogonal Polynomials and Their q-Analogues, Springer 2010,
+section 9.5); minima compare integers.  The binomials overflow doubles near
+n = 150, inside the scan range, so only the final logarithm uses floats.
 
 The Hahn index range is clipped to k <= min(s, n-s): the evaluation formula
 divides by C(n-s, i) and the underlying scheme has only min(s, n-s) + 1
@@ -94,59 +94,53 @@ def build_hamming_hypergraph(n: int, s: int) -> Hypergraph:
 # Orthogonal polynomial values (exact)
 # ---------------------------------------------------------------------------
 
-def krawtchouk_values(n: int, t: int) -> list[Fraction]:
-    """Krawtchouk values K_k(t) / C(n, k) at t for every degree k = 0..n.
-
-    The unnormalized values satisfy the integer three-term recurrence
-    (k+1) K_{k+1} = (n-2t) K_k - (n-k+1) K_{k-1} with K_0 = 1, K_1 = n - 2t,
-    and each division in it is exact.
-    """
+def _krawtchouk_column(n: int, t: int) -> tuple[list[int], list[int]]:
+    """Unnormalized K_k(t) and C(n, k) for k = 0..n, by the exact integer
+    recurrence (k+1) K_{k+1} = (n-2t) K_k - (n-k+1) K_{k-1}, K_0 = 1."""
     if not (0 <= t <= n):
         raise HypergraphError(f"krawtchouk out of range: n={n} t={t}")
-    prev, cur = 0, 1  # K_{k-1}, K_k
-    binom = 1  # C(n, k)
-    values = [Fraction(1)]
+    nums, binoms = [0, 1], [1]  # nums starts at K_{-1} = 0
     for k in range(n):
-        prev, cur = cur, ((n - 2 * t) * cur - (n - k + 1) * prev) // (k + 1)
-        binom = binom * (n - k) // (k + 1)
-        values.append(Fraction(cur, binom))
-    return values
+        nums.append(((n - 2 * t) * nums[-1] - (n - k + 1) * nums[-2]) // (k + 1))
+        binoms.append(binoms[-1] * (n - k) // (k + 1))
+    return nums[1:], binoms
 
 
-def hahn_values(n: int, s: int, t: int) -> list[Fraction]:
-    """Hahn values at t for the weight-s slice, for every degree
-    k = 0..min(s, n-s), each normalized to 1 at t = 0.
+def krawtchouk_values(n: int, t: int) -> list[Fraction]:
+    """Krawtchouk values K_k(t) / C(n, k) at t for every degree k = 0..n,
+    K_k(t) = sum_i (-1)^i C(t,i) C(n-t,k-i), from the integer recurrence."""
+    nums, binoms = _krawtchouk_column(n, t)
+    return [Fraction(a, b) for a, b in zip(nums, binoms)]
 
-    The degree-k value is the alternating sum over i of
-    C(k,i) C(n+1-k,i) C(t,i) / D_i with D_i = C(s,i) C(n-s,i).  The D_i do
-    not depend on k, so every value is an integer numerator over the one
-    denominator L = lcm(D_0..D_imax), imax = min(t, s, n-s).
-    """
+
+def _hahn_column(n: int, s: int, t: int) -> tuple[list[int], int]:
+    """L Q_k(t) for k = 0..min(s, n-s), and L = lcm(D_0..D_imax).
+
+    Q_k = 3F2(-k, k-n-1, -t; -s, s-n; 1) is Hahn with alpha = s-n-1,
+    beta = -s-1, N = s: -t Q_k = A_k Q_{k+1} - (A_k + C_k) Q_k + C_k Q_{k-1}
+    with Q_{-1} = 0, A_k = a / g and C_k = c / g; for 0 <= k < kmax <= n/2
+    neither a nor g is 0, and L Q_k(t) is an integer, so divisions are exact."""
     if not (0 <= s <= n):
         raise HypergraphError(f"hahn slice out of range: n={n} s={s}")
     if not (0 <= t <= s):
         raise HypergraphError(f"hahn argument out of range: t={t}")
     kmax = min(s, n - s)
-    imax = min(t, kmax)
-    dens = [comb(s, i) * comb(n - s, i) for i in range(imax + 1)]
-    lcm = math.lcm(*dens)
-    weights = [
-        (-1) ** i * comb(t, i) * (lcm // d) for i, d in enumerate(dens)
-    ]
-    values = []
-    for k in range(kmax + 1):
-        total = 0
-        p = 1  # C(k, i) C(n+1-k, i)
-        for i in range(min(k, imax) + 1):
-            total += weights[i] * p
-            p = p * (k - i) * (n + 1 - k - i) // ((i + 1) * (i + 1))
-        values.append(Fraction(total, lcm))
-    return values
+    lcm = math.lcm(*(comb(s, i) * comb(n - s, i) for i in range(min(t, kmax) + 1)))
+    nums = [0, lcm]  # starts at L Q_{-1} = 0
+    for k in range(kmax):
+        g = (2 * k - n - 2) * (2 * k - n - 1) * (2 * k - n)
+        a = (k - n - 1) * (k + s - n) * (s - k) * (2 * k - n - 2)
+        c = k * (k + s - n - 1) * (k - s - 1) * (2 * k - n)
+        nums.append(((a + c - t * g) * nums[-1] - c * nums[-2]) // a)
+    return nums[1:], lcm
 
 
-def _first_min(values: list[Fraction]) -> tuple[Fraction, int]:
-    k = min(range(len(values)), key=values.__getitem__)
-    return values[k], k
+def hahn_values(n: int, s: int, t: int) -> list[Fraction]:
+    """Hahn values at t for the weight-s slice, each normalized to 1 at t = 0:
+    for k = 0..min(s, n-s), the sum over i of (-1)^i C(k,i) C(n+1-k,i) C(t,i)
+    / D_i, D_i = C(s,i) C(n-s,i), evaluated by `_hahn_column`'s recurrence."""
+    nums, lcm = _hahn_column(n, s, t)
+    return [Fraction(a, lcm) for a in nums]
 
 
 def m_k(n: int, s: int) -> tuple[Fraction, int]:
@@ -154,7 +148,12 @@ def m_k(n: int, s: int) -> tuple[Fraction, int]:
     attaining degree."""
     if not (0 <= s <= n):
         raise HypergraphError(f"m_k out of range: n={n} s={s}")
-    return _first_min(krawtchouk_values(n, s))
+    nums, binoms = _krawtchouk_column(n, s)
+    best = 0
+    for k in range(1, n + 1):  # a/b < c/d iff ad < cb, as b, d > 0
+        if nums[k] * binoms[best] < nums[best] * binoms[k]:
+            best = k
+    return Fraction(nums[best], binoms[best]), best
 
 
 def m_q(n: int, s: int) -> tuple[Fraction, int]:
@@ -162,7 +161,9 @@ def m_q(n: int, s: int) -> tuple[Fraction, int]:
     attaining degree."""
     if s % 2 != 0 or not (0 <= s <= n):
         raise HypergraphError(f"m_q needs even s in range: n={n} s={s}")
-    return _first_min(hahn_values(n, s, s // 2))
+    nums, lcm = _hahn_column(n, s, s // 2)
+    best = min(range(len(nums)), key=nums.__getitem__)  # L > 0
+    return Fraction(nums[best], lcm), best
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +187,7 @@ def _closed_forms(n: int, s: int):
     """Both minima with their argmins, then the link and cube values built
     from them: ((M_K, k), (M_Q, k), link value, cube value)."""
     _require_instance(n, s)
-    mk = m_k(n, s)
-    mq = m_q(n, s)
+    mk, mq = m_k(n, s), m_q(n, s)
     link_value = _link_value(n, s, mq[0])
     value = (1 << n) * (mk[0] - Fraction(link_value, comb(n, s))) / (mk[0] - 1)
     return mk, mq, link_value, value

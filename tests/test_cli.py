@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -237,3 +238,31 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, "hamming", "--n", "6", "--s", "4")
         _, out2, _ = run_cli(capsys, "hamming", "--n", "6", "--s", "4")
         assert out1 == out2
+
+
+# sha256 of the stdout of the Hamming closed forms.  The values are exact
+# rationals, so any way of evaluating the columns must reproduce these bytes.
+SCAN_DIGEST = "f8f509c2ed0e961fb0b438c8433828be965b29218b2356c93a7136734c17e7b8"
+HAMMING_DIGESTS = {
+    (40, 10): "c6a18ddedec96d96d8316972a525d0cfbb74d0b5fdf9626f45c538aaf5ea07e3",
+    (150, 50): "948ab4a98d17a5dffc96d97cd9358be586e2c16a73918e8af567d3296c76b8f3",
+    (150, 76): "da3e0793ec700e11fbf915902cf7d68f81fc766a1456e06fdf3878472741985c",
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    def test_scan_decay_digest(self, capsys):
+        code, out, _ = run_cli(capsys, "scan-decay", "--c", "2,3,4", "--n", "20:150")
+        assert code == 0
+        assert len(out.splitlines()) == 394
+        assert _digest(out) == SCAN_DIGEST
+
+    @pytest.mark.parametrize("n, s", sorted(HAMMING_DIGESTS))
+    def test_hamming_digest(self, capsys, n, s):
+        code, out, _ = run_cli(capsys, "hamming", "--n", str(n), "--s", str(s))
+        assert code == 0
+        assert _digest(out) == HAMMING_DIGESTS[n, s]

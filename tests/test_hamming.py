@@ -171,6 +171,16 @@ class TestColumns:
         with pytest.raises(HypergraphError):
             hahn_values(6, 7, 0)
 
+    # scan points (100, 34), (149, 50), (150, 74) and one slice past the
+    # middle, s = 76 > n/2, whose Hahn degrees stop at n - s = 74
+    @pytest.mark.parametrize("n, s", [(100, 34), (149, 50), (150, 74), (150, 76)])
+    def test_large_columns_match_literal_sum(self, n, s):
+        for t in (s // 2, s):
+            want = [reference_krawtchouk(n, k, t) for k in range(n + 1)]
+            assert krawtchouk_values(n, t) == want, t
+            want = [reference_hahn(n, s, k, t) for k in range(min(s, n - s) + 1)]
+            assert hahn_values(n, s, t) == want, t
+
     def test_minima_match_reference_on_the_scan_grid(self):
         for c in (2, 3, 4):
             for n in list(range(20, 150, 10)) + [150]:

@@ -650,6 +650,23 @@ class TestSdp:
         assert s1.primal == s2.primal and s1.dual == s2.dual
         assert all((a == b).all() for a, b in zip(s1.blocks, s2.blocks))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="badly scaled block: 300 iterations, rel_gap stuck near 3.5e-8 "
+        "(ROADMAP item 1)",
+    )
+    def test_badly_scaled_two_by_two(self):
+        # maximize 2 X01 subject to X00 = 1e8, X11 = 1; optimum 2e4.  This is
+        # diag(1e4, 1) Y diag(1e4, 1) of the well scaled X00 = X11 = 1.
+        p = SdpProblem(
+            [2],
+            [np.array([[0.0, 1.0], [1.0, 0.0]])],
+            [([(0, 0, 0, 1.0)], 1e8), ([(0, 1, 1, 1.0)], 1.0)],
+        )
+        s = solve_sdp(p)
+        assert s.status == "optimal"
+        assert abs(s.primal - 2e4) < 1e-6 * 2e4
+
     def test_presolve_drops_duplicates(self):
         eye = np.array([[1.0]])
         p = SdpProblem(
