@@ -35,10 +35,10 @@ from .hypercore import (
 from .numlin import SdpProblem, eig_sym, solve_lp, solve_sdp
 from .symmetry import (
     cube_group,
-    group_elements,
     mantel_hypergraph,
     mantel_pair_orbit_matrices,
     mantel_theta,
+    pair_orbits,
     symmetric_group_pair_action,
     theta_transitive,
     verify_automorphisms,
@@ -252,11 +252,9 @@ def _transitive_agreement(rng):
 def _group_averaging(rng):
     h4 = mantel_hypergraph(4)
     f = theta(h4).optimizer
-    elements = group_elements(symmetric_group_pair_action(4))
-    avg = np.zeros(h4.n)
-    for sigma in elements:
-        avg[list(sigma)] += f
-    avg /= len(elements)
+    # the group average of f at x is f's mean over the orbit of x
+    orbit = pair_orbits(symmetric_group_pair_action(4)).diagonal()
+    avg = np.bincount(orbit, f)[orbit] / np.bincount(orbit)[orbit]
     if not theta_membership(h4, np.minimum(avg, 1.0) * (1 - 1e-9))[0]:
         return "averaged optimizer left the body"
 

@@ -311,14 +311,7 @@ def _solve_square(mat, rhs):
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        p = prow[col]
-        nz = [j for j in range(col, n + 1) if prow[j] != 0]
-        for j in nz:
-            prow[j] /= p
-        for r, row in enumerate(aug):
-            f = row[col]
-            if r != col and f != 0:
-                for j in nz:
-                    row[j] -= f * prow[j]
+        # the earlier pivots left exact zeros left of col in this row, and
+        # the cost row is zero, so only columns col..n change
+        _pivot(aug, [None] * n, [0] * (n + 1), col, col)
     return [row[n] for row in aug]

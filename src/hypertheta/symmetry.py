@@ -2,18 +2,19 @@
 
 Permutation groups act on vertices; invariance of the weight vector lets the
 SDP restrict to invariant matrices.  Orbits come from one integer label
-array: each vertex, and each ordered pair (x, y) as point x * n + y, carries
-the smallest point of its orbit, found by min-label propagation over the
-generators' images.  For a vertex-transitive action the whole program
-collapses to one normalized invariant PSD matrix with a single
-link-membership constraint at a base vertex.  When the symmetrized orbital
-matrices A_k + A_k' commute, as they do for the pair action of S_n and the
-cyclic, dihedral and Hamming groups, an invariant matrix is a combination of
-the projectors onto their common eigenspaces, and PSD-ness is one
-nonnegative scalar per eigenspace (Gatermann & Parrilo 2004; Schrijver
-2005).  They commute exactly when one random combination of the distinct
-ones has as many eigenspaces as there are of them; else the unreduced
-recursion of thetabody solves the instance.
+array over ordered pairs: each pair (x, y), as point x * n + y, carries the
+smallest point of its orbit, found by min-label propagation over the
+generators' images.  Its diagonal gives the vertex orbits: (x, x) carries
+(n + 1) times the smallest vertex of x's orbit.  For a vertex-transitive
+action the whole program collapses to one normalized invariant PSD matrix
+with a single link-membership constraint at a base vertex.  When the
+symmetrized orbital matrices A_k + A_k' commute, as they do for the pair
+action of S_n and the cyclic, dihedral and Hamming groups, an invariant
+matrix is a combination of the projectors onto their common eigenspaces,
+and PSD-ness is one nonnegative scalar per eigenspace (Gatermann & Parrilo
+2004; Schrijver 2005).  They commute exactly when one random combination of
+the distinct ones has as many eigenspaces as there are of them; else the
+unreduced recursion of thetabody solves the instance.
 
 The triangle-encoding family (vertices = edges of a complete graph, edges =
 triangles) is solved in closed form: its pair orbits form the two-class
@@ -32,19 +33,15 @@ from math import comb
 
 import numpy as np
 
-from .hypercore import Hypergraph, HypergraphError, check_weights, link
+from .hypercore import Hypergraph, HypergraphError, link
 from .numlin import SdpProblem, solve_lp
 from .thetabody import _attach_link, _Builder, _solved, theta
 
 __all__ = [
     "PermGroup",
-    "group_elements",
-    "vertex_orbits",
     "pair_orbits",
     "verify_automorphisms",
-    "is_transitive",
     "theta_transitive",
-    "invariant_membership_reduction",
     "mantel_hypergraph",
     "symmetric_group_pair_action",
     "mantel_pair_orbit_matrices",
@@ -55,7 +52,6 @@ __all__ = [
 ]
 
 PAIR_CLOSURE_CAP = 10**7
-ELEMENT_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -66,6 +62,8 @@ class PermGroup:
     generators: tuple
 
     def __init__(self, degree: int, generators):
+        if degree < 0:
+            raise HypergraphError(f"group degree {degree} is negative")
         gens = []
         for g in generators:
             t = tuple(g)
@@ -76,55 +74,23 @@ class PermGroup:
         object.__setattr__(self, "generators", tuple(gens))
 
 
-def group_elements(group: PermGroup) -> list[tuple]:
-    """All group elements by breadth-first closure over the generators;
-    raises HypergraphError past ELEMENT_CAP elements."""
-    n = group.degree
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in group.generators:
-                comp = tuple(g[el[i]] for i in range(n))
-                if comp not in seen:
-                    if len(seen) >= ELEMENT_CAP:
-                        raise HypergraphError(f"group exceeds element cap {ELEMENT_CAP}")
-                    seen.add(comp)
-                    nxt.append(comp)
-        frontier = nxt
-    return sorted(seen)
-
-
-def _orbit_labels(group: PermGroup, pairs: bool) -> np.ndarray:
-    """Label each vertex, or each ordered pair (x, y) as point x * n + y, by
-    the smallest point of its orbit: min-label propagation along the edges
-    p -> g(p) with pointer jumping, until a sweep changes no label."""
+def _orbit_labels(group: PermGroup) -> np.ndarray:
+    """Label each ordered pair (x, y), as point x * n + y, by the smallest
+    point of its orbit: min-label propagation along the edges p -> g(p) with
+    pointer jumping, until a sweep changes no label."""
     n = group.degree
     gens = np.array(group.generators, dtype=np.intp).reshape(len(group.generators), n)
-    label = np.arange(n * n if pairs else n)
+    label = np.arange(n * n)
     while True:
         before = label
         for g in gens:
-            image = (g[:, None] * n + g).ravel() if pairs else g
+            image = (g[:, None] * n + g).ravel()
             label = np.minimum(label, label[image])
             label[image] = np.minimum(label[image], label)
         while not np.array_equal(jumped := label[label], label):
             label = jumped
         if np.array_equal(label, before):
             return label
-
-
-def _orbit_lists(label: np.ndarray) -> list[np.ndarray]:
-    """The points of each orbit of a labelling, ascending, in label order."""
-    order = np.argsort(label, kind="stable")
-    bounds = np.flatnonzero(np.diff(label[order], prepend=-1, append=-1))
-    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def vertex_orbits(group: PermGroup) -> list[list[int]]:
-    return [o.tolist() for o in _orbit_lists(_orbit_labels(group, pairs=False))]
 
 
 def pair_orbits(group: PermGroup) -> np.ndarray:
@@ -134,7 +100,7 @@ def pair_orbits(group: PermGroup) -> np.ndarray:
     n = group.degree
     if n * n > PAIR_CLOSURE_CAP:
         raise HypergraphError(f"pair closure would exceed cap {PAIR_CLOSURE_CAP}")
-    labels = _orbit_labels(group, pairs=True).reshape(n, n)
+    labels = _orbit_labels(group).reshape(n, n)
     labels.flags.writeable = False
     return labels
 
@@ -154,10 +120,6 @@ def verify_automorphisms(hg: Hypergraph, group: PermGroup) -> bool:
         if not np.isin(key[len(edges) :], key[: len(edges)]).all():
             return False
     return True
-
-
-def is_transitive(group: PermGroup) -> bool:
-    return not _orbit_labels(group, pairs=False).any()
 
 
 # ---------------------------------------------------------------------------
@@ -241,33 +203,6 @@ def theta_transitive(hg: Hypergraph, group: PermGroup) -> float:
     return float(_solved(problem, 1e-8, "theta_transitive").primal)
 
 
-_MEMBERSHIP_TOL = 1e-6
-
-
-def invariant_membership_reduction(hg: Hypergraph, group: PermGroup, f) -> bool:
-    """Membership test for invariant vectors under a vertex-transitive group.
-
-    Such a vector is constant, f = c * ones, and belongs to the body iff
-    c >= 0 and c * n is at most the unit-weight relaxation value, to within
-    _MEMBERSHIP_TOL.
-    """
-    fv = np.array(check_weights(hg, f), dtype=float)
-    if group.degree != hg.n:
-        raise HypergraphError(f"group of degree {group.degree} on {hg.n} vertices")
-    labels = _orbit_labels(group, pairs=False)
-    if any(np.ptp(fv[orbit]) > 1e-12 for orbit in _orbit_lists(labels)):
-        raise HypergraphError("vector is not invariant under the group")
-    if labels.any():
-        raise HypergraphError("reduction implemented for vertex-transitive groups")
-    c = float(fv[0]) if len(fv) else 0.0
-    if c < -1e-12:
-        return False
-    if c == 0.0 or hg.n == 0:
-        return True
-    value = theta_transitive(hg, group)
-    return c * hg.n <= value + _MEMBERSHIP_TOL
-
-
 # ---------------------------------------------------------------------------
 # The triangle-encoding family
 # ---------------------------------------------------------------------------
@@ -302,8 +237,7 @@ def symmetric_group_pair_action(n: int) -> PermGroup:
             idx[tuple(sorted((sigma[a], sigma[b])))] for a, b in pairs
         )
 
-    swap = list(range(n))
-    swap[0], swap[1] = 1, 0
+    swap = [1, 0] + list(range(2, n)) if n >= 2 else list(range(n))
     cyc = [(i + 1) % n for i in range(n)]
     return PermGroup(len(pairs), (act(swap), act(cyc)))
 

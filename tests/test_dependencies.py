@@ -1,5 +1,7 @@
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -43,6 +45,38 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(info.name)
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], info.name
+
+
+def test_benchmark_call_sites_resolve():
+    # The benchmark's workloads and the sweep tool call the package by name;
+    # parsed, not imported, so that nothing is written next to them.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    for rel in ("perfbench/workloads.py", "tools/sweep_table.py"):
+        with open(os.path.join(root, rel)) as fh:
+            tree = ast.parse(fh.read(), rel)
+        modules = {}  # local alias -> the hypertheta module it names
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hypertheta"):
+                source = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(source, alias.name, None)
+                    if value is None:  # a submodule the package has not loaded yet
+                        value = importlib.import_module(f"{node.module}.{alias.name}")
+                    if inspect.ismodule(value):
+                        modules[alias.asname or alias.name] = value
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("hypertheta") and alias.asname:
+                        modules[alias.asname] = importlib.import_module(alias.name)
+        assert modules, rel
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                module = modules[node.value.id]
+                assert hasattr(module, node.attr), f"{rel}:{node.lineno}: {node.value.id}.{node.attr}"
 
 
 def load_tracing(monkeypatch):

@@ -395,17 +395,18 @@ class TestCertifiedBasis:
         assert (got.status, got.value, got.x) == (want.status, want.value, want.x)
 
     def test_chi_star_runs_no_fraction_pivot(self, monkeypatch):
-        pivots = []
-        pivot = lp._pivot
+        # the simplex runs in floats; Fractions only certify its basis
+        modes = []
+        two_phase = lp._two_phase
 
-        def spy(tab, basis, cost, row, col):
-            pivots.append(tab[row][col])
-            pivot(tab, basis, cost, row, col)
+        def spy(rows, rhs, cmin, exact):
+            modes.append(exact)
+            return two_phase(rows, rhs, cmin, exact)
 
-        monkeypatch.setattr(lp, "_pivot", spy)
+        monkeypatch.setattr(lp, "_two_phase", spy)
         hbar = complement(random_hypergraph(11, 3, 0.4, random.Random(7)))
         value, parts = chi_star(hbar)
-        assert pivots and not any(isinstance(p, Fraction) for p in pivots)
+        assert modes and not any(modes)
         assert sum(lam for lam, _ in parts) == value
 
 

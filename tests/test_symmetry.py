@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypertheta import hamming, symmetry
+from hypertheta import hamming
 from hypertheta.hypercore import (
     Hypergraph,
     HypergraphError,
@@ -17,14 +17,10 @@ from hypertheta.hypercore import (
 from hypertheta.symmetry import (
     PermGroup,
     _common_eigenspaces,
-    _orbit_lists,
     _transitive_program,
     cube_group,
     cyclic_group,
     dihedral_group,
-    group_elements,
-    invariant_membership_reduction,
-    is_transitive,
     mantel_hypergraph,
     mantel_pair_orbit_matrices,
     mantel_theta,
@@ -32,11 +28,27 @@ from hypertheta.symmetry import (
     symmetric_group_pair_action,
     theta_transitive,
     verify_automorphisms,
-    vertex_orbits,
 )
 from hypertheta.thetabody import theta, theta_membership
 
 S3 = PermGroup(3, ((1, 0, 2), (1, 2, 0)))
+
+
+def group_closure(group):
+    """Reference list of all group elements, by breadth-first closure over
+    the generators."""
+    ident = tuple(range(group.degree))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for g in group.generators:
+                comp = tuple(g[x] for x in el)
+                if comp not in seen:
+                    seen.add(comp)
+                    nxt.append(comp)
+        frontier = nxt
+    return sorted(seen)
 
 
 class TestGroups:
@@ -44,26 +56,25 @@ class TestGroups:
         with pytest.raises(HypergraphError):
             PermGroup(3, ((0, 0, 1),))
 
-    def test_element_closure(self):
-        assert len(group_elements(S3)) == 6
-        assert len(group_elements(dihedral_group(5))) == 10
-        assert len(group_elements(symmetric_group_pair_action(4))) == 24
+    def test_rejects_negative_degree(self):
+        with pytest.raises(HypergraphError, match="degree -1"):
+            PermGroup(-1, ())
 
-    def test_element_cap(self, monkeypatch):
-        monkeypatch.setattr(symmetry, "ELEMENT_CAP", 6)
-        assert len(group_elements(S3)) == 6
-        monkeypatch.setattr(symmetry, "ELEMENT_CAP", 5)
-        with pytest.raises(HypergraphError, match="element cap 5"):
-            group_elements(S3)
+    def test_element_closure(self):
+        assert len(group_closure(S3)) == 6
+        assert len(group_closure(dihedral_group(5))) == 10
+        assert len(group_closure(symmetric_group_pair_action(4))) == 24
 
     def test_cube_group_is_the_whole_automorphism_group(self):
         # the hyperoctahedral group has 2^n n! elements
         for n in range(5):
-            assert len(group_elements(cube_group(n))) == 2**n * math.factorial(n)
+            assert len(group_closure(cube_group(n))) == 2**n * math.factorial(n)
 
-    def test_vertex_orbits(self):
-        assert vertex_orbits(cyclic_group(5)) == [[0, 1, 2, 3, 4]]
-        assert vertex_orbits(PermGroup(3, ())) == [[0], [1], [2]]
+    def test_pair_action_of_small_symmetric_groups(self):
+        for n in (0, 1, 2):
+            group = symmetric_group_pair_action(n)
+            assert group.degree == math.comb(n, 2)
+            assert pair_orbits(group).shape == (group.degree, group.degree)
 
 
 class TestAutomorphisms:
@@ -133,8 +144,10 @@ class TestPairOrbits:
             labels = pair_orbits(group).ravel()
             assert (labels <= np.arange(len(labels))).all()
             assert (labels[labels] == labels).all()
-            flat = [v for orbit in vertex_orbits(group) for v in orbit]
-            assert sorted(flat) == list(range(group.degree))
+            # and the diagonal labels each vertex by the smallest of its orbit
+            vertex = pair_orbits(group).diagonal() // (group.degree + 1)
+            assert (vertex <= np.arange(group.degree)).all()
+            assert (vertex[vertex] == vertex).all()
 
     def test_orbit_lookup(self):
         labels = pair_orbits(cyclic_group(5))
@@ -182,16 +195,33 @@ class TestOrbitLabels:
         want_vertices = bfs_orbits(range(n), lambda g, x: g[x], group.generators)
         pairs = itertools.product(range(n), repeat=2)
         want_pairs = bfs_orbits(pairs, lambda g, p: (g[p[0]], g[p[1]]), group.generators)
-        assert vertex_orbits(group) == want_vertices
-        assert is_transitive(group) is (len(want_vertices) <= 1)
         labels = pair_orbits(group)
         assert labels.shape == (n, n)
         for orbit in want_pairs:
             x0, y0 = orbit[0]
             assert all(labels[x, y] == x0 * n + y0 for x, y in orbit)
-        # the lists the tied fallback walks: orbits by smallest pair, ascending
-        points = [[x * n + y for x, y in orbit] for orbit in want_pairs]
-        assert [o.tolist() for o in _orbit_lists(labels.ravel())] == points
+        smallest = {v: orbit[0] for orbit in want_vertices for v in orbit}
+        assert (labels.diagonal() // (n + 1)).tolist() == [smallest[v] for v in range(n)]
+
+    def test_orbit_mean_is_the_group_average(self):
+        rng = np.random.default_rng(5)
+        groups = [
+            symmetric_group_pair_action(4),
+            cube_group(3),
+            dihedral_group(5),
+            # intransitive: orbits {0, 1}, {2, 3, 4} and {5}
+            PermGroup(6, ((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 2, 5))),
+        ]
+        for group in groups:
+            f = rng.random(group.degree)
+            elements = group_closure(group)
+            want = np.zeros(group.degree)
+            for sigma in elements:
+                want[list(sigma)] += f
+            want /= len(elements)
+            orbit = pair_orbits(group).diagonal()
+            avg = np.bincount(orbit, f)[orbit] / np.bincount(orbit)[orbit]
+            assert np.allclose(avg, want, rtol=0, atol=1e-12)
 
     def test_labels_are_read_only(self):
         with pytest.raises(ValueError):
@@ -200,12 +230,9 @@ class TestOrbitLabels:
     def test_degree_zero(self):
         hg = Hypergraph(2, 0, ())
         for group in (PermGroup(0, ()), PermGroup(0, ((),))):
-            assert vertex_orbits(group) == []
             assert pair_orbits(group).shape == (0, 0)
-            assert is_transitive(group)
             assert verify_automorphisms(hg, group)
             assert theta_transitive(hg, group) == theta(hg).value == 0.0
-            assert invariant_membership_reduction(hg, group, [])
 
 
 class TestTransitiveReduction:
@@ -280,7 +307,7 @@ class TestTransitiveReduction:
         hg = mantel_hypergraph(4)
         group = symmetric_group_pair_action(4)
         f = theta(hg).optimizer
-        elements = group_elements(group)
+        elements = group_closure(group)
         avg = np.zeros(hg.n)
         for sigma in elements:
             for x in range(hg.n):
@@ -288,34 +315,6 @@ class TestTransitiveReduction:
         avg /= len(elements)
         member, _ = theta_membership(hg, np.clip(avg, 0.0, 1.0) * (1 - 1e-9))
         assert member
-
-
-class TestInvariantMembership:
-    def test_boundary_constant(self):
-        hg = cycle_graph(5)
-        group = dihedral_group(5)
-        c = math.sqrt(5.0) / 5.0
-        assert invariant_membership_reduction(hg, group, [c] * 5)
-
-    def test_all_ones_fails_with_edges(self):
-        assert not invariant_membership_reduction(
-            cycle_graph(5), dihedral_group(5), [1.0] * 5
-        )
-
-    def test_zero(self):
-        assert invariant_membership_reduction(cycle_graph(5), dihedral_group(5), [0.0] * 5)
-
-    def test_rejects_noninvariant(self):
-        with pytest.raises(HypergraphError):
-            invariant_membership_reduction(
-                cycle_graph(5), dihedral_group(5), [1, 0, 0, 0, 0]
-            )
-
-    def test_rejects_group_of_other_degree(self):
-        # the degree is checked before any orbit is read, and at f = 0 too
-        for degree, c in ((7, 0.1), (3, 0.0)):
-            with pytest.raises(HypergraphError):
-                invariant_membership_reduction(cycle_graph(5), cyclic_group(degree), [c] * 5)
 
 
 class TestMantelPipeline:
