@@ -8,6 +8,7 @@ Subpackages and modules:
 - symmetry: orbit reduction for symmetric instances, triangle-family pipeline
 - hamming: cube triangle hypergraphs, Krawtchouk/Hahn closed forms, decay scan
 - hoffman: edge-weighted hypergraphs and the spectral product bound
+- checks: the property suite that `hypertheta check` runs
 - cli: command-line front end
 """
 

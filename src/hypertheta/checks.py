@@ -214,7 +214,7 @@ def _dual_sandwich(rng):
         lo = alpha(hg, w)[0] / (hg.r - 1)
         hi = float(chi_star(complement(hg), w)[0])
         if not (lo - 1e-6 <= v <= hi + 1e-6):
-            return "bordered value outside its bounds"
+            return f"gauge {v} outside [{lo}, {hi}]"
 
 
 def _negative_weights(rng):

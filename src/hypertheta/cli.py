@@ -70,9 +70,7 @@ def _positive(text: str) -> float:
 
 
 def _load_weights(args, hg):
-    if getattr(args, "weights", None):
-        return read_weights(args.weights, hg.n)
-    return None
+    return read_weights(args.weights, hg.n) if args.weights else None
 
 
 def _cmd_alpha(args) -> int:
@@ -143,7 +141,7 @@ def _cmd_member(args) -> int:
     f = read_weights(args.vec, hg.n)
     member, cert = theta_membership(hg, f, tol=args.tol)
     payload = {"command": "member", "member": member}
-    if member and cert is not None:
+    if member:
         payload["certificate_scale"] = float(cert.scale)
     _emit(payload)
     return 0
@@ -263,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_ALPHA_CAP)
     p.set_defaults(func=_cmd_alpha)
 
-    p = sub.add_parser("chistar", help="fractional cover number of the complementable weights")
+    p = sub.add_parser("chistar", help="fractional cover number of the vertex weights")
     add_common(p)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=_cmd_chistar)
@@ -273,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive, default=1e-8)
     p.set_defaults(func=_cmd_theta)
 
-    p = sub.add_parser("theta-dual", help="bordered minimization program value")
+    p = sub.add_parser("theta-dual", help="gauge of the complement body")
     add_common(p)
     p.add_argument("--tol", type=_positive, default=1e-8)
     p.set_defaults(func=_cmd_theta_dual)

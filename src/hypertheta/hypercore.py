@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, isfinite
+from math import comb, inf
 from typing import Iterable, Sequence
 
 DEFAULT_ALPHA_CAP = 24
@@ -251,10 +251,7 @@ def alpha(hg: Hypergraph, w: Sequence | None = None, cap: int = DEFAULT_ALPHA_CA
     comps: dict[int, list[int]] = {}
     for m in all_edges:
         comps.setdefault(find(_bits(m)[0]), []).append(m)
-    covered = 0
-    for ms in comps.values():
-        for m in ms:
-            covered |= m
+    covered = functools.reduce(int.__or__, all_edges, 0)
     free = [x for x in keep if not (covered >> x) & 1]
     value = sum((vals[x] for x in free), zero)
     chosen = list(free)
@@ -281,10 +278,8 @@ def alpha(hg: Hypergraph, w: Sequence | None = None, cap: int = DEFAULT_ALPHA_CA
                         cut += eminw[i]
             if best_val is not None and ub - cut <= best_val:
                 return
-            if branch is None:
-                if best_val is None or ub > best_val:
-                    best_val = ub
-                    best_excluded = excluded
+            if branch is None:  # a leaf passes the prune only by beating best_val
+                best_val, best_excluded = ub, excluded
                 return
             for v in evert[branch]:
                 search(excluded | (1 << v), ub - vals[v])
@@ -539,17 +534,11 @@ def _integers(tokens: list, lineno: int) -> tuple:
 
 
 def _parse_number(token: str, lineno: int):
+    """The token as an exact Fraction; nan and inf do not parse."""
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        value = float(token)
-    except ValueError:
         raise FormatError(f"cannot parse number {token!r}", lineno) from None
-    if not isfinite(value):
-        raise FormatError(f"number {token!r} is not finite", lineno)
-    return value
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

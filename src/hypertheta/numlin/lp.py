@@ -234,13 +234,7 @@ def _two_phase(rows, rhs, cmin, exact):
     i = 0
     while i < len(tab):
         if basis[i] >= ncols:
-            piv_col = next(
-                (j for j in range(ncols) if abs(tab[i][j]) > eps), None
-            )
-            if piv_col is None and not exact:
-                piv_col = next(
-                    (j for j in range(ncols) if abs(tab[i][j]) > 1e-11), None
-                )
+            piv_col = next((j for j in range(ncols) if abs(tab[i][j]) > eps), None)
             if piv_col is None:
                 tab.pop(i)
                 basis.pop(i)

@@ -329,10 +329,10 @@ def _max_steps(zs, dxs, dss) -> tuple:
 
 def _nt_scaling(seig: tuple, xeig: tuple):
     """(W, S^-1, G, G^-1, lam) of the Nesterov-Todd scaling point of one
-    stack, or None on breakdown; seig and xeig are np.linalg.eigh of s and x.
-    Steps keep the iterates definite mathematically, so per block,
-    eigenvalues at roundoff scale are clamped and anything more negative is a
-    genuine breakdown.
+    stack; seig and xeig are np.linalg.eigh of s and x.  Steps keep the
+    iterates definite mathematically, so per block, eigenvalues at roundoff
+    scale are clamped, and anything more negative is a breakdown: it raises
+    np.linalg.LinAlgError, which ends solve_sdp.
 
     W = S^-1/2 T^1/2 S^-1/2 with T = S^1/2 X S^1/2.  T^1/2 comes from the SVD
     S^1/2 X^1/2 = U diag(lam) Q^T: near the optimum every eigenvalue of T is
@@ -344,12 +344,12 @@ def _nt_scaling(seig: tuple, xeig: tuple):
 
     def floored(vals):
         floor = 1e-14 * np.maximum(vals.max(axis=1, keepdims=True), 1e-30)
-        return None if np.any(vals < -10 * floor) else np.maximum(vals, floor)
+        if np.any(vals < -10 * floor):
+            raise np.linalg.LinAlgError("indefinite iterate")
+        return np.maximum(vals, floor)
 
     (sval, svec), (xval, xvec) = seig, xeig
     sval, xval = floored(sval), floored(xval)
-    if sval is None or xval is None:
-        return None
     svt = svec.transpose(0, 2, 1)
     shalf = (svec * np.sqrt(sval)[:, None, :]) @ svt
     sinvh = (svec / np.sqrt(sval)[:, None, :]) @ svt
@@ -387,16 +387,17 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     9.2e-10, after 12 iterations (1 BLAS thread; 2.1e-8 and 9.1e-10 with 2).
 
     The feasible regions produced by this package are bounded with interior
-    points, so the central path exists and the method converges at desk
-    scale; if progress stalls or the iterates diverge (an unbounded or
-    infeasible program), the solution is returned with status
-    "numerical-failure" and diagnostics attached.  The residuals hold the
-    final relative gap, the scaled primal and dual residuals, the smallest
-    block eigenvalue, max_ridge, the largest multiple of the identity added
-    to the Schur complement when its Cholesky factorization failed (0.0 when
-    it never did), and centering_fallbacks, the number of iterations that
-    dropped the corrector's second-order term (0 when it was always kept).
-    Raises ValueError unless 0 < tol < inf.
+    points, so the method converges at desk scale.  A solve that diverges (a
+    non-finite objective, gap or residual), stalls (steps below 1e-10 three
+    times running), breaks down (np.linalg.LinAlgError from an indefinite
+    iterate, eight failed ridged Cholesky factorizations or LAPACK) or hits
+    _MAX_ITER ends "numerical-failure" with its last iterate.  The residuals
+    hold the final relative gap, the scaled primal and dual residuals, the
+    smallest block eigenvalue, max_ridge, the largest multiple of the
+    identity added to the Schur complement when its Cholesky factorization
+    failed (0.0 when it never did), and centering_fallbacks, the number of
+    iterations that dropped the corrector's second-order term (0 when it was
+    always kept).  Raises ValueError unless 0 < tol < inf.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -450,26 +451,22 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                 _nt_scaling((val[:k], vec[:k]), (val[k:], vec[k:]))
                 for (val, vec), k in zip(eigs, lay.counts)
             ]
-            if None in scaling:
-                break
             ws, sinvs, *_ = zip(*scaling)
             wrw = [w @ q @ w for w, q in zip(ws, rd)]
             mmat = _schur(lay, ws)
 
-            chol = None
+            chol = None  # frees the last factor before the next is formed
             ridge = 0.0
             base = np.trace(mmat) / m
-            for attempt in range(8):
+            for _ in range(8):
                 try:
-                    chol = np.linalg.cholesky(
-                        mmat + ridge * np.eye(m) if ridge else mmat
-                    )
+                    chol = np.linalg.cholesky(mmat + ridge * np.eye(m) if ridge else mmat)
                     break
                 except np.linalg.LinAlgError:
                     ridge = max(ridge * 100.0, 1e-14 * max(base, 1.0))
-            max_ridge = max(max_ridge, ridge)
-            if chol is None:
-                break
+                    max_ridge = max(max_ridge, ridge)
+            else:
+                raise np.linalg.LinAlgError("no ridge made the Schur complement definite")
 
             # An unridged factor gives a normwise backward stable solve by
             # itself.  A ridged one solves M + ridge * I, so one refinement
@@ -528,7 +525,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             ss = [_sym(s + ad * d) for s, d in zip(ss, ds)]
             y = y + ad * dy
     except np.linalg.LinAlgError:
-        pass  # LAPACK gave up on an overflowing iterate: the solve diverged
+        pass  # a breakdown, as the docstring lists
 
     pobj = _inner(cs, xs)
     dobj = float(y @ rhs)

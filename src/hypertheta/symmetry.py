@@ -27,6 +27,7 @@ All functions are pure; concurrent calls are safe.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -62,6 +63,7 @@ class PermGroup:
     generators: tuple
 
     def __init__(self, degree: int, generators):
+        degree = operator.index(degree)
         if degree < 0:
             raise HypergraphError(f"group degree {degree} is negative")
         gens = []
@@ -70,7 +72,7 @@ class PermGroup:
             if sorted(t) != list(range(degree)):
                 raise HypergraphError(f"generator {t} is not a bijection on [0,{degree})")
             gens.append(t)
-        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(gens))
 
 
@@ -226,6 +228,13 @@ def mantel_hypergraph(n: int) -> Hypergraph:
     return Hypergraph(3, len(pairs), tuple(tris))
 
 
+def _symmetric_generators(n: int) -> list[list[int]]:
+    """A transposition (the identity when n < 2) and an n-cycle: generators of S_n."""
+    if n < 0:
+        raise HypergraphError(f"symmetric group on {n} points")
+    return [[1, 0, *range(2, n)] if n >= 2 else list(range(n)), [(i + 1) % n for i in range(n)]]
+
+
 def symmetric_group_pair_action(n: int) -> PermGroup:
     """The symmetric group on n points acting on the edges of the complete
     graph, generated by a transposition and an n-cycle."""
@@ -237,9 +246,7 @@ def symmetric_group_pair_action(n: int) -> PermGroup:
             idx[tuple(sorted((sigma[a], sigma[b])))] for a, b in pairs
         )
 
-    swap = [1, 0] + list(range(2, n)) if n >= 2 else list(range(n))
-    cyc = [(i + 1) % n for i in range(n)]
-    return PermGroup(len(pairs), (act(swap), act(cyc)))
+    return PermGroup(len(pairs), [act(g) for g in _symmetric_generators(n)])
 
 
 def cyclic_group(n: int) -> PermGroup:
@@ -255,15 +262,14 @@ def dihedral_group(n: int) -> PermGroup:
 def cube_group(n: int) -> PermGroup:
     """Automorphisms of the n-cube on integer-coded words: the n bit flips,
     a transposition and an n-cycle of the coordinates."""
+    gens = _symmetric_generators(n)
     size = 1 << n
 
     def move_bits(p):
         return tuple(sum(((x >> i) & 1) << p[i] for i in range(n)) for x in range(size))
 
     flips = [tuple(x ^ (1 << i) for x in range(size)) for i in range(n)]
-    swap = [1, 0] + list(range(2, n)) if n >= 2 else list(range(n))
-    cycle = [(i + 1) % n for i in range(n)]
-    return PermGroup(size, flips + [move_bits(swap), move_bits(cycle)])
+    return PermGroup(size, flips + [move_bits(g) for g in gens])
 
 
 def mantel_pair_orbit_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

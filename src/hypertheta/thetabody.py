@@ -203,7 +203,7 @@ def assemble_theta_sdp(hg: Hypergraph, w=None) -> tuple[SdpProblem, "_Node"]:
         raise UniformityError(
             "1-uniform relaxation is the independence polytope; use theta()"
         )
-    wv = [float(v) for v in check_weights(hg, w)]
+    wv = _float_weights(hg, w)
     builder = _Builder()
     root = _membership_node(builder, hg, tuple(range(hg.n)))
     builder.add([(root.blk, 0, 0, 1.0)], 1.0)
@@ -236,6 +236,17 @@ def _box_certificate(f, vmap) -> ThetaCertificate:
     return ThetaCertificate(scale=1.0, matrix=mat, uniformity=1, vertex_map=tuple(vmap))
 
 
+def _float_weights(hg: Hypergraph, w) -> list[float]:
+    """check_weights(hg, w) as floats, refusing entries beyond the double range."""
+    out = []
+    for i, v in enumerate(check_weights(hg, w)):
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise HypergraphError(f"weight {i} lies beyond the double range") from None
+    return out
+
+
 def _restrict(hg: Hypergraph, v: list) -> tuple[Hypergraph, tuple, list]:
     """Induced instance on the support of v, its vertex map and v on it."""
     sub, smap = induced(hg, [x for x in range(hg.n) if v[x] > 0])
@@ -263,19 +274,19 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
     Negative weight entries cost nothing: the body is of antiblocking type,
     so the optimum automatically matches the one for the positive part.
     """
-    wv = check_weights(hg, w)
+    wv = _float_weights(hg, w)
     if hg.r == 1:
         blocked = {e[0] for e in hg.edges}
         f = np.array(
             [1.0 if (x not in blocked and wv[x] > 0) else 0.0 for x in range(hg.n)]
         )
-        value = float(sum(float(wv[x]) for x in range(hg.n) if f[x] > 0))
+        value = float(sum(wv[x] for x in range(hg.n) if f[x] > 0))
         cert = _box_certificate(f, range(hg.n))
         return ThetaResult(value, f, cert, {"mode": "exact-base"})
     # The solve's gap is relative to 1 + |value|, so it runs on w / max(w)
     # and the value scales back: the optimizer does not depend on the scale.
-    top = max((float(v) for v in wv if v > 0), default=1.0)
-    problem, root = assemble_theta_sdp(hg, [float(v) / top for v in wv])
+    top = max((v for v in wv if v > 0), default=1.0)
+    problem, root = assemble_theta_sdp(hg, [v / top for v in wv])
     sol = _solved(problem, tol, "theta")
     cert = _extract(root, sol.blocks)
     f = cert.vector
@@ -325,7 +336,7 @@ def theta_membership(
     The witness has corner 1 and diagonal min(t*, 1)*f.  The instance is
     first restricted to the support of f, as _max_scaling requires.
     """
-    fv = [float(v) for v in check_weights(hg, f)]
+    fv = _float_weights(hg, f)
     if any(v < -1e-12 or v > 1.0 + tol for v in fv):
         return False, None
     sub, smap, fsub = _restrict(hg, fv)
@@ -358,7 +369,7 @@ def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
     """
     if hg.r < 2:
         raise UniformityError("the gauge program needs uniformity at least 2")
-    wv = [float(v) for v in check_weights(hg, w)]
+    wv = _float_weights(hg, w)
     if any(v < 0 for v in wv):
         raise HypergraphError("theta_dual requires nonnegative weights")
     sub, smap, wsub = _restrict(hg, wv)

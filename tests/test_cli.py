@@ -2,11 +2,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hypertheta import checks
-from hypertheta.cli import main, render_json
+from hypertheta.cli import _build_parser, main, render_json
 from hypertheta.hypercore import (
     alpha,
     complete_hypergraph,
@@ -18,6 +19,9 @@ from hypertheta.symmetry import mantel_hypergraph
 from hypertheta.thetabody import theta
 
 PROPERTIES = dict(checks._PROPERTIES)
+SUBCOMMANDS = list(
+    next(a for a in _build_parser()._actions if a.dest == "command").choices
+)
 
 
 @pytest.fixture
@@ -137,6 +141,28 @@ class TestCommands:
         assert data["alpha"] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert data["lambda_levels"] == pytest.approx([-0.5, -1.0], abs=1e-9)
 
+    def test_scan_decay_single_dimension(self, capsys):
+        code, out, _ = run_cli(capsys, "scan-decay", "--c", "3", "--n", "30")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "n,c,s,log_density"
+        assert [row.split(",")[:3] for row in rows] == [["30", "3", "10"]]
+
+
+class TestHelpAndReadme:
+    def test_readme_names_the_subcommands(self):
+        # the command block under "## Command line" shows each command once
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        shown = [line.split()[1] for line in block.splitlines() if line.startswith("hypertheta ")]
+        assert sorted(shown) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_exits_0(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: hypertheta {command}")
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -173,6 +199,20 @@ class TestErrors:
             assert code == 2
             assert out == ""
             assert f"no {s}-triangles in the {n}-cube" in json.loads(err)["error"]
+
+    def test_weight_beyond_the_double_range(self, capsys, tmp_path):
+        graph, numbers = tmp_path / "g.hg", tmp_path / "w.txt"
+        graph.write_text("2 3 1\n0 1\n")
+        numbers.write_text("1e400\n1\n1\n")
+        for argv in (
+            ["theta", "--weights", str(numbers)],
+            ["theta-dual", "--weights", str(numbers)],
+            ["member", "--vec", str(numbers)],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--file", str(graph))
+            assert code == 2, argv
+            assert out == ""
+            assert "weight 0 lies beyond the double range" in json.loads(err)["error"]
 
     def test_bad_tolerance(self, capsys, edge3_file):
         for tol in ("-1", "0", "inf", "nan"):

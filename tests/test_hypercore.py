@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypertheta import hypercore
 from hypertheta.hypercore import (
     FormatError,
     Hypergraph,
@@ -334,6 +335,16 @@ class TestChiStar:
     def test_rejects_negative(self):
         with pytest.raises(HypergraphError):
             chi_star(cycle_graph(5), [1, 1, -1, 1, 1])
+
+    def test_zero_weights_enumerate_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated the independent sets")
+
+        monkeypatch.setattr(hypercore, "maximal_independent_sets", refuse)
+        for w, kind in (([0, Fraction(0), 0], Fraction), ([0.0, 0, 0.0], float)):
+            value, parts = chi_star(complete_hypergraph(2, 3), w)
+            assert value == 0 and type(value) is kind
+            assert parts == []
 
     def test_singleton_support_is_tight(self):
         # one positive vertex: a single independent set priced at its weight

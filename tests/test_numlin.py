@@ -519,8 +519,10 @@ class TestStackedSteps:
         for k in range(3):
             bad = ss.copy()
             bad[k] -= 2.0 * np.linalg.eigvalsh(ss[k]).min() * np.eye(4)
-            assert _nt_scaling(np.linalg.eigh(bad), np.linalg.eigh(xs)) is None
-            assert _nt_scaling(np.linalg.eigh(ss), np.linalg.eigh(bad)) is None
+            with pytest.raises(np.linalg.LinAlgError):
+                _nt_scaling(np.linalg.eigh(bad), np.linalg.eigh(xs))
+            with pytest.raises(np.linalg.LinAlgError):
+                _nt_scaling(np.linalg.eigh(ss), np.linalg.eigh(bad))
 
     def test_second_order_term_solves_the_lyapunov_equation(self):
         rng = np.random.default_rng(9)
@@ -790,7 +792,7 @@ class TestSdp:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize(
-        "dims, objective, rows, early",
+        "dims, objective, rows, diverged",
         [
             # unbounded: the iterates overflow to a non-finite gap or residual
             pytest.param([2], [np.eye(2)], [([(0, 0, 1, 1.0)], 0.0)], True, id="unbounded-x01"),
@@ -800,39 +802,79 @@ class TestSdp:
             ),
             # unbounded: LAPACK gives up on a finite but overflowing step
             pytest.param(
-                [1, 3], [np.eye(1), np.eye(3)], [([(0, 0, 0, 1.0)], 1.0)], True, id="unbounded-3x3"
+                [1, 3], [np.eye(1), np.eye(3)], [([(0, 0, 0, 1.0)], 1.0)], False, id="unbounded-3x3"
             ),
+            # block 1 is free and its objective indefinite: the steps stall
             pytest.param(
                 [2, 2],
                 [np.diag([-2.0, 2.0]), np.array([[1.0, -0.5], [-0.5, -1.0]])],
                 [([(0, 1, 1, 1.0)], 0.0)],
-                True,
-                id="nt-breakdown",
+                False,
+                id="stall-free-block",
             ),
-            # X1 = -1/2, with X01 = 0 given as two terms: eight ridges fail
+            # X1 = -1/2, with X01 = 0 given as two terms: the iterates overflow
             pytest.param(
                 [2, 1],
                 [np.zeros((2, 2)), np.eye(1)],
                 [([(1, 0, 0, 2.0)], -1.0), ([(0, 1, 0, 2.0), (0, 0, 1, -1.0)], 0.0)],
                 True,
-                id="cholesky-failure",
+                id="diverged-x1-negative",
             ),
-            # X00 = X11 = 1 and X01 = 2 has no PSD point: the steps stall
+            # X00 = X11 = 1 and X01 = 2 has no PSD point: the iterates overflow
             pytest.param(
                 [2],
                 [np.eye(2)],
                 [([(0, 0, 0, 1.0)], 1.0), ([(0, 1, 1, 1.0)], 1.0), ([(0, 0, 1, 1.0)], 2.0)],
                 True,
-                id="stall",
+                id="diverged-no-psd-point",
             ),
             # X = -1: the iterates overflow to a non-finite gap
             pytest.param([1], [np.eye(1)], [([(0, 0, 0, 1.0)], -1.0)], True, id="x-negative"),
         ],
     )
-    def test_failure_exits_return_numerical_failure(self, dims, objective, rows, early):
+    def test_failure_exits_return_numerical_failure(self, dims, objective, rows, diverged):
         s = solve_sdp(SdpProblem(dims, objective, rows))
         assert s.status == "numerical-failure"
-        assert (s.iterations < 300) is early
+        assert s.iterations < 300
+        # the diverged exit is the one that stops on a non-finite value
+        last = [s.primal, s.dual, s.gap, s.residuals["primal"], s.residuals["dual"]]
+        assert (not np.isfinite(last).all()) is diverged
+
+    def test_cholesky_breakdown_ends_the_solve(self, monkeypatch):
+        # eight failed factorizations raise into the breakdown exit, which
+        # keeps the largest ridge tried plus the one the eighth failure set
+        tried = []
+
+        def failing(mat):
+            tried.append(mat)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        s = solve_sdp(assemble_theta_sdp(cycle_graph(5))[0])
+        assert s.status == "numerical-failure" and s.iterations == 1
+        assert len(tried) == 8
+        base = np.trace(tried[0]) / len(tried[0])
+        ridge = 1e-14 * max(base, 1.0)
+        for mat in tried[1:]:
+            assert np.array_equal(mat, tried[0] + ridge * np.eye(len(mat)))
+            ridge *= 100.0
+        assert s.residuals["max_ridge"] == ridge
+
+    def test_indefinite_iterate_ends_the_solve(self, monkeypatch):
+        # an S block that is no longer definite on the third iteration
+        calls = []
+        scaling = sdp._nt_scaling
+
+        def flipped(seig, xeig):
+            calls.append(1)
+            vals, vecs = seig
+            return scaling((-vals if len(calls) == 3 else vals, vecs), xeig)
+
+        monkeypatch.setattr(sdp, "_nt_scaling", flipped)
+        s = solve_sdp(assemble_theta_sdp(cycle_graph(5))[0])
+        assert s.status == "numerical-failure" and s.iterations == 3
+        assert len(calls) == 3
+        assert np.isfinite(s.primal) and np.isfinite(s.residuals["rel_gap"])
 
     def test_iteration_limit_returns_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(sdp, "_MAX_ITER", 3)

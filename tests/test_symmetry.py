@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -59,6 +60,24 @@ class TestGroups:
     def test_rejects_negative_degree(self):
         with pytest.raises(HypergraphError, match="degree -1"):
             PermGroup(-1, ())
+
+    def test_rejects_non_integer_degree(self):
+        with pytest.raises(TypeError):
+            PermGroup(2.5, ())
+
+    def test_builders_reject_negative_sizes(self):
+        for build in (symmetric_group_pair_action, cube_group):
+            with pytest.raises(HypergraphError, match="symmetric group on -1 points"):
+                build(-1)
+
+    def test_builder_generators_are_pinned(self):
+        # the bit flips, then the transposition (0 1) and the cycle i -> i + 1,
+        # in this order, acting on pairs or on cube words
+        groups = [symmetric_group_pair_action(n) for n in range(8)]
+        groups += [cube_group(n) for n in range(7)]
+        text = repr([(g.degree, g.generators) for g in groups])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "5f3442cc99e099c706b1153dc530261037898bdba075d0dc9e8764f6c36f88a2"
 
     def test_element_closure(self):
         assert len(group_closure(S3)) == 6

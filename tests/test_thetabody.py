@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -316,6 +317,22 @@ class TestNonFiniteWeights:
     def test_refused_naming_the_index(self, call):
         with pytest.raises(HypergraphError, match="weight 0 is not finite"):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: theta(cycle_graph(5), w),
+            lambda w: theta_dual(cycle_graph(5), w),
+            lambda w: theta_membership(cycle_graph(5), w),
+        ],
+        ids=["theta", "theta_dual", "theta_membership"],
+    )
+    def test_beyond_the_double_range_refused(self, call):
+        # exact entries past the double range, as the readers give 1e400
+        for big in (Fraction(10**400), 10**400, -(10**400)):
+            w = [1, 1, big, 1, 1]
+            with pytest.raises(HypergraphError, match="weight 2 lies beyond the double range"):
+                call(w)
 
 
 class TestProbe:
