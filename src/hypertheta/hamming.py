@@ -13,8 +13,9 @@ the degree-k Hahn values at s/2.  Both families are normalized to 1 at 0 and
 evaluated in integers, one column over all degrees per point, by three-term
 recurrences in the degree (for Hahn: Koekoek, Lesky & Swarttouw,
 Hypergeometric Orthogonal Polynomials and Their q-Analogues, Springer 2010,
-section 9.5); minima compare integers.  The binomials overflow doubles near
-n = 150, inside the scan range, so only the final logarithm uses floats.
+section 9.5); minima compare integers.  The binomials stop being exact in
+doubles above 2^53, from n = 57 on, and overflow them near n = 1030, so
+only the final logarithm uses floats.
 
 The Hahn index range is clipped to k <= min(s, n-s): the evaluation formula
 divides by C(n-s, i) and the underlying scheme has only min(s, n-s) + 1

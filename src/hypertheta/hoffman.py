@@ -17,9 +17,10 @@ relaxation value of the underlying hypergraph at the induced vertex weights
 never exceeds this bound and is never below the exact density, so it sits
 between the two.
 
-Measures are kept as exact rationals whenever possible; eigenvalues are
-computed on the symmetrized conjugate D^(1/2) T D^(-1/2), which shares the
-spectrum and is numerically symmetric.
+Measures are kept as exact rationals whenever possible.  Eigenvalues are
+read from sqrt(T * T^T), entrywise: as d_x T(x, y) = d_y T(y, x) for the
+vertex measure d, its (x, y) entry is sqrt(d_x / d_y) T(x, y), so it is the
+conjugate D^(1/2) T D^(-1/2), exactly symmetric, with no division by d.
 
 Everything is pure; the per-subset link eigenvalue loop reduces with a
 deterministic minimum and concurrent calls are safe.
@@ -31,7 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf
+from math import comb, inf, prod
 
 import numpy as np
 
@@ -130,6 +131,8 @@ def weighted_hypergraph(n: int, r: int, edges, weights) -> WeightedHypergraph:
     exact = not any(isinstance(w, float) for _, w in pairs)
     conv = Fraction if exact else float
     total = sum(conv(w) for _, w in pairs)
+    if not total < inf:
+        raise HypergraphError(f"edge weights sum to {total}, past the float range")
     merged: dict[tuple, object] = {}
     for e, w in pairs:
         merged[e] = merged.get(e, conv(0)) + conv(w) / total
@@ -204,9 +207,7 @@ def adjacency_operator(wh: WeightedHypergraph) -> AdjacencyOperator:
 
 
 def _smallest_eigenvalue(op: AdjacencyOperator) -> float:
-    d = np.sqrt(op.vertex_measure)
-    sym = (d[:, None] * op.matrix) / d[None, :]
-    vals, _ = eig_sym(sym)
+    vals, _ = eig_sym(np.sqrt(op.matrix * op.matrix.T))
     return float(vals[0])
 
 
@@ -217,22 +218,16 @@ def lambda_levels(wh: WeightedHypergraph) -> tuple:
         raise HypergraphError("levels need uniformity at least 2")
     levels = [_smallest_eigenvalue(adjacency_operator(wh))]
     for i in range(1, wh.r - 1):
-        worst = None
-        for sigma in induced_measure(wh, i):
-            sub = link_measure(wh, sigma)
-            val = _smallest_eigenvalue(adjacency_operator(sub))
-            if worst is None or val < worst:
-                worst = val
-        levels.append(worst)
+        levels.append(min(
+            _smallest_eigenvalue(adjacency_operator(link_measure(wh, sigma)))
+            for sigma in induced_measure(wh, i)
+        ))
     return tuple(levels)
 
 
 def hoff(wh: WeightedHypergraph) -> float:
     """The spectral product bound on the independence density."""
-    prod = 1.0
-    for lam in lambda_levels(wh):
-        prod *= 1.0 - lam
-    return 1.0 - 1.0 / prod
+    return 1.0 - 1.0 / prod(1.0 - lam for lam in lambda_levels(wh))
 
 
 def random_weighted_hypergraph(
@@ -240,6 +235,8 @@ def random_weighted_hypergraph(
 ) -> WeightedHypergraph:
     """Uniform measure on a random edge set with edge probability p;
     resamples until the edge set is nonempty."""
+    if comb(n, r) == 0 or not p > 0:
+        raise HypergraphError(f"no edge can be drawn with n={n}, r={r}, p={p}")
     while True:
         hg = random_hypergraph(n, r, p, rng)
         if hg.m:

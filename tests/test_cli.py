@@ -141,6 +141,15 @@ class TestCommands:
         assert data["alpha"] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert data["lambda_levels"] == pytest.approx([-0.5, -1.0], abs=1e-9)
 
+    def test_hoffman_vertex_measure_below_double_range(self, capsys, tmp_path):
+        path = tmp_path / "tiny.whg"
+        path.write_text("3 4 2\n0 1 2 1e400\n1 2 3 1\n")
+        code, out, err = run_cli(capsys, "hoffman", "--file", str(path))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["lambda_levels"] == pytest.approx([-0.5, -1.0], abs=1e-12)
+        assert data["hoff"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
     def test_scan_decay_single_dimension(self, capsys):
         code, out, _ = run_cli(capsys, "scan-decay", "--c", "3", "--n", "30")
         assert code == 0

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,15 @@ class TestMeasures:
         with pytest.raises(HypergraphError, match="edge weight 1 is not finite"):
             weighted_hypergraph(4, 3, edges, [1.0, bad])
 
+    def test_float_weight_sum_past_double_range_refused(self):
+        with pytest.raises(HypergraphError, match="past the float range"):
+            weighted_hypergraph(3, 2, [(0, 1), (1, 2)], [1e308, 1e308])
+
+    @pytest.mark.parametrize("n, r, p", [(3, 4, 0.5), (5, 3, 0.0), (5, 3, math.nan)])
+    def test_random_draw_with_no_drawable_edge_refused(self, n, r, p):
+        with pytest.raises(HypergraphError, match="no edge can be drawn"):
+            random_weighted_hypergraph(n, r, p, random.Random(0))
+
 
 class TestLinks:
     def test_single_edge_vertex_link(self):
@@ -175,6 +185,26 @@ class TestLevelsAndBound:
         for n in (4, 7):
             levels = lambda_levels(uniform_weighted(complete_hypergraph(2, n)))
             assert abs(levels[0] + 1.0 / (n - 1)) < 1e-12
+
+    @pytest.mark.parametrize("extra", (1, 3))
+    @pytest.mark.parametrize("r", range(2, 6))
+    def test_complete_hypergraph_levels(self, r, extra):
+        # every i-link is the complete (r-i)-uniform hypergraph on n-i vertices
+        n = r + extra
+        wh = uniform_weighted(complete_hypergraph(r, n))
+        want = [-1.0 / (n - 1 - i) for i in range(r - 1)]
+        assert lambda_levels(wh) == pytest.approx(want, abs=1e-12)
+        assert abs(hoff(wh) - (r - 1) / n) < 1e-12
+
+    def test_vertex_measure_below_double_range(self):
+        # vertex 3 has measure 1e-400/3, which is 0.0 as a double
+        wh = parse_weighted_hypergraph("3 4 2\n0 1 2 1e400\n1 2 3 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels = lambda_levels(wh)
+            bound = hoff(wh)
+        assert levels == pytest.approx([-0.5, -1.0], abs=1e-12)
+        assert abs(bound - 2.0 / 3.0) < 1e-12
 
     def test_bound_values(self):
         assert abs(hoff(single_edge()) - 2.0 / 3.0) < 1e-12
