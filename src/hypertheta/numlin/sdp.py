@@ -29,9 +29,11 @@ that share a block, and solved by Cholesky and blocked triangular
 substitution.  When the Cholesky needed a ridge on the diagonal, each solve
 of that iteration takes one refinement step against the unregularized Schur
 complement.  A presolve pass keeps, in order, each equality row whose
-distance from the span of the rows kept before it passes a QR rank test
-(threshold 1e-10), and checks the right-hand sides of the dropped rows by
-one least-squares solve.
+distance from the span of the rows kept before it passes a rank test
+(threshold 1e-10), and checks the right-hand sides of the dropped rows.  A
+row that shares no entry with another row is orthogonal to all of them and
+is tested by its norm; the others go through one QR of their dense stack
+and one least-squares solve.
 
 Solves are deterministic per numpy/BLAS build and BLAS thread count: with
 both fixed, identical inputs give bit-identical iterates; another build or
@@ -132,19 +134,23 @@ class SdpSolution:
     residuals: Mapping = field(default_factory=lambda: MappingProxyType({}))
 
 
-def _stack(problem: SdpProblem):
-    """The constraint rows as one matrix and the right-hand sides.
+def _stack(problem: SdpProblem, rows=None):
+    """The constraint rows (all, or the sorted indices in rows) as one matrix,
+    and their right-hand sides.
 
-    Column k is one (block, i <= j) entry that some term names; off-diagonal
-    columns carry coef * sqrt(1/2), so dot products of rows are the Frobenius
-    inner products of the constraint matrices.
+    Column k is one (block, i <= j) entry that a term of those rows names;
+    off-diagonal columns carry coef * sqrt(1/2), so dot products of rows are
+    the Frobenius inner products of the constraint matrices.
     """
-    row, entry = problem.index[:, 0], problem.index[:, 1:]
+    if rows is None:
+        rows = np.arange(problem.num_constraints)
+    on = np.isin(problem.index[:, 0], rows)
+    row, entry = np.searchsorted(rows, problem.index[on, 0]), problem.index[on, 1:]
     keys, col = np.unique(entry, axis=0, return_inverse=True)
     scale = np.where(entry[:, 1] == entry[:, 2], 1.0, np.sqrt(0.5))
-    a = np.zeros((problem.num_constraints, len(keys)))
-    np.add.at(a, (row, col.ravel()), problem.coef * scale)
-    return a, problem.rhs
+    a = np.zeros((len(rows), len(keys)))
+    np.add.at(a, (row, col.ravel()), problem.coef[on] * scale)
+    return a, problem.rhs[rows]
 
 
 def _presolve(a: np.ndarray, rhs: np.ndarray):
@@ -176,6 +182,45 @@ def _presolve(a: np.ndarray, rhs: np.ndarray):
         if np.any(np.abs(want - implied) > 1e-7 * (1.0 + np.abs(want))):
             return None, "infeasible"
     return kept, None
+
+
+def _kept_rows(problem: SdpProblem):
+    """_presolve's verdict on the problem's rows, with the QR only where it
+    is needed.
+
+    A row that names no entry that another row names is orthogonal to every
+    other row, so its distance from the span of the rows kept before it is
+    its norm, and no later row's distance depends on it: the in-order test
+    keeps it when its norm passes _presolve's threshold, and a dropped one
+    implies the right-hand side 0.  Only the other rows are stacked and
+    go through _presolve, so a program whose rows share no entry forms no
+    dense matrix at all.  Returns what _presolve returns.
+    """
+    m = problem.num_constraints
+    row, blk, i, j = problem.index.T
+    dims = np.array(problem.block_dims, dtype=np.intp)
+    start = np.cumsum(dims * dims) - dims * dims
+    entry = start[blk] + i * dims[blk] + j
+    width = int((dims * dims).sum())
+    # One (row, entry) pair per distinct entry of a row, its terms summed.
+    pair, at = np.unique(row * width + entry, return_inverse=True)
+    prow, pentry = np.divmod(pair, width)
+    scale = np.where(i == j, 1.0, np.sqrt(0.5))
+    value = np.bincount(at, problem.coef * scale, len(pair))
+    shared = np.zeros(m, dtype=bool)
+    shared[prow[np.bincount(pentry)[pentry] > 1]] = True
+    norm = np.sqrt(np.bincount(prow, value * value, m))
+    keep = ~shared & (norm > _PRESOLVE_TOL * (1.0 + norm))
+    rhs = problem.rhs
+    if np.any(~shared & ~keep & (np.abs(rhs) > 1e-7 * (1.0 + np.abs(rhs)))):
+        return None, "infeasible"
+    rest = np.flatnonzero(shared)
+    if len(rest):
+        kept, bad = _presolve(*_stack(problem, rest))
+        if bad is not None:
+            return None, bad
+        keep[rest[kept]] = True
+    return np.flatnonzero(keep), None
 
 
 @dataclass(frozen=True)
@@ -382,9 +427,9 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     The solve stops as "optimal" when |gap| / (1 + |pobj| + |dobj|) <= tol
     and the primal and dual residuals, scaled by 1 + max |rhs| and by
     1 + max(1, max |objective entry|), are at most 10 * tol.  So tol does
-    not bound the error of the value: the primal value of theta on H(5, 2)
-    at tol 1e-8 lies 2.1e-8 below its optimum 12, at a relative gap of
-    9.2e-10, after 12 iterations (1 BLAS thread; 2.1e-8 and 9.1e-10 with 2).
+    not bound the error of the value: theta on H(5, 2) at tol 1e-8, which
+    thetabody solves in its free form, returns 12 - 1.95e-8 at a relative
+    gap of 8.8e-10 after 12 iterations (1 and 2 BLAS threads alike).
 
     The feasible regions produced by this package are bounded with interior
     points, so the method converges at desk scale.  A solve that diverges (a
@@ -401,7 +446,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    kept, bad = _presolve(*_stack(problem))
+    kept, bad = _kept_rows(problem)
     if bad is not None:
         return SdpSolution(status="infeasible")
     m = len(kept)

@@ -20,6 +20,22 @@ Two programs are built on that one node: theta's, and max{t : t*v in body},
 which theta_membership runs on f and theta_dual on the complement with w; the
 antiblocker pairing's gauge min{lam : w in lam * body(H-bar)} is 1/t*.
 
+Each program reaches numlin.solve_sdp in one of two forms, whichever has
+fewer rows, since the Schur complement of the solve has one row and column
+per row.  Every row the assembly emits fixes one entry or ties two, with a
+weight in the membership programs.  The row form is the program as
+assembled, one row per fix or tie.  The free form eliminates them: the
+tied entries fall into classes, the classes that hold a fixed entry are one
+fixed matrix E0, and each other class k, an entry no row names being a
+class alone, is one free scalar y_k with matrix E_k.  The witness blocks are
+X(y) = E0 + sum_k y_k E_k, which meet every fix and tie exactly and are
+psd up to the solve's dual residual, and the solve runs on the conic dual
+with one row per free class.  Theta on H(4, 2) has 417 rows and 184
+classes, and takes the free form; Mantel 6 has 331 rows and 480 classes,
+and keeps the row form.  A program with no free class (a single point)
+keeps the row form.  The diagnostics of theta and theta_dual name the form
+and the number of rows solved.
+
 All assemblies here are pure; solves are delegated to numlin and share no
 state between calls, so concurrent independent calls are safe.
 """
@@ -264,6 +280,113 @@ def _solved(problem: SdpProblem, tol: float, what: str) -> SdpSolution:
     return sol
 
 
+def _free_form(problem: SdpProblem):
+    """The program with its fixes and ties eliminated, when that has fewer rows.
+
+    Every row that _Builder assembles for theta, theta_membership and
+    theta_dual fixes one entry (c X[e] = rhs) or ties two
+    (c X[e] + c' X[e'] = 0).  A weighted union-find over the entries gives
+    classes on which X[e] = ratio_e X[root]; the classes that hold a fixed
+    entry make up E0, and each other class k, an entry no row names being a
+    class alone, is one free variable with matrix E_k.  So the feasible
+    blocks are X(y) = E0 + sum_k y_k E_k, and maximizing <C, X(y)> over
+    X(y) psd is the dual side of the program with one row
+    <E_k, Z> = -<C, E_k> per class and objective -E0 (Lofberg, Optim.
+    Methods Softw. 24, 2009; the elimination is the doubleton rule of
+    Andersen & Andersen, Math. Prog. 71, 1995).  Returns (that program,
+    <C, E0>, lift) with lift(y) the blocks X(y), or None when a row has
+    another shape, a tie closes a cycle or a class is fixed twice (a
+    redundant or infeasible row, which the row form's presolve settles), or
+    the classes are not fewer than the rows or there are none.
+    """
+    m = problem.num_constraints
+    count = np.bincount(problem.index[:, 0], minlength=m)
+    if m == 0 or count.min() < 1 or count.max() > 2 or not problem.coef.all():
+        return None
+    dims = np.array(problem.block_dims, dtype=np.intp)
+    start = np.cumsum(dims * dims) - dims * dims
+    _, blk, i, j = problem.index.T
+    entry, coef = (start[blk] + i * dims[blk] + j).tolist(), problem.coef.tolist()
+    up: dict[int, tuple[int, float]] = {}  # entry -> (parent, ratio to it)
+
+    def find(e):
+        path = []
+        while e in up:
+            path.append(e)
+            e = up[e][0]
+        ratio = 1.0
+        for v in reversed(path):
+            ratio *= up[v][1]
+            up[v] = (e, ratio)
+        return e, ratio
+
+    first, tie = np.cumsum(count) - count, count == 2
+    if problem.rhs[tie].any():
+        return None
+    for t in first[tie].tolist():
+        (r1, a1), (r2, a2) = find(entry[t]), find(entry[t + 1])
+        if r1 == r2:
+            return None
+        up[r1] = (r2, -coef[t + 1] * a2 / (coef[t] * a1))
+    fixed: dict[int, float] = {}
+    for t, v in zip(first[~tie].tolist(), problem.rhs[~tie].tolist()):
+        r, a = find(entry[t])
+        if r in fixed:
+            return None
+        fixed[r] = v / (coef[t] * a)
+
+    # Every entry (b, i <= j) of every block, with its class root and ratio.
+    ub = np.repeat(np.arange(len(dims)), dims * (dims + 1) // 2)
+    ui, uj = np.concatenate([np.triu_indices(d) for d in dims], axis=1)
+    upper, lower = start[ub] + ui * dims[ub] + uj, start[ub] + uj * dims[ub] + ui
+    root, ratio = upper.copy(), np.ones(len(upper))
+    named = sorted(set(entry))
+    at = np.searchsorted(upper, named)
+    root[at], ratio[at] = np.array([find(e) for e in named]).T
+    fix = np.isin(root, list(fixed))
+    free = ~fix
+    classes, k = np.unique(root[free], return_inverse=True)
+    if not 0 < len(classes) < m:
+        return None
+
+    e0 = np.zeros(int((dims * dims).sum()))
+    e0[upper[fix]] = e0[lower[fix]] = ratio[fix] * [fixed[r] for r in root[fix].tolist()]
+    cflat = np.concatenate([c.ravel() for c in problem.objective])
+    coef_k = ratio[free] * np.where(ui[free] == uj[free], 1.0, 2.0)
+    rhs_k = -np.bincount(k, cflat[upper[free]] * coef_k, len(classes))
+    rows = [([], v) for v in rhs_k.tolist()]
+    terms = zip(k.tolist(), ub[free].tolist(), ui[free].tolist(), uj[free].tolist(), coef_k.tolist())
+    for kk, *term in terms:
+        rows[kk][0].append(tuple(term))
+    spans = [(lo, lo + d * d, d) for lo, d in zip(start.tolist(), dims.tolist())]
+    objective = [-e0[lo:hi].reshape(d, d) for lo, hi, d in spans]
+
+    def lift(y):
+        x = e0.copy()
+        x[upper[free]] = x[lower[free]] = ratio[free] * np.asarray(y)[k]
+        return tuple(x[lo:hi].reshape(d, d) for lo, hi, d in spans)
+
+    reduced = SdpProblem(problem.block_dims, objective, rows)
+    return reduced, float(cflat @ e0), lift
+
+
+def _solved_smaller(problem: SdpProblem, tol: float, what: str) -> tuple[SdpSolution, dict]:
+    """_solved on _free_form(problem) when it has one, else on problem, and
+    the diagnostics "form" ("free" or "rows") and "rows" (the rows solved).
+    A free-form solution is stated for problem: blocks X(y), primal
+    <C, X(y)> = <C, E0> minus the reduced dual value, dual <C, E0> minus the
+    reduced primal value, and no y."""
+    free = _free_form(problem)
+    if free is None:
+        return _solved(problem, tol, what), {"form": "rows", "rows": problem.num_constraints}
+    reduced, c0, lift = free
+    sol = _solved(reduced, tol, what)
+    stated = replace(
+        sol, blocks=lift(sol.y), y=(), primal=c0 - sol.dual, dual=c0 - sol.primal
+    )
+    return stated, {"form": "free", "rows": reduced.num_constraints}
+
+
 # ---------------------------------------------------------------------------
 # The relaxation value
 # ---------------------------------------------------------------------------
@@ -287,7 +410,7 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
     # and the value scales back: the optimizer does not depend on the scale.
     top = max((v for v in wv if v > 0), default=1.0)
     problem, root = assemble_theta_sdp(hg, [v / top for v in wv])
-    sol = _solved(problem, tol, "theta")
+    sol, form = _solved_smaller(problem, tol, "theta")
     cert = _extract(root, sol.blocks)
     f = cert.vector
     return ThetaResult(
@@ -300,6 +423,7 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
             "gap": top * sol.gap,
             "residuals": sol.residuals,
             "dual": top * sol.dual,
+            **form,
         },
     )
 
@@ -310,10 +434,11 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
 
 def _max_scaling(
     hg: Hypergraph, v: list, vmap: tuple, tol: float, what: str
-) -> tuple[float, _Node, SdpSolution]:
+) -> tuple[float, _Node, SdpSolution, dict]:
     """Largest t with t*v in the body: the root node with corner 1, a 1x1 scale
-    block t and the rows F_jj = t*v_j.  Returns t*, the root node and the
-    solution (a witness of t* v); v > 0 keeps the program strictly feasible."""
+    block t and the rows F_jj = t*v_j.  Returns t*, the root node, the
+    solution (a witness of t* v) and its form; v > 0 keeps the program
+    strictly feasible."""
     builder = _Builder()
     root = _membership_node(builder, hg, vmap)
     builder.add([(root.blk, 0, 0, 1.0)], 1.0)
@@ -321,8 +446,8 @@ def _max_scaling(
     for j in range(hg.n):
         builder.add([(root.blk, j + 1, j + 1, 1.0), (scale_blk, 0, 0, -v[j])], 0.0)
     problem = builder.problem({scale_blk: np.array([[1.0]])})
-    sol = _solved(problem, tol, what)
-    return float(sol.primal), root, sol
+    sol, form = _solved_smaller(problem, tol, what)
+    return float(sol.primal), root, sol, form
 
 
 def theta_membership(
@@ -349,7 +474,7 @@ def theta_membership(
             return False, None
         return True, _box_certificate(fsub, smap)
 
-    t_max, root, sol = _max_scaling(
+    t_max, root, sol, _ = _max_scaling(
         sub, fsub, smap, min(tol * 1e-2, 1e-8), "theta_membership"
     )
     if t_max < 1.0 - tol:
@@ -379,7 +504,7 @@ def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
 
     # The solve's gap is relative to 1 + t*; for w / max(w), t* is in [1/n, 1]
     top = max(wsub)
-    t_max, root, sol = _max_scaling(
+    t_max, root, sol, form = _max_scaling(
         complement(sub), [v / top for v in wsub], smap, tol, "theta_dual"
     )
     return DualResult(
@@ -389,6 +514,7 @@ def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
             "mode": "sdp",
             "iterations": sol.iterations,
             "residuals": sol.residuals,
+            **form,
         },
     )
 

@@ -24,6 +24,7 @@ from hypertheta.numlin import lp, sdp
 from hypertheta.numlin.sdp import (
     _SUBST_BLOCK,
     _chol_solve,
+    _kept_rows,
     _max_step,
     _max_steps,
     _nt_scaling,
@@ -41,7 +42,7 @@ from hypertheta.symmetry import (
     mantel_hypergraph,
     symmetric_group_pair_action,
 )
-from hypertheta.thetabody import assemble_theta_sdp
+from hypertheta.thetabody import _free_form, assemble_theta_sdp
 
 
 class TestEig:
@@ -725,6 +726,43 @@ class TestSdp:
             kept, bad = _presolve(a, rhs)
             assert bad is None
             assert list(kept) == _gram_schmidt_kept(a)
+
+    def test_kept_rows_match_the_dense_presolve(self):
+        # rows that share no entry are decided by their norms, the rest by QR
+        rows = [
+            ([(0, 0, 0, 1.0), (0, 0, 1, 2.0)], 1.0),
+            ([(0, 1, 1, 1.0)], 0.0),  # alone
+            ([(0, 0, 1, 1.0), (0, 0, 0, 0.5)], 0.5),  # twice row 0
+            ([(1, 0, 0, 1.0), (1, 0, 0, -1.0)], 0.0),  # alone, terms cancel
+            ([(2, 0, 1, 1e-12)], 0.0),  # alone, below the threshold
+            ([], 0.0),
+        ]
+        graphs = (cycle_graph(5), complete_hypergraph(3, 3), mantel_hypergraph(5))
+        problems = [assemble_theta_sdp(hg)[0] for hg in graphs]
+        problems += [_free_form(p)[0] for p in problems[:2]]
+        problems.append(_transitive_program(mantel_hypergraph(7), symmetric_group_pair_action(7)))
+        problems.append(SdpProblem([2, 1, 2], [np.eye(2), np.eye(1), np.eye(2)], rows))
+        for problem in problems:
+            kept, bad = _kept_rows(problem)
+            assert bad is None
+            assert list(kept) == list(_presolve(*_stack(problem))[0])
+        assert list(_kept_rows(problems[-1])[0]) == [0, 1]
+        for extra in (
+            [([], 1.0)],
+            [([(2, 1, 1, 1.0), (2, 1, 1, -1.0)], 1.0)],  # alone
+            [([(2, 0, 1, 1e-12)], 1.0)],  # shares its entry with row 4
+        ):
+            bad_rows = SdpProblem([2, 1, 2], [np.eye(2), np.eye(1), np.eye(2)], rows + extra)
+            assert _kept_rows(bad_rows) == (None, "infeasible")
+
+    def test_rows_that_share_no_entry_form_no_dense_matrix(self, monkeypatch):
+        problem = _free_form(assemble_theta_sdp(complete_hypergraph(3, 4))[0])[0]
+
+        def refuse(*args):
+            raise AssertionError("stacked a dense matrix")
+
+        monkeypatch.setattr(sdp, "_stack", refuse)
+        assert solve_sdp(problem).status == "optimal"
 
     def test_psd_blocks_at_optimum(self):
         problem, _ = assemble_theta_sdp(complete_hypergraph(3, 3))

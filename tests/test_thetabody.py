@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypertheta import thetabody
-from hypertheta.numlin import SdpSolution
+from hypertheta.numlin import SdpProblem, SdpSolution
 
 from hypertheta.hypercore import (
     Hypergraph,
@@ -135,6 +135,102 @@ class TestTheta:
         assert np.all(res.optimizer >= -1e-7)
         assert np.all(res.optimizer <= 1 + 1e-7)
         assert abs(res.value - float(np.sum(res.optimizer))) < 1e-6
+
+
+def _seeded(n, r, seed):
+    rng = random.Random(seed)
+    hg = random_hypergraph(n, r, 0.4, rng)
+    return hg, [rng.uniform(0.1, 1.0) for _ in range(n)]
+
+
+# The 4-uniform instance whose gauge at tol 1e-10 failed in the row form
+# after 93 iterations: rel_gap reached 3.8e-12, the primal residual stuck at
+# 4.2e-9 (one BLAS thread).
+GAUGE_EDGES = (
+    (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 1, 4, 5), (0, 1, 4, 6),
+    (0, 2, 3, 4), (0, 2, 3, 6), (0, 2, 4, 5), (0, 3, 4, 6), (1, 2, 4, 5),
+    (1, 3, 4, 5), (2, 3, 4, 5), (2, 3, 5, 6),
+)
+GAUGE_W = [
+    0.7297817851275551, 0.23863048034949097, 0.5693242962913632,
+    0.5461494964415429, 0.06358707368633432, 0.9150913302925826,
+    0.168534665624283,
+]
+
+
+class TestForms:
+    """The free form (ties eliminated) against the row form it replaces."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (cycle_graph(5), None),
+            lambda: (build_hamming_hypergraph(4, 2), None),
+            lambda: _seeded(8, 3, 1),
+            lambda: _seeded(8, 3, 2),
+            lambda: _seeded(6, 4, 1),
+            lambda: _seeded(6, 4, 3),
+        ],
+        ids=["c5", "hamming4-2", "random3-1", "random3-2", "random4-1", "random4-3"],
+    )
+    def test_free_witness_meets_every_row(self, make):
+        hg, w = make()
+        problem, _ = assemble_theta_sdp(hg, w)
+        # At tol 1e-8 the row form's C5 value lies 3.4e-7 above sqrt(5).
+        sol, form = thetabody._solved_smaller(problem, 1e-10, "theta")
+        assert form["form"] == "free" and 0 < form["rows"] < problem.num_constraints
+        row, blk, i, j = problem.index.T
+        x = np.array([sol.blocks[b][p, q] for b, p, q in zip(blk, i, j)])
+        lhs = np.bincount(row, problem.coef * x, problem.num_constraints)
+        scale = 1.0 + max(np.abs(b).max() for b in sol.blocks)
+        assert np.abs(lhs - problem.rhs).max() <= 1e-12 * scale
+        # X(y) is the dual slack of the reduced program: psd up to its dual
+        # residual (-2.8e-8 on C5), where the row form's X is psd and meets
+        # the rows up to the primal residual.
+        assert min(np.linalg.eigvalsh(b).min() for b in sol.blocks) >= -1e-6
+        assert abs(sol.primal - thetabody.solve_sdp(problem, tol=1e-10).primal) <= 1e-7
+        assert sol.primal <= sol.dual + 1e-7
+        res = theta(hg, w)
+        assert (res.diagnostics["form"], res.diagnostics["rows"]) == ("free", form["rows"])
+        assert check_certificate(hg, res.certificate) == []
+
+    def test_mantel_6_keeps_the_row_form(self):
+        # 331 rows against 480 classes; the row-form solve is the parent's
+        hg = mantel_hypergraph(6)
+        problem, _ = assemble_theta_sdp(hg)
+        assert thetabody._free_form(problem) is None
+        res = theta(hg)
+        assert (res.diagnostics["form"], res.diagnostics["rows"]) == ("rows", 331)
+        assert res.value == thetabody.solve_sdp(problem).primal
+
+    def test_other_row_shapes_keep_the_row_form(self):
+        one = np.array([[1.0]])
+        for rows in (
+            [([(0, 0, 0, 1.0), (0, 1, 1, 1.0)], 1.0)],  # a tie with a right-hand side
+            [([(0, 0, 0, 1.0), (0, 1, 1, 1.0), (0, 0, 1, 1.0)], 0.0)],  # three terms
+            [([(0, 0, 0, 1.0)], 1.0), ([(0, 0, 0, 2.0)], 2.0)],  # fixed twice
+            # two ties that close a cycle
+            [([(0, 0, 0, 1.0), (0, 1, 1, -1.0)], 0.0), ([(0, 1, 1, 1.0), (0, 0, 0, -1.0)], 0.0)],
+        ):
+            problem = SdpProblem([2], [np.eye(2)], rows)
+            assert thetabody._free_form(problem) is None
+        # no free class: the row form, and the solve settles the point
+        problem = SdpProblem([1], [one], [([(0, 0, 0, 1.0)], 1.0)])
+        assert thetabody._free_form(problem) is None
+
+    def test_hamming_5_2_at_tol_1e_11(self):
+        # the row form ended numerical-failure after 300 iterations here
+        res = theta(build_hamming_hypergraph(5, 2), tol=1e-11)
+        assert res.diagnostics["form"] == "free"
+        assert abs(res.value - 12.0) <= 1e-10
+
+    def test_gauge_at_tol_1e_10(self):
+        hg = Hypergraph(4, 7, GAUGE_EDGES)
+        res = theta_dual(hg, GAUGE_W, tol=1e-10)
+        assert res.diagnostics["form"] == "free"
+        assert res.diagnostics["rows"] > 0
+        assert abs(res.value - 0.92011563608) <= 1e-9
+        assert check_certificate(complement(hg), res.certificate, root_scale=res.value) == []
 
 
 class TestMembership:
