@@ -20,9 +20,8 @@ Two programs are built on that one node: theta's, and max{t : t*v in body},
 which theta_membership runs on f and theta_dual on the complement with w; the
 antiblocker pairing's gauge min{lam : w in lam * body(H-bar)} is 1/t*.
 
-Each program reaches numlin.solve_sdp in one of two forms, whichever has
-fewer rows, since the Schur complement of the solve has one row and column
-per row.  Every row the assembly emits fixes one entry or ties two, with a
+Each program that has a free class reaches numlin.solve_sdp in its free
+form.  Every row the assembly emits fixes one entry or ties two, with a
 weight in the membership programs.  The row form is the program as
 assembled, one row per fix or tie.  The free form eliminates them: the
 tied entries fall into classes, the classes that hold a fixed entry are one
@@ -31,10 +30,15 @@ class alone, is one free scalar y_k with matrix E_k.  The witness blocks are
 X(y) = E0 + sum_k y_k E_k, which meet every fix and tie exactly and are
 psd up to the solve's dual residual, and the solve runs on the conic dual
 with one row per free class.  Theta on H(4, 2) has 417 rows and 184
-classes, and takes the free form; Mantel 6 has 331 rows and 480 classes,
-and keeps the row form.  A program with no free class (a single point)
-keeps the row form.  The diagnostics of theta and theta_dual name the form
-and the number of rows solved.
+classes.  Mantel 6 has 331 rows but 480 classes, and the free form still
+pays: a class couples only with classes of its own root subtree and of the
+root block, so the solver's factorization ordered by the block tree
+factors 15 groups of 24 rows one by one and the 120 rows on the root
+together, not all 480 at once.  The endgames are also shorter: the
+tolerance sweep of tools/sweep_table.py takes at most 12 iterations per
+solve, where Mantel 5 took up to 56 in the row form.  A program with no
+free class (a single point) keeps the row form.  The diagnostics of theta
+and theta_dual name the form and the number of rows solved.
 
 All assemblies here are pure; solves are delegated to numlin and share no
 state between calls, so concurrent independent calls are safe.
@@ -281,7 +285,7 @@ def _solved(problem: SdpProblem, tol: float, what: str) -> SdpSolution:
 
 
 def _free_form(problem: SdpProblem):
-    """The program with its fixes and ties eliminated, when that has fewer rows.
+    """The program with its fixes and ties eliminated.
 
     Every row that _Builder assembles for theta, theta_membership and
     theta_dual fixes one entry (c X[e] = rhs) or ties two
@@ -297,7 +301,7 @@ def _free_form(problem: SdpProblem):
     <C, E0>, lift) with lift(y) the blocks X(y), or None when a row has
     another shape, a tie closes a cycle or a class is fixed twice (a
     redundant or infeasible row, which the row form's presolve settles), or
-    the classes are not fewer than the rows or there are none.
+    no class is free.
     """
     m = problem.num_constraints
     count = np.bincount(problem.index[:, 0], minlength=m)
@@ -346,7 +350,7 @@ def _free_form(problem: SdpProblem):
     fix = np.isin(root, list(fixed))
     free = ~fix
     classes, k = np.unique(root[free], return_inverse=True)
-    if not 0 < len(classes) < m:
+    if not len(classes):
         return None
 
     e0 = np.zeros(int((dims * dims).sum()))
@@ -370,9 +374,11 @@ def _free_form(problem: SdpProblem):
     return reduced, float(cflat @ e0), lift
 
 
-def _solved_smaller(problem: SdpProblem, tol: float, what: str) -> tuple[SdpSolution, dict]:
-    """_solved on _free_form(problem) when it has one, else on problem, and
-    the diagnostics "form" ("free" or "rows") and "rows" (the rows solved).
+def _solved_free(problem: SdpProblem, tol: float, what: str) -> tuple[SdpSolution, dict]:
+    """_solved on _free_form(problem) whenever there is one, else on problem,
+    and the diagnostics "form" ("free" or "rows") and "rows" (the rows
+    solved).  Every program that theta, theta_membership and theta_dual
+    assemble has a free form unless it is a single point.
     A free-form solution is stated for problem: blocks X(y), primal
     <C, X(y)> = <C, E0> minus the reduced dual value, dual <C, E0> minus the
     reduced primal value, and no y."""
@@ -410,7 +416,7 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
     # and the value scales back: the optimizer does not depend on the scale.
     top = max((v for v in wv if v > 0), default=1.0)
     problem, root = assemble_theta_sdp(hg, [v / top for v in wv])
-    sol, form = _solved_smaller(problem, tol, "theta")
+    sol, form = _solved_free(problem, tol, "theta")
     cert = _extract(root, sol.blocks)
     f = cert.vector
     return ThetaResult(
@@ -446,7 +452,7 @@ def _max_scaling(
     for j in range(hg.n):
         builder.add([(root.blk, j + 1, j + 1, 1.0), (scale_blk, 0, 0, -v[j])], 0.0)
     problem = builder.problem({scale_blk: np.array([[1.0]])})
-    sol, form = _solved_smaller(problem, tol, what)
+    sol, form = _solved_free(problem, tol, what)
     return float(sol.primal), root, sol, form
 
 

@@ -269,6 +269,9 @@ class TestLevelsAndBound:
         assert len(cells) == 72
         assert cells == sorted(itertools.product(SWEEP.CASES, SWEEP.TOLS, SWEEP.BLOCKS, SWEEP.THREADS))
         _assert_cells_meet_hoff(sweep_rows, lambda r: True)
+        # The endgame stays short in every cell: 12 iterations at most with
+        # every program in the free form, 56 when Mantel 5 kept the row form.
+        assert max(r["iters"] for r in sweep_rows) <= 25, SWEEP.format_table(sweep_rows)
 
 
 @pytest.fixture(scope="module")

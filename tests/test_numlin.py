@@ -24,6 +24,8 @@ from hypertheta.numlin import lp, sdp
 from hypertheta.numlin.sdp import (
     _SUBST_BLOCK,
     _chol_solve,
+    _factor,
+    _factor_solve,
     _kept_rows,
     _max_step,
     _max_steps,
@@ -31,6 +33,7 @@ from hypertheta.numlin.sdp import (
     _prepare,
     _presolve,
     _schur,
+    _schur_dot,
     _second_order,
     _stack,
     _stacked,
@@ -560,7 +563,8 @@ def _problem_solved_by(monkeypatch, call):
 
 
 class TestSchur:
-    """_schur against sum_b <A_ib, W_b A_jb W_b> from the dense constraint view."""
+    """_schur against sum_b <A_ib, W_b A_jb W_b> from the dense constraint view,
+    read through its split parts column by column as M @ e_j."""
 
     @staticmethod
     def check(problem, kept=None, seed=0):
@@ -576,7 +580,8 @@ class TestSchur:
                 both = [k for k in ra if k in rb]
                 want[a, b] = sum(np.vdot(ra[k], ws[k] @ rb[k] @ ws[k]) for k in both)
         lay = _prepare(problem, kept)
-        got = _schur(lay, _stacked(lay, ws))
+        parts = _schur(lay, _stacked(lay, ws))
+        got = np.stack([_schur_dot(lay, parts, e) for e in np.eye(len(kept))], axis=1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_theta_program(self):
@@ -614,6 +619,83 @@ class TestSchur:
         assert list(kept) == [0, 1, 3, 5]
         for seed in range(3):
             self.check(problem, kept, seed)
+
+
+def _dense_schur(problem, kept, ws):
+    """M[r, s] = <A_r, W A_s W> summed over the blocks as vec(A_r)^T (W kron W)
+    vec(A_s), from the dense constraint view: no F3 pairs, no split."""
+    view = problem.constraints
+    m = np.zeros((len(kept), len(kept)))
+    for b, (d, w) in enumerate(zip(problem.block_dims, ws)):
+        a = np.stack([view[r][0].get(b, np.zeros((d, d))).ravel() for r in kept])
+        m += a @ np.kron(w, w) @ a.T
+    return m
+
+
+class TestTreeFactor:
+    """_factor and _factor_solve against np.linalg.solve on the dense M, and
+    _schur_dot against the dense M @ v."""
+
+    @staticmethod
+    def check(problem, groups, seed=0):
+        kept, _ = _kept_rows(problem)
+        rng = np.random.default_rng(seed)
+        ws = [_random_spd(rng, 1, d)[0] + np.eye(d) for d in problem.block_dims]
+        lay = _prepare(problem, kept)
+        assert lay.priv.shape[0] == groups
+        parts = _schur(lay, _stacked(lay, ws))
+        m = len(kept)
+        assert sum(p.size for p in parts) <= m * m  # m * m only with no group
+        dense = _dense_schur(problem, kept, ws)
+        v = rng.normal(size=m)
+        scale = np.abs(dense) @ np.abs(v)
+        assert np.abs(_schur_dot(lay, parts, v) - dense @ v).max() <= 1e-13 * scale.max()
+        for ridge in (0.0, 1e-2 * np.trace(dense) / m):
+            want = np.linalg.solve(dense + ridge * np.eye(m), v)
+            got = _factor_solve(lay, _factor(lay, parts, ridge), v)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        return lay
+
+    def test_mantel_6_free_form(self):
+        lay = self.check(_free_form(assemble_theta_sdp(mantel_hypergraph(6))[0])[0], 15)
+        # 15 x 24^2 + 15 x 24 x 9 + 120^2 stored entries, against 480^2
+        assert (lay.m, len(lay.border), lay.priv.shape[1], lay.sep.shape[1]) == (480, 120, 24, 9)
+
+    def test_unequal_groups_on_a_three_level_tree(self):
+        hg = random_hypergraph(6, 4, 0.4, random.Random(2))
+        problem = _free_form(assemble_theta_sdp(hg)[0])[0]
+        lay = self.check(problem, 6)
+        # 4-, 3- and 2-uniform nodes; groups and separators padded to P and Q
+        assert max(problem.block_dims) == 7 and min(problem.block_dims) == 3
+        assert sorted((lay.priv < lay.m).sum(axis=1)) == [8, 9, 17, 20, 22, 22]
+        assert sorted((lay.sep < len(lay.border)).sum(axis=1)) == [5, 5, 6, 6, 6, 6]
+
+    def test_scaled_membership_program(self, monkeypatch):
+        from hypertheta.thetabody import theta_membership
+
+        hg = mantel_hypergraph(5)
+        problem = _problem_solved_by(monkeypatch, lambda: theta_membership(hg, [0.5] * hg.n))
+        assert problem.block_dims[-1] == 1  # the scale block t
+        self.check(problem, 10)
+
+    def test_eigenspace_program_has_no_group(self):
+        # Only row 0 (X[0, 0] = 1 on the three 1 x 1 blocks) misses the root
+        # block, and 11 separator rows keep it on the border: M is one block.
+        problem = _transitive_program(mantel_hypergraph(7), symmetric_group_pair_action(7))
+        lay = self.check(problem, 0)
+        assert list(lay.border) == list(range(lay.m))
+
+    def test_disconnected_blocks_give_an_empty_separator(self):
+        rows = [
+            ([(0, 0, 0, 1.0)], 1.0),
+            ([(0, 0, 1, 1.0), (0, 1, 1, 1.0)], 1.0),
+            ([(1, 0, 0, 1.0)], 1.0),
+            ([(1, 1, 2, 1.0)], 0.0),
+            ([(1, 2, 2, 1.0), (1, 0, 2, 0.5)], 1.0),
+        ]
+        problem = SdpProblem([2, 3], [np.eye(2), np.eye(3)], rows)
+        lay = self.check(problem, 1)
+        assert list(lay.border) == [2, 3, 4] and lay.sep.shape == (1, 0)
 
 
 class TestSdp:

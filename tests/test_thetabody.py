@@ -177,7 +177,7 @@ class TestForms:
         hg, w = make()
         problem, _ = assemble_theta_sdp(hg, w)
         # At tol 1e-8 the row form's C5 value lies 3.4e-7 above sqrt(5).
-        sol, form = thetabody._solved_smaller(problem, 1e-10, "theta")
+        sol, form = thetabody._solved_free(problem, 1e-10, "theta")
         assert form["form"] == "free" and 0 < form["rows"] < problem.num_constraints
         row, blk, i, j = problem.index.T
         x = np.array([sol.blocks[b][p, q] for b, p, q in zip(blk, i, j)])
@@ -194,14 +194,33 @@ class TestForms:
         assert (res.diagnostics["form"], res.diagnostics["rows"]) == ("free", form["rows"])
         assert check_certificate(hg, res.certificate) == []
 
-    def test_mantel_6_keeps_the_row_form(self):
-        # 331 rows against 480 classes; the row-form solve is the parent's
-        hg = mantel_hypergraph(6)
+    @pytest.mark.parametrize(
+        "n, rows, classes", [(5, 171, 175), (6, 331, 480)], ids=["mantel5", "mantel6"]
+    )
+    def test_mantel_takes_the_free_form_with_more_rows(self, n, rows, classes):
+        # more classes than rows, yet free: the solver factors them along
+        # the block tree
+        hg = mantel_hypergraph(n)
         problem, _ = assemble_theta_sdp(hg)
-        assert thetabody._free_form(problem) is None
+        assert problem.num_constraints == rows
         res = theta(hg)
-        assert (res.diagnostics["form"], res.diagnostics["rows"]) == ("rows", 331)
-        assert res.value == thetabody.solve_sdp(problem).primal
+        assert (res.diagnostics["form"], res.diagnostics["rows"]) == ("free", classes)
+        assert abs(res.value - thetabody.solve_sdp(problem).primal) <= 1e-7
+        assert check_certificate(hg, res.certificate) == []
+
+    def test_assembled_programs_run_no_presolve_qr(self, monkeypatch):
+        # Free-form rows share no entry, so the presolve decides each by its
+        # norm and never stacks the rows for the QR.
+        from hypertheta.numlin import sdp
+
+        calls = []
+        presolve = sdp._presolve
+        monkeypatch.setattr(sdp, "_presolve", lambda *args: calls.append(1) or presolve(*args))
+        for hg in (mantel_hypergraph(5), mantel_hypergraph(6), build_hamming_hypergraph(4, 2)):
+            assert theta(hg).diagnostics["form"] == "free"
+        hg = mantel_hypergraph(5)
+        assert theta_membership(hg, [0.5] * hg.n)[0]
+        assert calls == []
 
     def test_other_row_shapes_keep_the_row_form(self):
         one = np.array([[1.0]])

@@ -4,9 +4,14 @@
 
 Solves the uniform-measure theta of Mantel 4, Mantel 5 and K3(3), where it
 meets the Hoffman bound hoff, at tol 1e-8 to 1e-11, with 1 and 2 BLAS
-threads and substitution blocks (sdp._SUBST_BLOCK) 16, 48 and 128.  Each
-cell reads "iterations / max_ridge / centering fallbacks / |value - hoff|";
-a solve that does not end "optimal" is marked FAIL with its status.  --src
+threads and substitution blocks 16, 48 and 128.  The block
+(sdp._SUBST_BLOCK) sets the summation order of the triangular solves by the
+border's factor, the rows that solve_sdp factors together after it has
+eliminated the groups (see sdp._split); the groups' own solves do not
+depend on it.  Above the table, each case's line gives the form it is
+solved in, its Schur rows, its border rows and its groups.  Each cell reads
+"iterations / max_ridge / centering fallbacks / |value - hoff|"; a solve
+that does not end "optimal" is marked FAIL with its status.  --src
 names the source directory to import the package from (default: this
 checkout's src), so that two checkouts can be compared.  OpenBLAS reads its
 thread count when it loads, so each count runs in a fresh interpreter.
@@ -39,6 +44,15 @@ def _rows() -> list[dict]:
     from hypertheta.symmetry import mantel_hypergraph
     from hypertheta.thetabody import ThetaSolverError, theta
 
+    layouts = []
+    prepare = sdp._prepare
+
+    def spied(problem, kept):
+        layouts.append(prepare(problem, kept))
+        return layouts[-1]
+
+    sdp._prepare = spied
+
     graphs = {
         "mantel4": mantel_hypergraph(4),
         "mantel5": mantel_hypergraph(5),
@@ -56,14 +70,19 @@ def _rows() -> list[dict]:
                 try:
                     res = theta(graphs[name], mu, tol=tol)
                     sol_res, iters = res.diagnostics["residuals"], res.diagnostics["iterations"]
-                    row.update(status="optimal", err=abs(res.value - bound))
+                    row.update(status="optimal", err=abs(res.value - bound), form=res.diagnostics["form"])
                 except ThetaSolverError as exc:
                     sol_res, iters = exc.solution.residuals, exc.solution.iterations
-                    row.update(status=exc.solution.status, err=None)
+                    row.update(status=exc.solution.status, err=None, form=None)
+                lay = layouts[-1]
+                # A checkout older than the split has every row on the border.
                 row.update(
                     iters=iters,
                     ridge=sol_res["max_ridge"],
                     fallbacks=sol_res["centering_fallbacks"],
+                    schur_rows=lay.m,
+                    border=len(getattr(lay, "border", range(lay.m))),
+                    groups=len(getattr(lay, "priv", ())),
                 )
                 out.append(row)
     return out
@@ -78,8 +97,9 @@ def _cell(row: dict) -> str:
 
 def run(src: str) -> list[dict]:
     """One record per cell, importing the package from src: case, tol,
-    block, threads, status, err (None unless "optimal"), iters, ridge and
-    fallbacks."""
+    block, threads, status, err (None unless "optimal"), iters, ridge,
+    fallbacks, and the case's form (None unless "optimal"), schur_rows,
+    border and groups."""
     rows = []
     for threads in THREADS:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
@@ -95,7 +115,14 @@ def format_table(rows: list[dict]) -> str:
     """The markdown table of run()'s records, with a closing summary line."""
     table = {(r["case"], r["tol"], r["threads"], r["block"]): r for r in rows}
     cols = [(t, b) for t in THREADS for b in BLOCKS]
-    lines = [
+    lines = []
+    for name in CASES:
+        r = next(r for r in rows if r["case"] == name)
+        lines.append(
+            f"{name}: form {r['form'] or '?'}, {r['schur_rows']} Schur rows, "
+            f"{r['border']} border rows, {r['groups']} groups"
+        )
+    lines += [
         "cells: iterations / max_ridge / fallbacks / |value - hoff|",
         "| case | " + " | ".join(f"{t} thr, block {b}" for t, b in cols) + " |",
         "|---" * (len(cols) + 1) + "|",
