@@ -3,7 +3,7 @@ with an exact-rational mode, and a block-diagonal SDP solver."""
 
 from .eig import as_symmetric, eig_sym
 from .lp import LpResult, solve_lp
-from .sdp import SdpProblem, SdpSolution, solve_sdp
+from .sdp import SdpProblem, SdpSolution, border_rows, solve_sdp
 
 __all__ = [
     "as_symmetric",
@@ -12,5 +12,6 @@ __all__ = [
     "solve_lp",
     "SdpProblem",
     "SdpSolution",
+    "border_rows",
     "solve_sdp",
 ]

@@ -62,7 +62,7 @@ import numpy as np
 
 from .eig import as_symmetric
 
-__all__ = ["SdpProblem", "SdpSolution", "solve_sdp"]
+__all__ = ["SdpProblem", "SdpSolution", "border_rows", "solve_sdp"]
 
 _MAX_ITER = 300
 _PSD_TOL = 1e-9  # an "optimal" solve keeps every block PSD to -_PSD_TOL
@@ -334,6 +334,15 @@ def _split(row: np.ndarray, blk: np.ndarray, m: int, nblk: int):
     sep = np.full((len(size), size.max(initial=0)), int(on_border.sum()))
     sep[sep_group, slot] = place[sep_row[on]]
     return group, place, sep
+
+
+def border_rows(row: np.ndarray, blk: np.ndarray, m: int, nblk: int) -> int:
+    """The rows that solve_sdp factors as one dense block in every iteration,
+    the border of _split, for a program of m rows on nblk blocks whose
+    terms lie on rows row and blocks blk, when it keeps every row.  It
+    eliminates the other rows first, group by group."""
+    group, _, _ = _split(row, blk, m, nblk)
+    return int((group < 0).sum())
 
 
 def _prepare(problem: SdpProblem, kept: np.ndarray) -> _Layout:

@@ -20,25 +20,29 @@ Two programs are built on that one node: theta's, and max{t : t*v in body},
 which theta_membership runs on f and theta_dual on the complement with w; the
 antiblocker pairing's gauge min{lam : w in lam * body(H-bar)} is 1/t*.
 
-Each program that has a free class reaches numlin.solve_sdp in its free
-form.  Every row the assembly emits fixes one entry or ties two, with a
-weight in the membership programs.  The row form is the program as
-assembled, one row per fix or tie.  The free form eliminates them: the
-tied entries fall into classes, the classes that hold a fixed entry are one
-fixed matrix E0, and each other class k, an entry no row names being a
-class alone, is one free scalar y_k with matrix E_k.  The witness blocks are
-X(y) = E0 + sum_k y_k E_k, which meet every fix and tie exactly and are
-psd up to the solve's dual residual, and the solve runs on the conic dual
-with one row per free class.  Theta on H(4, 2) has 417 rows and 184
-classes.  Mantel 6 has 331 rows but 480 classes, and the free form still
-pays: a class couples only with classes of its own root subtree and of the
-root block, so the solver's factorization ordered by the block tree
-factors 15 groups of 24 rows one by one and the 120 rows on the root
-together, not all 480 at once.  The endgames are also shorter: the
-tolerance sweep of tools/sweep_table.py takes at most 12 iterations per
-solve, where Mantel 5 took up to 56 in the row form.  A program with no
-free class (a single point) keeps the row form.  The diagnostics of theta
-and theta_dual name the form and the number of rows solved.
+Each program reaches numlin.solve_sdp in one of two forms.  Every row the
+assembly emits fixes one entry or ties two, with a weight in the membership
+programs.  The row form is the program as assembled, one row per fix or
+tie.  The free form eliminates them: the tied entries fall into classes,
+the classes that hold a fixed entry are one fixed matrix E0, and each other
+class k, an entry no row names being a class alone, is one free scalar y_k
+with matrix E_k.  The witness blocks are X(y) = E0 + sum_k y_k E_k, which
+meet every fix and tie exactly and are psd up to the solve's dual residual,
+and the solve runs on the conic dual with one row per free class.  A class
+couples only with classes of its own root subtree and of the root block,
+so the solver factors the root subtrees' classes group by group and only
+the rest, its border (numlin.border_rows), as one dense block.  The free
+form is taken when that border has fewer rows than the row form.  Theta
+on H(4, 2) has 417 rows and 184 classes, all on the border.  Mantel 6 has
+331 rows but 480 classes, of which 120 are on the border, and 15 groups of
+24; its endgames are also shorter than the row form's: the tolerance sweep
+of tools/sweep_table.py takes at most 12 iterations per solve, where
+Mantel 5 took up to 56 in the row form.  A graph's program is one block,
+so every class is on the border: the 5-cycle takes the free form (10
+classes against 11 rows) but the 8-cycle keeps the row form (28 against
+17).  A program with no free class (a single point) keeps the row form
+too.  The diagnostics of theta and theta_dual name the form and the number
+of rows solved.
 
 All assemblies here are pure; solves are delegated to numlin and share no
 state between calls, so concurrent independent calls are safe.
@@ -62,7 +66,7 @@ from .hypercore import (
     induced,
     link,
 )
-from .numlin import SdpProblem, SdpSolution, solve_sdp
+from .numlin import SdpProblem, SdpSolution, border_rows, solve_sdp
 
 __all__ = [
     "ThetaCertificate",
@@ -300,8 +304,9 @@ def _free_form(problem: SdpProblem):
     Andersen & Andersen, Math. Prog. 71, 1995).  Returns (that program,
     <C, E0>, lift) with lift(y) the blocks X(y), or None when a row has
     another shape, a tie closes a cycle or a class is fixed twice (a
-    redundant or infeasible row, which the row form's presolve settles), or
-    no class is free.
+    redundant or infeasible row, which the row form's presolve settles), no
+    class is free, or the classes that the solve would factor as one dense
+    block, border_rows of that program, are not fewer than problem's rows.
     """
     m = problem.num_constraints
     count = np.bincount(problem.index[:, 0], minlength=m)
@@ -350,7 +355,7 @@ def _free_form(problem: SdpProblem):
     fix = np.isin(root, list(fixed))
     free = ~fix
     classes, k = np.unique(root[free], return_inverse=True)
-    if not len(classes):
+    if not len(classes) or border_rows(k, ub[free], len(classes), len(dims)) >= m:
         return None
 
     e0 = np.zeros(int((dims * dims).sum()))
@@ -377,9 +382,7 @@ def _free_form(problem: SdpProblem):
 def _solved_free(problem: SdpProblem, tol: float, what: str) -> tuple[SdpSolution, dict]:
     """_solved on _free_form(problem) whenever there is one, else on problem,
     and the diagnostics "form" ("free" or "rows") and "rows" (the rows
-    solved).  Every program that theta, theta_membership and theta_dual
-    assemble has a free form unless it is a single point.
-    A free-form solution is stated for problem: blocks X(y), primal
+    solved).  A free-form solution is stated for problem: blocks X(y), primal
     <C, X(y)> = <C, E0> minus the reduced dual value, dual <C, E0> minus the
     reduced primal value, and no y."""
     free = _free_form(problem)

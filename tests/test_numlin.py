@@ -657,9 +657,12 @@ class TestTreeFactor:
         return lay
 
     def test_mantel_6_free_form(self):
-        lay = self.check(_free_form(assemble_theta_sdp(mantel_hypergraph(6))[0])[0], 15)
+        problem = _free_form(assemble_theta_sdp(mantel_hypergraph(6))[0])[0]
+        lay = self.check(problem, 15)
         # 15 x 24^2 + 15 x 24 x 9 + 120^2 stored entries, against 480^2
         assert (lay.m, len(lay.border), lay.priv.shape[1], lay.sep.shape[1]) == (480, 120, 24, 9)
+        row, blk = problem.index[:, 0], problem.index[:, 1]
+        assert sdp.border_rows(row, blk, lay.m, len(problem.block_dims)) == 120
 
     def test_unequal_groups_on_a_three_level_tree(self):
         hg = random_hypergraph(6, 4, 0.4, random.Random(2))
@@ -677,6 +680,18 @@ class TestTreeFactor:
         problem = _problem_solved_by(monkeypatch, lambda: theta_membership(hg, [0.5] * hg.n))
         assert problem.block_dims[-1] == 1  # the scale block t
         self.check(problem, 10)
+
+    def test_skewed_groups_pad_to_under_half_of_m_squared(self):
+        # Links of very unequal size: groups of 7 to 48 private rows, all
+        # padded to 48 rows and 12 separator rows.  The padding doubles the
+        # parts (35,721 entries against 17,028 unpadded) but they stay
+        # under half of the 277^2 = 76,729 of the dense M.
+        hg = random_hypergraph(13, 3, 0.06, random.Random(3))
+        lay = self.check(_free_form(assemble_theta_sdp(hg)[0])[0], 9)
+        assert sorted((lay.priv < lay.m).sum(axis=1)) == [7, 7, 7, 7, 11, 24, 29, 38, 48]
+        (ng, p), q, nb = lay.priv.shape, lay.sep.shape[1], len(lay.border)
+        assert (lay.m, nb, q) == (277, 99, 12)
+        assert 2 * (ng * p * (p + q) + nb * nb) < lay.m * lay.m
 
     def test_eigenspace_program_has_no_group(self):
         # Only row 0 (X[0, 0] = 1 on the three 1 x 1 blocks) misses the root

@@ -208,6 +208,31 @@ class TestForms:
         assert abs(res.value - thetabody.solve_sdp(problem).primal) <= 1e-7
         assert check_certificate(hg, res.certificate) == []
 
+    @pytest.mark.parametrize(
+        "hg, rows, border",
+        [
+            (cycle_graph(8), 17, 28),
+            # a fan: the root's link is a matching, every other link one edge
+            (Hypergraph(3, 25, tuple((0, 2 * i + 1, 2 * i + 2) for i in range(12))), 231, 325),
+        ],
+        ids=["c8", "fan12"],
+    )
+    def test_a_larger_border_keeps_the_row_form(self, hg, rows, border, monkeypatch):
+        # The free form would factor more classes as one dense block than
+        # the row form has rows: all 28 classes of the 8-cycle's one block,
+        # and 325 of the fan's 589 classes.
+        problem, _ = assemble_theta_sdp(hg)
+        assert problem.num_constraints == rows
+        monkeypatch.setattr(thetabody, "border_rows", lambda *args: 0)
+        free = thetabody._free_form(problem)[0]
+        monkeypatch.undo()
+        row, blk = free.index[:, 0], free.index[:, 1]
+        assert thetabody.border_rows(row, blk, free.num_constraints, len(free.block_dims)) == border
+        assert thetabody._free_form(problem) is None
+        res = theta(hg)
+        assert (res.diagnostics["form"], res.diagnostics["rows"]) == ("rows", rows)
+        assert check_certificate(hg, res.certificate) == []
+
     def test_assembled_programs_run_no_presolve_qr(self, monkeypatch):
         # Free-form rows share no entry, so the presolve decides each by its
         # norm and never stacks the rows for the QR.

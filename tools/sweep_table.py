@@ -44,12 +44,15 @@ def _rows() -> list[dict]:
     from hypertheta.symmetry import mantel_hypergraph
     from hypertheta.thetabody import ThetaSolverError, theta
 
-    layouts = []
+    sizes = {}  # of the current theta call's solve; None where it made no layout
     prepare = sdp._prepare
 
     def spied(problem, kept):
-        layouts.append(prepare(problem, kept))
-        return layouts[-1]
+        lay = prepare(problem, kept)
+        # A checkout older than the split has every row on the border.
+        border = len(getattr(lay, "border", range(lay.m)))
+        sizes.update(schur_rows=lay.m, border=border, groups=len(getattr(lay, "priv", ())))
+        return lay
 
     sdp._prepare = spied
 
@@ -67,6 +70,7 @@ def _rows() -> list[dict]:
             bound = hoff(wh)
             for tol in TOLS:
                 row = {"case": name, "tol": tol, "block": block}
+                sizes.update(schur_rows=None, border=None, groups=None)
                 try:
                     res = theta(graphs[name], mu, tol=tol)
                     sol_res, iters = res.diagnostics["residuals"], res.diagnostics["iterations"]
@@ -74,15 +78,11 @@ def _rows() -> list[dict]:
                 except ThetaSolverError as exc:
                     sol_res, iters = exc.solution.residuals, exc.solution.iterations
                     row.update(status=exc.solution.status, err=None, form=None)
-                lay = layouts[-1]
-                # A checkout older than the split has every row on the border.
                 row.update(
                     iters=iters,
                     ridge=sol_res["max_ridge"],
                     fallbacks=sol_res["centering_fallbacks"],
-                    schur_rows=lay.m,
-                    border=len(getattr(lay, "border", range(lay.m))),
-                    groups=len(getattr(lay, "priv", ())),
+                    **sizes,
                 )
                 out.append(row)
     return out
@@ -99,7 +99,7 @@ def run(src: str) -> list[dict]:
     """One record per cell, importing the package from src: case, tol,
     block, threads, status, err (None unless "optimal"), iters, ridge,
     fallbacks, and the case's form (None unless "optimal"), schur_rows,
-    border and groups."""
+    border and groups (None when the solve stopped before its layout)."""
     rows = []
     for threads in THREADS:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
