@@ -18,11 +18,20 @@ corrector's step length falls below the predictor's, that iteration drops
 the second-order term and steps along the centering direction
 sigma mu S^-1 - X instead, from the same Cholesky factor; the solution
 counts those iterations.  The solver is aimed at desk scale instances
-(a few hundred total dimensions).  Blocks of equal size are kept as one
-(k, d, d) stack, so every per-block step of an iteration (the
-eigendecompositions of the Nesterov-Todd scaling, the directions, the step
-lengths) is one broadcast numpy call per distinct size, and the S and X
-stacks of one size share their eigh call and each step's eigvalsh call.
+(a few hundred total dimensions).  The blocks are kept as (k, d, d) stacks,
+so every per-block step of an iteration (the eigendecompositions of the
+Nesterov-Todd scaling, the directions, the step lengths) is one broadcast
+numpy call per stack, and the S and X stacks share their eigh call and each
+step's eigvalsh call.  Blocks of equal size share a stack, and the blocks of
+a small size join the next larger size when the cubic work on their pad is
+small (_MERGE_WORK), since at these sizes the fixed cost of a LAPACK call
+outweighs its arithmetic (Dongarra et al., Procedia Comput. Sci. 108, 2017).
+A block is zero-padded in its slot: C, X and S are 0 on the pad, so the
+residuals, the gap and the dual direction are too.  Only the primal
+direction is masked to the blocks' own entries after symmetrizing: its
+right-hand side carries the centering term sigma mu S^-1, whose floored S^-1
+is huge on the pad, and the mask would also stop roundoff in W from
+reaching the pad.
 The rows act on the stacks by one gather and one np.bincount over their
 terms; the Schur complement M is built the same way from the pairs of terms
 that share a block, and factored in the order of the block tree (George &
@@ -71,6 +80,15 @@ _PRESOLVE_TOL = 1e-10  # rank threshold of _presolve
 # factor.  It sets their summation order; the tolerance sweep passes at 16 to
 # 128 with 1 or 2 threads.
 _SUBST_BLOCK = 48
+# Merge rule of the stacks (see _prepare): the k blocks at size d are
+# zero-padded to the next larger size D when k * (D^3 - d^3) <= _MERGE_WORK.
+# It weighs the fixed cost of one more stack in every iteration against the
+# cubic work on the pad.  Timed per iteration of solve_sdp (best of 7 solves,
+# one BLAS thread, 2-vCPU machine) on programs of k blocks of size d and one
+# of size D (d = 3 to 11, D = 5 to 20, k = 1 to 16): one stack was 10-28%
+# faster at every k * (D^3 - d^3) up to 6,734; from about 10,000 on the
+# winner changed from program to program, and above 26,000 two stacks won.
+_MERGE_WORK = 6000
 
 
 @dataclass(frozen=True)
@@ -237,10 +255,11 @@ def _kept_rows(problem: SdpProblem):
 
 @dataclass(frozen=True)
 class _Layout:
-    """The blocks grouped by size, the kept terms and the split of the kept
-    rows.  A block quantity is a list of (k, d, d) stacks, one per distinct
-    size in increasing order; block b of the problem is slot where[b][1] of
-    stack where[b][0].  pos and quad index the stacks raveled and
+    """The blocks grouped into stacks, the kept terms and the split of the
+    kept rows.  A block quantity is a list of (k, d, d) stacks, in increasing
+    size d; block b of the problem is slot where[b][1] of stack where[b][0],
+    in the top left corner of the slot when the block is smaller than d.
+    pos and quad index the stacks raveled and
     concatenated.  Each kept term appears twice in (row, pos, half), at
     entry (i, j) and at (j, i), with half its coefficient.  Each pair of kept
     terms that share a block has a column of quad, a weight and two entries
@@ -346,18 +365,35 @@ def border_rows(row: np.ndarray, blk: np.ndarray, m: int, nblk: int) -> int:
 
 
 def _prepare(problem: SdpProblem, kept: np.ndarray) -> _Layout:
-    """The (size, slot) map of the blocks, the kept terms and their pairs,
-    and the split of the rows with the Schur complement's parts."""
+    """The (stack, slot) map of the blocks, the kept terms and their pairs,
+    and the split of the rows with the Schur complement's parts.
+
+    The distinct sizes are taken in increasing order.  The k blocks at size
+    d, with any lifted into d before, move up to the next size D when
+    k * (D^3 - d^3) <= _MERGE_WORK; otherwise the stack stops at d and the
+    next size starts a new one."""
     dims = problem.block_dims
-    sizes = sorted(set(dims))
-    counts = [dims.count(d) for d in sizes]
-    where = [(sizes.index(d), dims[:b].count(d)) for b, d in enumerate(dims)]
+    sizes, counts, stack_of = [], [], {}
+    for d in sorted(set(dims)):
+        if sizes and counts[-1] * (d**3 - sizes[-1] ** 3) <= _MERGE_WORK:
+            sizes[-1] = d  # lift the last stack's blocks to d
+        else:
+            sizes.append(d)
+            counts.append(0)
+        counts[-1] += dims.count(d)
+        stack_of[d] = len(sizes) - 1
+    where, filled = [], [0] * len(sizes)
+    for d in dims:
+        g = stack_of[d]
+        where.append((g, filled[g]))
+        filled[g] += 1
+    padded = np.array([sizes[g] for g, _ in where])
     offsets = np.cumsum([0] + [k * d * d for k, d in zip(counts, sizes)])
-    start = np.array([offsets[g] + slot * d * d for d, (g, slot) in zip(dims, where)])
+    start = np.array([offsets[g] + slot * d * d for d, (g, slot) in zip(padded, where)])
     on = np.isin(problem.index[:, 0], kept)
     row, blk, i, j = problem.index[on].T
     row, coef, m = np.searchsorted(kept, row), problem.coef[on], len(kept)
-    dim, base = np.array(dims)[blk], start[blk]
+    dim, base = padded[blk], start[blk]
     ri, rj = base + i * dim, base + j * dim  # flat positions of rows i and j
     # In the terms sorted by block, u runs from t to the last term of t's block.
     order = np.argsort(blk, kind="stable")
@@ -499,10 +535,11 @@ def _factor_solve(lay: _Layout, factor: tuple, v: np.ndarray) -> np.ndarray:
 
 
 def _stacked(lay: _Layout, mats) -> list:
-    """Per-block matrices, in block order, as the layout's stacks."""
-    out = [np.empty((k, d, d)) for d, k in zip(lay.sizes, lay.counts)]
+    """Per-block matrices, in block order, as the layout's stacks, each
+    zero-padded into the top left corner of its slot."""
+    out = [np.zeros((k, d, d)) for d, k in zip(lay.sizes, lay.counts)]
     for (g, slot), mat in zip(lay.where, mats):
-        out[g][slot] = mat
+        out[g][slot, : len(mat), : len(mat)] = mat
     return out
 
 
@@ -565,7 +602,7 @@ def _max_step(z: np.ndarray, dx: np.ndarray) -> np.ndarray:
 
 def _max_steps(zs, dxs, dss) -> tuple:
     """(primal, dual): the smallest _max_step over every block of X along
-    dxs and of S along dss, by one eigvalsh call per size for both; zs[g]
+    dxs and of S along dss, by one eigvalsh call per stack for both; zs[g]
     whitens stack g of S and X concatenated, in that order.  Each matrix of a
     stacked LAPACK call is processed alone, so this equals taking the two
     stacks apart."""
@@ -669,6 +706,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     lay = _prepare(problem, kept)
     cs = _stacked(lay, problem.objective)
     eyes = _stacked(lay, [np.eye(d) for d in problem.block_dims])
+    masks = _stacked(lay, [np.ones((d, d)) for d in problem.block_dims])  # 0 on the pad
     total_dim = sum(problem.block_dims)
 
     scale0 = max(1.0, float(np.abs(rhs).max()))
@@ -701,7 +739,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             if not np.isfinite([pobj, dobj, gap, rp_norm, rd_norm]).all():
                 break  # diverged: an unbounded program, or overflow
 
-            # One eigh per size, of S and X together, serves the scaling point
+            # One eigh per stack, of S and X together, serves the scaling point
             # and, whitened once, the step lengths of the iteration.
             eigs = [np.linalg.eigh(np.concatenate([s, x])) for s, x in zip(ss, xs)]
             zs = [_whiten(e) for e in eigs]
@@ -741,7 +779,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                 inner = [r + t for r, t in zip(rmats, wrw)]
                 dy = solve_normal(_apply_a(lay, inner) - rp)
                 ds = [a - q for a, q in zip(_apply_at(lay, dy), rd)]
-                dx = [_sym(r - w @ d @ w) for r, w, d in zip(rmats, ws, ds)]
+                dx = [_sym(r - w @ d @ w) * k for r, w, d, k in zip(rmats, ws, ds, masks)]
                 return dx, dy, ds
 
             # Predictor (affine scaling) fixes the centering weight from its full
@@ -789,7 +827,11 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     pobj = _inner(cs, xs)
     dobj = float(y @ rhs)
     gap = _inner(xs, ss)
-    min_eig = min(float(np.linalg.eigvalsh(x).min()) for x in xs)
+    blocks = tuple(xs[g][slot, :d, :d].copy() for d, (g, slot) in zip(problem.block_dims, lay.where))
+    min_eig = min(
+        float(np.linalg.eigvalsh(np.stack([b for b in blocks if len(b) == d])).min())
+        for d in set(problem.block_dims)
+    )
     # A guard against roundoff only.  In exact arithmetic X stays positive
     # definite: X0 = scale0 * I, and a step of at most gamma <= 0.99 of the
     # largest PSD step gives X_new >= (1 - gamma) X, while a step taken when
@@ -801,7 +843,6 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
     y_full = np.zeros(problem.num_constraints)
     y_full[kept] = y
-    blocks = tuple(xs[g][slot].copy() for g, slot in lay.where)
     for block in blocks:
         block.flags.writeable = False
 

@@ -713,6 +713,87 @@ class TestTreeFactor:
         assert list(lay.border) == [2, 3, 4] and lay.sep.shape == (1, 0)
 
 
+def _diagonal_program(dims):
+    """max <I, X> with X_b[0, 0] = 1 on every block: one kept row per block."""
+    rows = [([(b, 0, 0, 1.0)], 1.0) for b in range(len(dims))]
+    return SdpProblem(dims, [np.eye(d) for d in dims], rows)
+
+
+def _stacks(problem):
+    lay = _prepare(problem, np.arange(problem.num_constraints))
+    return lay, list(zip(lay.counts, lay.sizes))
+
+
+class TestStacks:
+    """_prepare's merge rule: the k blocks at size d join the next size D
+    while k * (D^3 - d^3) <= _MERGE_WORK, zero-padded into their slots."""
+
+    def test_small_sizes_chain_into_one_stack(self):
+        # 1 -> 3, then 3 blocks 3 -> 4, then 5 blocks 4 -> 5: one stack of 6
+        lay, stacks = _stacks(_diagonal_program([1, 3, 3, 4, 4, 5]))
+        assert stacks == [(6, 5)]
+        assert lay.where == tuple((0, slot) for slot in range(6))
+        stacked = _stacked(lay, [np.ones((d, d)) for d in (1, 3, 3, 4, 4, 5)])[0]
+        assert stacked.sum(axis=(1, 2)).tolist() == [1, 9, 9, 16, 16, 25]
+        assert np.array_equal(stacked[1], np.pad(np.ones((3, 3)), (0, 2)))  # zero on the pad
+
+    def test_costly_lift_keeps_two_stacks(self):
+        # 32 * (33^3 - 11^3) is far above the rule's bound
+        lay, stacks = _stacks(_diagonal_program([11] * 32 + [33]))
+        assert stacks == [(32, 11), (1, 33)]
+        assert lay.bounds == (0, 32 * 11 * 11, 32 * 11 * 11 + 33 * 33)
+
+    def test_chain_stops_and_restarts(self):
+        # 2 -> 3 lifts 4 blocks; 6 blocks at 3 -> 20 fails, and 20 -> 21
+        # starts again from 20 with one block
+        _, stacks = _stacks(_diagonal_program([2] * 4 + [3] * 2 + [20, 21]))
+        assert stacks == [(6, 3), (2, 21)]
+
+    def test_mantel_6_free_form_is_unchanged(self):
+        problem = _free_form(assemble_theta_sdp(mantel_hypergraph(6))[0])[0]
+        _, stacks = _stacks(problem)
+        assert stacks == [(15, 9), (1, 16)]
+
+    @staticmethod
+    def record_solves(monkeypatch):
+        """The (problem, solution) of every solve thetabody makes from here on."""
+        from hypertheta import thetabody
+
+        solved = []
+
+        def spy(problem, tol):
+            solved.append((problem, solve_sdp(problem, tol)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(thetabody, "solve_sdp", spy)
+        return solved
+
+    def test_merged_theta_returns_the_problem_shapes(self, monkeypatch):
+        from hypertheta.thetabody import theta
+
+        solved = self.record_solves(monkeypatch)
+        res = theta(mantel_hypergraph(4), tol=1e-11)
+        assert abs(res.value - 4.0) < 1e-9
+        (problem, sol), = solved
+        assert _stacks(problem)[1] == [(7, 7)]  # six 5 x 5 links lifted to 7
+        assert [b.shape for b in sol.blocks] == [(d, d) for d in problem.block_dims]
+        assert sol.residuals["min_eig"] > 0
+
+    def test_membership_scale_block_joins_the_stack(self, monkeypatch):
+        from hypertheta.thetabody import check_certificate, theta_membership
+
+        solved = self.record_solves(monkeypatch)
+        hg = mantel_hypergraph(4)
+        member, cert = theta_membership(hg, [0.5] * hg.n)
+        (problem, sol), = solved
+        assert problem.block_dims[-1] == 1  # the scale block t
+        assert _stacks(problem)[1] == [(8, 7)]
+        assert sol.blocks[-1].shape == (1, 1)
+        # on a transitive instance t* = theta / (n * 0.5) = 4 / 3
+        assert abs(-sol.primal - 4.0 / 3.0) < 1e-8
+        assert member and check_certificate(hg, cert) == []
+
+
 class TestSdp:
     def test_scalar_block(self):
         p = SdpProblem([1], [np.array([[1.0]])], [([(0, 0, 0, 1.0)], 0.5)])

@@ -9,7 +9,8 @@ threads and substitution blocks 16, 48 and 128.  The block
 border's factor, the rows that solve_sdp factors together after it has
 eliminated the groups (see sdp._split); the groups' own solves do not
 depend on it.  Above the table, each case's line gives the form it is
-solved in, its Schur rows, its border rows and its groups.  Each cell reads
+solved in, its Schur rows, its border rows, its groups and its block
+stacks (k blocks padded to d x d read "k of dxd").  Each cell reads
 "iterations / max_ridge / centering fallbacks / |value - hoff|"; a solve
 that does not end "optimal" is marked FAIL with its status.  --src
 names the source directory to import the package from (default: this
@@ -51,7 +52,10 @@ def _rows() -> list[dict]:
         lay = prepare(problem, kept)
         # A checkout older than the split has every row on the border.
         border = len(getattr(lay, "border", range(lay.m)))
-        sizes.update(schur_rows=lay.m, border=border, groups=len(getattr(lay, "priv", ())))
+        stacks = ", ".join(f"{k} of {d}x{d}" for d, k in zip(lay.sizes, lay.counts))
+        sizes.update(
+            schur_rows=lay.m, border=border, groups=len(getattr(lay, "priv", ())), stacks=stacks
+        )
         return lay
 
     sdp._prepare = spied
@@ -70,7 +74,7 @@ def _rows() -> list[dict]:
             bound = hoff(wh)
             for tol in TOLS:
                 row = {"case": name, "tol": tol, "block": block}
-                sizes.update(schur_rows=None, border=None, groups=None)
+                sizes.update(schur_rows=None, border=None, groups=None, stacks=None)
                 try:
                     res = theta(graphs[name], mu, tol=tol)
                     sol_res, iters = res.diagnostics["residuals"], res.diagnostics["iterations"]
@@ -99,7 +103,8 @@ def run(src: str) -> list[dict]:
     """One record per cell, importing the package from src: case, tol,
     block, threads, status, err (None unless "optimal"), iters, ridge,
     fallbacks, and the case's form (None unless "optimal"), schur_rows,
-    border and groups (None when the solve stopped before its layout)."""
+    border, groups and stacks, its block stacks as "k of dxd" (None when the
+    solve stopped before its layout)."""
     rows = []
     for threads in THREADS:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
@@ -120,7 +125,7 @@ def format_table(rows: list[dict]) -> str:
         r = next(r for r in rows if r["case"] == name)
         lines.append(
             f"{name}: form {r['form'] or '?'}, {r['schur_rows']} Schur rows, "
-            f"{r['border']} border rows, {r['groups']} groups"
+            f"{r['border']} border rows, {r['groups']} groups, stacks {r['stacks']}"
         )
     lines += [
         "cells: iterations / max_ridge / fallbacks / |value - hoff|",
