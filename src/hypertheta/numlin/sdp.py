@@ -110,18 +110,28 @@ class SdpProblem:
     coef: np.ndarray
 
     def __init__(self, block_dims, objective, constraints):
+        rows = list(constraints)
+        terms = [(r, b, i, j, c) for r, (ts, _) in enumerate(rows) for b, i, j, c in ts]
+        terms = np.array(terms, dtype=float).reshape(-1, 5)
+        rhs = np.array([value for _, value in rows], dtype=float)
+        self._store(block_dims, objective, terms[:, :4], terms[:, 4], rhs)
+
+    @classmethod
+    def _of_terms(cls, block_dims, objective, index, coef, rhs) -> "SdpProblem":
+        """The program of term arrays index (row, block, i, j), coef and rhs."""
+        problem = cls.__new__(cls)
+        problem._store(block_dims, objective, index, coef, rhs)
+        return problem
+
+    def _store(self, block_dims, objective, index, coef, rhs) -> None:
         dims = tuple(int(d) for d in block_dims)
         if any(d < 1 for d in dims):
             raise ValueError("block dimensions must be positive")
         obj = tuple(as_symmetric(c) for c in objective)
         if [c.shape for c in obj] != [(d, d) for d in dims]:
             raise ValueError("objective must provide one d x d matrix per block")
-        rows = list(constraints)
-        terms = [(r, b, i, j, c) for r, (ts, _) in enumerate(rows) for b, i, j, c in ts]
-        terms = np.array(terms, dtype=float).reshape(-1, 5)
-        index, coef = terms[:, :4].astype(np.intp), terms[:, 4]
-        rhs = np.array([value for _, value in rows], dtype=float)
-        if np.any(index != terms[:, :4]):
+        index, given = index.astype(np.intp), index
+        if np.any(index != given):
             raise ValueError("constraint term indices must be integers")
         index[:, 2:].sort(axis=1)
         blk, lo, hi = index[:, 1:].T
@@ -133,9 +143,7 @@ class SdpProblem:
             raise ValueError("constraint data must be finite")
         for arr in (rhs, index, coef, *obj):
             arr.flags.writeable = False
-        fields = dict(block_dims=dims, objective=obj, rhs=rhs, index=index, coef=coef)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        vars(self).update(block_dims=dims, objective=obj, rhs=rhs, index=index, coef=coef)
 
     @property
     def num_constraints(self) -> int:

@@ -23,12 +23,14 @@ antiblocker pairing's gauge min{lam : w in lam * body(H-bar)} is 1/t*.
 Each program reaches numlin.solve_sdp in one of two forms.  Every row the
 assembly emits fixes one entry or ties two, with a weight in the membership
 programs.  The row form is the program as assembled, one row per fix or
-tie.  The free form eliminates them: the tied entries fall into classes,
-the classes that hold a fixed entry are one fixed matrix E0, and each other
-class k, an entry no row names being a class alone, is one free scalar y_k
-with matrix E_k.  The witness blocks are X(y) = E0 + sum_k y_k E_k, which
-meet every fix and tie exactly and are psd up to the solve's dual residual,
-and the solve runs on the conic dual with one row per free class.  A class
+tie.  The free form eliminates them.  Each tie points one entry at another
+further up the recursion, so the ties form a forest, and pointer jumping
+finds its trees, the classes of tied entries.  The classes that hold a
+fixed entry are one fixed matrix E0, and each other class k, an entry no
+row names being a class alone, is one free scalar y_k with matrix E_k.
+The witness blocks are X(y) = E0 + sum_k y_k E_k, which meet every fix
+and tie exactly and are psd up to the solve's dual residual, and the solve
+runs on the conic dual with one row per free class.  A class
 couples only with classes of its own root subtree and of the root block,
 so the solver factors the root subtrees' classes group by group and only
 the rest, its border (numlin.border_rows), as one dense block.  The free
@@ -148,7 +150,11 @@ class _Builder:
         return len(self.dims) - 1
 
     def add(self, entries: list[tuple[int, int, int, float]], rhs: float) -> None:
-        """entries: (block, i, j, coefficient) terms, as SdpProblem reads them."""
+        """entries: (block, i, j, coefficient) terms, as SdpProblem reads them.
+
+        A tie (two terms, rhs 0) names first the entry that it determines (a
+        border entry, a child's corner or diagonal, a scaled root diagonal),
+        and no entry comes first in two ties, so the ties form a forest."""
         self.cons.append((entries, rhs))
 
     def problem(self, objective: dict[int, np.ndarray]) -> SdpProblem:
@@ -293,80 +299,63 @@ def _free_form(problem: SdpProblem):
 
     Every row that _Builder assembles for theta, theta_membership and
     theta_dual fixes one entry (c X[e] = rhs) or ties two
-    (c X[e] + c' X[e'] = 0).  A weighted union-find over the entries gives
-    classes on which X[e] = ratio_e X[root]; the classes that hold a fixed
-    entry make up E0, and each other class k, an entry no row names being a
-    class alone, is one free variable with matrix E_k.  So the feasible
-    blocks are X(y) = E0 + sum_k y_k E_k, and maximizing <C, X(y)> over
-    X(y) psd is the dual side of the program with one row
-    <E_k, Z> = -<C, E_k> per class and objective -E0 (Lofberg, Optim.
+    (c X[e] + c' X[e'] = 0), the dependent entry e first (see _Builder.add).
+    Pointing each e at its e' gives a forest whose pointers lead up the
+    recursion tree, and pointer jumping (parent = parent[parent]) takes each
+    entry to the root of its tree, with X[e] = ratio_e X[root].  The trees
+    that hold a fixed entry make up E0, and each other tree k, an entry no
+    row names being a tree alone, is one free variable with matrix E_k.  So
+    the feasible blocks are X(y) = E0 + sum_k y_k E_k, and maximizing
+    <C, X(y)> over X(y) psd is the dual side of the program with one row
+    <E_k, Z> = -<C, E_k> per tree and objective -E0 (Lofberg, Optim.
     Methods Softw. 24, 2009; the elimination is the doubleton rule of
     Andersen & Andersen, Math. Prog. 71, 1995).  Returns (that program,
     <C, E0>, lift) with lift(y) the blocks X(y), or None when a row has
-    another shape, a tie closes a cycle or a class is fixed twice (a
-    redundant or infeasible row, which the row form's presolve settles), no
-    class is free, or the classes that the solve would factor as one dense
-    block, border_rows of that program, are not fewer than problem's rows.
+    another shape, an entry depends on two ties, the ties close a cycle or
+    a tree is fixed twice (the row form's presolve settles those), no tree
+    is free, or the trees that the solve would factor as one dense block,
+    border_rows of that program, are not fewer than problem's rows.
     """
-    m = problem.num_constraints
+    m, coef = problem.num_constraints, problem.coef
     count = np.bincount(problem.index[:, 0], minlength=m)
-    if m == 0 or count.min() < 1 or count.max() > 2 or not problem.coef.all():
+    first, tie = np.cumsum(count) - count, count == 2
+    if m == 0 or count.min() < 1 or count.max() > 2 or problem.rhs[tie].any() or not coef.all():
         return None
     dims = np.array(problem.block_dims, dtype=np.intp)
-    start = np.cumsum(dims * dims) - dims * dims
+    start, width = np.cumsum(dims * dims) - dims * dims, int((dims * dims).sum())
     _, blk, i, j = problem.index.T
-    entry, coef = (start[blk] + i * dims[blk] + j).tolist(), problem.coef.tolist()
-    up: dict[int, tuple[int, float]] = {}  # entry -> (parent, ratio to it)
-
-    def find(e):
-        path = []
-        while e in up:
-            path.append(e)
-            e = up[e][0]
-        ratio = 1.0
-        for v in reversed(path):
-            ratio *= up[v][1]
-            up[v] = (e, ratio)
-        return e, ratio
-
-    first, tie = np.cumsum(count) - count, count == 2
-    if problem.rhs[tie].any():
+    entry, t, f = start[blk] + i * dims[blk] + j, first[tie], first[~tie]
+    parent, ratio, root = np.arange(width), np.ones(width), np.ones(width, dtype=bool)
+    parent[entry[t]], ratio[entry[t]], root[entry[t]] = entry[t + 1], -coef[t + 1] / coef[t], False
+    with np.errstate(over="ignore", invalid="ignore"):  # only a cycle's ratios blow up
+        for _ in range(width.bit_length()):
+            if (parent[parent] == parent).all():
+                break
+            ratio, parent = ratio * ratio[parent], parent[parent]
+    fixes = np.bincount(parent[entry[f]], minlength=width)
+    # An entry that depends on two ties, a cycle (it keeps pointers on
+    # entries that depend on a tie) or a tree fixed twice.
+    if root.sum() > width - len(t) or not root[parent].all() or fixes.max() > 1:
         return None
-    for t in first[tie].tolist():
-        (r1, a1), (r2, a2) = find(entry[t]), find(entry[t + 1])
-        if r1 == r2:
-            return None
-        up[r1] = (r2, -coef[t + 1] * a2 / (coef[t] * a1))
-    fixed: dict[int, float] = {}
-    for t, v in zip(first[~tie].tolist(), problem.rhs[~tie].tolist()):
-        r, a = find(entry[t])
-        if r in fixed:
-            return None
-        fixed[r] = v / (coef[t] * a)
+    value = np.bincount(parent[entry[f]], problem.rhs[~tie] / (coef[f] * ratio[entry[f]]), width)
 
-    # Every entry (b, i <= j) of every block, with its class root and ratio.
+    # Every entry (b, i <= j) of every block, with its tree's root and ratio.
     ub = np.repeat(np.arange(len(dims)), dims * (dims + 1) // 2)
     ui, uj = np.concatenate([np.triu_indices(d) for d in dims], axis=1)
     upper, lower = start[ub] + ui * dims[ub] + uj, start[ub] + uj * dims[ub] + ui
-    root, ratio = upper.copy(), np.ones(len(upper))
-    named = sorted(set(entry))
-    at = np.searchsorted(upper, named)
-    root[at], ratio[at] = np.array([find(e) for e in named]).T
-    fix = np.isin(root, list(fixed))
-    free = ~fix
-    classes, k = np.unique(root[free], return_inverse=True)
+    tree, ratio = parent[upper], ratio[upper]
+    fix, free = fixes[tree] > 0, fixes[tree] == 0
+    classes, k = np.unique(tree[free], return_inverse=True)
     if not len(classes) or border_rows(k, ub[free], len(classes), len(dims)) >= m:
         return None
 
-    e0 = np.zeros(int((dims * dims).sum()))
-    e0[upper[fix]] = e0[lower[fix]] = ratio[fix] * [fixed[r] for r in root[fix].tolist()]
+    e0 = np.zeros(width)
+    e0[upper[fix]] = e0[lower[fix]] = ratio[fix] * value[tree[fix]]
     cflat = np.concatenate([c.ravel() for c in problem.objective])
     coef_k = ratio[free] * np.where(ui[free] == uj[free], 1.0, 2.0)
     rhs_k = -np.bincount(k, cflat[upper[free]] * coef_k, len(classes))
-    rows = [([], v) for v in rhs_k.tolist()]
-    terms = zip(k.tolist(), ub[free].tolist(), ui[free].tolist(), uj[free].tolist(), coef_k.tolist())
-    for kk, *term in terms:
-        rows[kk][0].append(tuple(term))
+    order = np.argsort(k, kind="stable")
+    index = np.stack([k, ub[free], ui[free], uj[free]], axis=1)[order]
     spans = [(lo, lo + d * d, d) for lo, d in zip(start.tolist(), dims.tolist())]
     objective = [-e0[lo:hi].reshape(d, d) for lo, hi, d in spans]
 
@@ -375,7 +364,7 @@ def _free_form(problem: SdpProblem):
         x[upper[free]] = x[lower[free]] = ratio[free] * np.asarray(y)[k]
         return tuple(x[lo:hi].reshape(d, d) for lo, hi, d in spans)
 
-    reduced = SdpProblem(problem.block_dims, objective, rows)
+    reduced = SdpProblem._of_terms(problem.block_dims, objective, index, coef_k[order], rhs_k)
     return reduced, float(cflat @ e0), lift
 
 

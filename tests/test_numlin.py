@@ -835,7 +835,7 @@ class TestSdp:
     @pytest.mark.xfail(
         strict=True,
         reason="badly scaled block: 300 iterations, rel_gap stuck near 3.5e-8 "
-        "(ROADMAP item 1)",
+        "(ROADMAP: a robust endgame and an honest stop test)",
     )
     def test_badly_scaled_two_by_two(self):
         # maximize 2 X01 subject to X00 = 1e8, X11 = 1; optimum 2e4.  This is

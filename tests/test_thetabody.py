@@ -247,14 +247,62 @@ class TestForms:
         assert theta_membership(hg, [0.5] * hg.n)[0]
         assert calls == []
 
+    def test_assembled_ties_form_a_forest(self, monkeypatch):
+        # Every row of an assembled program fixes an entry or ties it to one
+        # further up the recursion, so the rows are independent: with no
+        # border limit, the free form keeps one row per upper-triangle entry
+        # that no row determines.
+        class Captured(Exception):
+            pass
+
+        programs = []
+
+        def capture(problem):
+            programs.append(problem)
+            raise Captured
+
+        free_form = thetabody._free_form
+        monkeypatch.setattr(thetabody, "_free_form", capture)
+        fan = Hypergraph(3, 25, tuple((0, 2 * i + 1, 2 * i + 2) for i in range(12)))
+        unweighted = [cycle_graph(5), cycle_graph(8), fan, mantel_hypergraph(5)]
+        unweighted.append(build_hamming_hypergraph(4, 2))
+        cases = [(hg, [1.0] * hg.n) for hg in unweighted] + [_seeded(8, 3, 1), _seeded(6, 4, 1)]
+        for hg, w in cases:
+            for run in (theta, theta_dual, lambda hg, w: theta_membership(hg, [0.5] * hg.n)):
+                with pytest.raises(Captured):
+                    run(hg, w)
+        assert len(programs) == 3 * len(cases)
+        monkeypatch.setattr(thetabody, "border_rows", lambda *args: 0)
+        for problem in programs:
+            entries = sum(d * (d + 1) // 2 for d in problem.block_dims)
+            reduced = free_form(problem)[0]
+            assert reduced.num_constraints == entries - problem.num_constraints
+
     def test_other_row_shapes_keep_the_row_form(self):
         one = np.array([[1.0]])
         for rows in (
             [([(0, 0, 0, 1.0), (0, 1, 1, 1.0)], 1.0)],  # a tie with a right-hand side
             [([(0, 0, 0, 1.0), (0, 1, 1, 1.0), (0, 0, 1, 1.0)], 0.0)],  # three terms
-            [([(0, 0, 0, 1.0)], 1.0), ([(0, 0, 0, 2.0)], 2.0)],  # fixed twice
-            # two ties that close a cycle
-            [([(0, 0, 0, 1.0), (0, 1, 1, -1.0)], 0.0), ([(0, 1, 1, 1.0), (0, 0, 0, -1.0)], 0.0)],
+            # fixed twice; unnoticed, that leaves 1 free class against 3 rows
+            [
+                ([(0, 0, 0, 1.0)], 1.0),
+                ([(0, 0, 0, 2.0)], 2.0),
+                ([(0, 1, 1, 1.0), (0, 0, 1, -1.0)], 0.0),
+            ],
+            # two ties that close a cycle; unnoticed, that leaves 2 free
+            # classes against 3 rows
+            [
+                ([(0, 0, 0, 1.0), (0, 1, 1, -1.0)], 0.0),
+                ([(0, 1, 1, 1.0), (0, 0, 0, -1.0)], 0.0),
+                ([(0, 1, 1, 1.0)], 1.0),
+            ],
+            # (0, 0) is the dependent entry of two ties; keeping one of them
+            # leaves 1 free class against 3 rows
+            [
+                ([(0, 0, 0, 1.0), (0, 1, 1, -1.0)], 0.0),
+                ([(0, 0, 0, 1.0), (0, 0, 1, -1.0)], 0.0),
+                ([(0, 1, 1, 1.0)], 1.0),
+            ],
         ):
             problem = SdpProblem([2], [np.eye(2)], rows)
             assert thetabody._free_form(problem) is None
