@@ -95,13 +95,13 @@ def build_hamming_hypergraph(n: int, s: int) -> Hypergraph:
 # Orthogonal polynomial values (exact)
 # ---------------------------------------------------------------------------
 
-def _krawtchouk_column(n: int, t: int) -> tuple[list[int], list[int]]:
-    """Unnormalized K_k(t) and C(n, k) for k = 0..n, by the exact integer
+def _krawtchouk_column(n: int, t: int, kmax: int) -> tuple[list[int], list[int]]:
+    """Unnormalized K_k(t) and C(n, k) for k = 0..kmax, by the exact integer
     recurrence (k+1) K_{k+1} = (n-2t) K_k - (n-k+1) K_{k-1}, K_0 = 1."""
     if not (0 <= t <= n):
         raise HypergraphError(f"krawtchouk out of range: n={n} t={t}")
     nums, binoms = [0, 1], [1]  # nums starts at K_{-1} = 0
-    for k in range(n):
+    for k in range(kmax):
         nums.append(((n - 2 * t) * nums[-1] - (n - k + 1) * nums[-2]) // (k + 1))
         binoms.append(binoms[-1] * (n - k) // (k + 1))
     return nums[1:], binoms
@@ -110,7 +110,7 @@ def _krawtchouk_column(n: int, t: int) -> tuple[list[int], list[int]]:
 def krawtchouk_values(n: int, t: int) -> list[Fraction]:
     """Krawtchouk values K_k(t) / C(n, k) at t for every degree k = 0..n,
     K_k(t) = sum_i (-1)^i C(t,i) C(n-t,k-i), from the integer recurrence."""
-    nums, binoms = _krawtchouk_column(n, t)
+    nums, binoms = _krawtchouk_column(n, t, n)
     return [Fraction(a, b) for a, b in zip(nums, binoms)]
 
 
@@ -146,12 +146,17 @@ def hahn_values(n: int, s: int, t: int) -> list[Fraction]:
 
 def m_k(n: int, s: int) -> tuple[Fraction, int]:
     """Minimum Krawtchouk value at s over all degrees, with the smallest
-    attaining degree."""
+    attaining degree.
+
+    K_{n-k}(s) = (-1)^s K_k(s) and C(n, n-k) = C(n, k), so for even s the
+    column is symmetric and its first minimum lies in k <= n/2: only that
+    half is evaluated."""
     if not (0 <= s <= n):
         raise HypergraphError(f"m_k out of range: n={n} s={s}")
-    nums, binoms = _krawtchouk_column(n, s)
+    kmax = n // 2 if s % 2 == 0 else n
+    nums, binoms = _krawtchouk_column(n, s, kmax)
     best = 0
-    for k in range(1, n + 1):  # a/b < c/d iff ad < cb, as b, d > 0
+    for k in range(1, kmax + 1):  # a/b < c/d iff ad < cb, as b, d > 0
         if nums[k] * binoms[best] < nums[best] * binoms[k]:
             best = k
     return Fraction(nums[best], binoms[best]), best

@@ -19,19 +19,20 @@ the second-order term and steps along the centering direction
 sigma mu S^-1 - X instead, from the same Cholesky factor; the solution
 counts those iterations.  The solver is aimed at desk scale instances
 (a few hundred total dimensions).  The blocks are kept as (k, d, d) stacks,
-so every per-block step of an iteration (the eigendecompositions of the
-Nesterov-Todd scaling, the directions, the step lengths) is one broadcast
-numpy call per stack, and the S and X stacks share their eigh call and each
-step's eigvalsh call.  Blocks of equal size share a stack, and the blocks of
-a small size join the next larger size when the cubic work on their pad is
-small (_MERGE_WORK), since at these sizes the fixed cost of a LAPACK call
-outweighs its arithmetic (Dongarra et al., Procedia Comput. Sci. 108, 2017).
-A block is zero-padded in its slot: C, X and S are 0 on the pad, so the
-residuals, the gap and the dual direction are too.  Only the primal
-direction is masked to the blocks' own entries after symmetrizing: its
-right-hand side carries the centering term sigma mu S^-1, whose floored S^-1
-is huge on the pad, and the mask would also stop roundoff in W from
-reaching the pad.
+so every per-block step of an iteration (the Cholesky factors and the SVD
+of the Nesterov-Todd scaling, the directions, the step lengths) is one
+broadcast numpy call per stack, and the S and X stacks share their Cholesky
+call and each step's eigvalsh call.  Blocks of equal size share a stack,
+and the blocks of a small size join the next larger size when the cubic
+work on their pad is small (_MERGE_WORK), since at these sizes the fixed
+cost of a LAPACK call outweighs its arithmetic (Dongarra et al., Procedia
+Comput. Sci. 108, 2017).  A block is zero-padded in its slot: C, X and S
+are 0 on the pad, so the residuals, the gap and the dual direction are too.
+The scaling factors S and X plus 1e-200 on the pad diagonal, far below the
+floor on each block's lam, which an identity pad could raise.  Only the
+primal direction is masked to the blocks' own entries after symmetrizing:
+its right-hand side carries sigma mu S^-1, not 0 on the pad, and the mask
+also stops roundoff in W from reaching the pad.
 The rows act on the stacks by one gather and one np.bincount over their
 terms; the Schur complement M is built the same way from the pairs of terms
 that share a block, and factored in the order of the block tree (George &
@@ -44,9 +45,10 @@ as an m x m array: every iteration scatters it into the groups' private
 blocks, their couplings to their separators and the border block.  One
 batched Cholesky factors the private blocks, one batched solve eliminates
 the couplings, and the border's Schur complement gets one Cholesky; a
-normal solve is a batched forward solve over the groups, blocked
-triangular substitution on the border and a batched back solve.  A program
-with no group is factored as one dense block.  When a Cholesky needed a
+normal solve is a batched forward solve over the groups, one LU solve by
+the border's Schur complement (blocked triangular substitution by its
+factor above _SUBST_BLOCK rows) and a batched back solve.  A program with
+no group is factored as one dense block.  When a Cholesky needed a
 ridge on the diagonal of M, each solve of that iteration takes one
 refinement step against the unregularized Schur complement.  A presolve
 pass keeps, in order, each equality row whose distance from the span of
@@ -503,13 +505,14 @@ def _schur_dot(lay: _Layout, parts: tuple, v: np.ndarray) -> np.ndarray:
 
 
 def _factor(lay: _Layout, parts: tuple, ridge: float) -> tuple:
-    """The Cholesky factor of M + ridge * I in the split of _split:
-    (L, E, chol) with L L^T the groups' private blocks, E = L^-1 coup and
-    chol the factor of the border's Schur complement
-    border - sum_g E_g^T E_g, each E_g^T E_g scattered onto its separator.
-    One batched Cholesky and one batched solve serve all groups; a program
-    with no group factors its border alone, which is all of M.  Raises
-    np.linalg.LinAlgError when a block is not definite."""
+    """M + ridge * I factored in the split of _split: (L, E, B) with L L^T
+    the groups' private blocks, E = L^-1 coup, and B the border's Schur
+    complement border - sum_g E_g^T E_g (each E_g^T E_g scattered onto its
+    separator) when it has at most _SUBST_BLOCK rows, else its Cholesky
+    factor.  That Cholesky is taken either way: its failure asks for the
+    ridge.  One batched Cholesky and one batched solve serve all groups; a
+    program with no group factors its border alone, which is all of M.
+    Raises np.linalg.LinAlgError when a block is not definite."""
     priv, coup, border = parts
     nb = len(border)
     if ridge:
@@ -521,20 +524,30 @@ def _factor(lay: _Layout, parts: tuple, ridge: float) -> tuple:
         e = np.linalg.solve(low, coup)
         fill = np.bincount(lay.update.ravel(), (e.transpose(0, 2, 1) @ e).ravel(), nb * nb + 1)
         border = border - fill[:-1].reshape(nb, nb)
-    return low, e, np.linalg.cholesky(border)
+    chol = np.linalg.cholesky(border)
+    return low, e, (border if nb <= _SUBST_BLOCK else chol)
+
+
+def _border_solve(b: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """x with B x = vec for the border part b of _factor: one LU solve by B
+    itself up to _SUBST_BLOCK rows, cheaper there than two solves by its
+    factor, else _chol_solve by the factor, O(nb^2) against O(nb^3)."""
+    if len(b) <= _SUBST_BLOCK:
+        return np.linalg.solve(b, vec)
+    return _chol_solve(b, vec)
 
 
 def _factor_solve(lay: _Layout, factor: tuple, v: np.ndarray) -> np.ndarray:
     """x with (M + ridge * I) x = v for factor = _factor(lay, parts, ridge):
-    a batched forward solve over the groups, _chol_solve on the border, and
-    a batched back solve over the groups.  Each triangular solve is
-    np.linalg.solve, an LU of the factor's block, as in _chol_solve."""
-    low, e, chol = factor
+    a batched forward solve over the groups, _border_solve on the border,
+    and a batched back solve over the groups.  Each of the groups' solves is
+    np.linalg.solve, an LU of the triangular factor, as in _chol_solve."""
+    low, e, b = factor
     if not len(low):  # the border is every row, in order
-        return _chol_solve(chol, v)
+        return _border_solve(b, v)
     z = np.linalg.solve(low, v.take(lay.priv, mode="clip")[:, :, None])
-    ez = np.bincount(lay.sep.ravel(), (e.transpose(0, 2, 1) @ z).ravel(), len(chol) + 1)
-    vb = _chol_solve(chol, v[lay.border] - ez[:-1])
+    ez = np.bincount(lay.sep.ravel(), (e.transpose(0, 2, 1) @ z).ravel(), len(b) + 1)
+    vb = _border_solve(b, v[lay.border] - ez[:-1])
     vs = vb.take(lay.sep, mode="clip")[:, :, None]
     out = np.empty(lay.m + 1)
     out[lay.border] = vb
@@ -578,8 +591,8 @@ def _chol_solve(chol: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
     Blocked forward, then back substitution: each diagonal block of the
     factor is solved directly and the rest of the right-hand side updated by
-    one product, O(m^2) in all.  With m <= _SUBST_BLOCK this is the two
-    plain solves by the whole factor.
+    one product, O(m^2) in all, for a border above _SUBST_BLOCK rows.
+    With m <= _SUBST_BLOCK this is the two plain solves by the whole factor.
     """
     out = np.array(vec, dtype=float)
     starts = range(0, len(out), _SUBST_BLOCK)
@@ -594,16 +607,10 @@ def _chol_solve(chol: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _whiten(eig: tuple) -> np.ndarray:
-    """z with z^T x z = I per block of one stack; eig is np.linalg.eigh(x)."""
-    vals, vecs = eig
-    return vecs / np.sqrt(np.maximum(vals, 1e-300))[:, None, :]
-
-
 def _max_step(z: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Per block of one stack, the largest a with x + a*dx psd, computed
-    through the whitened pencil z^T dx z with z = _whiten(np.linalg.eigh(x)).
-    A block whose pencil has no eigenvalue below -1e-13 allows any step."""
+    through the whitened pencil z^T dx z, for any z with z^T x z = I.  A
+    block whose pencil has no eigenvalue below -1e-13 allows any step."""
     lo = np.linalg.eigvalsh(z.transpose(0, 2, 1) @ dx @ z).min(axis=1)
     return np.where(lo >= -1e-13, np.inf, -1.0 / np.minimum(lo, -1e-13))
 
@@ -611,9 +618,9 @@ def _max_step(z: np.ndarray, dx: np.ndarray) -> np.ndarray:
 def _max_steps(zs, dxs, dss) -> tuple:
     """(primal, dual): the smallest _max_step over every block of X along
     dxs and of S along dss, by one eigvalsh call per stack for both; zs[g]
-    whitens stack g of S and X concatenated, in that order.  Each matrix of a
-    stacked LAPACK call is processed alone, so this equals taking the two
-    stacks apart."""
+    whitens stack g of S and X concatenated, in that order, as _nt_scaling
+    returns it.  Each matrix of a stacked LAPACK call is processed alone, so
+    this equals taking the two stacks apart."""
     ap = ad = np.inf
     for z, dx, ds in zip(zs, dxs, dss):
         steps = _max_step(z, np.concatenate([ds, dx]))
@@ -622,42 +629,34 @@ def _max_steps(zs, dxs, dss) -> tuple:
     return ap, ad
 
 
-def _nt_scaling(seig: tuple, xeig: tuple):
-    """(W, S^-1, G, G^-1, lam) of the Nesterov-Todd scaling point of one
-    stack; seig and xeig are np.linalg.eigh of s and x.  Steps keep the
-    iterates definite mathematically, so per block, eigenvalues at roundoff
-    scale are clamped, and anything more negative is a breakdown: it raises
-    np.linalg.LinAlgError, which ends solve_sdp.
+def _nt_scaling(s: np.ndarray, x: np.ndarray):
+    """(W, S^-1, G, G^-1, lam, z) of the Nesterov-Todd scaling point of the
+    stacks s and x, from their Cholesky factors as in SDPT3 (Todd, Toh &
+    Tutuncu, SIAM J. Optim. 8, 1998).  Steps keep the iterates definite
+    mathematically, so a Cholesky that fails on a block is a breakdown: it
+    raises np.linalg.LinAlgError, which ends solve_sdp.
 
-    W = S^-1/2 T^1/2 S^-1/2 with T = S^1/2 X S^1/2.  T^1/2 comes from the SVD
-    S^1/2 X^1/2 = U diag(lam) Q^T: near the optimum every eigenvalue of T is
-    about mu, below the roundoff of forming T itself, while the singular
-    values of the factor product keep their accuracy.  The factor
-    G = S^-1/2 U diag(lam)^1/2 has W = G G^T and
-    G^T S G = G^-1 X G^-T = diag(lam), the scaled space of the corrector.
-    """
-
-    def floored(vals):
-        floor = 1e-14 * np.maximum(vals.max(axis=1, keepdims=True), 1e-30)
-        if np.any(vals < -10 * floor):
-            raise np.linalg.LinAlgError("indefinite iterate")
-        return np.maximum(vals, floor)
-
-    (sval, svec), (xval, xvec) = seig, xeig
-    sval, xval = floored(sval), floored(xval)
-    svt = svec.transpose(0, 2, 1)
-    shalf = (svec * np.sqrt(sval)[:, None, :]) @ svt
-    sinvh = (svec / np.sqrt(sval)[:, None, :]) @ svt
-    sinv = (svec / sval[:, None, :]) @ svt
-    xhalf = (xvec * np.sqrt(xval)[:, None, :]) @ xvec.transpose(0, 2, 1)
-    u, lam, _ = np.linalg.svd(shalf @ xhalf)
-    # T's eigenvalues lam^2, floored at 1e-14 of the largest like S's
+    With S = Ls Ls^T, X = Lx Lx^T and the SVD Ls^T Lx = U diag(lam) V^T,
+    G = Lx V diag(lam)^-1/2 and G^-1 = diag(lam)^-1/2 U^T Ls^T give
+    G^T S G = G^-1 X G^-T = diag(lam), the corrector's scaled space, so
+    W = G G^T, S^-1 = G diag(lam)^-1 G^T, and z = [G; G^-T] diag(lam)^-1/2
+    whitens S and X for _max_steps.  Near the optimum the eigenvalues of XS
+    are about mu, below the roundoff of forming it, while the singular
+    values of the factor product keep their accuracy (lam is floored at
+    1e-7 of each block's largest); and a triangular factor carries a
+    diagonal scaling through, where an eigenvector square root loses the
+    small direction."""
+    k = len(s)
+    low = np.linalg.cholesky(np.concatenate([s, x]))
+    ls, lx = low[:k], low[k:]
+    u, lam, vt = np.linalg.svd(ls.transpose(0, 2, 1) @ lx)
     lam = np.maximum(lam, 1e-7 * np.maximum(lam[:, :1], 1e-15))
-    thalf = (u * lam[:, None, :]) @ u.transpose(0, 2, 1)
     root = np.sqrt(lam)[:, None, :]
-    g = sinvh @ (u * root)
-    ginv = (u / root).transpose(0, 2, 1) @ shalf
-    return _sym(sinvh @ thalf @ sinvh), sinv, g, ginv, lam
+    g = lx @ (vt.transpose(0, 2, 1) / root)
+    ginv = (u / root).transpose(0, 2, 1) @ ls.transpose(0, 2, 1)
+    sinv = (g / lam[:, None, :]) @ g.transpose(0, 2, 1)
+    z = np.concatenate([g, ginv.transpose(0, 2, 1)]) / np.concatenate([root, root])
+    return _sym(g @ g.transpose(0, 2, 1)), sinv, g, ginv, lam, z
 
 
 def _second_order(scaling: tuple, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -665,7 +664,7 @@ def _second_order(scaling: tuple, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
     L(P)_ij = (P + P^T)_ij / (lam_i + lam_j): the solution Z of the Lyapunov
     equation diag(lam) Z + Z diag(lam) = P + P^T, mapped back from the
     scaled space of _nt_scaling, where diag(lam) makes it elementwise."""
-    _, _, g, ginv, lam = scaling
+    _, _, g, ginv, lam, _ = scaling
     p = ginv @ dx @ ds @ g
     z = (p + p.transpose(0, 2, 1)) / (lam[:, :, None] + lam[:, None, :])
     return g @ z @ g.transpose(0, 2, 1)
@@ -692,8 +691,9 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     The feasible regions produced by this package are bounded with interior
     points, so the method converges at desk scale.  A solve that diverges (a
     non-finite objective, gap or residual), stalls (steps below 1e-10 three
-    times running), breaks down (np.linalg.LinAlgError from an indefinite
-    iterate, eight failed ridged Cholesky factorizations or LAPACK) or hits
+    times running), breaks down (np.linalg.LinAlgError from an iterate whose
+    Cholesky factor fails, eight failed ridged Cholesky factorizations of
+    the Schur complement, or LAPACK) or hits
     _MAX_ITER ends "numerical-failure" with its last iterate.  The residuals
     hold the final relative gap, the scaled primal and dual residuals, the
     smallest block eigenvalue, max_ridge, the largest multiple of the
@@ -715,6 +715,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     cs = _stacked(lay, problem.objective)
     eyes = _stacked(lay, [np.eye(d) for d in problem.block_dims])
     masks = _stacked(lay, [np.ones((d, d)) for d in problem.block_dims])  # 0 on the pad
+    pads = [1e-200 * (np.eye(d) - e) for d, e in zip(lay.sizes, eyes)]
     total_dim = sum(problem.block_dims)
 
     scale0 = max(1.0, float(np.abs(rhs).max()))
@@ -747,15 +748,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             if not np.isfinite([pobj, dobj, gap, rp_norm, rd_norm]).all():
                 break  # diverged: an unbounded program, or overflow
 
-            # One eigh per stack, of S and X together, serves the scaling point
-            # and, whitened once, the step lengths of the iteration.
-            eigs = [np.linalg.eigh(np.concatenate([s, x])) for s, x in zip(ss, xs)]
-            zs = [_whiten(e) for e in eigs]
-            scaling = [
-                _nt_scaling((val[:k], vec[:k]), (val[k:], vec[k:]))
-                for (val, vec), k in zip(eigs, lay.counts)
-            ]
-            ws, sinvs, *_ = zip(*scaling)
+            scaling = [_nt_scaling(s + p, x + p) for s, x, p in zip(ss, xs, pads)]
+            ws, sinvs, _, _, _, zs = zip(*scaling)
             wrw = [w @ q @ w for w, q in zip(ws, rd)]
             parts = _schur(lay, ws)
 

@@ -340,9 +340,12 @@ def _free_form(problem: SdpProblem):
     value = np.bincount(parent[entry[f]], problem.rhs[~tie] / (coef[f] * ratio[entry[f]]), width)
 
     # Every entry (b, i <= j) of every block, with its tree's root and ratio.
-    ub = np.repeat(np.arange(len(dims)), dims * (dims + 1) // 2)
-    ui, uj = np.concatenate([np.triu_indices(d) for d in dims], axis=1)
-    upper, lower = start[ub] + ui * dims[ub] + uj, start[ub] + uj * dims[ub] + ui
+    flat = np.arange(width)
+    ub = np.repeat(np.arange(len(dims)), dims * dims)
+    ui, uj = np.divmod(flat - start[ub], dims[ub])
+    on = ui <= uj
+    ub, ui, uj, upper = ub[on], ui[on], uj[on], flat[on]
+    lower = start[ub] + uj * dims[ub] + ui
     tree, ratio = parent[upper], ratio[upper]
     fix, free = fixes[tree] > 0, fixes[tree] == 0
     classes, k = np.unique(tree[free], return_inverse=True)
