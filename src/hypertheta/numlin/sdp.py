@@ -28,11 +28,11 @@ work on their pad is small (_MERGE_WORK), since at these sizes the fixed
 cost of a LAPACK call outweighs its arithmetic (Dongarra et al., Procedia
 Comput. Sci. 108, 2017).  A block is zero-padded in its slot: C, X and S
 are 0 on the pad, so the residuals, the gap and the dual direction are too.
-The scaling factors S and X plus 1e-200 on the pad diagonal, far below the
-floor on each block's lam, which an identity pad could raise.  Only the
-primal direction is masked to the blocks' own entries after symmetrizing:
-its right-hand side carries sigma mu S^-1, not 0 on the pad, and the mask
-also stops roundoff in W from reaching the pad.
+The scaling factors S and X plus 1e-200 on the pad diagonal, which, unlike
+an identity pad, cannot raise the floor on a block's lam.  Only the primal
+direction is masked to the blocks' own entries after symmetrizing: its
+right-hand side carries sigma mu S^-1, not 0 on the pad, and the mask also
+stops roundoff in W from reaching the pad.
 The rows act on the stacks by one gather and one np.bincount over their
 terms; the Schur complement M is built the same way from the pairs of terms
 that share a block, and factored in the order of the block tree (George &
@@ -47,7 +47,7 @@ batched Cholesky factors the private blocks, one batched solve eliminates
 the couplings, and the border's Schur complement gets one Cholesky; a
 normal solve is a batched forward solve over the groups, one LU solve by
 the border's Schur complement (blocked triangular substitution by its
-factor above _SUBST_BLOCK rows) and a batched back solve.  A program with
+factor above _LU_BORDER rows) and a batched back solve.  A program with
 no group is factored as one dense block.  When a Cholesky needed a
 ridge on the diagonal of M, each solve of that iteration takes one
 refinement step against the unregularized Schur complement.  A presolve
@@ -79,9 +79,14 @@ _MAX_ITER = 300
 _PSD_TOL = 1e-9  # an "optimal" solve keeps every block PSD to -_PSD_TOL
 _PRESOLVE_TOL = 1e-10  # rank threshold of _presolve
 # Rows per diagonal block of the triangular substitutions by the border's
-# factor.  It sets their summation order; the tolerance sweep passes at 16 to
+# factor.  It sets their summation order; the tolerance sweep passes at 16 and
 # 128 with 1 or 2 threads.
 _SUBST_BLOCK = 48
+# Largest border solved by one LU of its Schur complement (_border_solve).
+# Per solve (one BLAS thread) that LU took 0.3-0.4 of _chol_solve's time up
+# to 64 rows, 0.91 at 128 and 1.13 at 160; on every border it made theta
+# 65% slower on H(5,2) (528 border rows) and 25% on Mantel 8 (406).
+_LU_BORDER = 128
 # Merge rule of the stacks (see _prepare): the k blocks at size d are
 # zero-padded to the next larger size D when k * (D^3 - d^3) <= _MERGE_WORK.
 # It weighs the fixed cost of one more stack in every iteration against the
@@ -505,14 +510,13 @@ def _schur_dot(lay: _Layout, parts: tuple, v: np.ndarray) -> np.ndarray:
 
 
 def _factor(lay: _Layout, parts: tuple, ridge: float) -> tuple:
-    """M + ridge * I factored in the split of _split: (L, E, B) with L L^T
-    the groups' private blocks, E = L^-1 coup, and B the border's Schur
+    """M + ridge * I factored in the split of _split: (L, E, (chol, B)) with
+    L L^T the groups' private blocks, E = L^-1 coup, B the border's Schur
     complement border - sum_g E_g^T E_g (each E_g^T E_g scattered onto its
-    separator) when it has at most _SUBST_BLOCK rows, else its Cholesky
-    factor.  That Cholesky is taken either way: its failure asks for the
-    ridge.  One batched Cholesky and one batched solve serve all groups; a
-    program with no group factors its border alone, which is all of M.
-    Raises np.linalg.LinAlgError when a block is not definite."""
+    separator), kept up to _LU_BORDER rows and else None, and chol its
+    Cholesky factor.  One batched Cholesky and one batched solve serve all
+    groups; a program with no group factors its border alone, which is all
+    of M.  Raises np.linalg.LinAlgError when a block is not definite."""
     priv, coup, border = parts
     nb = len(border)
     if ridge:
@@ -524,30 +528,32 @@ def _factor(lay: _Layout, parts: tuple, ridge: float) -> tuple:
         e = np.linalg.solve(low, coup)
         fill = np.bincount(lay.update.ravel(), (e.transpose(0, 2, 1) @ e).ravel(), nb * nb + 1)
         border = border - fill[:-1].reshape(nb, nb)
-    chol = np.linalg.cholesky(border)
-    return low, e, (border if nb <= _SUBST_BLOCK else chol)
+    return low, e, (np.linalg.cholesky(border), border if nb <= _LU_BORDER else None)
 
 
-def _border_solve(b: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """x with B x = vec for the border part b of _factor: one LU solve by B
-    itself up to _SUBST_BLOCK rows, cheaper there than two solves by its
-    factor, else _chol_solve by the factor, O(nb^2) against O(nb^3)."""
-    if len(b) <= _SUBST_BLOCK:
-        return np.linalg.solve(b, vec)
-    return _chol_solve(b, vec)
+def _border_solve(border: tuple, vec: np.ndarray) -> np.ndarray:
+    """x with B x = vec for border = (chol, B) of _factor: one LU solve by B
+    when kept, else, or when roundoff gives a numerically singular B's LU an
+    exactly zero pivot (chol's diagonal is positive), _chol_solve by chol."""
+    chol, schur = border
+    if schur is not None:
+        try:
+            return np.linalg.solve(schur, vec)
+        except np.linalg.LinAlgError:
+            pass
+    return _chol_solve(chol, vec)
 
 
 def _factor_solve(lay: _Layout, factor: tuple, v: np.ndarray) -> np.ndarray:
     """x with (M + ridge * I) x = v for factor = _factor(lay, parts, ridge):
-    a batched forward solve over the groups, _border_solve on the border,
-    and a batched back solve over the groups.  Each of the groups' solves is
-    np.linalg.solve, an LU of the triangular factor, as in _chol_solve."""
-    low, e, b = factor
+    batched forward and back solves over the groups, each an LU of their
+    triangular factor by np.linalg.solve, around _border_solve."""
+    low, e, border = factor
     if not len(low):  # the border is every row, in order
-        return _border_solve(b, v)
+        return _border_solve(border, v)
     z = np.linalg.solve(low, v.take(lay.priv, mode="clip")[:, :, None])
-    ez = np.bincount(lay.sep.ravel(), (e.transpose(0, 2, 1) @ z).ravel(), len(b) + 1)
-    vb = _border_solve(b, v[lay.border] - ez[:-1])
+    ez = np.bincount(lay.sep.ravel(), (e.transpose(0, 2, 1) @ z).ravel(), len(lay.border) + 1)
+    vb = _border_solve(border, v[lay.border] - ez[:-1])
     vs = vb.take(lay.sep, mode="clip")[:, :, None]
     out = np.empty(lay.m + 1)
     out[lay.border] = vb
@@ -591,7 +597,7 @@ def _chol_solve(chol: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
     Blocked forward, then back substitution: each diagonal block of the
     factor is solved directly and the rest of the right-hand side updated by
-    one product, O(m^2) in all, for a border above _SUBST_BLOCK rows.
+    one product, O(m^2) in all, for a border above _LU_BORDER rows.
     With m <= _SUBST_BLOCK this is the two plain solves by the whole factor.
     """
     out = np.array(vec, dtype=float)
@@ -618,9 +624,9 @@ def _max_step(z: np.ndarray, dx: np.ndarray) -> np.ndarray:
 def _max_steps(zs, dxs, dss) -> tuple:
     """(primal, dual): the smallest _max_step over every block of X along
     dxs and of S along dss, by one eigvalsh call per stack for both; zs[g]
-    whitens stack g of S and X concatenated, in that order, as _nt_scaling
-    returns it.  Each matrix of a stacked LAPACK call is processed alone, so
-    this equals taking the two stacks apart."""
+    whitens stack g of S and X concatenated (_nt_scaling).  Each matrix of a
+    stacked LAPACK call is processed alone, so this equals taking the two
+    stacks apart."""
     ap = ad = np.inf
     for z, dx, ds in zip(zs, dxs, dss):
         steps = _max_step(z, np.concatenate([ds, dx]))
@@ -633,29 +639,27 @@ def _nt_scaling(s: np.ndarray, x: np.ndarray):
     """(W, S^-1, G, G^-1, lam, z) of the Nesterov-Todd scaling point of the
     stacks s and x, from their Cholesky factors as in SDPT3 (Todd, Toh &
     Tutuncu, SIAM J. Optim. 8, 1998).  Steps keep the iterates definite
-    mathematically, so a Cholesky that fails on a block is a breakdown: it
+    mathematically, so a failed Cholesky of a block is a breakdown: it
     raises np.linalg.LinAlgError, which ends solve_sdp.
 
     With S = Ls Ls^T, X = Lx Lx^T and the SVD Ls^T Lx = U diag(lam) V^T,
     G = Lx V diag(lam)^-1/2 and G^-1 = diag(lam)^-1/2 U^T Ls^T give
     G^T S G = G^-1 X G^-T = diag(lam), the corrector's scaled space, so
-    W = G G^T, S^-1 = G diag(lam)^-1 G^T, and z = [G; G^-T] diag(lam)^-1/2
-    whitens S and X for _max_steps.  Near the optimum the eigenvalues of XS
-    are about mu, below the roundoff of forming it, while the singular
-    values of the factor product keep their accuracy (lam is floored at
-    1e-7 of each block's largest); and a triangular factor carries a
-    diagonal scaling through, where an eigenvector square root loses the
-    small direction."""
-    k = len(s)
-    low = np.linalg.cholesky(np.concatenate([s, x]))
-    ls, lx = low[:k], low[k:]
+    W = G G^T and S^-1 = G diag(lam)^-1 G^T, all with lam floored at 1e-7 of
+    each block's largest.  z = [Lx V; Ls U] diag(lam)^-1 with lam before the
+    floor has z^T [S; X] z = I, the whitening of _max_steps.  Near the
+    optimum the factor product keeps the accuracy that XS loses to roundoff,
+    and a triangular factor carries a diagonal scaling through, where an
+    eigenvector square root loses the small direction."""
+    ls, lx = np.split(np.linalg.cholesky(np.concatenate([s, x])), 2)
     u, lam, vt = np.linalg.svd(ls.transpose(0, 2, 1) @ lx)
+    v = vt.transpose(0, 2, 1)
+    z = np.concatenate([lx @ v, ls @ u]) / np.maximum(np.concatenate([lam, lam]), 1e-300)[:, None, :]
     lam = np.maximum(lam, 1e-7 * np.maximum(lam[:, :1], 1e-15))
     root = np.sqrt(lam)[:, None, :]
-    g = lx @ (vt.transpose(0, 2, 1) / root)
+    g = lx @ (v / root)
     ginv = (u / root).transpose(0, 2, 1) @ ls.transpose(0, 2, 1)
     sinv = (g / lam[:, None, :]) @ g.transpose(0, 2, 1)
-    z = np.concatenate([g, ginv.transpose(0, 2, 1)]) / np.concatenate([root, root])
     return _sym(g @ g.transpose(0, 2, 1)), sinv, g, ginv, lam, z
 
 
@@ -691,16 +695,16 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     The feasible regions produced by this package are bounded with interior
     points, so the method converges at desk scale.  A solve that diverges (a
     non-finite objective, gap or residual), stalls (steps below 1e-10 three
-    times running), breaks down (np.linalg.LinAlgError from an iterate whose
-    Cholesky factor fails, eight failed ridged Cholesky factorizations of
-    the Schur complement, or LAPACK) or hits
-    _MAX_ITER ends "numerical-failure" with its last iterate.  The residuals
-    hold the final relative gap, the scaled primal and dual residuals, the
-    smallest block eigenvalue, max_ridge, the largest multiple of the
-    identity added to the Schur complement when a Cholesky of its
-    factorization failed (0.0 when it never did), and centering_fallbacks,
-    the number of iterations that dropped the corrector's second-order term
-    (0 when it was always kept).  Raises ValueError unless 0 < tol < inf.
+    times running), breaks down (np.linalg.LinAlgError from a failed
+    Cholesky factor of an iterate, eight failed ridged Cholesky factors of
+    the Schur complement, or LAPACK) or hits _MAX_ITER ends
+    "numerical-failure" with its last iterate.  The residuals hold the final
+    relative gap, the scaled primal and dual residuals, the smallest block
+    eigenvalue, max_ridge, the largest multiple of the identity added to the
+    Schur complement when a Cholesky of its factorization failed (0.0 when
+    it never did), and centering_fallbacks, the number of iterations that
+    dropped the corrector's second-order term (0 when it was always kept).
+    Raises ValueError unless 0 < tol < inf.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")

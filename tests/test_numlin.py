@@ -23,6 +23,7 @@ from hypertheta.numlin import (
 from hypertheta.numlin import lp, sdp
 from hypertheta.numlin.sdp import (
     _SUBST_BLOCK,
+    _border_solve,
     _chol_solve,
     _factor,
     _factor_solve,
@@ -527,6 +528,15 @@ class TestStackedSteps:
             # the whitening of the step lengths, S's then X's
             assert np.abs(zs.T @ sb @ zs - np.eye(4)).max() <= 1e-10
             assert np.abs(zx.T @ xb @ zx - np.eye(4)).max() <= 1e-10
+        # the whitening holds where the floor on lam binds: S = D S0 D with
+        # D = diag(1, 1, 1, 1e-9) puts each block's smallest lam near 1e-9
+        # of its largest, below the floor of 1e-7
+        scaled = ss * np.array([1.0, 1.0, 1.0, 1e-9])[:, None] * np.array([1.0, 1.0, 1.0, 1e-9])
+        *_, lam, z = _nt_scaling(scaled, xs)
+        assert np.all(lam[:, -1] == 1e-7 * lam[:, 0])
+        for sb, xb, zs, zx in zip(scaled, xs, z[:3], z[3:]):
+            assert np.abs(zs.T @ sb @ zs - np.eye(4)).max() <= 1e-10
+            assert np.abs(zx.T @ xb @ zx - np.eye(4)).max() <= 1e-10
         # an indefinite block of either iterate is a breakdown
         for k in range(3):
             bad = ss.copy()
@@ -660,9 +670,31 @@ class TestTreeFactor:
         assert np.abs(_schur_dot(lay, parts, v) - dense @ v).max() <= 1e-13 * scale.max()
         for ridge in (0.0, 1e-2 * np.trace(dense) / m):
             want = np.linalg.solve(dense + ridge * np.eye(m), v)
-            got = _factor_solve(lay, _factor(lay, parts, ridge), v)
-            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            low, e, (chol, schur) = _factor(lay, parts, ridge)
+            for border in ((chol, schur), (chol, None)):  # the border by LU, then by substitution
+                got = _factor_solve(lay, (low, e, border), v)
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
         return lay
+
+    def test_border_lu_with_a_zero_pivot_takes_the_factor(self, monkeypatch):
+        # A numerically singular border can give its LU an exactly zero pivot
+        # where its Cholesky factor has a positive diagonal; the solve then
+        # goes through the factor, as it does when no Schur complement is kept.
+        rng = np.random.default_rng(4)
+        schur = _random_spd(rng, 1, 6)[0]
+        chol, vec = np.linalg.cholesky(schur), rng.normal(size=6)
+        solve = np.linalg.solve
+
+        def singular(a, b):
+            if a is schur:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        assert np.array_equal(_border_solve((chol, schur), vec), solve(schur, vec))
+        want = _chol_solve(chol, vec)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert np.array_equal(_border_solve((chol, schur), vec), want)
+        assert np.array_equal(_border_solve((chol, None), vec), want)
 
     def test_mantel_6_free_form(self):
         problem = _free_form(assemble_theta_sdp(mantel_hypergraph(6))[0])[0]
@@ -1015,8 +1047,7 @@ class TestSdp:
         [
             # unbounded: the iterates overflow to a non-finite gap or residual
             pytest.param([2], [np.eye(2)], [([(0, 0, 1, 1.0)], 0.0)], True, id="unbounded-x01"),
-            # unbounded: X00 = 0 makes the Cholesky factor of X break down
-            pytest.param([2], [np.eye(2)], [([(0, 0, 0, 1.0)], 0.0)], False, id="unbounded-x00"),
+            pytest.param([2], [np.eye(2)], [([(0, 0, 0, 1.0)], 0.0)], True, id="unbounded-x00"),
             pytest.param(
                 [1, 1], [np.eye(1)] * 2, [([(0, 0, 0, 1.0)], 1.0)], True, id="unbounded-1x1"
             ),
@@ -1040,8 +1071,8 @@ class TestSdp:
                 True,
                 id="diverged-x1-negative",
             ),
-            # X00 = X11 = 1 and X01 = 2 has no PSD point: the border's Schur
-            # complement turns singular, and its LU breaks down
+            # X00 = X11 = 1 and X01 = 2 has no PSD point: S grows to 4e201
+            # and turns singular, and its Cholesky factor breaks down
             pytest.param(
                 [2],
                 [np.eye(2)],
@@ -1116,9 +1147,9 @@ class TestSdp:
         calls = []
         border_solve = sdp._border_solve
 
-        def counted(b, vec):
+        def counted(border, vec):
             calls.append(1)
-            return border_solve(b, vec)
+            return border_solve(border, vec)
 
         monkeypatch.setattr(sdp, "_border_solve", counted)
 

@@ -4,15 +4,19 @@
 
 Solves the uniform-measure theta of Mantel 4, Mantel 5 and K3(3), where it
 meets the Hoffman bound hoff, at tol 1e-8 to 1e-11, with 1 and 2 BLAS
-threads and substitution blocks 16, 48 and 128.  The block
-(sdp._SUBST_BLOCK) sets the summation order of the triangular solves by the
-border's factor, the rows that solve_sdp factors together after it has
-eliminated the groups (see sdp._split); the groups' own solves do not
-depend on it.  Above the table, each case's line gives the form it is
-solved in, its Schur rows, its border rows, its groups and its block
-stacks (k blocks padded to d x d read "k of dxd").  Each cell reads
-"iterations / max_ridge / centering fallbacks / |value - hoff|"; a solve
-that does not end "optimal" is marked FAIL with its status.  --src
+threads and substitution blocks 16, 48 and 128.  The border, the rows that
+solve_sdp factors together after it has eliminated the groups (see
+sdp._split), is solved by one LU of its Schur complement up to
+sdp._LU_BORDER rows and else by triangular substitution with its Cholesky
+factor, whose summation order the block (sdp._SUBST_BLOCK) sets; the
+groups' own solves depend on neither.  The column of the shipped block
+(48) runs solve_sdp as shipped, which takes the LU on every border here,
+and the columns of blocks 16 and 128 set sdp._LU_BORDER to 0, so that they
+solve every border by substitution.  Above the table, each case's line
+gives the form it is solved in, its Schur rows, its border rows, its groups
+and its block stacks (k blocks padded to d x d read "k of dxd").  Each cell
+reads "iterations / max_ridge / centering fallbacks / |value - hoff|"; a
+solve that does not end "optimal" is marked FAIL with its status.  --src
 names the source directory to import the package from (default: this
 checkout's src), so that two checkouts can be compared.  OpenBLAS reads its
 thread count when it loads, so each count runs in a fresh interpreter.
@@ -66,8 +70,10 @@ def _rows() -> list[dict]:
         "edge3": complete_hypergraph(3, 3),
     }
     out = []
+    shipped = sdp._SUBST_BLOCK, getattr(sdp, "_LU_BORDER", 0)
     for block in BLOCKS:
         sdp._SUBST_BLOCK = block
+        sdp._LU_BORDER = shipped[1] if block == shipped[0] else 0
         for name in CASES:
             wh = uniform_weighted(graphs[name])
             mu = [float(v) for v in wh.vertex_measure()]
