@@ -54,8 +54,9 @@ refinement step against the unregularized Schur complement.  A presolve
 pass keeps, in order, each equality row whose distance from the span of
 the rows kept before it passes a rank test (threshold 1e-10), and checks
 the right-hand sides of the dropped rows.  A row that shares no entry with
-another row is orthogonal to all of them and is tested by its norm; the
-others go through one QR of their dense stack and one least-squares solve.
+another row is orthogonal to all of them and is kept when its norm passes;
+the rest go through one QR of their dense stack, built from the per-entry
+sums the norms came from, and one least-squares solve.
 
 Solves are deterministic per numpy/BLAS build and BLAS thread count: with
 both fixed, identical inputs give bit-identical iterates; another build or
@@ -179,35 +180,19 @@ class SdpSolution:
     residuals: Mapping = field(default_factory=lambda: MappingProxyType({}))
 
 
-def _stack(problem: SdpProblem, rows=None):
-    """The constraint rows (all, or the sorted indices in rows) as one matrix,
-    and their right-hand sides.
-
-    Column k is one (block, i <= j) entry that a term of those rows names;
-    off-diagonal columns carry coef * sqrt(1/2), so dot products of rows are
-    the Frobenius inner products of the constraint matrices.
-    """
-    if rows is None:
-        rows = np.arange(problem.num_constraints)
-    on = np.isin(problem.index[:, 0], rows)
-    row, entry = np.searchsorted(rows, problem.index[on, 0]), problem.index[on, 1:]
-    keys, col = np.unique(entry, axis=0, return_inverse=True)
-    scale = np.where(entry[:, 1] == entry[:, 2], 1.0, np.sqrt(0.5))
-    a = np.zeros((len(rows), len(keys)))
-    np.add.at(a, (row, col.ravel()), problem.coef[on] * scale)
-    return a, problem.rhs[rows]
-
-
 def _presolve(a: np.ndarray, rhs: np.ndarray):
-    """Greedy rank filter on the constraint rows, taken in order.
+    """Greedy rank filter on the constraint rows a, taken in order.
 
-    Row i is kept when its distance from the span of the rows kept before it
-    exceeds _PRESOLVE_TOL * (1 + |row i|).  In the QR factorization of a^T that
+    A row of a sums a row's terms per (block, i <= j) entry, off-diagonal
+    ones times sqrt(1/2), so dot products of rows are the Frobenius inner
+    products of the constraint matrices.  Row i is kept when its distance
+    from the span of the rows kept before it exceeds
+    _PRESOLVE_TOL * (1 + |row i|).  In the QR factorization of a^T that
     distance is |R_ii| up to the first dependent row p; the columns of
     R[p:, p+1:] hold the later rows' parts orthogonal to the kept ones, and
     the test repeats on them.  Returns (kept_indices, None), or
-    (None, "infeasible") when a dependent row carries an inconsistent
-    right-hand side.
+    (None, "infeasible") when a dropped row's right-hand side differs from
+    the one its least-squares combination of kept rows implies.
     """
     limit = _PRESOLVE_TOL * (1.0 + np.linalg.norm(a, axis=1))
     keep = np.zeros(len(a), dtype=bool)
@@ -236,10 +221,13 @@ def _kept_rows(problem: SdpProblem):
     A row that names no entry that another row names is orthogonal to every
     other row, so its distance from the span of the rows kept before it is
     its norm, and no later row's distance depends on it: the in-order test
-    keeps it when its norm passes _presolve's threshold, and a dropped one
-    implies the right-hand side 0.  Only the other rows are stacked and
-    go through _presolve, so a program whose rows share no entry forms no
-    dense matrix at all.  Returns what _presolve returns.
+    keeps it when its norm passes _presolve's threshold.  The other rows go
+    through _presolve, stacked from the per-entry sums the norms came from,
+    one column per entry in (block, i, j) order.  An unshared row among them
+    is dropped again, and its right-hand side is checked against 0, the value
+    its least-squares combination of kept rows implies.  A program whose rows
+    share no entry and pass the norm test forms no dense matrix at all.
+    Returns what _presolve returns.
     """
     m = problem.num_constraints
     row, blk, i, j = problem.index.T
@@ -256,12 +244,13 @@ def _kept_rows(problem: SdpProblem):
     shared[prow[np.bincount(pentry)[pentry] > 1]] = True
     norm = np.sqrt(np.bincount(prow, value * value, m))
     keep = ~shared & (norm > _PRESOLVE_TOL * (1.0 + norm))
-    rhs = problem.rhs
-    if np.any(~shared & ~keep & (np.abs(rhs) > 1e-7 * (1.0 + np.abs(rhs)))):
-        return None, "infeasible"
-    rest = np.flatnonzero(shared)
+    rest = np.flatnonzero(~keep)
     if len(rest):
-        kept, bad = _presolve(*_stack(problem, rest))
+        on = ~keep[prow]
+        cols, col = np.unique(pentry[on], return_inverse=True)
+        a = np.zeros((len(rest), len(cols)))
+        a[np.searchsorted(rest, prow[on]), col] = value[on]
+        kept, bad = _presolve(a, problem.rhs[rest])
         if bad is not None:
             return None, bad
         keep[rest[kept]] = True

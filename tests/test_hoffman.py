@@ -257,9 +257,11 @@ class TestLevelsAndBound:
             _assert_cells_meet_hoff(sweep_rows, lambda r: r["threads"] == threads)
 
     def test_tolerance_sweep_passes_at_small_and_large_substitution_blocks(self, sweep_rows):
-        # The block size sets the summation order of the normal solves; the
-        # refinement step that solve_sdp takes after a ridged Cholesky keeps
-        # the 1e-11 endgames at both ends.
+        # The columns of blocks 16 and 128 set _LU_BORDER to 0, so they solve
+        # every border by substitution with its Cholesky factor, whose
+        # summation order the block sets; the block-48 column runs the LU as
+        # shipped.  The refinement step that solve_sdp takes after a ridged
+        # Cholesky keeps the 1e-11 endgames at both ends.
         for block in (16, 128):
             _assert_cells_meet_hoff(sweep_rows, lambda r: r["block"] == block)
 

@@ -36,12 +36,12 @@ from hypertheta.numlin.sdp import (
     _schur,
     _schur_dot,
     _second_order,
-    _stack,
     _stacked,
     _sym,
 )
 from hypertheta.symmetry import (
     _transitive_program,
+    dihedral_group,
     mantel_hypergraph,
     symmetric_group_pair_action,
 )
@@ -587,7 +587,7 @@ class TestSchur:
     @staticmethod
     def check(problem, kept=None, seed=0):
         if kept is None:
-            kept, _ = _presolve(*_stack(problem))
+            kept, _ = _kept_rows(problem)
         rng = np.random.default_rng(seed)
         ws = [_random_spd(rng, 1, d)[0] for d in problem.block_dims]
         view = problem.constraints
@@ -633,7 +633,7 @@ class TestSchur:
             ([(0, 1, 1, 1.0), (2, 0, 0, -1.0), (0, 1, 1, 1.0), (0, 0, 2, 0.5)], 0),
         ]
         problem = SdpProblem([3, 2, 1], [np.eye(3), np.eye(2), np.eye(1)], rows)
-        kept, _ = _presolve(*_stack(problem))
+        kept, _ = _kept_rows(problem)
         assert list(kept) == [0, 1, 3, 5]
         for seed in range(3):
             self.check(problem, kept, seed)
@@ -648,6 +648,16 @@ def _dense_schur(problem, kept, ws):
         a = np.stack([view[r][0].get(b, np.zeros((d, d))).ravel() for r in kept])
         m += a @ np.kron(w, w) @ a.T
     return m
+
+
+def _dense_rows(problem):
+    """The constraint rows as one matrix, from the dense constraint view, and
+    their right-hand sides.  A row is its blocks' matrices raveled and
+    concatenated, so dot products of rows are the Frobenius inner products."""
+    view = problem.constraints
+    blocks = list(enumerate(problem.block_dims))
+    a = [np.concatenate([m.get(b, np.zeros((d, d))).ravel() for b, d in blocks]) for m, _ in view]
+    return np.array(a), np.array([rhs for _, rhs in view])
 
 
 class TestTreeFactor:
@@ -925,7 +935,7 @@ class TestSdp:
     def test_presolve_matches_gram_schmidt_reference(self):
         rng = np.random.default_rng(7)
         graphs = (cycle_graph(5), complete_hypergraph(3, 3), complete_hypergraph(3, 4))
-        cases = [_stack(assemble_theta_sdp(hg)[0])[:2] for hg in graphs]
+        cases = [_dense_rows(assemble_theta_sdp(hg)[0]) for hg in graphs]
         for m, width in ((6, 10), (12, 5)):
             a = rng.normal(size=(m, width))
             a[2] = 0.0
@@ -954,11 +964,15 @@ class TestSdp:
         problems = [assemble_theta_sdp(hg)[0] for hg in graphs]
         problems += [_free_form(p)[0] for p in problems[:2]]
         problems.append(_transitive_program(mantel_hypergraph(7), symmetric_group_pair_action(7)))
+        # the link rows of vertices 1 and 5 are equal under the reflection
+        dihedral = _transitive_program(cycle_graph(6), dihedral_group(6))
+        problems.append(dihedral)
         problems.append(SdpProblem([2, 1, 2], [np.eye(2), np.eye(1), np.eye(2)], rows))
         for problem in problems:
             kept, bad = _kept_rows(problem)
             assert bad is None
-            assert list(kept) == list(_presolve(*_stack(problem))[0])
+            assert list(kept) == list(_presolve(*_dense_rows(problem))[0])
+        assert dihedral.num_constraints == 3 and len(_kept_rows(dihedral)[0]) == 2
         assert list(_kept_rows(problems[-1])[0]) == [0, 1]
         for extra in (
             [([], 1.0)],
@@ -974,7 +988,7 @@ class TestSdp:
         def refuse(*args):
             raise AssertionError("stacked a dense matrix")
 
-        monkeypatch.setattr(sdp, "_stack", refuse)
+        monkeypatch.setattr(sdp, "_presolve", refuse)
         assert solve_sdp(problem).status == "optimal"
 
     def test_psd_blocks_at_optimum(self):
