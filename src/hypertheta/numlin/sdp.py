@@ -675,11 +675,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
     Each iteration factors the Schur complement M along the split of
     _split.  Its 1008 rows on H(5, 2) make 32 groups of 15 private rows and
-    a border of 528, so no 1008 x 1008 array is formed.  Measured with one
-    BLAS thread on a 2-vCPU machine, the factorization and the normal
-    solves take 8-12 ms per iteration there, against 29-34 ms for the dense
-    Cholesky and substitution of all of M, and a process that runs theta on
-    H(5, 2) peaks at 61 MB resident instead of 85 MB.
+    a border of 528, so no 1008 x 1008 array is formed.
 
     The feasible regions produced by this package are bounded with interior
     points, so the method converges at desk scale.  A solve that diverges (a

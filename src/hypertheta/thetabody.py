@@ -16,35 +16,35 @@ Graph nodes need no child blocks: the link of a vertex in a graph is a
 1-uniform hypergraph all of whose vertices are edges, so its body is {0}
 and the row constraint collapses to zero entries on graph edges.
 
-Two programs are built on that one node: theta's, and max{t : t*v in body},
-which theta_membership runs on f and theta_dual on the complement with w; the
-antiblocker pairing's gauge min{lam : w in lam * body(H-bar)} is 1/t*.
+Two programs are built on that one node: theta's, with corner 1 and
+objective w on the diagonal, and the gauge min{lam : v in lam * body}, with
+diagonal v and the corner lam as objective.  theta_membership runs the gauge
+on f, which lies in the body iff lam* <= 1, and theta_dual on the complement
+with w: the antiblocker pairing's gauge of body(H-bar).
 
 Each program reaches numlin.solve_sdp in one of two forms.  Every row the
-assembly emits fixes one entry or ties two, with a weight in the membership
-programs.  The row form is the program as assembled, one row per fix or
-tie.  The free form eliminates them.  Each tie points one entry at another
-further up the recursion, so the ties form a forest, and pointer jumping
-finds its trees, the classes of tied entries.  The classes that hold a
-fixed entry are one fixed matrix E0, and each other class k, an entry no
-row names being a class alone, is one free scalar y_k with matrix E_k.
-The witness blocks are X(y) = E0 + sum_k y_k E_k, which meet every fix
-and tie exactly and are psd up to the solve's dual residual, and the solve
-runs on the conic dual with one row per free class.  A class
-couples only with classes of its own root subtree and of the root block,
-so the solver factors the root subtrees' classes group by group and only
-the rest, its border (numlin.border_rows), as one dense block.  The free
-form is taken when that border has fewer rows than the row form.  Theta
-on H(4, 2) has 417 rows and 184 classes, all on the border.  Mantel 6 has
-331 rows but 480 classes, of which 120 are on the border, and 15 groups of
-24; its endgames are also shorter than the row form's: the tolerance sweep
-of tools/sweep_table.py takes at most 12 iterations per solve, where
-Mantel 5 took up to 56 in the row form.  A graph's program is one block,
-so every class is on the border: the 5-cycle takes the free form (10
-classes against 11 rows) but the 8-cycle keeps the row form (28 against
-17).  A program with no free class (a single point) keeps the row form
-too.  The diagnostics of theta and theta_dual name the form and the number
-of rows solved.
+assembly emits fixes one entry or ties two to be equal.  The row form is
+the program as assembled, one row per fix or tie.  The free form eliminates
+them.  Each tie points one entry at another further up the recursion, so
+the ties form a forest, and pointer jumping finds its trees, the classes of
+tied entries.  The classes that hold a fixed entry are one fixed matrix E0,
+and each other class k, an entry no row names being a class alone, is one
+free scalar y_k with matrix E_k.  The witness blocks are
+X(y) = E0 + sum_k y_k E_k, which meet every fix and tie exactly and are psd
+up to the solve's dual residual, and the solve runs on the conic dual with
+one row per free class.  A class couples only with classes of its own root
+subtree and of the root block, so the solver factors the root subtrees'
+classes group by group and only the rest, its border (numlin.border_rows),
+as one dense block.  The free form is taken when that border has fewer
+rows than the row form.  Theta on H(4, 2) has 417 rows and 184 classes, all
+on the border.  Mantel 6 has 331 rows but 480 classes, of which 120 are on
+the border, and 15 groups of 24; the tolerance sweep of tools/sweep_table.py
+takes at most 12 iterations per solve.  A graph's program is one block, so
+every class is on the border: the 5-cycle takes the free form (10 classes
+against 11 rows) but the 8-cycle keeps the row form (28 against 17).  A
+program with no free class (a single point) keeps the row form too.  The
+diagnostics of theta and theta_dual name the form and the number of rows
+solved.
 
 All assemblies here are pure; solves are delegated to numlin and share no
 state between calls, so concurrent independent calls are safe.
@@ -152,9 +152,9 @@ class _Builder:
     def add(self, entries: list[tuple[int, int, int, float]], rhs: float) -> None:
         """entries: (block, i, j, coefficient) terms, as SdpProblem reads them.
 
-        A tie (two terms, rhs 0) names first the entry that it determines (a
-        border entry, a child's corner or diagonal, a scaled root diagonal),
-        and no entry comes first in two ties, so the ties form a forest."""
+        A tie (terms c and -c, rhs 0) names first the entry that it
+        determines (a border entry, a child's corner or diagonal), and no
+        entry comes first in two ties, so the ties form a forest."""
         self.cons.append((entries, rhs))
 
     def problem(self, objective: dict[int, np.ndarray]) -> SdpProblem:
@@ -297,65 +297,68 @@ def _solved(problem: SdpProblem, tol: float, what: str) -> SdpSolution:
 def _free_form(problem: SdpProblem):
     """The program with its fixes and ties eliminated.
 
-    Every row that _Builder assembles for theta, theta_membership and
-    theta_dual fixes one entry (c X[e] = rhs) or ties two
-    (c X[e] + c' X[e'] = 0), the dependent entry e first (see _Builder.add).
-    Pointing each e at its e' gives a forest whose pointers lead up the
-    recursion tree, and pointer jumping (parent = parent[parent]) takes each
-    entry to the root of its tree, with X[e] = ratio_e X[root].  The trees
-    that hold a fixed entry make up E0, and each other tree k, an entry no
-    row names being a tree alone, is one free variable with matrix E_k.  So
-    the feasible blocks are X(y) = E0 + sum_k y_k E_k, and maximizing
-    <C, X(y)> over X(y) psd is the dual side of the program with one row
-    <E_k, Z> = -<C, E_k> per tree and objective -E0 (Lofberg, Optim.
-    Methods Softw. 24, 2009; the elimination is the doubleton rule of
-    Andersen & Andersen, Math. Prog. 71, 1995).  Returns (that program,
-    <C, E0>, lift) with lift(y) the blocks X(y), or None when a row has
-    another shape, an entry depends on two ties, the ties close a cycle or
-    a tree is fixed twice (the row form's presolve settles those), no tree
-    is free, or the trees that the solve would factor as one dense block,
+    Every row that _Builder assembles fixes one entry (c X[e] = rhs) or ties
+    two (c X[e] - c X[e'] = 0), the dependent entry e first (see
+    _Builder.add).  Pointing each e at its e' gives a forest whose pointers
+    lead up the recursion tree, and pointer jumping (parent = parent[parent])
+    takes each entry to the root of its tree, whose value every entry of the
+    tree shares.  The trees that hold a fixed entry make up E0, and each
+    other tree k, an entry no row names being a tree alone, is one free
+    variable with matrix E_k.  So the feasible blocks are
+    X(y) = E0 + sum_k y_k E_k, and maximizing <C, X(y)> over X(y) psd is the
+    dual side of the program with one row <E_k, Z> = -<C, E_k> per tree and
+    objective -E0 (Lofberg, Optim. Methods Softw. 24, 2009; the elimination
+    is the doubleton rule of Andersen & Andersen, Math. Prog. 71, 1995).
+    Returns (that program, <C, E0>, lift) with lift(y) the blocks X(y), or
+    None when a row has another shape (a tie whose two coefficients do not
+    cancel, too), an entry depends on two ties, the ties close a cycle or a
+    tree is fixed twice (the row form's presolve settles those), no tree is
+    free, or the trees that the solve would factor as one dense block,
     border_rows of that program, are not fewer than problem's rows.
     """
     m, coef = problem.num_constraints, problem.coef
     count = np.bincount(problem.index[:, 0], minlength=m)
     first, tie = np.cumsum(count) - count, count == 2
-    if m == 0 or count.min() < 1 or count.max() > 2 or problem.rhs[tie].any() or not coef.all():
+    t, f = first[tie], first[~tie]
+    if (
+        m == 0 or count.min() < 1 or count.max() > 2 or not coef.all()
+        or problem.rhs[tie].any() or (coef[t + 1] != -coef[t]).any()
+    ):
         return None
     dims = np.array(problem.block_dims, dtype=np.intp)
     start, width = np.cumsum(dims * dims) - dims * dims, int((dims * dims).sum())
     _, blk, i, j = problem.index.T
-    entry, t, f = start[blk] + i * dims[blk] + j, first[tie], first[~tie]
-    parent, ratio, root = np.arange(width), np.ones(width), np.ones(width, dtype=bool)
-    parent[entry[t]], ratio[entry[t]], root[entry[t]] = entry[t + 1], -coef[t + 1] / coef[t], False
-    with np.errstate(over="ignore", invalid="ignore"):  # only a cycle's ratios blow up
-        for _ in range(width.bit_length()):
-            if (parent[parent] == parent).all():
-                break
-            ratio, parent = ratio * ratio[parent], parent[parent]
+    entry = start[blk] + i * dims[blk] + j
+    parent, root = np.arange(width), np.ones(width, dtype=bool)
+    parent[entry[t]], root[entry[t]] = entry[t + 1], False
+    for _ in range(width.bit_length()):
+        if (parent[parent] == parent).all():
+            break
+        parent = parent[parent]
     fixes = np.bincount(parent[entry[f]], minlength=width)
     # An entry that depends on two ties, a cycle (it keeps pointers on
     # entries that depend on a tie) or a tree fixed twice.
     if root.sum() > width - len(t) or not root[parent].all() or fixes.max() > 1:
         return None
-    value = np.bincount(parent[entry[f]], problem.rhs[~tie] / (coef[f] * ratio[entry[f]]), width)
+    value = np.bincount(parent[entry[f]], problem.rhs[~tie] / coef[f], width)
 
-    # Every entry (b, i <= j) of every block, with its tree's root and ratio.
+    # Every entry (b, i <= j) of every block, with its tree's root.
     flat = np.arange(width)
     ub = np.repeat(np.arange(len(dims)), dims * dims)
     ui, uj = np.divmod(flat - start[ub], dims[ub])
     on = ui <= uj
     ub, ui, uj, upper = ub[on], ui[on], uj[on], flat[on]
     lower = start[ub] + uj * dims[ub] + ui
-    tree, ratio = parent[upper], ratio[upper]
+    tree = parent[upper]
     fix, free = fixes[tree] > 0, fixes[tree] == 0
     classes, k = np.unique(tree[free], return_inverse=True)
     if not len(classes) or border_rows(k, ub[free], len(classes), len(dims)) >= m:
         return None
 
     e0 = np.zeros(width)
-    e0[upper[fix]] = e0[lower[fix]] = ratio[fix] * value[tree[fix]]
+    e0[upper[fix]] = e0[lower[fix]] = value[tree[fix]]
     cflat = np.concatenate([c.ravel() for c in problem.objective])
-    coef_k = ratio[free] * np.where(ui[free] == uj[free], 1.0, 2.0)
+    coef_k = np.where(ui[free] == uj[free], 1.0, 2.0)
     rhs_k = -np.bincount(k, cflat[upper[free]] * coef_k, len(classes))
     order = np.argsort(k, kind="stable")
     index = np.stack([k, ub[free], ui[free], uj[free]], axis=1)[order]
@@ -364,7 +367,7 @@ def _free_form(problem: SdpProblem):
 
     def lift(y):
         x = e0.copy()
-        x[upper[free]] = x[lower[free]] = ratio[free] * np.asarray(y)[k]
+        x[upper[free]] = x[lower[free]] = np.asarray(y)[k]
         return tuple(x[lo:hi].reshape(d, d) for lo, hi, d in spans)
 
     reduced = SdpProblem._of_terms(problem.block_dims, objective, index, coef_k[order], rhs_k)
@@ -430,25 +433,23 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
 
 
 # ---------------------------------------------------------------------------
-# Scaled membership: theta_membership and the gauge theta_dual
+# The gauge: theta_membership and theta_dual
 # ---------------------------------------------------------------------------
 
-def _max_scaling(
+def _gauge(
     hg: Hypergraph, v: list, vmap: tuple, tol: float, what: str
 ) -> tuple[float, _Node, SdpSolution, dict]:
-    """Largest t with t*v in the body: the root node with corner 1, a 1x1 scale
-    block t and the rows F_jj = t*v_j.  Returns t*, the root node, the
-    solution (a witness of t* v) and its form; v > 0 keeps the program
-    strictly feasible."""
+    """Least lam with v in lam * body: the root node with the rows F_jj = v_j
+    and its corner lam free, maximizing -lam.  Returns lam*, the root node,
+    the solution (a witness with corner lam* and diagonal v) and its form;
+    v > 0 keeps the program strictly feasible."""
     builder = _Builder()
     root = _membership_node(builder, hg, vmap)
-    builder.add([(root.blk, 0, 0, 1.0)], 1.0)
-    scale_blk = builder.block(1)
     for j in range(hg.n):
-        builder.add([(root.blk, j + 1, j + 1, 1.0), (scale_blk, 0, 0, -v[j])], 0.0)
-    problem = builder.problem({scale_blk: np.array([[1.0]])})
+        builder.add([(root.blk, j + 1, j + 1, 1.0)], v[j])
+    problem = builder.problem({root.blk: np.diag([-1.0] + [0.0] * hg.n)})
     sol, form = _solved_free(problem, tol, what)
-    return float(sol.primal), root, sol, form
+    return -float(sol.primal), root, sol, form
 
 
 def theta_membership(
@@ -456,11 +457,11 @@ def theta_membership(
 ) -> tuple[bool, ThetaCertificate | None]:
     """Test f in the relaxation body, with a witness tree when it holds.
 
-    Implemented as the largest scaling t with t*f in the body (the body is
-    of antiblocking type, so that set is an interval [0, t*]); f belongs iff
-    t* >= 1 - tol.  Points within tol of the boundary may flip either way.
-    The witness has corner 1 and diagonal min(t*, 1)*f.  The instance is
-    first restricted to the support of f, as _max_scaling requires.
+    Implemented as the gauge lam* = min{lam : f in lam * body}; f belongs
+    iff the largest scaling of f in the body, t* = 1/lam*, is at least
+    1 - tol.  Points within tol of the boundary may flip either way.  The
+    witness has corner 1 and diagonal min(t*, 1)*f.  The instance is first
+    restricted to the support of f, as _gauge requires.
     """
     fv = _float_weights(hg, f)
     if any(v < -1e-12 or v > 1.0 + tol for v in fv):
@@ -475,21 +476,18 @@ def theta_membership(
             return False, None
         return True, _box_certificate(fsub, smap)
 
-    t_max, root, sol, _ = _max_scaling(
-        sub, fsub, smap, min(tol * 1e-2, 1e-8), "theta_membership"
-    )
-    if t_max < 1.0 - tol:
+    lam, root, sol, _ = _gauge(sub, fsub, smap, min(tol * 1e-2, 1e-8), "theta_membership")
+    if 1.0 / lam < 1.0 - tol:
         return False, None
-    # Raising the root corner to 1 keeps the bordered block PSD.
-    cert = _extract(root, sol.blocks, min(t_max, 1.0) / t_max)
+    # Times min(t*, 1) the corner is at most 1; raising it to 1 keeps it PSD.
+    cert = _extract(root, sol.blocks, min(1.0 / lam, 1.0))
     return True, replace(cert, scale=1.0)
 
 
 def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
     """Gauge of the complement body: the least lam with w in lam * body(H-bar).
 
-    lam = 1/t* for the largest t* with t*w in body(H-bar): theta_membership's
-    program on the complement, whose tree divided by t* has corner lam and
+    The gauge program on the complement, whose tree has corner lam and
     diagonal w.  Defined for uniformity at least 2 and nonnegative weights;
     w = 0 gives 0 immediately.
     """
@@ -503,14 +501,14 @@ def theta_dual(hg: Hypergraph, w, tol: float = 1e-8) -> DualResult:
         empty = ThetaCertificate(0.0, np.zeros((0, 0)), sub.r, smap)
         return DualResult(0.0, empty, {"mode": "zero"})
 
-    # The solve's gap is relative to 1 + t*; for w / max(w), t* is in [1/n, 1]
+    # The solve's gap is relative to 1 + lam*; for w / max(w), lam* is in [1, n]
     top = max(wsub)
-    t_max, root, sol, form = _max_scaling(
+    lam, root, sol, form = _gauge(
         complement(sub), [v / top for v in wsub], smap, tol, "theta_dual"
     )
     return DualResult(
-        top / t_max,
-        _extract(root, sol.blocks, top / t_max),
+        top * lam,
+        _extract(root, sol.blocks, top),
         {
             "mode": "sdp",
             "iterations": sol.iterations,

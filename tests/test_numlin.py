@@ -612,7 +612,6 @@ class TestSchur:
         problem = _problem_solved_by(
             monkeypatch, lambda: theta_membership(hg, [0.5] * hg.n)
         )
-        assert problem.block_dims[-1] == 1  # the scale block t
         self.check(problem)
 
     def test_eigenspace_program(self):
@@ -728,7 +727,6 @@ class TestTreeFactor:
 
         hg = mantel_hypergraph(5)
         problem = _problem_solved_by(monkeypatch, lambda: theta_membership(hg, [0.5] * hg.n))
-        assert problem.block_dims[-1] == 1  # the scale block t
         self.check(problem, 10)
 
     def test_skewed_groups_pad_to_under_half_of_m_squared(self):
@@ -829,18 +827,17 @@ class TestStacks:
         assert [b.shape for b in sol.blocks] == [(d, d) for d in problem.block_dims]
         assert sol.residuals["min_eig"] > 0
 
-    def test_membership_scale_block_joins_the_stack(self, monkeypatch):
+    def test_gauge_program_stacks_as_theta(self, monkeypatch):
         from hypertheta.thetabody import check_certificate, theta_membership
 
         solved = self.record_solves(monkeypatch)
         hg = mantel_hypergraph(4)
         member, cert = theta_membership(hg, [0.5] * hg.n)
         (problem, sol), = solved
-        assert problem.block_dims[-1] == 1  # the scale block t
-        assert _stacks(problem)[1] == [(8, 7)]
-        assert sol.blocks[-1].shape == (1, 1)
-        # on a transitive instance t* = theta / (n * 0.5) = 4 / 3
-        assert abs(-sol.primal - 4.0 / 3.0) < 1e-8
+        assert _stacks(problem)[1] == [(7, 7)]  # the blocks of theta's program
+        # the free form's value is the gauge, on a transitive instance
+        # lam* = n * 0.5 / theta = 3 / 4 (t* = 4 / 3)
+        assert abs(sol.primal - 3.0 / 4.0) < 1e-8
         assert member and check_certificate(hg, cert) == []
 
 

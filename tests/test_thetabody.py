@@ -272,6 +272,16 @@ class TestForms:
                 with pytest.raises(Captured):
                     run(hg, w)
         assert len(programs) == 3 * len(cases)
+        # The gauge programs are built on theta's root node: the same blocks.
+        for (hg, _), (_, dual, member) in zip(cases, zip(*[iter(programs)] * 3)):
+            assert dual.block_dims == assemble_theta_sdp(complement(hg))[0].block_dims
+            assert member.block_dims == assemble_theta_sdp(hg)[0].block_dims
+        for problem in programs:
+            # every tie sets two entries equal: coefficients c and -c
+            terms = [[] for _ in range(problem.num_constraints)]
+            for row, coef in zip(problem.index[:, 0], problem.coef):
+                terms[row].append(coef)
+            assert all(len(c) == 1 or (len(c) == 2 and c[0] == -c[1]) for c in terms)
         monkeypatch.setattr(thetabody, "border_rows", lambda *args: 0)
         for problem in programs:
             entries = sum(d * (d + 1) // 2 for d in problem.block_dims)
@@ -303,6 +313,9 @@ class TestForms:
                 ([(0, 0, 0, 1.0), (0, 0, 1, -1.0)], 0.0),
                 ([(0, 1, 1, 1.0)], 1.0),
             ],
+            # a tie whose coefficients do not cancel, X00 = 2 X11; read as
+            # X00 = X11 it would give X00 = 1 where the program has X00 = 2
+            [([(0, 0, 0, 1.0), (0, 1, 1, -2.0)], 0.0), ([(0, 1, 1, 1.0)], 1.0)],
         ):
             problem = SdpProblem([2], [np.eye(2)], rows)
             assert thetabody._free_form(problem) is None
@@ -489,6 +502,27 @@ class TestDual:
             cbar = complement(hg)
             assert theta_membership(cbar, [v / (lam * (1 + 1e-4)) for v in w])[0]
             assert not theta_membership(cbar, [v / (lam * (1 - 1e-4)) for v in w])[0]
+
+    @pytest.mark.parametrize(
+        "hg, gauge",
+        [
+            (mantel_hypergraph(4), 1.5),
+            (mantel_hypergraph(5), 1.6),
+            (mantel_hypergraph(6), 5.0 / 3.0),
+            (complete_hypergraph(3, 3), 1.5),
+            (cycle_graph(5), SQRT5),
+        ],
+        ids=["mantel4", "mantel5", "mantel6", "k3_3", "c5"],
+    )
+    def test_gauge_of_vertex_transitive_instances_at_tight_tolerance(self, hg, gauge):
+        # On a vertex-transitive H the all-ones vector leaves the body at
+        # theta(H) / n along its own direction, so its gauge is n / theta(H).
+        for tol in (1e-8, 1e-9, 1e-10, 1e-11):
+            res = theta_dual(complement(hg), [1] * hg.n, tol=tol)
+            assert abs(res.value - gauge) <= 100 * tol
+            assert res.diagnostics["iterations"] <= 25
+        assert theta_membership(hg, [(1 - 1e-5) / gauge] * hg.n)[0]
+        assert not theta_membership(hg, [(1 + 1e-5) / gauge] * hg.n)[0]
 
 
 class TestNonFiniteWeights:
