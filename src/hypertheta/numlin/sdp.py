@@ -170,7 +170,7 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    status: str  # "optimal" | "infeasible" | "numerical-failure"
+    status: str  # "optimal" | "accepted" | "infeasible" | "numerical-failure"
     blocks: tuple = ()
     y: tuple = ()
     primal: float = float("nan")
@@ -178,6 +178,7 @@ class SdpSolution:
     gap: float = float("nan")
     iterations: int = 0
     residuals: Mapping = field(default_factory=lambda: MappingProxyType({}))
+    stop: str = "unrecorded"  # the stop rule that ended the solve (solve_sdp)
 
 
 def _presolve(a: np.ndarray, rhs: np.ndarray):
@@ -663,7 +664,7 @@ def _second_order(scaling: tuple, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return g @ z @ g.transpose(0, 2, 1)
 
 
-def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
+def solve_sdp(problem: SdpProblem, tol: float = 1e-8, *, _accept=None) -> SdpSolution:
     """Solve the block SDP to the requested duality-gap tolerance.
 
     The solve stops as "optimal" when |gap| / (1 + |pobj| + |dobj|) <= tol
@@ -683,23 +684,39 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     times running), breaks down (np.linalg.LinAlgError from a failed
     Cholesky factor of an iterate, eight failed ridged Cholesky factors of
     the Schur complement, or LAPACK) or hits _MAX_ITER ends
-    "numerical-failure" with its last iterate.  The residuals hold the final
-    relative gap, the scaled primal and dual residuals, the smallest block
-    eigenvalue, max_ridge, the largest multiple of the identity added to the
-    Schur complement when a Cholesky of its factorization failed (0.0 when
-    it never did), and centering_fallbacks, the number of iterations that
-    dropped the corrector's second-order term (0 when it was always kept).
+    "numerical-failure" with its last iterate, and so does one that meets
+    the stop test with a block below -_PSD_TOL.  The solution's stop names
+    the rule that ended the solve: "optimal", "diverged", "stalled",
+    "breakdown", "iteration-limit", "indefinite" (that last case),
+    "infeasible" (the presolve's verdict) or "accepted" (below).  The
+    residuals hold the final relative gap, the scaled primal and dual
+    residuals, the smallest block eigenvalue, max_ridge, the largest
+    multiple of the identity added to the Schur complement when a Cholesky
+    of its factorization failed (0.0 when it never did), and
+    centering_fallbacks, the number of iterations that dropped the
+    corrector's second-order term (0 when it was always kept).
+
+    _accept, private to thetabody, is called with y (one entry per row of
+    problem, 0 on the rows the presolve drops) at every finite iterate that
+    misses the stop test; when it returns True the solve ends there, with
+    status and stop "accepted" and that iterate.
     Raises ValueError unless 0 < tol < inf.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     kept, bad = _kept_rows(problem)
     if bad is not None:
-        return SdpSolution(status="infeasible")
+        return SdpSolution(status="infeasible", stop="infeasible")
     m = len(kept)
     if m == 0:
         raise ValueError("SDP needs at least one equality constraint")
     rhs = problem.rhs[kept]
+
+    def full_y(y):
+        out = np.zeros(problem.num_constraints)
+        out[kept] = y
+        return out
+
     lay = _prepare(problem, kept)
     cs = _stacked(lay, problem.objective)
     eyes = _stacked(lay, [np.eye(d) for d in problem.block_dims])
@@ -715,7 +732,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
     b_norm = 1.0 + float(np.abs(rhs).max())
     c_norm = 1.0 + scale_c
-    status = "numerical-failure"
+    status, stop = "numerical-failure", "iteration-limit"
     iterations = stall = fallbacks = 0
     rel_gap = rp_norm = rd_norm = np.inf
     max_ridge = 0.0
@@ -732,10 +749,14 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             rp_norm = float(np.abs(rp).max()) / b_norm
             rd_norm = max(float(np.abs(r).max()) for r in rd) / c_norm
             if rel_gap <= tol and rp_norm <= tol * 10 and rd_norm <= tol * 10:
-                status = "optimal"
+                status = stop = "optimal"
                 break
             if not np.isfinite([pobj, dobj, gap, rp_norm, rd_norm]).all():
-                break  # diverged: an unbounded program, or overflow
+                stop = "diverged"  # an unbounded program, or overflow
+                break
+            if _accept is not None and _accept(full_y(y)):
+                status = stop = "accepted"
+                break
 
             scaling = [_nt_scaling(s + p, x + p) for s, x, p in zip(ss, xs, pads)]
             ws, sinvs, _, _, _, zs = zip(*scaling)
@@ -806,6 +827,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             if max(ap, ad) < 1e-10:
                 stall += 1
                 if stall >= 3:
+                    stop = "stalled"
                     break
             else:
                 stall = 0
@@ -813,7 +835,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             ss = [_sym(s + ad * d) for s, d in zip(ss, ds)]
             y = y + ad * dy
     except np.linalg.LinAlgError:
-        pass  # a breakdown, as the docstring lists
+        stop = "breakdown"
 
     pobj = _inner(cs, xs)
     dobj = float(y @ rhs)
@@ -830,17 +852,15 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     # So min_eig can fall below -_PSD_TOL only through roundoff of order
     # 1e-16 * ||X||, which needs entries near 1e7 or above.
     if status == "optimal" and min_eig < -_PSD_TOL:
-        status = "numerical-failure"
+        status, stop = "numerical-failure", "indefinite"
 
-    y_full = np.zeros(problem.num_constraints)
-    y_full[kept] = y
     for block in blocks:
         block.flags.writeable = False
 
     return SdpSolution(
         status=status,
         blocks=blocks,
-        y=tuple(float(v) for v in y_full),
+        y=tuple(float(v) for v in full_y(y)),
         primal=pobj,
         dual=dobj,
         gap=gap,
@@ -853,4 +873,5 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             "max_ridge": float(max_ridge),
             "centering_fallbacks": fallbacks,
         }),
+        stop=stop,
     )

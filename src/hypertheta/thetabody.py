@@ -20,7 +20,12 @@ Two programs are built on that one node: theta's, with corner 1 and
 objective w on the diagonal, and the gauge min{lam : v in lam * body}, with
 diagonal v and the corner lam as objective.  theta_membership runs the gauge
 on f, which lies in the body iff lam* <= 1, and theta_dual on the complement
-with w: the antiblocker pairing's gauge of body(H-bar).
+with w: the antiblocker pairing's gauge of body(H-bar).  A membership test
+needs a decision, not lam*, so its solve stops at the first iterate whose
+free-form witness X(y) (below), with its corner set to 1, passes an
+eigvalsh test >= 0 in every block: X(y) meets every fix and tie exactly, so
+that matrix is a witness of f in the body itself.  theta, theta_dual, the
+row form and the points that no iterate proves members run to tol.
 
 Each program reaches numlin.solve_sdp in one of two forms.  Every row the
 assembly emits fixes one entry or ties two to be equal.  The row form is
@@ -283,12 +288,15 @@ def _restrict(hg: Hypergraph, v: list) -> tuple[Hypergraph, tuple, list]:
     return sub, smap, [v[x] for x in smap]
 
 
-def _solved(problem: SdpProblem, tol: float, what: str) -> SdpSolution:
-    sol = solve_sdp(problem, tol=tol)
-    if sol.status != "optimal":
+def _solved(problem: SdpProblem, tol: float, what: str, accept=None) -> SdpSolution:
+    """solve_sdp(problem, tol), which may also end "accepted" when accept,
+    its private stop hook, is given; any other end than these raises."""
+    hook = {} if accept is None else {"_accept": accept}
+    sol = solve_sdp(problem, tol=tol, **hook)
+    if sol.status not in ("optimal", "accepted"):
         raise ThetaSolverError(
-            f"{what}: solver status {sol.status} after {sol.iterations} iterations "
-            f"(residuals {dict(sol.residuals)})",
+            f"{what}: solver status {sol.status} after {sol.iterations} iterations, "
+            f"stop rule {sol.stop} (residuals {dict(sol.residuals)})",
             sol,
         )
     return sol
@@ -374,17 +382,22 @@ def _free_form(problem: SdpProblem):
     return reduced, float(cflat @ e0), lift
 
 
-def _solved_free(problem: SdpProblem, tol: float, what: str) -> tuple[SdpSolution, dict]:
+def _solved_free(
+    problem: SdpProblem, tol: float, what: str, accept=None
+) -> tuple[SdpSolution, dict]:
     """_solved on _free_form(problem) whenever there is one, else on problem,
     and the diagnostics "form" ("free" or "rows") and "rows" (the rows
     solved).  A free-form solution is stated for problem: blocks X(y), primal
     <C, X(y)> = <C, E0> minus the reduced dual value, dual <C, E0> minus the
-    reduced primal value, and no y."""
+    reduced primal value, and no y.  In the free form, accept(X(y)) is asked
+    at every iterate that misses tol, and the first it passes ends the solve
+    "accepted"; the row form, whose blocks meet their rows only to the
+    residual, ignores accept and runs to tol."""
     free = _free_form(problem)
     if free is None:
         return _solved(problem, tol, what), {"form": "rows", "rows": problem.num_constraints}
     reduced, c0, lift = free
-    sol = _solved(reduced, tol, what)
+    sol = _solved(reduced, tol, what, None if accept is None else (lambda y: accept(lift(y))))
     stated = replace(
         sol, blocks=lift(sol.y), y=(), primal=c0 - sol.dual, dual=c0 - sol.primal
     )
@@ -437,19 +450,44 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
 # ---------------------------------------------------------------------------
 
 def _gauge(
-    hg: Hypergraph, v: list, vmap: tuple, tol: float, what: str
+    hg: Hypergraph, v: list, vmap: tuple, tol: float, what: str, decide: bool = False
 ) -> tuple[float, _Node, SdpSolution, dict]:
     """Least lam with v in lam * body: the root node with the rows F_jj = v_j
     and its corner lam free, maximizing -lam.  Returns lam*, the root node,
     the solution (a witness with corner lam* and diagonal v) and its form;
-    v > 0 keeps the program strictly feasible."""
+    v > 0 keeps the program strictly feasible.
+
+    With decide, a free-form solve stops at the first iterate whose witness
+    X(y), with its corner set to 1, has eigvalsh >= 0 in every block.  X(y)
+    meets every fix and tie exactly, so that matrix is a feasible point with
+    lam = 1 and proves lam* <= 1; nothing else needs checking.  The solution
+    is then that witness, with status "accepted", and the lam returned is 1,
+    not lam*."""
     builder = _Builder()
     root = _membership_node(builder, hg, vmap)
     for j in range(hg.n):
         builder.add([(root.blk, j + 1, j + 1, 1.0)], v[j])
     problem = builder.problem({root.blk: np.diag([-1.0] + [0.0] * hg.n)})
-    sol, form = _solved_free(problem, tol, what)
+
+    def cornered(blocks):
+        top = blocks[root.blk].copy()
+        top[0, 0] = 1.0
+        return blocks[: root.blk] + (top,) + blocks[root.blk + 1 :]
+
+    proves = (lambda blocks: _psd(cornered(blocks))) if decide else None
+    sol, form = _solved_free(problem, tol, what, proves)
+    if sol.status == "accepted":
+        sol = replace(sol, blocks=cornered(sol.blocks), primal=-1.0)
     return -float(sol.primal), root, sol, form
+
+
+def _psd(blocks) -> bool:
+    """Every block has eigvalsh >= 0, by one eigvalsh call per block size."""
+    sizes = {len(b) for b in blocks}
+    return all(
+        np.linalg.eigvalsh(np.stack([b for b in blocks if len(b) == d])).min() >= 0.0
+        for d in sizes
+    )
 
 
 def theta_membership(
@@ -457,11 +495,17 @@ def theta_membership(
 ) -> tuple[bool, ThetaCertificate | None]:
     """Test f in the relaxation body, with a witness tree when it holds.
 
-    Implemented as the gauge lam* = min{lam : f in lam * body}; f belongs
-    iff the largest scaling of f in the body, t* = 1/lam*, is at least
-    1 - tol.  Points within tol of the boundary may flip either way.  The
-    witness has corner 1 and diagonal min(t*, 1)*f.  The instance is first
-    restricted to the support of f, as _gauge requires.
+    Implemented as the gauge lam* = min{lam : f in lam * body}, which needs
+    a decision, not an optimum.  The solve stops at the first iterate whose
+    free-form witness X(y), tied exactly and with diagonal f, passes an
+    eigvalsh test >= 0 in every block once its corner is set to 1: that
+    matrix is the witness, and it proves lam* <= 1.  Otherwise (the row
+    form, points outside the body, points on or just beyond its boundary)
+    the solve runs to tol: f belongs iff the largest scaling of f in the
+    body, t* = 1/lam*, is at least 1 - tol, and the witness has corner 1
+    and diagonal min(t*, 1)*f.  Points within tol of the boundary may flip
+    either way.  The instance is first restricted to the support of f, as
+    _gauge requires.
     """
     fv = _float_weights(hg, f)
     if any(v < -1e-12 or v > 1.0 + tol for v in fv):
@@ -476,10 +520,13 @@ def theta_membership(
             return False, None
         return True, _box_certificate(fsub, smap)
 
-    lam, root, sol, _ = _gauge(sub, fsub, smap, min(tol * 1e-2, 1e-8), "theta_membership")
+    lam, root, sol, _ = _gauge(
+        sub, fsub, smap, min(tol * 1e-2, 1e-8), "theta_membership", decide=True
+    )
     if 1.0 / lam < 1.0 - tol:
         return False, None
-    # Times min(t*, 1) the corner is at most 1; raising it to 1 keeps it PSD.
+    # Times min(t*, 1) the corner is at most 1 (an accepted witness has
+    # lam = 1 and is taken as it is); raising it to 1 keeps it PSD.
     cert = _extract(root, sol.blocks, min(1.0 / lam, 1.0))
     return True, replace(cert, scale=1.0)
 

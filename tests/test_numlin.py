@@ -571,7 +571,7 @@ def _problem_solved_by(monkeypatch, call):
     """The SdpProblem that call hands to the solver first."""
     from hypertheta import thetabody
 
-    def capture(problem, tol):
+    def capture(problem, tol, **hook):
         raise _Captured(problem)
 
     monkeypatch.setattr(thetabody, "solve_sdp", capture)
@@ -809,8 +809,8 @@ class TestStacks:
 
         solved = []
 
-        def spy(problem, tol):
-            solved.append((problem, solve_sdp(problem, tol)))
+        def spy(problem, tol, **hook):
+            solved.append((problem, solve_sdp(problem, tol, **hook)))
             return solved[-1][1]
 
         monkeypatch.setattr(thetabody, "solve_sdp", spy)
@@ -828,6 +828,7 @@ class TestStacks:
         assert sol.residuals["min_eig"] > 0
 
     def test_gauge_program_stacks_as_theta(self, monkeypatch):
+        from hypertheta import thetabody
         from hypertheta.thetabody import check_certificate, theta_membership
 
         solved = self.record_solves(monkeypatch)
@@ -835,10 +836,14 @@ class TestStacks:
         member, cert = theta_membership(hg, [0.5] * hg.n)
         (problem, sol), = solved
         assert _stacks(problem)[1] == [(7, 7)]  # the blocks of theta's program
-        # the free form's value is the gauge, on a transitive instance
-        # lam* = n * 0.5 / theta = 3 / 4 (t* = 4 / 3)
-        assert abs(sol.primal - 3.0 / 4.0) < 1e-8
         assert member and check_certificate(hg, cert) == []
+        # Membership stops at its first witness, so the value comes from the
+        # gauge run to tol.  The free form's value is the gauge, on a
+        # transitive instance lam* = n * 0.5 / theta = 3 / 4 (t* = 4 / 3).
+        lam, *_ = thetabody._gauge(hg, [0.5] * hg.n, tuple(range(hg.n)), 1e-9, "gauge")
+        (_, sol), = solved[1:]
+        assert abs(sol.primal - 3.0 / 4.0) < 1e-8
+        assert abs(lam - 3.0 / 4.0) < 1e-8
 
 
 class TestSdp:
@@ -1149,6 +1154,74 @@ class TestSdp:
         s = solve_sdp(problem)
         assert s.status == "numerical-failure" and s.iterations == 3
         assert s.residuals["rel_gap"] > 1e-8
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "dims, objective, rows, stop",
+        [
+            pytest.param([1], [np.eye(1)], [([(0, 0, 0, 1.0)], -1.0)], "diverged", id="diverged"),
+            # the dual steps shrink tenfold per iteration until an iterate's
+            # Cholesky factor fails
+            pytest.param(
+                [2, 2],
+                [np.diag([-2.0, 2.0]), np.array([[1.0, -0.5], [-0.5, -1.0]])],
+                [([(0, 1, 1, 1.0)], 0.0)],
+                "breakdown",
+                id="free-block",
+            ),
+            pytest.param(
+                [2],
+                [np.eye(2)],
+                [([(0, 0, 0, 1.0)], 1.0), ([(0, 1, 1, 1.0)], 1.0), ([(0, 0, 1, 1.0)], 2.0)],
+                "breakdown",
+                id="breakdown",
+            ),
+            pytest.param(
+                [1], [np.eye(1)], [([(0, 0, 0, 1.0)], 1.0), ([(0, 0, 0, 2.0)], 1.0)],
+                "infeasible", id="infeasible",
+            ),
+            pytest.param([1], [np.eye(1)], [([(0, 0, 0, 1.0)], 1.0)], "optimal", id="optimal"),
+        ],
+    )
+    def test_stop_names_the_rule_that_ended_the_solve(self, dims, objective, rows, stop):
+        assert solve_sdp(SdpProblem(dims, objective, rows)).stop == stop
+
+    def test_stop_names_the_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_ITER", 3)
+        s = solve_sdp(assemble_theta_sdp(cycle_graph(5))[0])
+        assert (s.status, s.stop) == ("numerical-failure", "iteration-limit")
+
+    def test_stop_names_a_stall(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_max_steps", lambda zs, dxs, dss: (1e-11, 1e-11))
+        s = solve_sdp(assemble_theta_sdp(cycle_graph(5))[0])
+        assert (s.status, s.stop, s.iterations) == ("numerical-failure", "stalled", 3)
+
+    def test_stop_names_an_indefinite_optimum(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_PSD_TOL", -np.inf)  # every block fails the guard
+        s = solve_sdp(assemble_theta_sdp(cycle_graph(5))[0])
+        assert (s.status, s.stop) == ("numerical-failure", "indefinite")
+
+    def test_accept_hook_ends_the_solve_short_of_optimal(self):
+        problem, _ = assemble_theta_sdp(cycle_graph(5))
+        seen = []
+
+        def accept(y):
+            seen.append(y)
+            return len(seen) == 2
+
+        s = solve_sdp(problem, _accept=accept)
+        assert (s.status, s.stop, s.iterations) == ("accepted", "accepted", 2)
+        assert [len(y) for y in seen] == [problem.num_constraints] * 2
+        assert np.array_equal(seen[-1], s.y)  # the solution is the accepted iterate
+        assert s.residuals["rel_gap"] > 1e-8
+
+    def test_theta_solver_error_names_the_stop_rule(self, monkeypatch):
+        from hypertheta.thetabody import ThetaSolverError, theta
+
+        monkeypatch.setattr(sdp, "_MAX_ITER", 3)
+        with pytest.raises(ThetaSolverError, match="stop rule iteration-limit"):
+            theta(cycle_graph(5))
 
     def test_centering_fallbacks_count_the_extra_normal_solves(self, monkeypatch):
         # Before the stop, each iteration makes two normal solves (predictor

@@ -417,6 +417,93 @@ class TestMembership:
             assert theta_membership(hg, g)[0]
 
 
+def _membership_points():
+    """160 seeded points: 40 random hypergraphs (4 to 8 vertices, 2- to
+    4-uniform), each with one random vector scaled by 1/n, 0.5, 0.9 and 1."""
+    points = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        n, r = rng.randint(4, 8), rng.randint(2, 4)
+        hg = random_hypergraph(n, r, 0.4, rng)
+        base = [rng.random() for _ in range(n)]
+        points += [(hg, [s * v for v in base]) for s in (1.0 / n, 0.5, 0.9, 1.0)]
+    return points
+
+
+class TestEarlyAccept:
+    """theta_membership stops at the first iterate whose free-form witness
+    proves lam* <= 1; everything else runs the gauge to tol."""
+
+    @staticmethod
+    def record_solves(monkeypatch):
+        """The status and iterations of every solve thetabody makes from here on."""
+        solved = []
+        solve_sdp = thetabody.solve_sdp
+
+        def spy(problem, tol, **hook):
+            sol = solve_sdp(problem, tol, **hook)
+            solved.append((sol.status, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(thetabody, "solve_sdp", spy)
+        return solved
+
+    @staticmethod
+    def run_to_tol(monkeypatch):
+        """theta_membership with every gauge run to tol: the reference verdicts."""
+        gauge = thetabody._gauge
+        monkeypatch.setattr(thetabody, "_gauge", lambda *args, decide=False: gauge(*args))
+
+    def test_verdicts_match_the_gauge_run_to_tol(self, monkeypatch):
+        points = _membership_points()
+        solved = self.record_solves(monkeypatch)
+        early = [theta_membership(hg, f) for hg, f in points]
+        accepted = [status for status, _ in solved].count("accepted")
+        for (hg, _), (member, cert) in zip(points, early):
+            if member:
+                assert check_certificate(hg, cert, tol=1e-9) == []
+        self.run_to_tol(monkeypatch)
+        del solved[:]
+        assert [m for m, _ in early] == [theta_membership(hg, f)[0] for hg, f in points]
+        assert "accepted" not in {status for status, _ in solved}
+        # both verdicts occur, and most members are decided early
+        assert sum(m for m, _ in early) == 115
+        assert accepted > 100
+
+    @pytest.mark.parametrize("n, edge", [(4, 2 / 3), (5, 5 / 8)])
+    def test_constant_points_beside_the_boundary(self, n, edge):
+        # Mantel n on its C(n, 2) vertices has theta = n^2 / 4, so the gauge of
+        # the constant vector c is lam* = C(n, 2) c / theta, 1 at c = edge.
+        hg = mantel_hypergraph(n)
+        member, cert = theta_membership(hg, [edge * (1 - 1e-6)] * hg.n)
+        assert member and check_certificate(hg, cert, tol=1e-9) == []
+        assert theta_membership(hg, [edge * (1 + 1e-6)] * hg.n) == (False, None)
+
+    def test_witness_is_the_point_itself(self, monkeypatch):
+        solved = self.record_solves(monkeypatch)
+        hg = mantel_hypergraph(5)
+        member, cert = theta_membership(hg, [0.5] * hg.n)
+        assert solved[0][0] == "accepted" and member
+        assert cert.scale == 1.0 and list(cert.vector) == [0.5] * hg.n
+        assert check_certificate(hg, cert, tol=1e-9) == []
+
+    def test_early_accept_takes_fewer_iterations(self, monkeypatch):
+        solved = self.record_solves(monkeypatch)
+        hg = mantel_hypergraph(5)
+        theta_membership(hg, [0.5] * hg.n)
+        thetabody._gauge(hg, [0.5] * hg.n, tuple(range(hg.n)), 1e-9, "gauge")
+        (early, iterations), (to_tol, full) = solved
+        assert (early, to_tol) == ("accepted", "optimal")
+        assert iterations < full
+
+    def test_row_form_runs_to_tol(self, monkeypatch):
+        # the 12-cycle's gauge keeps the row form, whose blocks meet their
+        # rows only to the residual
+        solved = self.record_solves(monkeypatch)
+        assert theta_membership(cycle_graph(12), [0.3] * 12)[0]
+        assert solved[0][0] == "optimal"
+
+
 class TestDual:
     def test_single_vertex_weight(self):
         res = theta_dual(complete_hypergraph(3, 3), [1, 0, 0])
