@@ -171,7 +171,7 @@ def _transitive_program(hg: Hypergraph, group: PermGroup) -> SdpProblem | None:
     def entry(i, j):
         return [(b, 0, 0, float(e[i, j])) for b, e in zip(blocks, projectors)]
 
-    builder.add(entry(0, 0), 1.0)
+    builder.fix(entry(0, 0), 1.0)
     _attach_link(builder, entry, 0, *link(hg, 0))
     objective = {b: np.array([[e.sum() / hg.n]]) for b, e in zip(blocks, projectors)}
     return builder.problem(objective)

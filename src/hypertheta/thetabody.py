@@ -27,11 +27,12 @@ eigvalsh test >= 0 in every block: X(y) meets every fix and tie exactly, so
 that matrix is a witness of f in the body itself.  theta, theta_dual, the
 row form and the points that no iterate proves members run to tol.
 
-Each program reaches numlin.solve_sdp in one of two forms.  Every row the
-assembly emits fixes one entry or ties two to be equal.  The row form is
-the program as assembled, one row per fix or tie.  The free form eliminates
-them.  Each tie points one entry at another further up the recursion, so
-the ties form a forest, and pointer jumping finds its trees, the classes of
+Each program reaches numlin.solve_sdp in one of two forms.  _Builder.fix
+sets one entry per row and _Builder.tie one entry equal to another further
+up the recursion, so the ties form a forest with at most one fix per tree
+(TestForms::test_assembled_ties_form_a_forest).  The row form is the
+program as assembled, one row per fix or tie; the free form takes it as
+given and eliminates them.  Pointer jumping finds the trees, the classes of
 tied entries.  The classes that hold a fixed entry are one fixed matrix E0,
 and each other class k, an entry no row names being a class alone, is one
 free scalar y_k with matrix E_k.  The witness blocks are
@@ -144,27 +145,38 @@ class DualResult:
 # ---------------------------------------------------------------------------
 
 class _Builder:
-    """Accumulates PSD blocks and sparse symmetric equality rows."""
+    """Accumulates PSD blocks and equality rows as (row, block, i, j, coef)."""
 
     def __init__(self):
         self.dims: list[int] = []
-        self.cons: list[tuple[list, float]] = []
+        self.terms: list[tuple] = []
+        self.rhs: list[float] = []
 
     def block(self, dim: int) -> int:
         self.dims.append(dim)
         return len(self.dims) - 1
 
-    def add(self, entries: list[tuple[int, int, int, float]], rhs: float) -> None:
-        """entries: (block, i, j, coefficient) terms, as SdpProblem reads them.
+    def fix(self, terms: list[tuple[int, int, int, float]], value: float) -> None:
+        """The row sum(terms) = value; a term (block, i, j, coef) as in SdpProblem."""
+        row = len(self.rhs)
+        for b, i, j, c in terms:
+            self.terms.append((row, b, i, j, c))
+        self.rhs.append(value)
 
-        A tie (terms c and -c, rhs 0) names first the entry that it
-        determines (a border entry, a child's corner or diagonal), and no
-        entry comes first in two ties, so the ties form a forest."""
-        self.cons.append((entries, rhs))
+    def tie(self, entry: tuple[int, int, int], terms: list[tuple[int, int, int, float]]) -> None:
+        """The row X[entry] = sum(terms), the entry (block, i, j) first: the
+        one the tie determines (a border entry, a child's corner or diagonal)."""
+        row = len(self.rhs)
+        self.terms.append((row, *entry, 1.0))
+        for b, i, j, c in terms:
+            self.terms.append((row, b, i, j, -c))
+        self.rhs.append(0.0)
 
     def problem(self, objective: dict[int, np.ndarray]) -> SdpProblem:
         obj = [objective.get(b, np.zeros((d, d))) for b, d in enumerate(self.dims)]
-        return SdpProblem(self.dims, obj, self.cons)
+        terms = np.array(self.terms, dtype=float).reshape(-1, 5)
+        rhs = np.array(self.rhs, dtype=float)
+        return SdpProblem._of_terms(self.dims, obj, terms[:, :4], terms[:, 4], rhs)
 
 
 @dataclass
@@ -180,12 +192,12 @@ def _membership_node(builder: _Builder, hg: Hypergraph, vmap: tuple) -> _Node:
     assert hg.r >= 2
     blk = builder.block(hg.n + 1)
     for i in range(hg.n):
-        builder.add([(blk, 0, i + 1, 1.0), (blk, i + 1, i + 1, -1.0)], 0.0)
+        builder.tie((blk, 0, i + 1), [(blk, i + 1, i + 1, 1.0)])
     children: dict[int, _Node] = {}
     if hg.r == 2:
         # Each edge once; the 1-uniform links would emit it from both ends.
         for u, v in hg.edges:
-            builder.add([(blk, u + 1, v + 1, 1.0)], 0.0)
+            builder.fix([(blk, u + 1, v + 1, 1.0)], 0.0)
     else:
         def entry(i, j):
             return [(blk, i + 1, j + 1, 1.0)]
@@ -213,18 +225,14 @@ def _attach_link(
     """
     if sub.n == 0:
         return None
-
-    def minus(i, j):
-        return [(b, p, q, -c) for b, p, q, c in entry(i, j)]
-
     if sub.r == 1:
         for v in smap:
-            builder.add(entry(x, v), 0.0)
+            builder.fix(entry(x, v), 0.0)
         return None
     child = _membership_node(builder, sub, smap)
-    builder.add([(child.blk, 0, 0, 1.0)] + minus(x, x), 0.0)
+    builder.tie((child.blk, 0, 0), entry(x, x))
     for j, v in enumerate(smap):
-        builder.add([(child.blk, j + 1, j + 1, 1.0)] + minus(x, v), 0.0)
+        builder.tie((child.blk, j + 1, j + 1), entry(x, v))
     return child
 
 
@@ -241,7 +249,7 @@ def assemble_theta_sdp(hg: Hypergraph, w=None) -> tuple[SdpProblem, "_Node"]:
     wv = _float_weights(hg, w)
     builder = _Builder()
     root = _membership_node(builder, hg, tuple(range(hg.n)))
-    builder.add([(root.blk, 0, 0, 1.0)], 1.0)
+    builder.fix([(root.blk, 0, 0, 1.0)], 1.0)
     cobj = np.zeros((hg.n + 1, hg.n + 1))
     for x in range(hg.n):
         cobj[x + 1, x + 1] = wv[x]
@@ -305,10 +313,12 @@ def _solved(problem: SdpProblem, tol: float, what: str, accept=None) -> SdpSolut
 def _free_form(problem: SdpProblem):
     """The program with its fixes and ties eliminated.
 
-    Every row that _Builder assembles fixes one entry (c X[e] = rhs) or ties
-    two (c X[e] - c X[e'] = 0), the dependent entry e first (see
-    _Builder.add).  Pointing each e at its e' gives a forest whose pointers
-    lead up the recursion tree, and pointer jumping (parent = parent[parent])
+    problem is a _membership_node program, taken as given: each row fixes
+    one entry (c X[e] = rhs, _Builder.fix) or ties two (X[e] = X[e'], the
+    dependent entry e first, _Builder.tie), no entry is tied twice and no
+    tree fixed twice (TestForms::test_assembled_ties_form_a_forest).
+    Pointing each e at its e' gives a forest whose pointers lead up the
+    recursion tree, and pointer jumping (parent = parent[parent])
     takes each entry to the root of its tree, whose value every entry of the
     tree shares.  The trees that hold a fixed entry make up E0, and each
     other tree k, an entry no row names being a tree alone, is one free
@@ -318,36 +328,25 @@ def _free_form(problem: SdpProblem):
     objective -E0 (Lofberg, Optim. Methods Softw. 24, 2009; the elimination
     is the doubleton rule of Andersen & Andersen, Math. Prog. 71, 1995).
     Returns (that program, <C, E0>, lift) with lift(y) the blocks X(y), or
-    None when a row has another shape (a tie whose two coefficients do not
-    cancel, too), an entry depends on two ties, the ties close a cycle or a
-    tree is fixed twice (the row form's presolve settles those), no tree is
-    free, or the trees that the solve would factor as one dense block,
-    border_rows of that program, are not fewer than problem's rows.
+    None when no tree is free or when the trees that the solve would factor
+    as one dense block, border_rows of that program, are not fewer than
+    problem's rows.
     """
     m, coef = problem.num_constraints, problem.coef
     count = np.bincount(problem.index[:, 0], minlength=m)
     first, tie = np.cumsum(count) - count, count == 2
     t, f = first[tie], first[~tie]
-    if (
-        m == 0 or count.min() < 1 or count.max() > 2 or not coef.all()
-        or problem.rhs[tie].any() or (coef[t + 1] != -coef[t]).any()
-    ):
-        return None
     dims = np.array(problem.block_dims, dtype=np.intp)
     start, width = np.cumsum(dims * dims) - dims * dims, int((dims * dims).sum())
     _, blk, i, j = problem.index.T
     entry = start[blk] + i * dims[blk] + j
-    parent, root = np.arange(width), np.ones(width, dtype=bool)
-    parent[entry[t]], root[entry[t]] = entry[t + 1], False
+    parent = np.arange(width)
+    parent[entry[t]] = entry[t + 1]
     for _ in range(width.bit_length()):
         if (parent[parent] == parent).all():
             break
         parent = parent[parent]
     fixes = np.bincount(parent[entry[f]], minlength=width)
-    # An entry that depends on two ties, a cycle (it keeps pointers on
-    # entries that depend on a tie) or a tree fixed twice.
-    if root.sum() > width - len(t) or not root[parent].all() or fixes.max() > 1:
-        return None
     value = np.bincount(parent[entry[f]], problem.rhs[~tie] / coef[f], width)
 
     # Every entry (b, i <= j) of every block, with its tree's root.
@@ -466,7 +465,7 @@ def _gauge(
     builder = _Builder()
     root = _membership_node(builder, hg, vmap)
     for j in range(hg.n):
-        builder.add([(root.blk, j + 1, j + 1, 1.0)], v[j])
+        builder.fix([(root.blk, j + 1, j + 1, 1.0)], v[j])
     problem = builder.problem({root.blk: np.diag([-1.0] + [0.0] * hg.n)})
 
     def cornered(blocks):

@@ -315,3 +315,22 @@ class TestPinnedOutput:
         code, out, _ = run_cli(capsys, "hamming", "--n", str(n), "--s", str(s))
         assert code == 0
         assert _digest(out) == HAMMING_DIGESTS[n, s]
+
+
+# Each case is an error, with the start of its message, or the exit code.
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: render_json(object()), TypeError("cannot render"), id="render-object"),
+        pytest.param(
+            lambda: main(["scan-decay", "--c", "2", "--n", "1:2:3"]), 2, id="scan-three-part-range"
+        ),
+    ],
+)
+def test_input_checks(call, expected, capsys):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=str(expected)):
+            call()
+    else:
+        assert call() == expected
+        assert "cannot parse range '1:2:3'" in json.loads(capsys.readouterr().err)["error"]

@@ -48,10 +48,11 @@ def test_every_exported_name_resolves():
 
 
 def test_benchmark_call_sites_resolve():
-    # The benchmark's workloads and the sweep tool call the package by name;
-    # parsed, not imported, so that nothing is written next to them.
+    # The benchmark's workloads and the sweep and digest tools call the
+    # package by name; parsed, not imported, so that nothing is written next
+    # to them.
     root = os.path.join(os.path.dirname(__file__), os.pardir)
-    for rel in ("perfbench/workloads.py", "tools/sweep_table.py"):
+    for rel in ("perfbench/workloads.py", "tools/sweep_table.py", "tools/solve_digest.py"):
         with open(os.path.join(root, rel)) as fh:
             tree = ast.parse(fh.read(), rel)
         modules = {}  # local alias -> the hypertheta module it names

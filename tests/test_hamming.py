@@ -306,3 +306,23 @@ class TestScan:
         d40, d80 = rows[0].log_density, rows[1].log_density
         assert d80 < d40
         assert d80 > 2.5 * d40  # far from doubling the exponent
+
+
+# Each case is an error with the start of its message.
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: build_hamming_hypergraph(0, 2), HypergraphError("dimension must be"), id="n-zero"
+        ),
+        pytest.param(lambda: m_k(3, 4), HypergraphError("m_k out of range"), id="m-k-range"),
+        pytest.param(lambda: m_q(2, 4), HypergraphError("m_q needs even s in range"), id="m-q-range"),
+        pytest.param(lambda: side_for(10, 1), HypergraphError("scan ratio must exceed 1"), id="ratio-1"),
+        pytest.param(
+            lambda: log_fraction(Fraction(0)), ValueError("log of a nonpositive"), id="log-zero"
+        ),
+    ],
+)
+def test_input_checks(call, expected):
+    with pytest.raises(type(expected), match=str(expected)):
+        call()

@@ -12,6 +12,7 @@ import pytest
 
 import hypertheta
 from hypertheta.hoffman import (
+    AdjacencyOperator,
     adjacency_operator,
     format_weighted_hypergraph,
     hoff,
@@ -314,3 +315,34 @@ class TestFiles:
         with pytest.raises(FormatError) as err:
             parse_weighted_hypergraph("3 4 1\n0 1 2\n")
         assert err.value.line == 2
+
+
+# Each case is an error with the start of its message.
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: AdjacencyOperator(np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([0.5, 0.5])),
+            HypergraphError("row sums deviate from 1"),
+            id="operator-row-sums",
+        ),
+        pytest.param(
+            lambda: uniform_weighted(complete_hypergraph(3, 2)),
+            HypergraphError("uniform measure needs at least one edge"),
+            id="uniform-edgeless",
+        ),
+        pytest.param(
+            lambda: adjacency_operator(weighted_hypergraph(2, 1, [(0,), (1,)], [1, 1])),
+            HypergraphError("adjacency operator needs uniformity"),
+            id="operator-r1",
+        ),
+        pytest.param(
+            lambda: lambda_levels(weighted_hypergraph(2, 1, [(0,), (1,)], [1, 1])),
+            HypergraphError("levels need uniformity"),
+            id="levels-r1",
+        ),
+    ],
+)
+def test_input_checks(call, expected):
+    with pytest.raises(type(expected), match=str(expected)):
+        call()

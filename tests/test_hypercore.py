@@ -440,3 +440,45 @@ def test_format_errors(fmt, text, line):
     with pytest.raises(FormatError) as err:
         READERS[fmt](text)
     assert err.value.line == line
+
+
+# Each case is an error, with the start of its message, or the value returned.
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: Hypergraph(2, -1), HypergraphError("vertex count"), id="negative-n"),
+        pytest.param(
+            lambda: check_weights(cycle_graph(3), [1, 1]),
+            HypergraphError("weight vector has length 2, expected 3"),
+            id="weights-wrong-length",
+        ),
+        pytest.param(
+            lambda: link(cycle_graph(3), 3), HypergraphError("vertex 3 out of range"), id="link-vertex"
+        ),
+        # C(2001, 2) = 2,001,000 edges, refused before any is listed
+        pytest.param(
+            lambda: complement(empty_hypergraph(2, 2001)),
+            InstanceTooLargeError("complement would have"),
+            id="complement-cap",
+        ),
+        pytest.param(
+            lambda: maximal_independent_sets(empty_hypergraph(2, 5), cap=4),
+            InstanceTooLargeError("5 vertices exceeds enumeration cap 4"),
+            id="maximal-sets-cap",
+        ),
+        pytest.param(lambda: cycle_graph(2), HypergraphError("cycles need"), id="cycle-2"),
+        pytest.param(
+            lambda: in_clique_polytope(cycle_graph(3), [1.5, 0, 0]), False, id="clique-polytope-box"
+        ),
+        # the triangle is one clique, and 0.6 + 0.6 > r - 1 = 1
+        pytest.param(
+            lambda: in_clique_polytope(cycle_graph(3), [0.6, 0.6, 0]), False, id="clique-inequality"
+        ),
+    ],
+)
+def test_input_checks(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=str(expected)):
+            call()
+    else:
+        assert call() == expected

@@ -1059,32 +1059,42 @@ class TestSdp:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize(
-        "dims, objective, rows, diverged",
+        "dims, objective, rows, stop",
         [
             # unbounded: the iterates overflow to a non-finite gap or residual
-            pytest.param([2], [np.eye(2)], [([(0, 0, 1, 1.0)], 0.0)], True, id="unbounded-x01"),
-            pytest.param([2], [np.eye(2)], [([(0, 0, 0, 1.0)], 0.0)], True, id="unbounded-x00"),
             pytest.param(
-                [1, 1], [np.eye(1)] * 2, [([(0, 0, 0, 1.0)], 1.0)], True, id="unbounded-1x1"
+                [2], [np.eye(2)], [([(0, 0, 1, 1.0)], 0.0)], "diverged", id="unbounded-x01"
+            ),
+            pytest.param(
+                [2], [np.eye(2)], [([(0, 0, 0, 1.0)], 0.0)], "diverged", id="unbounded-x00"
+            ),
+            pytest.param(
+                [1, 1], [np.eye(1)] * 2, [([(0, 0, 0, 1.0)], 1.0)], "diverged", id="unbounded-1x1"
             ),
             # unbounded: LAPACK gives up on a finite but overflowing step
             pytest.param(
-                [1, 3], [np.eye(1), np.eye(3)], [([(0, 0, 0, 1.0)], 1.0)], False, id="unbounded-3x3"
+                [1, 3],
+                [np.eye(1), np.eye(3)],
+                [([(0, 0, 0, 1.0)], 1.0)],
+                "breakdown",
+                id="unbounded-3x3",
             ),
-            # block 1 is free and its objective indefinite: the steps stall
+            # block 1 is free and its objective indefinite: the dual step
+            # shrinks tenfold per iteration until an iterate's Cholesky
+            # factor fails
             pytest.param(
                 [2, 2],
                 [np.diag([-2.0, 2.0]), np.array([[1.0, -0.5], [-0.5, -1.0]])],
                 [([(0, 1, 1, 1.0)], 0.0)],
-                False,
-                id="stall-free-block",
+                "breakdown",
+                id="breakdown-free-block",
             ),
             # X1 = -1/2, with X01 = 0 given as two terms: the iterates overflow
             pytest.param(
                 [2, 1],
                 [np.zeros((2, 2)), np.eye(1)],
                 [([(1, 0, 0, 2.0)], -1.0), ([(0, 1, 0, 2.0), (0, 0, 1, -1.0)], 0.0)],
-                True,
+                "diverged",
                 id="diverged-x1-negative",
             ),
             # X00 = X11 = 1 and X01 = 2 has no PSD point: S grows to 4e201
@@ -1093,20 +1103,22 @@ class TestSdp:
                 [2],
                 [np.eye(2)],
                 [([(0, 0, 0, 1.0)], 1.0), ([(0, 1, 1, 1.0)], 1.0), ([(0, 0, 1, 1.0)], 2.0)],
-                False,
-                id="diverged-no-psd-point",
+                "breakdown",
+                id="breakdown-no-psd-point",
             ),
             # X = -1: the iterates overflow to a non-finite gap
-            pytest.param([1], [np.eye(1)], [([(0, 0, 0, 1.0)], -1.0)], True, id="x-negative"),
+            pytest.param(
+                [1], [np.eye(1)], [([(0, 0, 0, 1.0)], -1.0)], "diverged", id="x-negative"
+            ),
         ],
     )
-    def test_failure_exits_return_numerical_failure(self, dims, objective, rows, diverged):
+    def test_failure_exits_return_numerical_failure(self, dims, objective, rows, stop):
         s = solve_sdp(SdpProblem(dims, objective, rows))
-        assert s.status == "numerical-failure"
+        assert s.status == "numerical-failure" and s.stop == stop
         assert s.iterations < 300
         # the diverged exit is the one that stops on a non-finite value
         last = [s.primal, s.dual, s.gap, s.residuals["primal"], s.residuals["dual"]]
-        assert (not np.isfinite(last).all()) is diverged
+        assert (not np.isfinite(last).all()) is (stop == "diverged")
 
     def test_cholesky_breakdown_ends_the_solve(self, monkeypatch):
         # eight failed factorizations of the Schur complement raise into the
@@ -1291,3 +1303,40 @@ class TestSdp:
         want[2, 2], want[0, 2], want[2, 0] = -3.0, 3.0, 3.0
         assert np.array_equal(second[1], want)
         assert p.num_constraints == 2
+
+
+# Each case is an error, with the start of its message, or the value returned.
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: as_symmetric(np.zeros((2, 3))), ValueError("expected a square matrix"), id="eig-shape"
+        ),
+        pytest.param(
+            lambda: solve_lp([1], sense="maximize"), ValueError("sense must be"), id="lp-sense"
+        ),
+        pytest.param(
+            lambda: solve_lp([1], [[1]], [1, 2]), ValueError("a_eq and b_eq sizes"), id="lp-rows"
+        ),
+        pytest.param(
+            lambda: solve_lp([1], bounds=[(0, 1), (0, 1)]), ValueError("bounds length"), id="lp-bounds"
+        ),
+        pytest.param(lambda: solve_lp([1], bounds=[(1, 0)]).status, "infeasible", id="lp-empty-box"),
+        pytest.param(
+            lambda: SdpProblem([0], [np.zeros((0, 0))], []),
+            ValueError("block dimensions must be positive"),
+            id="sdp-zero-block",
+        ),
+        pytest.param(
+            lambda: solve_sdp(SdpProblem([1], [np.eye(1)], [])),
+            ValueError("SDP needs at least one equality constraint"),
+            id="sdp-no-rows",
+        ),
+    ],
+)
+def test_input_checks(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=str(expected)):
+            call()
+    else:
+        assert call() == expected

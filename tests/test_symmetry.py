@@ -301,17 +301,17 @@ class TestTransitiveReduction:
         labels = pair_orbits(group)
         builder = tb._Builder()
         blk = builder.block(hg.n)
-        builder.add([(blk, 0, 0, 1.0)], 1.0)
+        builder.fix([(blk, 0, 0, 1.0)], 1.0)
         for x in range(hg.n):
             for y in range(x, hg.n):
                 ax, ay = divmod(int(labels[x, y]), hg.n)
                 if (ax, ay) != (x, y):
-                    builder.add([(blk, x, y, 1.0), (blk, ax, ay, -1.0)], 0.0)
+                    builder.tie((blk, x, y), [(blk, ax, ay, 1.0)])
         sub, smap = link(hg, 0)
         child = tb._membership_node(builder, sub, smap)
-        builder.add([(child.blk, 0, 0, 1.0), (blk, 0, 0, -1.0)], 0.0)
+        builder.tie((child.blk, 0, 0), [(blk, 0, 0, 1.0)])
         for j, v in enumerate(smap):
-            builder.add([(child.blk, j + 1, j + 1, 1.0), (blk, 0, v, -1.0)], 0.0)
+            builder.tie((child.blk, j + 1, j + 1), [(blk, 0, v, 1.0)])
         problem = builder.problem({blk: np.full((hg.n, hg.n), 1.0 / hg.n)})
         sol = solve_sdp(problem)
         assert sol.status == "optimal"
@@ -467,3 +467,28 @@ class TestEigenspaceReduction:
             want = np.array([[len(set(p) & set(q)) for q in pairs] for p in pairs])
             for common, mat in zip((2, 1, 0), mantel_pair_orbit_matrices(n)):
                 assert np.array_equal(mat, (want == common).astype(float))
+
+
+# Each case is an error with the start of its message.
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # 3163^2 pairs exceed the cap, refused before the labels are built
+        pytest.param(
+            lambda: pair_orbits(PermGroup(3163, ())),
+            HypergraphError("pair closure would exceed cap"),
+            id="pair-closure-cap",
+        ),
+        pytest.param(
+            lambda: theta_transitive(Hypergraph(1, 2, ()), cyclic_group(2)),
+            HypergraphError("transitive reduction needs uniformity"),
+            id="transitive-r1",
+        ),
+        pytest.param(
+            lambda: mantel_hypergraph(2), HypergraphError("triangle hypergraph needs"), id="mantel-2"
+        ),
+    ],
+)
+def test_input_checks(call, expected):
+    with pytest.raises(type(expected), match=str(expected)):
+        call()

@@ -251,7 +251,7 @@ class TestForms:
         # Every row of an assembled program fixes an entry or ties it to one
         # further up the recursion, so the rows are independent: with no
         # border limit, the free form keeps one row per upper-triangle entry
-        # that no row determines.
+        # that no row determines.  _free_form takes this as given.
         class Captured(Exception):
             pass
 
@@ -267,6 +267,7 @@ class TestForms:
         unweighted = [cycle_graph(5), cycle_graph(8), fan, mantel_hypergraph(5)]
         unweighted.append(build_hamming_hypergraph(4, 2))
         cases = [(hg, [1.0] * hg.n) for hg in unweighted] + [_seeded(8, 3, 1), _seeded(6, 4, 1)]
+        cases += [_seeded(n, r, 5) for n in range(4, 9) for r in range(2, 5)]
         for hg, w in cases:
             for run in (theta, theta_dual, lambda hg, w: theta_membership(hg, [0.5] * hg.n)):
                 with pytest.raises(Captured):
@@ -277,50 +278,44 @@ class TestForms:
             assert dual.block_dims == assemble_theta_sdp(complement(hg))[0].block_dims
             assert member.block_dims == assemble_theta_sdp(hg)[0].block_dims
         for problem in programs:
-            # every tie sets two entries equal: coefficients c and -c
-            terms = [[] for _ in range(problem.num_constraints)]
-            for row, coef in zip(problem.index[:, 0], problem.coef):
-                terms[row].append(coef)
-            assert all(len(c) == 1 or (len(c) == 2 and c[0] == -c[1]) for c in terms)
+            rows = [[] for _ in range(problem.num_constraints)]
+            for (row, *entry), coef in zip(problem.index.tolist(), problem.coef.tolist()):
+                rows[row].append((tuple(entry), coef))
+            ties, fixed = {}, []
+            assert rows and all(coef != 0 for terms in rows for _, coef in terms)
+            for terms, rhs in zip(rows, problem.rhs.tolist()):
+                assert len(terms) in (1, 2)
+                if len(terms) == 1:
+                    fixed.append(terms[0][0])
+                    continue
+                # every tie sets two entries equal: coefficients c and -c
+                (entry, c), (parent, d) = terms
+                assert d == -c and rhs == 0.0
+                assert entry not in ties  # no entry is the first term of two ties
+                ties[entry] = parent
+
+            def root(entry):
+                # follow the ties from entry to the root of its tree
+                path = set()
+                while entry in ties:
+                    assert entry not in path  # the ties close a cycle
+                    path.add(entry)
+                    entry = ties[entry]
+                return entry
+
+            for entry in ties:
+                root(entry)
+            roots = [root(entry) for entry in fixed]
+            assert len(set(roots)) == len(roots)  # no tree holds two fixes
         monkeypatch.setattr(thetabody, "border_rows", lambda *args: 0)
         for problem in programs:
             entries = sum(d * (d + 1) // 2 for d in problem.block_dims)
             reduced = free_form(problem)[0]
             assert reduced.num_constraints == entries - problem.num_constraints
 
-    def test_other_row_shapes_keep_the_row_form(self):
-        one = np.array([[1.0]])
-        for rows in (
-            [([(0, 0, 0, 1.0), (0, 1, 1, 1.0)], 1.0)],  # a tie with a right-hand side
-            [([(0, 0, 0, 1.0), (0, 1, 1, 1.0), (0, 0, 1, 1.0)], 0.0)],  # three terms
-            # fixed twice; unnoticed, that leaves 1 free class against 3 rows
-            [
-                ([(0, 0, 0, 1.0)], 1.0),
-                ([(0, 0, 0, 2.0)], 2.0),
-                ([(0, 1, 1, 1.0), (0, 0, 1, -1.0)], 0.0),
-            ],
-            # two ties that close a cycle; unnoticed, that leaves 2 free
-            # classes against 3 rows
-            [
-                ([(0, 0, 0, 1.0), (0, 1, 1, -1.0)], 0.0),
-                ([(0, 1, 1, 1.0), (0, 0, 0, -1.0)], 0.0),
-                ([(0, 1, 1, 1.0)], 1.0),
-            ],
-            # (0, 0) is the dependent entry of two ties; keeping one of them
-            # leaves 1 free class against 3 rows
-            [
-                ([(0, 0, 0, 1.0), (0, 1, 1, -1.0)], 0.0),
-                ([(0, 0, 0, 1.0), (0, 0, 1, -1.0)], 0.0),
-                ([(0, 1, 1, 1.0)], 1.0),
-            ],
-            # a tie whose coefficients do not cancel, X00 = 2 X11; read as
-            # X00 = X11 it would give X00 = 1 where the program has X00 = 2
-            [([(0, 0, 0, 1.0), (0, 1, 1, -2.0)], 0.0), ([(0, 1, 1, 1.0)], 1.0)],
-        ):
-            problem = SdpProblem([2], [np.eye(2)], rows)
-            assert thetabody._free_form(problem) is None
-        # no free class: the row form, and the solve settles the point
-        problem = SdpProblem([1], [one], [([(0, 0, 0, 1.0)], 1.0)])
+    def test_no_free_class_keeps_the_row_form(self):
+        # a single fixed point: the row form, and the solve settles the point
+        problem = SdpProblem([1], [np.array([[1.0]])], [([(0, 0, 0, 1.0)], 1.0)])
         assert thetabody._free_form(problem) is None
 
     def test_hamming_5_2_at_tol_1e_11(self):
@@ -704,6 +699,14 @@ class TestCertificates:
         back = certificate_from_json(text)
         assert check_certificate(mantel_hypergraph(4), back) == []
         assert np.abs(back.matrix - res.certificate.matrix).max() == 0
+
+    def test_empty_support_certificate_round_trips(self):
+        hg = mantel_hypergraph(4)
+        member, cert = theta_membership(hg, [0.0] * hg.n)
+        back = certificate_from_json(certificate_to_json(cert))
+        assert member and back.matrix.shape == (0, 0)
+        assert (back.scale, back.vertex_map, back.children) == (1.0, (), {})
+        assert check_certificate(hg, back) == []
 
     def test_detects_broken_scaling(self):
         import dataclasses

@@ -1,0 +1,106 @@
+"""Print one digest line per SDP solve of one ladder and one batch pass.
+
+    python tools/solve_digest.py [--src DIR] [--seed N] [--against DIR]
+
+Builds the ladder and batch workloads of this checkout's
+perfbench/workloads.py at the seed (default 7), runs the calls of one pass
+of each, with one BLAS thread and thetabody.solve_sdp wrapped, and prints a
+line per solve: the SHA-1 of the program solve_sdp receives (its
+block_dims, index, coef, rhs and objective bytes), then its rows, status,
+stop rule, iterations and primal value as float.hex().  Two sources that print the same lines solved the same
+programs in the same form and reached the same value bits in the same
+iterations.  --src names the source directory to import the package from
+(default: this checkout's src).  With --against DIR, both sources run, each
+in a fresh interpreter, and the tool prints "identical: N solves" or the
+first pair of lines that differ, exiting 1 on a difference.  The workloads
+are read, not written: no bytecode is cached next to them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _digest(problem, sol) -> str:
+    h = hashlib.sha1(repr(problem.block_dims).encode())
+    for arr in (problem.index, problem.coef, problem.rhs, *problem.objective):
+        h.update(arr.tobytes())
+    return (
+        f"{h.hexdigest()} rows {problem.num_constraints} {sol.status} {sol.stop} "
+        f"{sol.iterations} {float(sol.primal).hex()}"
+    )
+
+
+def _lines(seed: int) -> list[str]:
+    """The digest lines of one ladder and one batch pass, in this interpreter."""
+    from hypertheta import thetabody
+
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    built = [workloads.build(name, seed, Path(os.devnull)) for name in ("ladder", "batch")]
+
+    lines = []
+    solve_sdp = thetabody.solve_sdp
+
+    def wrapped(problem, *args, **kwargs):
+        sol = solve_sdp(problem, *args, **kwargs)
+        lines.append(_digest(problem, sol))
+        return sol
+
+    thetabody.solve_sdp = wrapped
+    for workload in built:
+        res: dict = {}
+        for call in workload.calls:
+            res[call.name] = call.run(res)
+    return lines
+
+
+def run(src: str, seed: int) -> list[str]:
+    """The digest lines of src, from a fresh interpreter with one BLAS thread."""
+    env = {**os.environ, **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    done = subprocess.run(
+        [sys.executable, __file__, "--worker", "--src", src, "--seed", str(seed)],
+        env=env, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return done.stdout.splitlines()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--against", metavar="DIR", help="a second source directory to compare with")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        sys.dont_write_bytecode = True
+        sys.path.insert(0, args.src)
+        print("\n".join(_lines(args.seed)))
+        return 0
+    ours = run(args.src, args.seed)
+    if args.against is None:
+        print("\n".join(ours))
+        return 0
+    theirs = run(args.against, args.seed)
+    for k, (a, b) in enumerate(zip(ours, theirs)):
+        if a != b:
+            print(f"solve {k} differs:\n  {args.src}: {a}\n  {args.against}: {b}")
+            return 1
+    if len(ours) != len(theirs):
+        print(f"{args.src} made {len(ours)} solves, {args.against} {len(theirs)}")
+        return 1
+    print(f"identical: {len(ours)} solves")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
