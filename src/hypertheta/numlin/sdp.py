@@ -50,13 +50,15 @@ the border's Schur complement (blocked triangular substitution by its
 factor above _LU_BORDER rows) and a batched back solve.  A program with
 no group is factored as one dense block.  When a Cholesky needed a
 ridge on the diagonal of M, each solve of that iteration takes one
-refinement step against the unregularized Schur complement.  A presolve
-pass keeps, in order, each equality row whose distance from the span of
-the rows kept before it passes a rank test (threshold 1e-10), and checks
-the right-hand sides of the dropped rows.  A row that shares no entry with
-another row is orthogonal to all of them and is kept when its norm passes;
-the rest go through one QR of their dense stack, built from the per-entry
-sums the norms came from, and one least-squares solve.
+refinement step, its residual that of the unregularized M computed from
+the rows as A(W A^T(x) W), so no part of M is read outside its
+factorization.  A presolve pass keeps, in order, each equality row whose
+distance from the span of the rows kept before it passes a rank test
+(threshold 1e-10), and checks the right-hand sides of the dropped rows.
+A row that shares no entry with another row is orthogonal to all of them
+and is kept when its norm passes; the rest go through one QR of their
+dense stack, built from the per-entry sums the norms came from, and one
+least-squares solve.
 
 Solves are deterministic per numpy/BLAS build and BLAS thread count: with
 both fixed, identical inputs give bit-identical iterates; another build or
@@ -484,21 +486,6 @@ def _schur(lay: _Layout, ws) -> tuple:
     )
 
 
-def _schur_dot(lay: _Layout, parts: tuple, v: np.ndarray) -> np.ndarray:
-    """M @ v, read from the parts of _schur.  The padding reads any entry of
-    v: nothing couples to it, and what it gives is dropped."""
-    priv, coup, border = parts
-    nb = len(border)
-    vp = v.take(lay.priv, mode="clip")[:, :, None]
-    vb = v[lay.border]
-    vs = vb.take(lay.sep, mode="clip")[:, :, None]
-    up = np.bincount(lay.sep.ravel(), (coup.transpose(0, 2, 1) @ vp).ravel(), nb + 1)
-    out = np.empty(lay.m + 1)
-    out[lay.priv] = (priv @ vp + coup @ vs)[:, :, 0]
-    out[lay.border] = border @ vb + up[:nb]
-    return out[:-1]
-
-
 def _factor(lay: _Layout, parts: tuple, ridge: float) -> tuple:
     """M + ridge * I factored in the split of _split: (L, E, (chol, B)) with
     L L^T the groups' private blocks, E = L^-1 coup, B the border's Schur
@@ -571,6 +558,11 @@ def _apply_at(lay: _Layout, y: np.ndarray) -> list:
     flat = np.bincount(lay.pos, lay.half * y[lay.row], minlength=lay.bounds[-1])
     spans = zip(lay.bounds, lay.bounds[1:], lay.sizes)
     return [flat[lo:hi].reshape(-1, d, d) for lo, hi, d in spans]
+
+
+def _schur_times(lay: _Layout, ws, x: np.ndarray) -> np.ndarray:
+    """M @ x = A(W A^T(x) W), through the rows: no part of M is read."""
+    return _apply_a(lay, [w @ a @ w for w, a in zip(ws, _apply_at(lay, x))])
 
 
 def _inner(a, b) -> float:
@@ -692,7 +684,9 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, *, _accept=None) -> SdpSol
     residuals hold the final relative gap, the scaled primal and dual
     residuals, the smallest block eigenvalue, max_ridge, the largest
     multiple of the identity added to the Schur complement when a Cholesky
-    of its factorization failed (0.0 when it never did), and
+    of its factorization failed (0.0 when it never did), ridged_iterations,
+    the number of iterations that needed that ridge, each of whose normal
+    solves takes one refinement step (0 exactly when max_ridge is 0), and
     centering_fallbacks, the number of iterations that dropped the
     corrector's second-order term (0 when it was always kept).
 
@@ -733,7 +727,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, *, _accept=None) -> SdpSol
     b_norm = 1.0 + float(np.abs(rhs).max())
     c_norm = 1.0 + scale_c
     status, stop = "numerical-failure", "iteration-limit"
-    iterations = stall = fallbacks = 0
+    iterations = stall = fallbacks = ridged = 0
     rel_gap = rp_norm = rd_norm = np.inf
     max_ridge = 0.0
 
@@ -770,6 +764,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, *, _accept=None) -> SdpSol
                     factor = _factor(lay, parts, ridge)
                     break
                 except np.linalg.LinAlgError:
+                    ridged += ridge == 0.0  # the first failure of this iteration
                     priv, _, border = parts  # the first ridge scales with M's mean diagonal
                     trace = np.trace(border) + np.trace(priv, axis1=1, axis2=2).sum() - len(lay.pad)
                     ridge = max(ridge * 100.0, 1e-14 * max(trace / m, 1.0))
@@ -779,12 +774,13 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, *, _accept=None) -> SdpSol
 
             # An unridged factor gives a normwise backward stable solve by
             # itself.  A ridged one solves M + ridge * I, so one refinement
-            # step against the unridged M follows: with no refinement at
-            # all the tolerance sweep failed at _SUBST_BLOCK 16, 64 and 128.
+            # step follows, its residual that of the unridged M computed
+            # from the rows: with no refinement at all the tolerance sweep
+            # failed at _SUBST_BLOCK 16, 64 and 128.
             def solve_normal(vec):
                 out = _factor_solve(lay, factor, vec)
                 if ridge:
-                    out += _factor_solve(lay, factor, vec - _schur_dot(lay, parts, out))
+                    out += _factor_solve(lay, factor, vec - _schur_times(lay, ws, out))
                 return out
 
             def directions(rmats):
@@ -871,6 +867,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, *, _accept=None) -> SdpSol
             "dual": float(rd_norm),
             "min_eig": min_eig,
             "max_ridge": float(max_ridge),
+            "ridged_iterations": ridged,
             "centering_fallbacks": fallbacks,
         }),
         stop=stop,

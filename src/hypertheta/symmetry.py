@@ -279,7 +279,7 @@ def mantel_pair_orbit_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     labels = pair_orbits(symmetric_group_pair_action(n))
     common = {  # points shared by the two edges of the orbit's smallest pair
         len(set(pairs[p // len(pairs)]) & set(pairs[p % len(pairs)])): p
-        for p in np.unique(labels).tolist()
+        for p in sorted(set(labels.ravel().tolist()))
     }
     return tuple((labels == common.get(c, -1)).astype(float) for c in (2, 1, 0))
 

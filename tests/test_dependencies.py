@@ -47,12 +47,60 @@ def test_every_exported_name_resolves():
         assert missing == [], info.name
 
 
+# The package's paths, run in a fresh interpreter: theta in both forms, the
+# gauges, the transitive programs and their groups, hoff, alpha, chi_star and
+# the Hamming LPs.  numpy.ma costs about 20 ms to import, and np.unique loads
+# it unless asked for index outputs (sdp._distinct).
+PATHS = """
+import random, sys
+from hypertheta.hamming import theta_hamming_link_lp, theta_hamming_lp
+from hypertheta.hoffman import hoff, uniform_weighted
+from hypertheta.hypercore import alpha, chi_star, complement, cycle_graph, random_hypergraph
+from hypertheta.symmetry import (
+    dihedral_group, mantel_hypergraph, mantel_pair_orbit_matrices, pair_orbits,
+    symmetric_group_pair_action, theta_transitive, verify_automorphisms,
+)
+from hypertheta.thetabody import theta, theta_dual, theta_membership
+
+c5, c7, m5 = cycle_graph(5), cycle_graph(7), mantel_hypergraph(5)
+forms = {theta(hg).diagnostics["form"] for hg in (c5, c7)}
+theta_membership(c5, [0.4] * 5)
+theta_membership(m5, [0.5] * m5.n)
+theta_dual(c5, [1.0] * 5)
+for hg, group in ((c7, dihedral_group(7)), (m5, symmetric_group_pair_action(5))):
+    assert verify_automorphisms(hg, group)
+    pair_orbits(group)
+    theta_transitive(hg, group)
+mantel_pair_orbit_matrices(5)
+hoff(uniform_weighted(m5))
+alpha(random_hypergraph(8, 3, 0.4, random.Random(1)))
+chi_star(complement(c5))
+theta_hamming_lp(6, 2)
+theta_hamming_link_lp(6, 2)
+print(" ".join(sorted(forms)), "numpy.ma" in sys.modules)
+"""
+
+
+def test_package_paths_leave_numpy_ma_unloaded():
+    src = os.path.dirname(os.path.dirname(hypertheta.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", PATHS],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.split() == ["free", "rows", "False"]
+
+
 def test_benchmark_call_sites_resolve():
-    # The benchmark's workloads and the sweep and digest tools call the
+    # The benchmark's workloads and the sweep, digest and tight tools call the
     # package by name; parsed, not imported, so that nothing is written next
     # to them.
     root = os.path.join(os.path.dirname(__file__), os.pardir)
-    for rel in ("perfbench/workloads.py", "tools/sweep_table.py", "tools/solve_digest.py"):
+    rels = ("perfbench/workloads.py", "tools/sweep_table.py", "tools/solve_digest.py", "tools/tight_random.py")
+    for rel in rels:
         with open(os.path.join(root, rel)) as fh:
             tree = ast.parse(fh.read(), rel)
         modules = {}  # local alias -> the hypertheta module it names

@@ -34,7 +34,7 @@ from hypertheta.numlin.sdp import (
     _prepare,
     _presolve,
     _schur,
-    _schur_dot,
+    _schur_times,
     _second_order,
     _stacked,
     _sym,
@@ -580,9 +580,25 @@ def _problem_solved_by(monkeypatch, call):
     return caught.value.args[0]
 
 
+def _assembled(lay, parts):
+    """The m x m matrix M that the split parts of _schur hold: each group's
+    private block and its coupling to its separator, both ways, and the
+    border block.  The padding lands in a spare last row and column."""
+    priv, coup, border = parts
+    m = lay.m
+    out = np.zeros((m + 1, m + 1))
+    out[np.ix_(lay.border, lay.border)] = border
+    to_row = np.append(lay.border, m)  # a separator's border place -> its row
+    for rows, seps, block, tie in zip(lay.priv, lay.sep, priv, coup):
+        out[np.ix_(rows, rows)] = block
+        out[np.ix_(rows, to_row[seps])] = tie
+        out[np.ix_(to_row[seps], rows)] = tie.T
+    return out[:m, :m]
+
+
 class TestSchur:
     """_schur against sum_b <A_ib, W_b A_jb W_b> from the dense constraint view,
-    read through its split parts column by column as M @ e_j."""
+    read through its split parts as the dense M they hold."""
 
     @staticmethod
     def check(problem, kept=None, seed=0):
@@ -599,7 +615,7 @@ class TestSchur:
                 want[a, b] = sum(np.vdot(ra[k], ws[k] @ rb[k] @ ws[k]) for k in both)
         lay = _prepare(problem, kept)
         parts = _schur(lay, _stacked(lay, ws))
-        got = np.stack([_schur_dot(lay, parts, e) for e in np.eye(len(kept))], axis=1)
+        got = _assembled(lay, parts)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_theta_program(self):
@@ -661,7 +677,8 @@ def _dense_rows(problem):
 
 class TestTreeFactor:
     """_factor and _factor_solve against np.linalg.solve on the dense M, and
-    _schur_dot against the dense M @ v."""
+    _schur_times, the product a ridged solve refines with, computed from the
+    rows, against the dense M @ v."""
 
     @staticmethod
     def check(problem, groups, seed=0):
@@ -670,13 +687,14 @@ class TestTreeFactor:
         ws = [_random_spd(rng, 1, d)[0] + np.eye(d) for d in problem.block_dims]
         lay = _prepare(problem, kept)
         assert lay.priv.shape[0] == groups
-        parts = _schur(lay, _stacked(lay, ws))
+        stacks = _stacked(lay, ws)
+        parts = _schur(lay, stacks)
         m = len(kept)
         assert sum(p.size for p in parts) <= m * m  # m * m only with no group
         dense = _dense_schur(problem, kept, ws)
         v = rng.normal(size=m)
         scale = np.abs(dense) @ np.abs(v)
-        assert np.abs(_schur_dot(lay, parts, v) - dense @ v).max() <= 1e-13 * scale.max()
+        assert np.abs(_schur_times(lay, stacks, v) - dense @ v).max() <= 1e-13 * scale.max()
         for ridge in (0.0, 1e-2 * np.trace(dense) / m):
             want = np.linalg.solve(dense + ridge * np.eye(m), v)
             low, e, (chol, schur) = _factor(lay, parts, ridge)
@@ -1267,6 +1285,47 @@ class TestSdp:
         s, unrefined = solve(mantel_hypergraph(4), 1e-11)
         assert s.residuals["max_ridge"] > 0.0
         assert unrefined < len(calls) <= 2 * unrefined
+
+    def test_ridged_iterations_count_the_refined_normal_solves(self, monkeypatch):
+        # Each iteration before the stop makes two or three normal solves
+        # (test_centering_fallbacks_count_the_extra_normal_solves); on a
+        # ridged iteration each of them is two border solves, the second
+        # the refinement step.
+        calls = []
+        border_solve = sdp._border_solve
+
+        def counted(border, vec):
+            calls.append(1)
+            return border_solve(border, vec)
+
+        monkeypatch.setattr(sdp, "_border_solve", counted)
+        seen = set()
+        for hg, tol in ((cycle_graph(5), 1e-8), (mantel_hypergraph(4), 1e-11), (mantel_hypergraph(4), 1e-8)):
+            calls.clear()
+            s = solve_sdp(assemble_theta_sdp(hg)[0], tol=tol)
+            assert s.status == "optimal"
+            ridged = s.residuals["ridged_iterations"]
+            assert (ridged == 0) is (s.residuals["max_ridge"] == 0.0)
+            assert 0 <= ridged <= s.iterations
+            unrefined = 2 * (s.iterations - 1) + s.residuals["centering_fallbacks"]
+            assert unrefined + 2 * ridged <= len(calls) <= unrefined + 3 * ridged
+            seen.add(ridged > 0)
+        assert seen == {False, True}
+
+    def test_a_breakdown_counts_its_ridged_iteration(self, monkeypatch):
+        # Eight failed ridges end the first iteration: it needed a ridge and
+        # made no normal solve.
+        cholesky = np.linalg.cholesky
+
+        def failing(mat):
+            if mat.ndim > 2:
+                return cholesky(mat)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        s = solve_sdp(assemble_theta_sdp(cycle_graph(5))[0])
+        assert (s.stop, s.iterations) == ("breakdown", 1)
+        assert s.residuals["ridged_iterations"] == 1 and s.residuals["max_ridge"] > 0.0
 
     @pytest.mark.parametrize(
         "dims, objective, rows",

@@ -1,6 +1,6 @@
 """Print one digest line per SDP solve of one ladder and one batch pass.
 
-    python tools/solve_digest.py [--src DIR] [--seed N] [--against DIR]
+    python tools/solve_digest.py [--src DIR] [--seed N] [--against DIR [--rel R]]
 
 Builds the ladder and batch workloads of this checkout's
 perfbench/workloads.py at the seed (default 7), runs the calls of one pass
@@ -12,8 +12,13 @@ programs in the same form and reached the same value bits in the same
 iterations.  --src names the source directory to import the package from
 (default: this checkout's src).  With --against DIR, both sources run, each
 in a fresh interpreter, and the tool prints "identical: N solves" or the
-first pair of lines that differ, exiting 1 on a difference.  The workloads
-are read, not written: no bytecode is cached next to them.
+first pair of lines that differ, exiting 1 on a difference.  With --rel R
+as well, the primal values of a pair may differ by at most
+R * max(1, |value|), value the one from --against; everything before them
+must still match.  The tool then prints "within R: N solves, K values
+differ, largest relative difference X", or the first pair out of bounds,
+exiting 1.  The workloads are read, not written: no bytecode is cached
+next to them.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +70,19 @@ def _lines(seed: int) -> list[str]:
     return lines
 
 
+def _relative(a: str, b: str) -> float:
+    """|value_a - value_b| / max(1, |value_b|) for two digest lines that
+    match up to their primal values; inf when anything else differs."""
+    (head_a, value_a), (head_b, value_b) = a.rsplit(" ", 1), b.rsplit(" ", 1)
+    if head_a != head_b:
+        return math.inf
+    x, y = float.fromhex(value_a), float.fromhex(value_b)
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    diff = abs(x - y) / max(1.0, abs(y))
+    return math.inf if math.isnan(diff) else diff
+
+
 def run(src: str, seed: int) -> list[str]:
     """The digest lines of src, from a fresh interpreter with one BLAS thread."""
     env = {**os.environ, **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
@@ -79,8 +98,11 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--against", metavar="DIR", help="a second source directory to compare with")
+    parser.add_argument("--rel", type=float, metavar="R", help="the primal values' relative bound, with --against")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.rel is not None and args.against is None:
+        parser.error("--rel needs --against")
     if args.worker:
         sys.dont_write_bytecode = True
         sys.path.insert(0, args.src)
@@ -91,14 +113,22 @@ def main(argv=None) -> int:
         print("\n".join(ours))
         return 0
     theirs = run(args.against, args.seed)
+    diffs = []
     for k, (a, b) in enumerate(zip(ours, theirs)):
-        if a != b:
+        diffs.append(0.0 if a == b else math.inf if args.rel is None else _relative(a, b))
+        if diffs[-1] > (args.rel or 0.0):
             print(f"solve {k} differs:\n  {args.src}: {a}\n  {args.against}: {b}")
             return 1
     if len(ours) != len(theirs):
         print(f"{args.src} made {len(ours)} solves, {args.against} {len(theirs)}")
         return 1
-    print(f"identical: {len(ours)} solves")
+    if args.rel is None:
+        print(f"identical: {len(ours)} solves")
+    else:
+        print(
+            f"within {args.rel:g}: {len(ours)} solves, {sum(d > 0 for d in diffs)} values differ, "
+            f"largest relative difference {max(diffs, default=0.0):.2g}"
+        )
     return 0
 
 

@@ -1,6 +1,6 @@
 """Print the tolerance-sweep table of numlin.solve_sdp.
 
-    python tools/sweep_table.py [--src DIR]
+    python tools/sweep_table.py [--src DIR] [--against DIR]
 
 Solves the uniform-measure theta of Mantel 4, Mantel 5 and K3(3), where it
 meets the Hoffman bound hoff, at tol 1e-8 to 1e-11, with 1 and 2 BLAS
@@ -18,7 +18,9 @@ and its block stacks (k blocks padded to d x d read "k of dxd").  Each cell
 reads "iterations / max_ridge / centering fallbacks / |value - hoff|"; a
 solve that does not end "optimal" is marked FAIL with its status.  --src
 names the source directory to import the package from (default: this
-checkout's src), so that two checkouts can be compared.  OpenBLAS reads its
+checkout's src).  With --against DIR, both sources run and the tool
+prints each cell that differs as "case tol, threads, block: against → src",
+then the summary line of --against and that of --src.  OpenBLAS reads its
 thread count when it loads, so each count runs in a fresh interpreter.
 
 tests/test_hoffman.py loads this file and gates every cell of run() on
@@ -142,25 +144,50 @@ def format_table(rows: list[dict]) -> str:
         for tol in TOLS:
             cells = (_cell(table[name, tol, t, b]) for t, b in cols)
             lines.append(f"| {name} {tol:.0e} | " + " | ".join(cells) + " |")
+    lines.append(_summary(rows))
+    return "\n".join(lines)
+
+
+def _summary(rows: list[dict]) -> str:
     worst = max(rows, key=lambda r: r["iters"])
-    lines.append(
+    return (
         f"worst: {worst['iters']} iterations ({worst['case']} {worst['tol']:.0e}, "
         f"{worst['threads']} thr, block {worst['block']}); largest max_ridge {max(r['ridge'] for r in rows):.2g}; "
         f"failures {sum(r['status'] != 'optimal' for r in rows)}"
     )
+
+
+def format_changes(before: list[dict], after: list[dict], names: tuple) -> str:
+    """Each cell of two run()s' records that differs, as "before → after",
+    then the summary line of each, headed by its name."""
+    def key(r):
+        return r["case"], r["tol"], r["threads"], r["block"]
+
+    old = {key(r): _cell(r) for r in before}
+    lines = []
+    for r in after:
+        if old[key(r)] != _cell(r):
+            lines.append(
+                f"{r['case']} {r['tol']:.0e}, {r['threads']} thr, block {r['block']}: "
+                f"{old[key(r)]} → {_cell(r)}"
+            )
+    lines += [f"{name}: {_summary(rows)}" for name, rows in zip(names, (before, after))]
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--against", metavar="DIR", help="a second source directory to compare with")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         sys.path.insert(0, args.src)
         print(json.dumps(_rows()))
-    else:
+    elif args.against is None:
         print(format_table(run(args.src)))
+    else:
+        print(format_changes(run(args.against), run(args.src), (args.against, args.src)))
     return 0
 
 
