@@ -6,7 +6,8 @@ floats are rendered with 12 significant digits and exact rationals as
 thread count produce byte-identical output.  Two commands print more:
 check prints one line per property before its JSON line, and scan-decay
 without --out prints its CSV in place of the JSON line.  Exit codes:
-0 success, 2 bad input, 3 solver failure.
+0 success, 2 bad input, 3 solver failure.  A decimal field beyond the
+double range (mantel, hamming) reads null.
 """
 
 from __future__ import annotations
@@ -147,6 +148,14 @@ def _cmd_member(args) -> int:
     return 0
 
 
+def _decimal(value):
+    """float(value), or None for a value beyond the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def _cmd_mantel(args) -> int:
     value, a, b = mantel_theta(args.n)
     _emit(
@@ -156,7 +165,7 @@ def _cmd_mantel(args) -> int:
             "value": value,
             "alpha": a,
             "beta": b,
-            "value_decimal": float(value),
+            "value_decimal": _decimal(value),
         }
     )
     return 0
@@ -175,8 +184,8 @@ def _cmd_hamming(args) -> int:
             "M_Q": mq,
             "M_K_argmin": mk_arg,
             "M_Q_argmin": mq_arg,
-            "theta_decimal": float(th),
-            "theta_link_decimal": float(th0),
+            "theta_decimal": _decimal(th),
+            "theta_link_decimal": _decimal(th0),
         }
     )
     return 0

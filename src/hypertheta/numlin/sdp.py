@@ -39,10 +39,11 @@ that share a block, and factored in the order of the block tree (George &
 Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981;
 Vandenberghe & Andersen, Found. Trends Optim. 1, 2015).  Once per solve the
 rows are split: the border is the rows on the block most rows touch, and
-the other rows fall into groups that share no block, each coupled in M
-only to its separator, the border rows on its blocks.  M is never formed
-as an m x m array: every iteration scatters it into the groups' private
-blocks, their couplings to their separators and the border block.  One
+the other rows fall into groups that share no block (found by
+_least_labels, which symmetry.pair_orbits shares), each coupled in M only
+to its separator, the border rows on its blocks.  M is never formed as an
+m x m array: every iteration scatters it into the groups' private blocks,
+their couplings to their separators and the border block.  One
 batched Cholesky factors the private blocks, one batched solve eliminates
 the couplings, and the border's Schur complement gets one Cholesky; a
 normal solve is a batched forward solve over the groups, one LU solve by
@@ -300,6 +301,22 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _least_labels(n: int, edges) -> np.ndarray:
+    """The least node of each node's component, over nodes 0..n-1 and the
+    edges (a[k], b[k]) of each pair of index arrays (a, b) in edges, by
+    min-label propagation and pointer jumping until a sweep changes nothing."""
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        for a, b in edges:
+            np.minimum.at(label, a, label[b])
+            np.minimum.at(label, b, label[a])
+        if (label == before).all():
+            return label
+        while not ((jumped := label[label]) == label).all():
+            label = jumped
+
+
 def _split(row: np.ndarray, blk: np.ndarray, m: int, nblk: int):
     """The kept rows split for a Cholesky factorization of the Schur
     complement ordered by the block tree; row and blk are the kept terms'.
@@ -315,7 +332,7 @@ def _split(row: np.ndarray, blk: np.ndarray, m: int, nblk: int):
     Returns (group, place, sep): per kept row its group (-1 on the border)
     and its place in kept order within the group or the border, and the
     (G, Q) border places of each group's separator, ascending and padded
-    with nb, the number of border rows.
+    with nb, the number of border rows.  _least_labels finds the components.
     """
     r, b = np.divmod(_distinct(row * nblk + blk), nblk)
     root = np.bincount(b, minlength=nblk).argmax()
@@ -323,16 +340,9 @@ def _split(row: np.ndarray, blk: np.ndarray, m: int, nblk: int):
     on_border[r[b == root]] = True
     inner = ~on_border[r]
     ri, bi = r[inner], b[inner]
-    lab = np.arange(nblk)  # per block, the least block found in its component
-    while True:
-        low = np.full(m, nblk)
-        np.minimum.at(low, ri, lab[bi])
-        new = lab.copy()
-        np.minimum.at(new, bi, low[ri])
-        new = new[new]
-        if (new == lab).all():
-            break
-        lab = new
+    low = np.full(m, nblk)  # per row, its least block
+    np.minimum.at(low, ri, bi)
+    lab = _least_labels(nblk, [(bi, low[ri])])  # per block, the least block of its component
     comp = np.full(m, nblk)  # per row, its component; nblk on the border
     comp[ri] = lab[bi]
     on_sep = on_border[r] & (b != root)
@@ -595,6 +605,12 @@ def _chol_solve(chol: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eig_minima(blocks):
+    """Per block size, the least eigenvalue of its blocks, by one eigvalsh call."""
+    for d in {len(b) for b in blocks}:
+        yield float(np.linalg.eigvalsh(np.stack([b for b in blocks if len(b) == d])).min())
+
+
 def _max_step(z: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Per block of one stack, the largest a with x + a*dx psd, computed
     through the whitened pencil z^T dx z, for any z with z^T x z = I.  A
@@ -837,10 +853,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, *, _accept=None) -> SdpSol
     dobj = float(y @ rhs)
     gap = _inner(xs, ss)
     blocks = tuple(xs[g][slot, :d, :d].copy() for d, (g, slot) in zip(problem.block_dims, lay.where))
-    min_eig = min(
-        float(np.linalg.eigvalsh(np.stack([b for b in blocks if len(b) == d])).min())
-        for d in set(problem.block_dims)
-    )
+    min_eig = min(_eig_minima(blocks))
     # A guard against roundoff only.  In exact arithmetic X stays positive
     # definite: X0 = scale0 * I, and a step of at most gamma <= 0.99 of the
     # largest PSD step gives X_new >= (1 - gamma) X, while a step taken when

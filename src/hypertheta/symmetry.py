@@ -3,11 +3,12 @@
 Permutation groups act on vertices; invariance of the weight vector lets the
 SDP restrict to invariant matrices.  Orbits come from one integer label
 array over ordered pairs: each pair (x, y), as point x * n + y, carries the
-smallest point of its orbit, found by min-label propagation over the
-generators' images.  Its diagonal gives the vertex orbits: (x, x) carries
-(n + 1) times the smallest vertex of x's orbit.  For a vertex-transitive
-action the whole program collapses to one normalized invariant PSD matrix
-with a single link-membership constraint at a base vertex.  When the
+smallest point of its orbit, found by the Schur split's min-label routine
+(numlin.sdp._least_labels) over the edges from each pair to its images.
+Its diagonal gives the vertex orbits: (x, x) carries (n + 1) times the
+smallest vertex of x's orbit.  For a vertex-transitive action the whole
+program collapses to one normalized invariant PSD matrix with a single
+link-membership constraint at a base vertex.  When the
 symmetrized orbital matrices A_k + A_k' commute, as they do for the pair
 action of S_n and the cyclic, dihedral and Hamming groups, an invariant
 matrix is a combination of the projectors onto their common eigenspaces,
@@ -36,6 +37,7 @@ import numpy as np
 
 from .hypercore import Hypergraph, HypergraphError, link
 from .numlin import SdpProblem, solve_lp
+from .numlin.sdp import _least_labels
 from .thetabody import _attach_link, _Builder, _solved, theta
 
 __all__ = [
@@ -76,25 +78,6 @@ class PermGroup:
         object.__setattr__(self, "generators", tuple(gens))
 
 
-def _orbit_labels(group: PermGroup) -> np.ndarray:
-    """Label each ordered pair (x, y), as point x * n + y, by the smallest
-    point of its orbit: min-label propagation along the edges p -> g(p) with
-    pointer jumping, until a sweep changes no label."""
-    n = group.degree
-    gens = np.array(group.generators, dtype=np.intp).reshape(len(group.generators), n)
-    label = np.arange(n * n)
-    while True:
-        before = label
-        for g in gens:
-            image = (g[:, None] * n + g).ravel()
-            label = np.minimum(label, label[image])
-            label[image] = np.minimum(label[image], label)
-        while not np.array_equal(jumped := label[label], label):
-            label = jumped
-        if np.array_equal(label, before):
-            return label
-
-
 def pair_orbits(group: PermGroup) -> np.ndarray:
     """Orbits of ordered vertex pairs under the diagonal action, as the
     read-only (n, n) array labels[x, y] = the smallest x' * n + y' over the
@@ -102,7 +85,9 @@ def pair_orbits(group: PermGroup) -> np.ndarray:
     n = group.degree
     if n * n > PAIR_CLOSURE_CAP:
         raise HypergraphError(f"pair closure would exceed cap {PAIR_CLOSURE_CAP}")
-    labels = _orbit_labels(group).reshape(n, n)
+    gens = np.array(group.generators, dtype=np.intp).reshape(len(group.generators), n)
+    edges = [(np.arange(n * n), (g[:, None] * n + g).ravel()) for g in gens]  # pair -> image pair
+    labels = _least_labels(n * n, edges).reshape(n, n)
     labels.flags.writeable = False
     return labels
 

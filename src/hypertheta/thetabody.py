@@ -75,6 +75,7 @@ from .hypercore import (
     link,
 )
 from .numlin import SdpProblem, SdpSolution, border_rows, solve_sdp
+from .numlin.sdp import _eig_minima
 
 __all__ = [
     "ThetaCertificate",
@@ -473,20 +474,11 @@ def _gauge(
         top[0, 0] = 1.0
         return blocks[: root.blk] + (top,) + blocks[root.blk + 1 :]
 
-    proves = (lambda blocks: _psd(cornered(blocks))) if decide else None
+    proves = (lambda blocks: all(e >= 0 for e in _eig_minima(cornered(blocks)))) if decide else None
     sol, form = _solved_free(problem, tol, what, proves)
     if sol.status == "accepted":
         sol = replace(sol, blocks=cornered(sol.blocks), primal=-1.0)
     return -float(sol.primal), root, sol, form
-
-
-def _psd(blocks) -> bool:
-    """Every block has eigvalsh >= 0, by one eigvalsh call per block size."""
-    sizes = {len(b) for b in blocks}
-    return all(
-        np.linalg.eigvalsh(np.stack([b for b in blocks if len(b) == d])).min() >= 0.0
-        for d in sizes
-    )
 
 
 def theta_membership(

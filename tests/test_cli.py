@@ -150,6 +150,29 @@ class TestCommands:
         assert data["lambda_levels"] == pytest.approx([-0.5, -1.0], abs=1e-12)
         assert data["hoff"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
+    def test_mantel_beyond_the_double_range(self, capsys):
+        n = 10**160
+        code, out, err = run_cli(capsys, "mantel", "--n", str(n))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert Fraction(data["value"]) == Fraction(n * n, 4)
+        assert data["value_decimal"] is None
+
+    def test_hamming_beyond_the_double_range(self, capsys):
+        code, out, err = run_cli(capsys, "hamming", "--n", "1100", "--s", "2")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert Fraction(data["theta"]) > 2**1024
+        assert data["theta_decimal"] is None
+        assert data["theta_link"] == "550" and data["theta_link_decimal"] == 550
+
+    def test_hamming_decimal_at_the_top_of_the_double_range(self, capsys):
+        code, out, err = run_cli(capsys, "hamming", "--n", "1023", "--s", "2")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert isinstance(data["theta_decimal"], float)
+        assert data["theta_decimal"] == pytest.approx(float(Fraction(data["theta"])), rel=1e-11)
+
     def test_scan_decay_single_dimension(self, capsys):
         code, out, _ = run_cli(capsys, "scan-decay", "--c", "3", "--n", "30")
         assert code == 0

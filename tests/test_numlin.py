@@ -779,6 +779,123 @@ class TestTreeFactor:
         assert list(lay.border) == [2, 3, 4] and lay.sep.shape == (1, 0)
 
 
+def _union_find_least(n, edges):
+    """Reference for _least_labels: the least node of each node's component,
+    by union-find with the smaller root kept."""
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        for x, y in zip(a.tolist(), b.tolist()):
+            rx, ry = root(x), root(y)
+            parent[max(rx, ry)] = min(rx, ry)
+    return [root(x) for x in range(n)]
+
+
+def _split_reference(row, blk, m, nblk):
+    """Reference for _split by breadth-first search over the block graph, two
+    blocks adjacent when a row off the root block touches both."""
+    pairs = sorted(set(zip(row.tolist(), blk.tolist())))
+    touch = [sum(b == k for _, b in pairs) for k in range(nblk)]
+    root = touch.index(max(touch))
+    border = {r for r, b in pairs if b == root}
+    neighbours = {k: set() for k in range(nblk)}
+    blocks_of = {r: {b for q, b in pairs if q == r} for r in range(m)}
+    for r in set(range(m)) - border:
+        for b in blocks_of[r]:
+            neighbours[b] |= blocks_of[r]
+    comp = {}
+    for start in range(nblk):
+        if start in comp:
+            continue
+        comp[start], queue = start, [start]
+        while queue:
+            for c in neighbours[queue.pop()]:
+                if c not in comp:
+                    comp[c] = start
+                    queue.append(c)
+    members = {}  # component (its least block) -> (private rows, separator rows)
+    for r in range(m):
+        if r not in border:
+            members.setdefault(comp[min(blocks_of[r])], (set(), set()))[0].add(r)
+    for r in border:
+        for b in blocks_of[r] - {root}:
+            members.setdefault(comp[b], (set(), set()))[1].add(r)
+    groups = sorted(c for c, (own, seps) in members.items() if len(own) > len(seps))
+    for c, (own, _) in members.items():
+        if c not in groups:
+            border |= own
+    if not groups:
+        return [-1] * m, list(range(m)), np.zeros((0, 0), dtype=np.intp)
+    order = sorted(border)
+    group, place = [-1] * m, [order.index(r) if r in border else 0 for r in range(m)]
+    for g, c in enumerate(groups):
+        for k, r in enumerate(sorted(members[c][0])):
+            group[r], place[r] = g, k
+    seps = [sorted(order.index(r) for r in members[c][1]) for c in groups]
+    sep = np.full((len(groups), max(map(len, seps))), len(order))
+    for g, s in enumerate(seps):
+        sep[g, : len(s)] = s
+    return group, place, sep
+
+
+class TestSplit:
+    """_least_labels against union-find, and _split against a reference by
+    breadth-first search, on seeded random inputs."""
+
+    def test_least_labels_match_union_find(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(0, 25))
+            edges = []
+            for _ in range(rng.integers(0, 4)):
+                # repeated edges and self-loops come with the draws; some arrays are empty
+                k = int(rng.integers(0, 2 * n + 1)) if n else 0
+                edges.append((rng.integers(0, max(n, 1), k), rng.integers(0, max(n, 1), k)))
+            got = sdp._least_labels(n, edges)
+            assert got.tolist() == _union_find_least(n, edges)
+        assert sdp._least_labels(0, []).shape == (0,)
+        empty = np.zeros(0, dtype=np.intp)
+        assert sdp._least_labels(4, [(empty, empty)]).tolist() == [0, 1, 2, 3]
+        loops = np.array([0, 2, 2])
+        assert sdp._least_labels(3, [(loops, loops)]).tolist() == [0, 1, 2]
+
+    def test_split_matches_breadth_first_reference(self):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(300):
+            m, nblk = rng.randint(1, 24), rng.randint(1, 10)
+            row, blk = [], []
+            for r in range(m):
+                # every row on at least one block, the root candidate 0 often,
+                # and a term repeated now and then
+                touched = rng.sample(range(nblk), rng.randint(1, min(3, nblk)))
+                if rng.random() < 0.3:
+                    touched.append(0)
+                if rng.random() < 0.2:
+                    touched.append(touched[0])
+                row += [r] * len(touched)
+                blk += touched
+            order = list(range(len(row)))
+            rng.shuffle(order)
+            row, blk = np.array(row)[order], np.array(blk)[order]
+            group, place, sep = sdp._split(row, blk, m, nblk)
+            want_group, want_place, want_sep = _split_reference(row, blk, m, nblk)
+            assert group.tolist() == want_group
+            assert place.tolist() == want_place
+            assert sep.shape == want_sep.shape and (sep == want_sep).all()
+            distinct = set(zip(row.tolist(), blk.tolist()))
+            root = max(range(nblk), key=lambda k: (sum(b == k for _, b in distinct), -k))
+            joined = (group < 0).sum() > sum(b == root for _, b in distinct)
+            seen.add((sep.shape[0] > 0, bool(joined)))
+        # groups with and without components that joined the border, and no group
+        assert seen >= {(True, True), (True, False), (False, True)}
+
+
 def _diagonal_program(dims):
     """max <I, X> with X_b[0, 0] = 1 on every block: one kept row per block."""
     rows = [([(b, 0, 0, 1.0)], 1.0) for b in range(len(dims))]

@@ -196,21 +196,40 @@ def bfs_orbits(points, image, generators):
     return orbits
 
 
+def _random_group(seed):
+    """Degree 0 to 12 and up to three generators, drawn from the seed."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        # a random permutation of a random subset, so that some groups
+        # are intransitive
+        moved = rng.sample(range(n), rng.randint(0, n))
+        g = list(range(n))
+        for x, y in zip(moved, rng.sample(moved, len(moved))):
+            g[x] = y
+        gens.append(g)
+    return PermGroup(n, gens)
+
+
+# The random groups of 60 seeds, then the package's own groups.
+GROUPS = [
+    *(pytest.param(_random_group, seed, id=str(seed)) for seed in range(60)),
+    *(
+        pytest.param(make, n, id=f"{make.__name__}-{n}")
+        for make in (cyclic_group, dihedral_group)
+        for n in range(1, 10)
+    ),
+    *(pytest.param(symmetric_group_pair_action, n, id=f"pairs-S{n}") for n in range(2, 7)),
+    *(pytest.param(cube_group, n, id=f"cube_group-{n}") for n in range(1, 6)),
+]
+
+
 class TestOrbitLabels:
-    @pytest.mark.parametrize("seed", range(60))
-    def test_match_breadth_first_reference(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(0, 12)
-        gens = []
-        for _ in range(rng.randint(0, 3)):
-            # a random permutation of a random subset, so that some groups
-            # are intransitive
-            moved = rng.sample(range(n), rng.randint(0, n))
-            g = list(range(n))
-            for x, y in zip(moved, rng.sample(moved, len(moved))):
-                g[x] = y
-            gens.append(g)
-        group = PermGroup(n, gens)
+    @pytest.mark.parametrize("make, arg", GROUPS)
+    def test_match_breadth_first_reference(self, make, arg):
+        group = make(arg)
+        n = group.degree
         want_vertices = bfs_orbits(range(n), lambda g, x: g[x], group.generators)
         pairs = itertools.product(range(n), repeat=2)
         want_pairs = bfs_orbits(pairs, lambda g, p: (g[p[0]], g[p[1]]), group.generators)
