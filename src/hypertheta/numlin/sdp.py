@@ -345,7 +345,7 @@ def _split(row: np.ndarray, blk: np.ndarray, m: int, nblk: int):
     lab = _least_labels(nblk, [(bi, low[ri])])  # per block, the least block of its component
     comp = np.full(m, nblk)  # per row, its component; nblk on the border
     comp[ri] = lab[bi]
-    on_sep = on_border[r] & (b != root)
+    on_sep = on_border[r]
     sep_comp, sep_row = np.divmod(_distinct(lab[b[on_sep]] * m + r[on_sep]), m)
     private = np.bincount(comp[~on_border], minlength=nblk + 1)
     is_group = private > np.bincount(sep_comp, minlength=nblk + 1)

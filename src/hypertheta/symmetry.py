@@ -8,14 +8,16 @@ smallest point of its orbit, found by the Schur split's min-label routine
 Its diagonal gives the vertex orbits: (x, x) carries (n + 1) times the
 smallest vertex of x's orbit.  For a vertex-transitive action the whole
 program collapses to one normalized invariant PSD matrix with a single
-link-membership constraint at a base vertex.  When the
-symmetrized orbital matrices A_k + A_k' commute, as they do for the pair
-action of S_n and the cyclic, dihedral and Hamming groups, an invariant
-matrix is a combination of the projectors onto their common eigenspaces,
-and PSD-ness is one nonnegative scalar per eigenspace (Gatermann & Parrilo
-2004; Schrijver 2005).  They commute exactly when one random combination of
-the distinct ones has as many eigenspaces as there are of them; else the
-unreduced recursion of thetabody solves the instance.
+link-membership constraint at base vertex 0.  When the symmetrized orbital
+matrices A_k + A_k' commute, as they do for the pair action of S_n and the
+cyclic, dihedral and Hamming groups, an invariant matrix is a combination
+of the projectors onto their common eigenspaces, and PSD-ness is one
+nonnegative scalar per eigenspace (Gatermann & Parrilo 2004; Schrijver
+2005).  They commute exactly when one random combination of the distinct
+ones has as many eigenspaces as there are of them; else the unreduced
+recursion of thetabody solves the instance.  The program reads each
+projector only in its row at vertex 0 and through its entry sum, both from
+an orthonormal basis; automorphisms are checked by one sort per generator.
 
 The triangle-encoding family (vertices = edges of a complete graph, edges =
 triangles) is solved in closed form: its pair orbits form the two-class
@@ -93,18 +95,15 @@ def pair_orbits(group: PermGroup) -> np.ndarray:
 
 
 def verify_automorphisms(hg: Hypergraph, group: PermGroup) -> bool:
-    """True iff every generator maps every edge to an edge."""
+    """True iff every generator maps every edge to an edge.  The edges are
+    distinct sorted tuples in sorted order and a generator is a bijection, so
+    that holds iff its row-sorted images, put in order by one lexsort, equal them."""
     if group.degree != hg.n:
         return False
-    edges = np.sort(np.array(hg.edges, dtype=np.intp).reshape(-1, hg.r), axis=1)
+    edges = np.array(hg.edges, dtype=np.intp).reshape(-1, hg.r)
     for g in np.array(group.generators, dtype=np.intp).reshape(len(group.generators), hg.n):
-        rows = np.concatenate([edges, np.sort(g[edges], axis=1)])
-        # Rank the rows column by column: equal rows get equal keys, and no
-        # key exceeds len(rows) * n.
-        key = np.zeros(len(rows), dtype=np.intp)
-        for col in rows.T:
-            _, key = np.unique(key * hg.n + col, return_inverse=True)
-        if not np.isin(key[len(edges) :], key[: len(edges)]).all():
+        images = np.sort(g[edges], axis=1)
+        if not np.array_equal(images[np.lexsort(images.T[::-1])], edges):
             return False
     return True
 
@@ -118,7 +117,7 @@ _EIGEN_TOL = 1e-9
 
 
 def _common_eigenspaces(labels: np.ndarray) -> list[np.ndarray] | None:
-    """Projectors E_j onto the common eigenspaces of S_k = A_k + A_k', or None.
+    """Orthonormal bases Q_j (n × d_j) of the common eigenspaces of S_k = A_k + A_k', or None.
 
     The spaces are the eigenspaces of one fixed-seed random combination of
     the distinct S_k (eigenvalues within _EIGEN_TOL relative share a space),
@@ -136,29 +135,29 @@ def _common_eigenspaces(labels: np.ndarray) -> list[np.ndarray] | None:
     coef = np.random.default_rng(_EIGEN_SEED).standard_normal(len(keys))
     w, q = np.linalg.eigh(coef[cls.reshape(labels.shape)] * twice)
     cut = np.flatnonzero(np.diff(w) > _EIGEN_TOL * np.abs(w).max(initial=0.0))
-    if len(cut) + 1 != len(keys):
-        return None
-    return [qj @ qj.T for qj in np.split(q, cut + 1, axis=1)]
+    return np.split(q, cut + 1, axis=1) if len(cut) + 1 == len(keys) else None
 
 
 def _transitive_program(hg: Hypergraph, group: PermGroup) -> SdpProblem | None:
     """The eigenspace program theta_transitive solves, or None when
-    _common_eigenspaces finds no common eigenspaces."""
+    _common_eigenspaces finds no common eigenspaces.  It reads the projector
+    E_j = Q_j Q_j' only as its row 0, Q_j[0] Q_j', and its sum, |Q_j' 1|^2."""
     labels = pair_orbits(group)
     if np.diagonal(labels).any():  # some (x, x) lies outside the orbit of (0, 0)
         raise HypergraphError("group is not vertex transitive")
-    projectors = _common_eigenspaces(labels)
-    if projectors is None:
+    spaces = _common_eigenspaces(labels)
+    if spaces is None:
         return None
     builder = _Builder()
-    blocks = [builder.block(1) for _ in projectors]
+    blocks = [builder.block(1) for _ in spaces]
+    row0 = [q[0] @ q.T for q in spaces]  # E_j[0, :]
 
-    def entry(i, j):
-        return [(b, 0, 0, float(e[i, j])) for b, e in zip(blocks, projectors)]
+    def entry(i, j):  # i is always 0
+        return [(b, 0, 0, float(e[j])) for b, e in zip(blocks, row0)]
 
     builder.fix(entry(0, 0), 1.0)
     _attach_link(builder, entry, 0, *link(hg, 0))
-    objective = {b: np.array([[e.sum() / hg.n]]) for b, e in zip(blocks, projectors)}
+    objective = {b: np.array([[q.sum(axis=0) @ q.sum(axis=0) / hg.n]]) for b, q in zip(blocks, spaces)}
     return builder.problem(objective)
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from hypertheta import checks
 from hypertheta.cli import _build_parser, main, render_json
+from hypertheta.hoffman import read_weighted_hypergraph
 from hypertheta.hypercore import (
+    DEFAULT_ALPHA_CAP,
     alpha,
     complete_hypergraph,
     cycle_graph,
@@ -16,7 +18,7 @@ from hypertheta.hypercore import (
     write_hypergraph,
 )
 from hypertheta.symmetry import mantel_hypergraph
-from hypertheta.thetabody import theta
+from hypertheta.thetabody import theta, theta_dual, theta_membership
 
 PROPERTIES = dict(checks._PROPERTIES)
 SUBCOMMANDS = list(
@@ -149,6 +151,52 @@ class TestCommands:
         data = json.loads(out)
         assert data["lambda_levels"] == pytest.approx([-0.5, -1.0], abs=1e-12)
         assert data["hoff"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_valid_tolerance(self, capsys, edge3_file, tmp_path):
+        # a valid --tol reaches the library: each command prints what the
+        # library returns at that tol, not at the default
+        tol = 1e-3
+        hg = complete_hypergraph(3, 3)
+        vec = tmp_path / "f.txt"
+        vec.write_text("1\n1\n0\n")
+        whg = tmp_path / "edge.whg"
+        whg.write_text("3 3 1\n0 1 2 1\n")
+        wh = read_weighted_hypergraph(whg)
+        res = theta(hg, tol=tol)
+        member, cert = theta_membership(hg, [1, 1, 0], tol=tol)
+        want = {
+            ("theta", "--file", edge3_file): {
+                "value": float(res.value),
+                "iterations": res.diagnostics["iterations"],
+            },
+            ("theta-dual", "--file", edge3_file): {"value": float(theta_dual(hg, None, tol=tol).value)},
+            ("member", "--file", edge3_file, "--vec", str(vec)): {
+                "member": member,
+                "certificate_scale": float(cert.scale),
+            },
+            ("hoffman", "--file", str(whg)): {
+                "theta": float(theta(wh.hyper, [float(v) for v in wh.vertex_measure()], tol=tol).value)
+            },
+        }
+        assert res.value != theta(hg).value  # the tol changes what is printed
+        for argv, fields in want.items():
+            code, out, err = run_cli(capsys, *argv, "--tol", str(tol))
+            assert (code, err) == (0, ""), argv
+            data = json.loads(out)
+            for key, value in fields.items():
+                assert data[key] == json.loads(render_json(value)), (argv, key)
+
+    def test_hoffman_alpha_above_the_cap(self, capsys, tmp_path):
+        # past DEFAULT_ALPHA_CAP vertices the exact alpha is not computed
+        n = DEFAULT_ALPHA_CAP + 1
+        path = tmp_path / "cycle.whg"
+        edges = sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n))
+        path.write_text(f"2 {n} {n}\n" + "".join(f"{a} {b} {a % 3 + 1}\n" for a, b in edges))
+        code, out, err = run_cli(capsys, "hoffman", "--file", str(path))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["alpha"] is None
+        assert data["theta"] <= data["hoff"] + 1e-6
 
     def test_mantel_beyond_the_double_range(self, capsys):
         n = 10**160

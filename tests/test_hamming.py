@@ -294,6 +294,12 @@ class TestScan:
             assert triangles_exist(r.n, r.s)
             assert r.s == side_for(r.n, r.c)
 
+    def test_skips_points_without_triangles(self):
+        # at n = 1 and 2 the side for c = 2 is 0: no triangle, so no row
+        rows = decay_scan([1, 2, 3, 4], [2])
+        assert [(r.n, r.s) for r in rows] == [(3, 2), (4, 2)]
+        assert rows == decay_scan([3, 4], [2])
+
     def test_curve_ordering(self):
         rows = decay_scan([40, 60], [2, 3, 4])
         for n in (40, 60):

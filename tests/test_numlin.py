@@ -120,6 +120,20 @@ class TestLp:
         res = solve_lp([1], bounds=[(0, None)])
         assert res.status == "unbounded"
 
+    def test_default_bounds_are_nonnegative(self):
+        # bounds left out mean x >= 0 in both modes, for every outcome
+        cases = [
+            ([1, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1], "min"),  # optimal
+            ([1, -2], [[1, 1]], [3], "max"),  # optimal at a vertex
+            ([1, 0], [[1, -1]], [0], "max"),  # unbounded
+            ([1, 1], [[1, 1]], [-1], "max"),  # infeasible
+            ([-1, 2], None, None, "min"),  # unbounded with no rows
+        ]
+        for exact in (False, True):
+            for c, a, b, sense in cases:
+                got = solve_lp(c, a, b, sense=sense, exact=exact)
+                assert got == solve_lp(c, a, b, [(0, None)] * len(c), sense=sense, exact=exact)
+
     def test_degenerate_terminates(self):
         # classic cycling-prone instance; Bland's rule must terminate
         c = [Fraction(-3, 4), 150, Fraction(-1, 50), 6]

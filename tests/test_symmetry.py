@@ -136,9 +136,40 @@ class TestAutomorphisms:
             (cycle_graph(5), PermGroup(5, ()), True),
             (cycle_graph(5), cyclic_group(6), False),
         ]
+        # each group constructor on its own hypergraph
+        cases += [
+            (cycle_graph(n), build(n), True)
+            for n in range(3, 9)
+            for build in (cyclic_group, dihedral_group)
+        ]
+        cases += [(mantel_hypergraph(n), symmetric_group_pair_action(n), True) for n in range(3, 7)]
+        cases += [(hamming.build_hamming_hypergraph(n, 2), cube_group(n), True) for n in range(3, 6)]
         for hg, group, want in cases:
             assert loop_reference(hg, group) is want
             assert verify_automorphisms(hg, group) is want
+
+        # Seeded random hypergraphs, r = 1 to 4 on n = 0 to 9 vertices, each
+        # closed under its first random permutation, which is thus an
+        # automorphism; the others mostly are not.
+        rng = random.Random(39)
+        outcomes = set()
+        for _ in range(300):
+            r, n = rng.randint(1, 4), rng.randint(0, 9)
+            perms = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+            edges = set()
+            for _ in range(rng.randint(0, 10) if n >= r else 0):
+                e = tuple(sorted(rng.sample(range(n), r)))
+                while e not in edges:  # the edge's orbit under perms[0]
+                    edges.add(e)
+                    e = tuple(sorted(perms[0][v] for v in e))
+            hg = Hypergraph(r, n, tuple(edges))
+            groups = [perms, perms[:1], [], [tuple(range(n))], perms[1:]]
+            for gens in groups:
+                group = PermGroup(n, gens)
+                want = loop_reference(hg, group)
+                assert verify_automorphisms(hg, group) is want
+                outcomes.add((len(gens) > 0, want))
+        assert outcomes == {(False, True), (True, True), (True, False)}
 
 
 def orbit_sizes(labels):
@@ -442,8 +473,9 @@ class TestEigenspaceReduction:
             labels = pair_orbits(group)
             # a class joins the orbit of (x, y) with the orbit of (y, x)
             classes = np.minimum(labels, labels.T)
-            projectors = _common_eigenspaces(labels)
-            assert projectors is not None
+            spaces = _common_eigenspaces(labels)
+            assert spaces is not None
+            projectors = [q @ q.T for q in spaces]
             assert len(projectors) == len(np.unique(classes))
             assert np.allclose(sum(projectors), np.eye(group.degree), atol=1e-12)
             for e in projectors:

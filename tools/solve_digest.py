@@ -5,20 +5,21 @@
 Builds the ladder and batch workloads of this checkout's
 perfbench/workloads.py at the seed (default 7), runs the calls of one pass
 of each, with one BLAS thread and thetabody.solve_sdp wrapped, and prints a
-line per solve: the SHA-1 of the program solve_sdp receives (its
-block_dims, index, coef, rhs and objective bytes), then its rows, status,
-stop rule, iterations and primal value as float.hex().  Two sources that print the same lines solved the same
-programs in the same form and reached the same value bits in the same
-iterations.  --src names the source directory to import the package from
-(default: this checkout's src).  With --against DIR, both sources run, each
-in a fresh interpreter, and the tool prints "identical: N solves" or the
-first pair of lines that differ, exiting 1 on a difference.  With --rel R
-as well, the primal values of a pair may differ by at most
-R * max(1, |value|), value the one from --against; everything before them
-must still match.  The tool then prints "within R: N solves, K values
-differ, largest relative difference X", or the first pair out of bounds,
-exiting 1.  The workloads are read, not written: no bytecode is cached
-next to them.
+line per solve: the workload and the name of the call that made it, as
+"ladder | theta H(4,2) | ", then the SHA-1 of the program solve_sdp
+receives (its block_dims, index, coef, rhs and objective bytes), its rows,
+status, stop rule, iterations and primal value as float.hex().  Two
+sources that print the same lines solved the same programs in the same
+form and reached the same value bits in the same iterations.  --src names
+the source directory to import the package from (default: this
+checkout's src).  With --against DIR, both sources run, each in a fresh
+interpreter, and the tool prints "identical: N solves", or every pair of
+lines that differ, exiting 1 on a difference.  With --rel R as well, the
+primal values of a pair may differ by at most R * max(1, |value|), value
+the one from --against; everything before them must still match.  The
+tool then prints "within R: N solves, K values differ, largest relative
+difference X", or every pair out of bounds, exiting 1.  The workloads are
+read, not written: no bytecode is cached next to them.
 """
 
 from __future__ import annotations
@@ -52,20 +53,22 @@ def _lines(seed: int) -> list[str]:
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    built = [workloads.build(name, seed, Path(os.devnull)) for name in ("ladder", "batch")]
+    names = ("ladder", "batch")
+    built = [workloads.build(name, seed, Path(os.devnull)) for name in names]
 
-    lines = []
+    lines, where = [], [""]
     solve_sdp = thetabody.solve_sdp
 
     def wrapped(problem, *args, **kwargs):
         sol = solve_sdp(problem, *args, **kwargs)
-        lines.append(_digest(problem, sol))
+        lines.append(f"{where[0]} | {_digest(problem, sol)}")
         return sol
 
     thetabody.solve_sdp = wrapped
-    for workload in built:
+    for name, workload in zip(names, built):
         res: dict = {}
         for call in workload.calls:
+            where[0] = f"{name} | {call.name}"
             res[call.name] = call.run(res)
     return lines
 
@@ -113,14 +116,16 @@ def main(argv=None) -> int:
         print("\n".join(ours))
         return 0
     theirs = run(args.against, args.seed)
-    diffs = []
+    diffs, failed = [], False
     for k, (a, b) in enumerate(zip(ours, theirs)):
         diffs.append(0.0 if a == b else math.inf if args.rel is None else _relative(a, b))
         if diffs[-1] > (args.rel or 0.0):
             print(f"solve {k} differs:\n  {args.src}: {a}\n  {args.against}: {b}")
-            return 1
+            failed = True
     if len(ours) != len(theirs):
         print(f"{args.src} made {len(ours)} solves, {args.against} {len(theirs)}")
+        failed = True
+    if failed:
         return 1
     if args.rel is None:
         print(f"identical: {len(ours)} solves")
