@@ -10,16 +10,14 @@ line per solve: the workload and the name of the call that made it, as
 receives (its block_dims, index, coef, rhs and objective bytes), its rows,
 status, stop rule, iterations and primal value as float.hex().  Two
 sources that print the same lines solved the same programs in the same
-form and reached the same value bits in the same iterations.  --src names
-the source directory to import the package from (default: this
-checkout's src).  With --against DIR, both sources run, each in a fresh
-interpreter, and the tool prints "identical: N solves", or every pair of
-lines that differ, exiting 1 on a difference.  With --rel R as well, the
-primal values of a pair may differ by at most R * max(1, |value|), value
-the one from --against; everything before them must still match.  The
-tool then prints "within R: N solves, K values differ, largest relative
-difference X", or every pair out of bounds, exiting 1.  The workloads are
-read, not written: no bytecode is cached next to them.
+form and reached the same value bits in the same iterations.  --src and
+--against follow tools/_sources.py: with --against DIR, the tool prints
+each pair of lines that differs and then "identical: N solves", N the
+solves whose lines match.  With --rel R as well, a pair passes when its
+rows, status, stop rule and iterations match and its primal values differ
+by at most R * max(1, |value|), value the one from --against; the program
+hashes may differ.  The closing line is then "within R: N solves, K values
+differ, largest relative difference X, P programs differ".
 """
 
 from __future__ import annotations
@@ -29,9 +27,12 @@ import hashlib
 import importlib.util
 import math
 import os
-import subprocess
 import sys
 from pathlib import Path
+
+sys.dont_write_bytecode = True  # importing _sources leaves tools/ unwritten
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import _sources  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,68 +75,54 @@ def _lines(seed: int) -> list[str]:
 
 
 def _relative(a: str, b: str) -> float:
-    """|value_a - value_b| / max(1, |value_b|) for two digest lines that
-    match up to their primal values; inf when anything else differs."""
-    (head_a, value_a), (head_b, value_b) = a.rsplit(" ", 1), b.rsplit(" ", 1)
-    if head_a != head_b:
+    """|value_a - value_b| / max(1, |value_a|) for two digest lines that match
+    but for their program hashes (the 7th word from the end) and primal
+    values (the last); inf when anything else differs."""
+    a, b = a.split(" "), b.split(" ")
+    if a[:-7] + a[-6:-1] != b[:-7] + b[-6:-1]:
         return math.inf
-    x, y = float.fromhex(value_a), float.fromhex(value_b)
-    if x == y or (math.isnan(x) and math.isnan(y)):
+    if a[-1] == b[-1]:
         return 0.0
-    diff = abs(x - y) / max(1.0, abs(y))
+    x, y = float.fromhex(a[-1]), float.fromhex(b[-1])
+    diff = abs(x - y) / max(1.0, abs(x))
     return math.inf if math.isnan(diff) else diff
 
 
-def run(src: str, seed: int) -> list[str]:
-    """The digest lines of src, from a fresh interpreter with one BLAS thread."""
-    env = {**os.environ, **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
-    done = subprocess.run(
-        [sys.executable, __file__, "--worker", "--src", src, "--seed", str(seed)],
-        env=env, stdout=subprocess.PIPE, text=True, check=True,
-    )
-    return done.stdout.splitlines()
+def _bound(text: str) -> float:
+    """The R of --rel: a finite number, at least 0."""
+    bound = float(text)
+    if not 0.0 <= bound < math.inf:
+        raise argparse.ArgumentTypeError(f"R must be finite and at least 0, not {text}")
+    return bound
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--against", metavar="DIR", help="a second source directory to compare with")
-    parser.add_argument("--rel", type=float, metavar="R", help="the primal values' relative bound, with --against")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.rel is not None and args.against is None:
-        parser.error("--rel needs --against")
-    if args.worker:
-        sys.dont_write_bytecode = True
-        sys.path.insert(0, args.src)
-        print("\n".join(_lines(args.seed)))
-        return 0
-    ours = run(args.src, args.seed)
-    if args.against is None:
-        print("\n".join(ours))
-        return 0
-    theirs = run(args.against, args.seed)
-    diffs, failed = [], False
-    for k, (a, b) in enumerate(zip(ours, theirs)):
-        diffs.append(0.0 if a == b else math.inf if args.rel is None else _relative(a, b))
-        if diffs[-1] > (args.rel or 0.0):
-            print(f"solve {k} differs:\n  {args.src}: {a}\n  {args.against}: {b}")
-            failed = True
-    if len(ours) != len(theirs):
-        print(f"{args.src} made {len(ours)} solves, {args.against} {len(theirs)}")
-        failed = True
-    if failed:
-        return 1
+def _differs(args, a: str, b: str) -> bool:
+    return a != b if args.rel is None else _relative(a, b) > args.rel
+
+
+def _closing(args, theirs: list[str], ours: list[str]) -> list[str]:
+    pairs = list(zip(theirs, ours))
     if args.rel is None:
-        print(f"identical: {len(ours)} solves")
-    else:
-        print(
-            f"within {args.rel:g}: {len(ours)} solves, {sum(d > 0 for d in diffs)} values differ, "
-            f"largest relative difference {max(diffs, default=0.0):.2g}"
-        )
-    return 0
+        return [f"identical: {sum(a == b for a, b in pairs)} solves"]
+    diffs = [_relative(a, b) for a, b in pairs]
+    programs = sum(a.split(" ")[-7] != b.split(" ")[-7] for a, b in pairs)
+    return [
+        f"within {args.rel:g}: {len(ours)} solves, {sum(d > 0 for d in diffs)} values differ, "
+        f"largest relative difference {max(diffs, default=0.0):.2g}, {programs} programs differ"
+    ]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_sources.main(
+        __doc__,
+        work=lambda args: _lines(args.seed),
+        collect=lambda args, src: _sources.spawn(__file__, src, "--seed", str(args.seed)),
+        show="\n".join,
+        closing=_closing,
+        flags={
+            "--seed": dict(type=int, default=7),
+            "--rel": dict(type=_bound, metavar="R", help="the primal values' relative bound, with --against"),
+        },
+        differs=_differs,
+        needs_against=("rel",),
+    ))

@@ -17,11 +17,9 @@ gives the form it is solved in, its Schur rows, its border rows, its groups
 and its block stacks (k blocks padded to d x d read "k of dxd").  Each cell
 reads "iterations / max_ridge / centering fallbacks / |value - hoff|"; a
 solve that does not end "optimal" is marked FAIL with its status.  --src
-names the source directory to import the package from (default: this
-checkout's src).  With --against DIR, both sources run and the tool
-prints each cell that differs as "case tol, threads, block: against → src",
-then the summary line of --against and that of --src.  OpenBLAS reads its
-thread count when it loads, so each count runs in a fresh interpreter.
+and --against follow tools/_sources.py, with one worker per thread count:
+a cell's line reads "case tol, threads, block: cell", and the closing
+lines are the summary line of --against and that of --src.
 
 tests/test_hoffman.py loads this file and gates every cell of run() on
 ending "optimal" with |value - hoff| < 1e-6, so CASES, TOLS, THREADS and
@@ -30,12 +28,12 @@ BLOCKS below are the sweep's only definition.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+sys.dont_write_bytecode = True  # importing _sources leaves tools/ unwritten
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import _sources  # noqa: E402
 
 CASES = ("mantel4", "mantel5", "edge3")
 TOLS = (1e-8, 1e-9, 1e-10, 1e-11)
@@ -56,12 +54,8 @@ def _rows() -> list[dict]:
 
     def spied(problem, kept):
         lay = prepare(problem, kept)
-        # A checkout older than the split has every row on the border.
-        border = len(getattr(lay, "border", range(lay.m)))
         stacks = ", ".join(f"{k} of {d}x{d}" for d, k in zip(lay.sizes, lay.counts))
-        sizes.update(
-            schur_rows=lay.m, border=border, groups=len(getattr(lay, "priv", ())), stacks=stacks
-        )
+        sizes.update(schur_rows=lay.m, border=len(lay.border), groups=len(lay.priv), stacks=stacks)
         return lay
 
     sdp._prepare = spied
@@ -72,7 +66,7 @@ def _rows() -> list[dict]:
         "edge3": complete_hypergraph(3, 3),
     }
     out = []
-    shipped = sdp._SUBST_BLOCK, getattr(sdp, "_LU_BORDER", 0)
+    shipped = sdp._SUBST_BLOCK, sdp._LU_BORDER
     for block in BLOCKS:
         sdp._SUBST_BLOCK = block
         sdp._LU_BORDER = shipped[1] if block == shipped[0] else 0
@@ -113,15 +107,7 @@ def run(src: str) -> list[dict]:
     fallbacks, and the case's form (None unless "optimal"), schur_rows,
     border, groups and stacks, its block stacks as "k of dxd" (None when the
     solve stopped before its layout)."""
-    rows = []
-    for threads in THREADS:
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
-        done = subprocess.run(
-            [sys.executable, __file__, "--worker", "--src", src],
-            env=env, stdout=subprocess.PIPE, text=True, check=True,
-        )
-        rows += [{**row, "threads": threads} for row in json.loads(done.stdout)]
-    return rows
+    return [{**row, "threads": t} for t in THREADS for row in _sources.spawn(__file__, src, threads=t)]
 
 
 def format_table(rows: list[dict]) -> str:
@@ -157,39 +143,12 @@ def _summary(rows: list[dict]) -> str:
     )
 
 
-def format_changes(before: list[dict], after: list[dict], names: tuple) -> str:
-    """Each cell of two run()s' records that differs, as "before → after",
-    then the summary line of each, headed by its name."""
-    def key(r):
-        return r["case"], r["tol"], r["threads"], r["block"]
-
-    old = {key(r): _cell(r) for r in before}
-    lines = []
-    for r in after:
-        if old[key(r)] != _cell(r):
-            lines.append(
-                f"{r['case']} {r['tol']:.0e}, {r['threads']} thr, block {r['block']}: "
-                f"{old[key(r)]} → {_cell(r)}"
-            )
-    lines += [f"{name}: {_summary(rows)}" for name, rows in zip(names, (before, after))]
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--against", metavar="DIR", help="a second source directory to compare with")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        sys.path.insert(0, args.src)
-        print(json.dumps(_rows()))
-    elif args.against is None:
-        print(format_table(run(args.src)))
-    else:
-        print(format_changes(run(args.against), run(args.src), (args.against, args.src)))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_sources.main(
+        __doc__,
+        work=lambda args: _rows(),
+        collect=lambda args, src: run(src),
+        show=format_table,
+        line=lambda r: f"{r['case']} {r['tol']:.0e}, {r['threads']} thr, block {r['block']}: {_cell(r)}",
+        closing=lambda args, theirs, ours: [f"{args.against}: {_summary(theirs)}", f"{args.src}: {_summary(ours)}"],
+    ))

@@ -9,47 +9,38 @@ tol=1e-11), the tight-tolerance set of ROADMAP item 4.  Each line reads
 raises ThetaSolverError reads its status and stop from the error's
 solution.  The closing line gives the failing seeds and, over the solves
 that did not fail, those above 30 iterations, the most iterations and the
-total.  --src names the source directory to import the package from
-(default: this checkout's src).  With --against DIR, both sources run and
-the tool prints each seed line that differs as "against's line → src's
-line", then the summary line of --against and that of --src, each headed
-by its directory.  Each source's solves run in a fresh interpreter with
-one BLAS thread.
+total.  The form is the one thetabody._free_form gives the seed's
+unit-weight program, the program theta solves.  --src and --against
+follow tools/_sources.py; the closing lines are the summary line of
+--against and that of --src, each headed by its directory.  Each source's
+solves run in a worker with one BLAS thread.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 import random
-import subprocess
 import sys
 from pathlib import Path
+
+sys.dont_write_bytecode = True  # importing _sources leaves tools/ unwritten
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import _sources  # noqa: E402
 
 SEEDS = range(60)
 TOL = 1e-11
 
 
-def _report() -> list[str]:
-    """The seed lines and the summary line, in this interpreter."""
+def _records() -> list[dict]:
+    """One record per seed, with its line, in this interpreter."""
     from hypertheta import thetabody
     from hypertheta.hypercore import random_hypergraph
 
-    forms = []
-    free_form = thetabody._free_form
-
-    def spied(problem):
-        free = free_form(problem)
-        forms.append("rows" if free is None else "free")
-        return free
-
-    thetabody._free_form = spied
-    lines, failing, iters = [], [], []
+    out = []
     for s in SEEDS:
         rng = random.Random(s)
         n, r = rng.randint(5, 8), rng.randint(2, 4)
         hg = random_hypergraph(n, r, 0.4, rng)
-        forms.clear()
+        form = "rows" if thetabody._free_form(thetabody.assemble_theta_sdp(hg)[0]) is None else "free"
         try:
             res = thetabody.theta(hg, tol=TOL)
             status, stop = "optimal", "optimal"
@@ -57,55 +48,29 @@ def _report() -> list[str]:
         except thetabody.ThetaSolverError as exc:
             sol = exc.solution
             status, stop, count, ridge = sol.status, sol.stop, sol.iterations, sol.residuals["max_ridge"]
-            failing.append(s)
-        else:
-            iters.append(count)
-        form = forms[-1] if forms else "?"
-        lines.append(
+        line = (
             f"seed {s}: n {n}, r {r}, form {form}, {status}, stop {stop}, "
             f"{count} iterations, max_ridge {ridge:.2g}"
         )
-    lines.append(
+        out.append({"seed": s, "failed": status != "optimal", "iters": count, "line": line})
+    return out
+
+
+def _summary(records: list[dict]) -> str:
+    failing = [rec["seed"] for rec in records if rec["failed"]]
+    iters = [rec["iters"] for rec in records if not rec["failed"]]
+    return (
         f"failing seeds {failing}; of the other {len(iters)}, {sum(k > 30 for k in iters)} above 30 "
         f"iterations, most {max(iters)}, total {sum(iters)} iterations"
     )
-    return lines
-
-
-def run(src: str) -> list[str]:
-    """_report()'s lines, from a fresh interpreter with one BLAS thread that
-    imports the package from src."""
-    env = {**os.environ, **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
-    done = subprocess.run(
-        [sys.executable, __file__, "--worker", "--src", src],
-        env=env, stdout=subprocess.PIPE, text=True, check=True,
-    )
-    return done.stdout.splitlines()
-
-
-def format_changes(before: list[str], after: list[str], names: tuple) -> str:
-    """Each seed line of two run()s that differs, as "before → after", then
-    the summary line of each, headed by its name."""
-    lines = [f"{old} → {new}" for old, new in zip(before[:-1], after[:-1]) if old != new]
-    lines += [f"{name}: {report[-1]}" for name, report in zip(names, (before, after))]
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--against", metavar="DIR", help="a second source directory to compare with")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        sys.path.insert(0, args.src)
-        print("\n".join(_report()))
-    elif args.against is None:
-        print("\n".join(run(args.src)))
-    else:
-        print(format_changes(run(args.against), run(args.src), (args.against, args.src)))
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_sources.main(
+        __doc__,
+        work=lambda args: _records(),
+        collect=lambda args, src: _sources.spawn(__file__, src),
+        show=lambda records: "\n".join([*(rec["line"] for rec in records), _summary(records)]),
+        line=lambda rec: rec["line"],
+        closing=lambda args, theirs, ours: [f"{args.against}: {_summary(theirs)}", f"{args.src}: {_summary(ours)}"],
+    ))
