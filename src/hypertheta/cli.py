@@ -8,17 +8,22 @@ check prints one line per property before its JSON line, and scan-decay
 without --out prints its CSV in place of the JSON line.  Exit codes:
 0 success, 2 bad input, 3 solver failure.  A decimal field beyond the
 double range (mantel, hamming) reads null.
+
+The argument parser is built on the first `main` call and shared by every
+later call in the process; parsing leaves it unchanged and gives each call a
+fresh namespace.  `main` keeps no other state between calls.  The property
+suite (`checks`) is imported only when `check` runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from . import checks
 from .hamming import _closed_forms, decay_scan
 from .hoffman import hoff, lambda_levels, read_weighted_hypergraph
 from .hypercore import (
@@ -244,6 +249,8 @@ def _cmd_hoffman(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks
+
     failures = 0
     for name, ok, detail in checks.run_all(seed=args.seed):
         line = f"ok {name}" if ok else f"FAIL {name}: {detail}"
@@ -253,6 +260,7 @@ def _cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypertheta",

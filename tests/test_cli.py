@@ -359,6 +359,17 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, "hamming", "--n", "6", "--s", "4")
         assert out1 == out2
 
+    def test_shared_parser_matches_a_fresh_process(self, capsys, fresh_python):
+        # main reuses one parser; an error and a help exit on it leave later
+        # calls printing what a fresh interpreter prints
+        assert _build_parser() is _build_parser()
+        assert run_cli(capsys, "mantel", "--nope")[0] == 2
+        assert run_cli(capsys, "mantel", "--help")[0] == 0
+        for argv in (["hamming", "--n", "8", "--s", "4"], ["mantel", "--n", "6"]):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out.encode() == fresh_python("-m", "hypertheta.cli", *argv), argv
+
 
 # sha256 of the stdout of the Hamming closed forms.  The values are exact
 # rationals, so any way of evaluating the columns must reproduce these bytes.

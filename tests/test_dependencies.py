@@ -4,7 +4,6 @@ import importlib.util
 import inspect
 import os
 import pkgutil
-import subprocess
 import sys
 
 import hypertheta
@@ -26,17 +25,15 @@ print(" ".join(sorted(after - before - set(sys.stdlib_module_names) - {"hyperthe
 """
 
 
-def test_numpy_is_the_only_runtime_dependency():
-    src = os.path.dirname(os.path.dirname(hypertheta.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.stdout.split() == ["numpy"]
+def test_numpy_is_the_only_runtime_dependency(fresh_python):
+    out = fresh_python("-c", PROBE)
+    assert out.decode().split() == ["numpy"]
+
+
+def test_cli_import_leaves_the_property_suite_unloaded(fresh_python):
+    # only `hypertheta check` needs checks; every other command skips compiling it
+    out = fresh_python("-c", "import sys, hypertheta.cli; print('hypertheta.checks' in sys.modules)")
+    assert out.decode().split() == ["False"]
 
 
 def test_every_exported_name_resolves():
@@ -81,17 +78,9 @@ print(" ".join(sorted(forms)), "numpy.ma" in sys.modules)
 """
 
 
-def test_package_paths_leave_numpy_ma_unloaded():
-    src = os.path.dirname(os.path.dirname(hypertheta.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", PATHS],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.stdout.split() == ["free", "rows", "False"]
+def test_package_paths_leave_numpy_ma_unloaded(fresh_python):
+    out = fresh_python("-c", PATHS)
+    assert out.decode().split() == ["free", "rows", "False"]
 
 
 def test_benchmark_call_sites_resolve():
