@@ -2,7 +2,8 @@
 
 Immutable r-uniform hypergraphs on 0-based vertex indices, links and
 complements, brute-force weighted independence, maximal cliques, the
-fractional cover number, and the plain-text file formats.
+fractional cover number, the automorphisms that keep a weight vector, and
+the plain-text file formats.
 
 Everything here is a pure function of immutable inputs, so concurrent use
 from several threads is safe.  Brute-force routines are guarded by explicit
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf
 from typing import Iterable, Sequence
+
+import numpy as np
 
 DEFAULT_ALPHA_CAP = 24
 DEFAULT_ENUM_CAP = 20
@@ -38,6 +41,7 @@ __all__ = [
     "enumerate_cliques",
     "in_clique_polytope",
     "chi_star",
+    "automorphisms",
     "complete_hypergraph",
     "empty_hypergraph",
     "cycle_graph",
@@ -449,6 +453,150 @@ def chi_star(hg: Hypergraph, w: Sequence | None = None, cap: int = DEFAULT_ENUM_
         (lam, tuple(ind)) for lam, ind in parts if lam > tiny and ind
     ]
     return res.value, out
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms
+# ---------------------------------------------------------------------------
+
+# Refinements one automorphisms() call may make; the generators found by
+# then are kept, and generate a subgroup of the automorphism group.
+_MAX_NODES = 2000
+
+
+def _preserves(hg: Hypergraph, perms, w: Sequence | None = None) -> bool:
+    """True iff every permutation in perms (each a sequence of hg.n vertex
+    images) maps every edge to an edge and, when w is given, keeps it:
+    w[p[x]] == w[x] for every x.  The edges are distinct sorted tuples in
+    sorted order and a permutation is a bijection, so its edges hold iff its
+    row-sorted images, put in order by one lexsort, equal them."""
+    edges = np.array(hg.edges, dtype=np.intp).reshape(-1, hg.r)
+    for p in perms:
+        if w is not None and any(w[y] != w[x] for x, y in enumerate(p)):
+            return False
+        images = np.sort(np.asarray(p, dtype=np.intp)[edges], axis=1)
+        if not np.array_equal(images[np.lexsort(images.T[::-1])], edges):
+            return False
+    return True
+
+
+def automorphisms(hg: Hypergraph, w: Sequence | None = None) -> list[tuple[int, ...]]:
+    """Generators of automorphisms of hg that keep the weights w (default
+    unit weights): vertex permutations that map edges to edges and each
+    vertex to one of equal weight.  An empty list means that only the
+    identity was found.
+
+    Colour refinement starts from the classes of equal weight.  A round
+    gives each vertex its colour and the sorted list of its edges' sorted
+    colour tuples, and numbers these signatures in sorted order; rounds
+    repeat until no class splits.  A discrete colouring has no automorphism
+    to find, and the search ends there.  Otherwise individualization-
+    refinement (McKay & Piperno, J. Symbolic Comput. 60, 2014) follows a
+    first path, individualizing the first vertex of the first smallest
+    nonsingleton class and refining, until the colouring is discrete.  From
+    the deepest level up, it then tries each other vertex of that level's
+    class that lies outside the orbits of the generators found so far and
+    of the vertices already tried in vain: a depth-first search below it,
+    pruned wherever the sorted signatures differ from the first path's,
+    maps the first leaf to each leaf it reaches, and keeps the first map
+    that _preserves accepts.  Level by level, the generators found then
+    generate the automorphisms that fix the path's prefix, so at the top
+    the whole group, unless _MAX_NODES refinements end the search first.
+    """
+    vals = check_weights(hg, w)
+    n = hg.n
+    rank = {v: k for k, v in enumerate(sorted(set(vals)))}
+    if len(rank) == n:
+        return []
+    edges = np.array(hg.edges, dtype=np.intp).reshape(-1, hg.r)
+    # An edge's sorted colours in base 2n, the bound on the colours below;
+    # where that overflows it still is a function of them, only coarser.
+    powers = (2 * n) ** np.arange(hg.r - 1, -1, -1, dtype=np.int64)
+    by = np.argsort(edges.ravel(), kind="stable")  # the incidences by vertex
+    iv, ie = edges.ravel()[by], by // hg.r
+    deg = np.bincount(iv, minlength=n)
+    slot = iv * (deg.max(initial=0) + 1) + 1 + np.arange(len(iv)) - np.repeat(np.cumsum(deg) - deg, deg)
+    budget = _MAX_NODES
+
+    def refine(colour, count):
+        """The equitable refinement of colour, which has count classes:
+        its colours numbered 0 to count - 1, count, and the sorted
+        signatures as bytes."""
+        nonlocal budget
+        budget -= 1
+        while True:
+            sig = np.full((n, deg.max(initial=0) + 1), -1, dtype=np.int64)
+            sig[:, 0] = colour
+            sig.reshape(-1)[slot] = (np.sort(colour[edges], axis=1) @ powers)[ie]
+            sig[:, 1:].sort(axis=1)
+            order = np.lexsort(sig.T[::-1])
+            rows = sig[order]
+            number = np.cumsum((rows[1:] != rows[:-1]).any(axis=1))
+            colour = np.empty(n, dtype=np.int64)
+            colour[order[0]], colour[order[1:]] = 0, number
+            if number[-1] + 1 == count:
+                return colour, count, rows.tobytes()
+            count = int(number[-1]) + 1
+
+    def individualized(colour, v):
+        out = 2 * colour + 1
+        out[v] -= 1
+        return out
+
+    def target(colour):
+        """The first smallest nonsingleton class, its vertices in order."""
+        size = np.bincount(colour)
+        return np.flatnonzero(colour == np.where(size > 1, size, n + 1).argmin()).tolist()
+
+    colour, count, order = refine(np.array([rank[v] for v in vals], dtype=np.int64), len(rank))
+    levels, orders = [], [order]  # the first path: per level, its colouring and class
+    while count < n:
+        levels.append((colour, count + 1, target(colour)))
+        colour, count, order = refine(individualized(colour, levels[-1][2][0]), count + 1)
+        orders.append(order)
+    first = colour
+
+    def leaf(colour, count, depth):
+        """A generator that maps the first leaf to a leaf below the
+        individualized colour at depth, or None."""
+        colour, count, order = refine(colour, count)
+        if order != orders[depth] or budget < 0:
+            return None
+        if depth == len(levels):
+            at = np.empty(n, dtype=np.intp)
+            at[colour] = np.arange(n)
+            g = tuple(at[first].tolist())
+            return g if _preserves(hg, [g], vals) else None
+        for v in target(colour):
+            g = leaf(individualized(colour, v), count + 1, depth + 1)
+            if g is not None:
+                return g
+        return None
+
+    gens: list[tuple[int, ...]] = []
+    orbit = list(range(n))  # union-find over the orbits of the generators found
+
+    def find(v):
+        while orbit[v] != v:
+            orbit[v] = v = orbit[orbit[v]]
+        return v
+
+    for level in range(len(levels) - 1, -1, -1):
+        colour, count, cell = levels[level]
+        tried = cell[:1]
+        for v in cell[1:]:
+            if budget < 0:
+                return gens
+            if find(v) in {find(u) for u in tried}:
+                continue
+            g = leaf(individualized(colour, v), count, level + 1)
+            if g is None:
+                tried.append(v)
+                continue
+            gens.append(g)
+            for x, y in enumerate(g):
+                orbit[find(x)] = find(y)
+    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -678,13 +678,14 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, *, _accept=None) -> SdpSol
     The solve stops as "optimal" when |gap| / (1 + |pobj| + |dobj|) <= tol
     and the primal and dual residuals, scaled by 1 + max |rhs| and by
     1 + max(1, max |objective entry|), are at most 10 * tol.  So tol does
-    not bound the error of the value: theta on H(5, 2) at tol 1e-8, which
-    thetabody solves in its free form, returns 12 - 1.95e-8 at a relative
-    gap of 8.8e-10 after 12 iterations (1 and 2 BLAS threads alike).
+    not bound the error of the value: thetabody's unreduced free form of
+    theta on H(5, 2), its program before the automorphisms are merged, at
+    tol 1e-8 gives 12 - 1.95e-8 at a relative gap of 8.8e-10 after 12
+    iterations (1 and 2 BLAS threads alike).
 
     Each iteration factors the Schur complement M along the split of
-    _split.  Its 1008 rows on H(5, 2) make 32 groups of 15 private rows and
-    a border of 528, so no 1008 x 1008 array is formed.
+    _split.  The 1008 rows of that program make 32 groups of 15 private
+    rows and a border of 528, so no 1008 x 1008 array is formed.
 
     The feasible regions produced by this package are bounded with interior
     points, so the method converges at desk scale.  A solve that diverges (a

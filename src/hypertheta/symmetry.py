@@ -14,8 +14,8 @@ cyclic, dihedral and Hamming groups, an invariant matrix is a combination
 of the projectors onto their common eigenspaces, and PSD-ness is one
 nonnegative scalar per eigenspace (Gatermann & Parrilo 2004; Schrijver
 2005).  They commute exactly when one random combination of the distinct
-ones has as many eigenspaces as there are of them; else the unreduced
-recursion of thetabody solves the instance.  The program reads each
+ones has as many eigenspaces as there are of them; else thetabody.theta
+solves the instance, merged over the automorphisms it finds itself.  The program reads each
 projector only in its row at vertex 0 and through its entry sum, both from
 an orthonormal basis; automorphisms are checked by one sort per generator.
 
@@ -37,7 +37,7 @@ from math import comb
 
 import numpy as np
 
-from .hypercore import Hypergraph, HypergraphError, link
+from .hypercore import Hypergraph, HypergraphError, _preserves, link
 from .numlin import SdpProblem, solve_lp
 from .numlin.sdp import _least_labels
 from .thetabody import _attach_link, _Builder, _solved, theta
@@ -95,17 +95,9 @@ def pair_orbits(group: PermGroup) -> np.ndarray:
 
 
 def verify_automorphisms(hg: Hypergraph, group: PermGroup) -> bool:
-    """True iff every generator maps every edge to an edge.  The edges are
-    distinct sorted tuples in sorted order and a generator is a bijection, so
-    that holds iff its row-sorted images, put in order by one lexsort, equal them."""
-    if group.degree != hg.n:
-        return False
-    edges = np.array(hg.edges, dtype=np.intp).reshape(-1, hg.r)
-    for g in np.array(group.generators, dtype=np.intp).reshape(len(group.generators), hg.n):
-        images = np.sort(g[edges], axis=1)
-        if not np.array_equal(images[np.lexsort(images.T[::-1])], edges):
-            return False
-    return True
+    """True iff every generator maps every edge to an edge
+    (hypercore._preserves, which automorphisms() verifies with too)."""
+    return group.degree == hg.n and _preserves(hg, group.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +165,8 @@ def theta_transitive(hg: Hypergraph, group: PermGroup) -> float:
     common eigenspaces, so X >= 0 is lam_j >= 0: one 1x1 block per
     eigenspace.  This holds for the pair action of S_n, the cyclic, dihedral
     and Hamming groups.  Otherwise (for example S_3 acting regularly on
-    itself) the value is theta's, from the unreduced recursion.
+    itself) the value is theta's: the recursion merged over the
+    automorphisms that theta's own search finds, not over group.
     """
     if hg.r < 2:
         raise HypergraphError("transitive reduction needs uniformity at least 2")

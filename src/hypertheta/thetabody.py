@@ -42,15 +42,31 @@ one row per free class.  A class couples only with classes of its own root
 subtree and of the root block, so the solver factors the root subtrees'
 classes group by group and only the rest, its border (numlin.border_rows),
 as one dense block.  The free form is taken when that border has fewer
-rows than the row form.  Theta on H(4, 2) has 417 rows and 184 classes, all
-on the border.  Mantel 6 has 331 rows but 480 classes, of which 120 are on
-the border, and 15 groups of 24; the tolerance sweep of tools/sweep_table.py
-takes at most 12 iterations per solve.  A graph's program is one block, so
-every class is on the border: the 5-cycle takes the free form (10 classes
-against 11 rows) but the 8-cycle keeps the row form (28 against 17).  A
-program with no free class (a single point) keeps the row form too.  The
-diagnostics of theta and theta_dual name the form and the number of rows
-solved.
+rows than the row form.  Unreduced (below), theta's free form on H(4, 2)
+has 184 classes in place of 417 rows, all on the border; Mantel 6 has 480
+classes against 331 rows, of which 120 are on the border, and 15 groups
+of 24.  A graph's program is one block, so every class is on the border:
+the 5-cycle takes the free form (10 classes against 11 rows) but the
+8-cycle keeps the row form (28 against 17).  A program with no free class
+(a single point) keeps the row form too.
+
+The free form is then reduced by the instance's own symmetry.
+hypercore.automorphisms finds generators of automorphisms that keep the
+program's fixed diagonal data: theta's weights w / max(w), the gauge's
+diagonal v.  Each acts on the recursion tree, whose node is the path of
+vertices that leads to it, block to block and entry to entry
+(_tree_moves), and maps the program to itself: its fixes, ties and
+objective.  So the group average of an optimal witness is an optimal
+witness (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004), on which
+each orbit of free classes takes one value and each block is a
+permutation of the first block of its orbit.  _orbit_form solves one
+variable per class orbit and one block per block orbit, and the lift
+fills every block, so the certificate is the full witness tree.  With no
+generator the program is the free form as built.  Theta on Mantel 6 then
+solves 5 rows on 2 blocks, on H(4, 2) 5 rows on 2 blocks.  The
+diagnostics of theta and theta_dual name the form, the rows solved, the
+generators merged over ("automorphisms", 0 in the row form) and the
+blocks solved.
 
 All assemblies here are pure; solves are delegated to numlin and share no
 state between calls, so concurrent independent calls are safe.
@@ -69,13 +85,14 @@ from .hypercore import (
     Hypergraph,
     HypergraphError,
     UniformityError,
+    automorphisms,
     check_weights,
     complement,
     induced,
     link,
 )
 from .numlin import SdpProblem, SdpSolution, border_rows, solve_sdp
-from .numlin.sdp import _eig_minima
+from .numlin.sdp import _eig_minima, _least_labels
 
 __all__ = [
     "ThetaCertificate",
@@ -382,26 +399,107 @@ def _free_form(problem: SdpProblem):
     return reduced, float(cflat @ e0), lift
 
 
+def _tree_moves(root: _Node, gens) -> list[np.ndarray]:
+    """Each automorphism g in gens of root.hyper as the permutation it makes
+    of the program's block entries, entry (i, j) of block b being
+    start[b] + i * d_b + j in the blocks raveled and concatenated.  A node
+    is the path of root vertices that leads to it, and its rows past the
+    corner are root vertices in increasing order, so g maps the node of path
+    P to the node of path g(P), corner to corner and vertex v to g(v)."""
+    if not gens:
+        return []
+    nodes = []  # (block, parent block, label it hangs from, labels), parents first
+
+    def walk(node, up, via, labels):  # label 0 is the corner, v + 1 root vertex v
+        nodes.append((node.blk, up, via, labels))
+        for x, c in node.children.items():
+            walk(c, node.blk, labels[x + 1], [0] + [labels[v + 1] for v in c.vmap])
+
+    walk(root, -1, 0, list(range(root.hyper.n + 1)))
+    labels = [lab for *_, lab in sorted(nodes, key=operator.itemgetter(0))]
+    size = np.array([len(lab) for lab in labels])
+    start, first = np.cumsum(size * size) - size * size, np.cumsum(size) - size
+    flat = np.concatenate(labels)
+    local = np.zeros((len(labels), root.hyper.n + 1), dtype=np.intp)  # label -> row
+    local[np.repeat(np.arange(len(labels)), size), flat] = np.arange(len(flat)) - np.repeat(first, size)
+    eb = np.repeat(np.arange(len(labels)), size * size)
+    ei, ej = np.divmod(np.arange(len(eb)) - start[eb], size[eb])
+    li, lj = flat[first[eb] + ei], flat[first[eb] + ej]
+    child = {(up, via): b for b, up, via, _ in nodes}
+    moves = []
+    for g in gens:
+        moved, image = np.concatenate(([0], np.asarray(g) + 1)), {-1: -1}
+        for b, up, via, _ in nodes:
+            image[b] = child[image[up], moved[via]]
+        ib = np.array([image[b] for b in range(len(labels))])[eb]
+        moves.append(start[ib] + local[ib, moved[li]] * size[ib] + local[ib, moved[lj]])
+    return moves
+
+
+def _orbit_form(free, moves):
+    """_free_form's (program, <C, E0>, lift) merged over the orbits of moves,
+    permutations of the block entries that map the assembled program to
+    itself (_tree_moves): each orbit of free classes becomes one variable,
+    numbered by its least class, and one block per orbit of blocks, the
+    least, keeps its rows and objective.  So X(y) is invariant, which an
+    optimum may be taken to be (average over the group), and its other
+    blocks are permutations of their orbit's first block, psd with it.
+    The lift maps a merged y to the blocks X(y) of every class.  With no
+    move, free is returned as it is."""
+    if not moves:
+        return free
+    reduced, c0, lift = free
+    k, blk, i, j = reduced.index.T
+    dims = np.array(reduced.block_dims, dtype=np.intp)
+    start = np.cumsum(dims * dims) - dims * dims
+    nk, nb = reduced.num_constraints, len(dims)
+    upper, lower = start[blk] + i * dims[blk] + j, start[blk] + j * dims[blk] + i
+    cls = np.full(int((dims * dims).sum()), -1)
+    cls[upper] = cls[lower] = k
+    head = upper[np.flatnonzero(np.diff(k, prepend=-1))]  # an entry of each class
+    eb = np.repeat(np.arange(nb), dims * dims)
+    lead = _least_labels(nk, [(np.arange(nk), cls[m[head]]) for m in moves])
+    orbit = (np.cumsum(lead == np.arange(nk)) - 1)[lead]
+    rep = _least_labels(nb, [(np.arange(nb), eb[m[start]]) for m in moves]) == np.arange(nb)
+    keep = rep[blk]
+    order = np.lexsort((upper[keep], orbit[k[keep]]))  # each row's terms in entry order
+    index = np.stack([orbit[k], (np.cumsum(rep) - 1)[blk], i, j], axis=1)[keep][order]
+    objective = [c for c, r in zip(reduced.objective, rep) if r]
+    rhs = np.bincount(orbit, reduced.rhs, int(orbit.max()) + 1)
+    merged = SdpProblem._of_terms(dims[rep], objective, index, reduced.coef[keep][order], rhs)
+    return merged, c0, lambda y: lift(np.asarray(y)[orbit])
+
+
 def _solved_free(
-    problem: SdpProblem, tol: float, what: str, accept=None
+    problem: SdpProblem, tol: float, what: str, accept=None, root: _Node | None = None, weights=None
 ) -> tuple[SdpSolution, dict]:
     """_solved on _free_form(problem) whenever there is one, else on problem,
-    and the diagnostics "form" ("free" or "rows") and "rows" (the rows
-    solved).  A free-form solution is stated for problem: blocks X(y), primal
-    <C, X(y)> = <C, E0> minus the reduced dual value, dual <C, E0> minus the
-    reduced primal value, and no y.  In the free form, accept(X(y)) is asked
-    at every iterate that misses tol, and the first it passes ends the solve
-    "accepted"; the row form, whose blocks meet their rows only to the
-    residual, ignores accept and runs to tol."""
+    and the diagnostics "form" ("free" or "rows"), "rows" (the rows solved),
+    "automorphisms" (the generators merged over) and "blocks" (the blocks
+    solved).  With root, the root node of problem, the free form is merged
+    (_orbit_form) over the automorphisms of root.hyper that keep weights,
+    the program's fixed data on its diagonal.  A free-form solution is
+    stated for problem: blocks X(y), primal <C, X(y)> = <C, E0> minus the
+    reduced dual value, dual <C, E0> minus the reduced primal value, and no
+    y.  In the free form, accept(X(y)) is asked at every iterate that misses
+    tol, and the first it passes ends the solve "accepted"; the row form,
+    whose blocks meet their rows only to the residual, ignores accept and
+    runs to tol."""
     free = _free_form(problem)
     if free is None:
-        return _solved(problem, tol, what), {"form": "rows", "rows": problem.num_constraints}
-    reduced, c0, lift = free
+        return _solved(problem, tol, what), _form("rows", problem, 0)
+    gens = [] if root is None else automorphisms(root.hyper, weights)
+    reduced, c0, lift = _orbit_form(free, _tree_moves(root, gens))
     sol = _solved(reduced, tol, what, None if accept is None else (lambda y: accept(lift(y))))
     stated = replace(
         sol, blocks=lift(sol.y), y=(), primal=c0 - sol.dual, dual=c0 - sol.primal
     )
-    return stated, {"form": "free", "rows": reduced.num_constraints}
+    return stated, _form("free", reduced, len(gens))
+
+
+def _form(form: str, solved: SdpProblem, gens: int) -> dict:
+    """The diagnostics of _solved_free."""
+    return {"form": form, "rows": solved.num_constraints, "automorphisms": gens, "blocks": len(solved.block_dims)}
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +524,9 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
     # The solve's gap is relative to 1 + |value|, so it runs on w / max(w)
     # and the value scales back: the optimizer does not depend on the scale.
     top = max((v for v in wv if v > 0), default=1.0)
-    problem, root = assemble_theta_sdp(hg, [v / top for v in wv])
-    sol, form = _solved_free(problem, tol, "theta")
+    scaled = [v / top for v in wv]
+    problem, root = assemble_theta_sdp(hg, scaled)
+    sol, form = _solved_free(problem, tol, "theta", root=root, weights=scaled)
     cert = _extract(root, sol.blocks)
     f = cert.vector
     return ThetaResult(
@@ -475,7 +574,7 @@ def _gauge(
         return blocks[: root.blk] + (top,) + blocks[root.blk + 1 :]
 
     proves = (lambda blocks: all(e >= 0 for e in _eig_minima(cornered(blocks)))) if decide else None
-    sol, form = _solved_free(problem, tol, what, proves)
+    sol, form = _solved_free(problem, tol, what, proves, root, v)
     if sol.status == "accepted":
         sol = replace(sol, blocks=cornered(sol.blocks), primal=-1.0)
     return -float(sol.primal), root, sol, form

@@ -267,9 +267,10 @@ class TestLevelsAndBound:
             _assert_cells_meet_hoff(sweep_rows, lambda r: r["block"] == block)
 
     def test_tolerance_sweep_meets_hoff_in_every_cell(self, sweep_rows):
-        # 3 cases x 4 tols x blocks 16, 48, 128 x 1 and 2 threads.
+        # 6 cases (3 unreduced, 3 merged over their automorphisms) x 4 tols
+        # x blocks 16, 48, 128 x 1 and 2 threads.
         cells = sorted((r["case"], r["tol"], r["block"], r["threads"]) for r in sweep_rows)
-        assert len(cells) == 72
+        assert len(cells) == 144
         assert cells == sorted(itertools.product(SWEEP.CASES, SWEEP.TOLS, SWEEP.BLOCKS, SWEEP.THREADS))
         _assert_cells_meet_hoff(sweep_rows, lambda r: True)
         # The endgame stays short in every cell: 12 iterations at most with

@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypertheta import hypercore
+from hypertheta.hamming import build_hamming_hypergraph
 from hypertheta.hypercore import (
     FormatError,
     Hypergraph,
@@ -13,6 +16,7 @@ from hypertheta.hypercore import (
     NoColoringError,
     UniformityError,
     alpha,
+    automorphisms,
     check_weights,
     chi_star,
     complement,
@@ -358,6 +362,114 @@ class TestChiStar:
             value, parts = chi_star(hg, w)
             assert value == c
             assert all(x in vs for _, vs in parts)
+
+
+def group_order(n, gens):
+    """The order of the group the permutations gens of 0..n-1 generate, by
+    closure: breadth-first over products, each element keyed by its images
+    at 4 bits per point (n <= 16)."""
+    assert n <= 16
+    shifts = 4 * np.arange(n, dtype=np.uint64)
+
+    def key(perms):
+        return (perms.astype(np.uint64) << shifts).sum(axis=1)
+
+    gens = np.array(gens, dtype=np.intp).reshape(-1, n)
+    frontier = np.arange(n)[None]
+    seen = key(frontier)  # sorted
+    while len(frontier):
+        products = gens[:, frontier].reshape(-1, n)
+        keys, first = np.unique(key(products), return_index=True)
+        fresh = seen[np.searchsorted(seen, keys).clip(max=len(seen) - 1)] != keys
+        frontier, seen = products[first[fresh]], np.sort(np.concatenate([seen, keys[fresh]]))
+    return len(seen)
+
+
+def brute_group_order(hg, w):
+    """The number of vertex permutations that keep the edges and w."""
+    edges = hg.edge_set()
+    return sum(
+        all(w[p[x]] == w[x] for x in range(hg.n))
+        and all(tuple(sorted(p[v] for v in e)) in edges for e in hg.edges)
+        for p in itertools.permutations(range(hg.n))
+    )
+
+
+def random_uniform(rng, n, r, density):
+    """The benchmark's seeded instances: round(density * C(n, r)) edges."""
+    pool = list(itertools.combinations(range(n), r))
+    return Hypergraph(r, n, tuple(sorted(rng.sample(pool, max(1, round(density * len(pool)))))))
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_mantel_groups_are_symmetric_groups(self, n):
+        hg = mantel_hypergraph(n)
+        gens = automorphisms(hg)
+        assert hypercore._preserves(hg, gens, [1] * hg.n)
+        assert group_order(hg.n, gens) == math.factorial(n)
+
+    def test_hamming_4_2_group(self):
+        # Two components of 8 words (even and odd weight), each with 384
+        # automorphisms, and the swap: 2 * 384^2.
+        hg = build_hamming_hypergraph(4, 2)
+        assert group_order(hg.n, automorphisms(hg)) == 294_912
+
+    def test_full_group_on_small_weighted_instances(self):
+        # Weights from {1, 2} leave some symmetry; the generators found
+        # generate every permutation that keeps the edges and the weights.
+        rng = random.Random(43)
+        orders = []
+        for _ in range(30):
+            n, r = rng.randint(3, 6), rng.randint(2, 3)
+            hg = random_hypergraph(n, r, rng.choice([0.2, 0.5]), rng)
+            w = [rng.choice([1, 2]) for _ in range(n)]
+            gens = automorphisms(hg, w)
+            assert hypercore._preserves(hg, gens, w)
+            orders.append(group_order(n, gens))
+            assert orders[-1] == brute_group_order(hg, w)
+        assert min(orders) == 1 and max(orders) > 2
+
+    def test_batch_instances_at_their_random_weights_have_none(self):
+        # The benchmark's batch instances at seed 7, drawn in its order.
+        rng = random.Random(7)
+        for n, count in {4: 2, 5: 2, 6: 2, 7: 1, 8: 1}.items():
+            for _ in range(count):
+                hg = random_uniform(rng, n, 3, 0.4)
+                w, u = [rng.random() for _ in range(n)], [rng.random() for _ in range(n)]
+                assert automorphisms(hg, w) == [] and automorphisms(complement(hg), u) == []
+
+    def test_discrete_refinement_ends_the_search(self, monkeypatch):
+        # With every leaf accepted, only a colouring that refinement leaves
+        # discrete gives no generator: distinct weights, or an instance
+        # whose vertices the refinement tells apart.
+        monkeypatch.setattr(hypercore, "_preserves", lambda *args: True)
+        assert automorphisms(cycle_graph(4), [1, 2, 3, 4]) == []
+        edges = ((0, 1, 2), (0, 2, 3), (0, 2, 5), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 4, 5), (3, 4, 5))
+        assert automorphisms(Hypergraph(3, 6, edges)) == []
+        assert automorphisms(cycle_graph(4), [1, 2, 1, 2]) != []
+
+    def test_planted_non_automorphisms_are_rejected(self):
+        hg = cycle_graph(6)
+        w = [1, 2, 1, 2, 1, 2]
+        rotate = (1, 2, 3, 4, 5, 0)  # keeps the edges, not the weights
+        assert hypercore._preserves(hg, [rotate]) and not hypercore._preserves(hg, [rotate], w)
+        swap = (1, 0, 2, 3, 4, 5)  # keeps the weights of unit weights, not the edges
+        assert not hypercore._preserves(hg, [swap], [1] * 6)
+        assert hypercore._preserves(hg, [(2, 3, 4, 5, 0, 1)], w)
+        assert hypercore._preserves(hg, automorphisms(hg, w), w)
+        assert group_order(6, automorphisms(hg, w)) == 6  # rotations by two and reflections
+
+    def test_node_cap_keeps_the_generators_found(self, monkeypatch):
+        # Mantel 6's search finds its 5 generators within 20 refinements.
+        hg = mantel_hypergraph(6)
+        orders = []
+        for cap in (1, 8, 12):
+            monkeypatch.setattr(hypercore, "_MAX_NODES", cap)
+            gens = automorphisms(hg)
+            assert hypercore._preserves(hg, gens, [1] * hg.n)
+            orders.append(group_order(hg.n, gens))
+        assert orders[0] == 1 and orders == sorted(orders) and 1 < orders[-1] < 720
 
 
 class TestInduced:

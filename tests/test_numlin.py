@@ -757,6 +757,7 @@ class TestTreeFactor:
     def test_scaled_membership_program(self, monkeypatch):
         from hypertheta.thetabody import theta_membership
 
+        monkeypatch.setattr("hypertheta.thetabody.automorphisms", lambda *args: [])  # the unreduced program
         hg = mantel_hypergraph(5)
         problem = _problem_solved_by(monkeypatch, lambda: theta_membership(hg, [0.5] * hg.n))
         self.check(problem, 10)
@@ -968,6 +969,7 @@ class TestStacks:
     def test_merged_theta_returns_the_problem_shapes(self, monkeypatch):
         from hypertheta.thetabody import theta
 
+        monkeypatch.setattr("hypertheta.thetabody.automorphisms", lambda *args: [])  # the unreduced program
         solved = self.record_solves(monkeypatch)
         res = theta(mantel_hypergraph(4), tol=1e-11)
         assert abs(res.value - 4.0) < 1e-9
@@ -980,6 +982,7 @@ class TestStacks:
         from hypertheta import thetabody
         from hypertheta.thetabody import check_certificate, theta_membership
 
+        monkeypatch.setattr("hypertheta.thetabody.automorphisms", lambda *args: [])  # the unreduced program
         solved = self.record_solves(monkeypatch)
         hg = mantel_hypergraph(4)
         member, cert = theta_membership(hg, [0.5] * hg.n)

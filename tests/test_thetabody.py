@@ -173,7 +173,8 @@ class TestForms:
         ],
         ids=["c5", "hamming4-2", "random3-1", "random3-2", "random4-1", "random4-3"],
     )
-    def test_free_witness_meets_every_row(self, make):
+    def test_free_witness_meets_every_row(self, make, monkeypatch):
+        monkeypatch.setattr("hypertheta.thetabody.automorphisms", lambda *args: [])  # the unreduced program
         hg, w = make()
         problem, _ = assemble_theta_sdp(hg, w)
         # At tol 1e-8 the row form's C5 value lies 3.4e-7 above sqrt(5).
@@ -197,9 +198,10 @@ class TestForms:
     @pytest.mark.parametrize(
         "n, rows, classes", [(5, 171, 175), (6, 331, 480)], ids=["mantel5", "mantel6"]
     )
-    def test_mantel_takes_the_free_form_with_more_rows(self, n, rows, classes):
+    def test_mantel_takes_the_free_form_with_more_rows(self, n, rows, classes, monkeypatch):
         # more classes than rows, yet free: the solver factors them along
         # the block tree
+        monkeypatch.setattr("hypertheta.thetabody.automorphisms", lambda *args: [])  # the unreduced program
         hg = mantel_hypergraph(n)
         problem, _ = assemble_theta_sdp(hg)
         assert problem.num_constraints == rows
@@ -331,6 +333,113 @@ class TestForms:
         assert res.diagnostics["rows"] > 0
         assert abs(res.value - 0.92011563608) <= 1e-9
         assert check_certificate(complement(hg), res.certificate, root_scale=res.value) == []
+
+
+# The benchmark ladder's random 4-uniform instance at seed 7: vertices 0
+# and 3 swap, an automorphism of order 2.
+LADDER_R4 = Hypergraph(4, 6, ((0, 1, 2, 4), (0, 1, 3, 4), (0, 1, 4, 5), (0, 3, 4, 5), (1, 2, 3, 4), (1, 3, 4, 5)))
+SYMMETRIC = {
+    "c5": cycle_graph(5),
+    "mantel4": mantel_hypergraph(4),
+    "mantel5": mantel_hypergraph(5),
+    "mantel6": mantel_hypergraph(6),
+    "hamming4-2": build_hamming_hypergraph(4, 2),
+    "edge3": complete_hypergraph(3, 3),
+    "ladder-r4": LADDER_R4,
+}
+
+
+def _unreduced(monkeypatch, call):
+    """call() with the automorphism search patched to find none."""
+    with monkeypatch.context() as m:
+        m.setattr(thetabody, "automorphisms", lambda *args: [])
+        return call()
+
+
+def _solved_programs(monkeypatch, call):
+    """The programs call() hands to the solver."""
+    programs = []
+    solve = thetabody.solve_sdp
+
+    def spy(problem, tol, **hook):
+        programs.append(problem)
+        return solve(problem, tol, **hook)
+
+    with monkeypatch.context() as m:
+        m.setattr(thetabody, "solve_sdp", spy)
+        call()
+    return programs
+
+
+class TestOrbits:
+    """theta, theta_dual and theta_membership solved on the orbits of the
+    instance's automorphisms, against the unreduced programs."""
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_reduced_solves_match_the_unreduced(self, name, monkeypatch):
+        hg = SYMMETRIC[name]
+        res = theta(hg, tol=1e-10)
+        ref = _unreduced(monkeypatch, lambda: theta(hg, tol=1e-10))
+        assert abs(res.value - ref.value) <= 1e-7
+        assert res.diagnostics["automorphisms"] > 0 and ref.diagnostics["automorphisms"] == 0
+        assert res.diagnostics["rows"] < ref.diagnostics["rows"]
+        assert res.diagnostics["blocks"] < ref.diagnostics["blocks"] or hg.r == 2
+        assert check_certificate(hg, res.certificate, tol=1e-9) == []
+
+        w = [1.0] * hg.n
+        dual = theta_dual(hg, w, tol=1e-10)
+        dref = _unreduced(monkeypatch, lambda: theta_dual(hg, w, tol=1e-10))
+        assert abs(dual.value - dref.value) <= 1e-7 and dual.diagnostics["automorphisms"] > 0
+        assert check_certificate(complement(hg), dual.certificate, tol=1e-9, root_scale=dual.value) == []
+
+        # the uniform point carrying half of theta's mass
+        f = [0.5 * res.value / hg.n] * hg.n
+        member, cert = theta_membership(hg, f)
+        assert member == _unreduced(monkeypatch, lambda: theta_membership(hg, f))[0]
+        assert not member or check_certificate(hg, cert, tol=1e-9) == []
+
+    def test_mantel_6_solves_one_block_per_block_orbit(self):
+        # S_6 acts on the 16 blocks with two orbits, the root and the links;
+        # the 480 free classes make 5 orbits.
+        res = theta(mantel_hypergraph(6))
+        diag = res.diagnostics
+        assert list(diag)[-2:] == ["automorphisms", "blocks"]
+        assert (diag["form"], diag["rows"], diag["automorphisms"], diag["blocks"]) == ("free", 5, 5, 2)
+        assert abs(res.value - 9.0) < 1e-6
+        # the lift fills all 15 link blocks: a full witness tree
+        assert len(res.certificate.children) == 15
+        assert check_certificate(mantel_hypergraph(6), res.certificate) == []
+
+    def test_no_automorphism_keeps_the_program(self, monkeypatch):
+        # Distinct weights leave no automorphism: theta solves the free form
+        # as _free_form builds it, array for array.
+        hg, w = _seeded(8, 3, 1)
+        top = max(w)
+        want = thetabody._free_form(assemble_theta_sdp(hg, [v / top for v in w])[0])[0]
+        (got,) = _solved_programs(monkeypatch, lambda: theta(hg, w))
+        assert got.block_dims == want.block_dims
+        for a, b in zip((got.index, got.coef, got.rhs, *got.objective), (want.index, want.coef, want.rhs, *want.objective)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        diag = theta(hg, w).diagnostics
+        assert (diag["automorphisms"], diag["blocks"]) == (0, len(want.block_dims))
+        assert list(diag)[-2:] == ["automorphisms", "blocks"]
+        dual = theta_dual(hg, w).diagnostics
+        assert dual["automorphisms"] == 0 and list(dual)[-2:] == ["automorphisms", "blocks"]
+
+    def test_merge_without_moves_is_the_identity(self):
+        free = thetabody._free_form(assemble_theta_sdp(mantel_hypergraph(5))[0])
+        assert thetabody._orbit_form(free, []) is free
+
+    def test_weights_decide_the_group(self, monkeypatch):
+        # Mantel 5 with the edges at vertex 0 of K5 weighted 2: the
+        # stabilizer of that point, S_4, is what the search may use.
+        hg = mantel_hypergraph(5)
+        w = [2.0 if v < 4 else 1.0 for v in range(hg.n)]  # pairs (0, b) come first
+        res = theta(hg, w, tol=1e-10)
+        ref = _unreduced(monkeypatch, lambda: theta(hg, w, tol=1e-10))
+        assert abs(res.value - ref.value) <= 1e-7
+        assert 0 < res.diagnostics["rows"] < ref.diagnostics["rows"]
+        assert check_certificate(hg, res.certificate, tol=1e-9) == []
 
 
 class TestMembership:

@@ -4,7 +4,11 @@
 
 Solves the uniform-measure theta of Mantel 4, Mantel 5 and K3(3), where it
 meets the Hoffman bound hoff, at tol 1e-8 to 1e-11, with 1 and 2 BLAS
-threads and substitution blocks 16, 48 and 128.  The border, the rows that
+threads and substitution blocks 16, 48 and 128.  Each instance is solved
+twice: as its unreduced program, with thetabody's automorphism search
+patched to find none (cases mantel4, mantel5 and edge3), and as theta
+ships, merged over the instance's automorphisms (cases mantel4-orbits,
+mantel5-orbits and edge3-orbits).  The border, the rows that
 solve_sdp factors together after it has eliminated the groups (see
 sdp._split), is solved by one LU of its Schur complement up to
 sdp._LU_BORDER rows and else by triangular substitution with its Cholesky
@@ -35,7 +39,7 @@ sys.dont_write_bytecode = True  # importing _sources leaves tools/ unwritten
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _sources  # noqa: E402
 
-CASES = ("mantel4", "mantel5", "edge3")
+CASES = ("mantel4", "mantel5", "edge3", "mantel4-orbits", "mantel5-orbits", "edge3-orbits")
 TOLS = (1e-8, 1e-9, 1e-10, 1e-11)
 THREADS = (1, 2)
 BLOCKS = (16, 48, 128)
@@ -43,6 +47,7 @@ BLOCKS = (16, 48, 128)
 
 def _rows() -> list[dict]:
     """One record per (case, tol, block), in the current interpreter."""
+    from hypertheta import thetabody
     from hypertheta.hoffman import hoff, uniform_weighted
     from hypertheta.hypercore import complete_hypergraph
     from hypertheta.numlin import sdp
@@ -65,20 +70,23 @@ def _rows() -> list[dict]:
         "mantel5": mantel_hypergraph(5),
         "edge3": complete_hypergraph(3, 3),
     }
+    search = vars(thetabody).get("automorphisms")  # a source without the search has none
     out = []
     shipped = sdp._SUBST_BLOCK, sdp._LU_BORDER
     for block in BLOCKS:
         sdp._SUBST_BLOCK = block
         sdp._LU_BORDER = shipped[1] if block == shipped[0] else 0
         for name in CASES:
-            wh = uniform_weighted(graphs[name])
+            graph, _, orbits = name.partition("-")
+            thetabody.automorphisms = search if orbits else (lambda *args: [])
+            wh = uniform_weighted(graphs[graph])
             mu = [float(v) for v in wh.vertex_measure()]
             bound = hoff(wh)
             for tol in TOLS:
                 row = {"case": name, "tol": tol, "block": block}
                 sizes.update(schur_rows=None, border=None, groups=None, stacks=None)
                 try:
-                    res = theta(graphs[name], mu, tol=tol)
+                    res = theta(graphs[graph], mu, tol=tol)
                     sol_res, iters = res.diagnostics["residuals"], res.diagnostics["iterations"]
                     row.update(status="optimal", err=abs(res.value - bound), form=res.diagnostics["form"])
                 except ThetaSolverError as exc:
