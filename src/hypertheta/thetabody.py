@@ -471,14 +471,14 @@ def _orbit_form(free, moves):
 
 
 def _solved_free(
-    problem: SdpProblem, tol: float, what: str, accept=None, root: _Node | None = None, weights=None
+    problem: SdpProblem, tol: float, what: str, accept, root: _Node, weights
 ) -> tuple[SdpSolution, dict]:
     """_solved on _free_form(problem) whenever there is one, else on problem,
     and the diagnostics "form" ("free" or "rows"), "rows" (the rows solved),
     "automorphisms" (the generators merged over) and "blocks" (the blocks
-    solved).  With root, the root node of problem, the free form is merged
-    (_orbit_form) over the automorphisms of root.hyper that keep weights,
-    the program's fixed data on its diagonal.  A free-form solution is
+    solved).  The free form is merged (_orbit_form) over the automorphisms
+    of root.hyper, root the root node of problem, that keep weights, the
+    program's fixed data on its diagonal.  A free-form solution is
     stated for problem: blocks X(y), primal <C, X(y)> = <C, E0> minus the
     reduced dual value, dual <C, E0> minus the reduced primal value, and no
     y.  In the free form, accept(X(y)) is asked at every iterate that misses
@@ -488,7 +488,7 @@ def _solved_free(
     free = _free_form(problem)
     if free is None:
         return _solved(problem, tol, what), _form("rows", problem, 0)
-    gens = [] if root is None else automorphisms(root.hyper, weights)
+    gens = automorphisms(root.hyper, weights)
     reduced, c0, lift = _orbit_form(free, _tree_moves(root, gens))
     sol = _solved(reduced, tol, what, None if accept is None else (lambda y: accept(lift(y))))
     stated = replace(
@@ -526,7 +526,7 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
     top = max((v for v in wv if v > 0), default=1.0)
     scaled = [v / top for v in wv]
     problem, root = assemble_theta_sdp(hg, scaled)
-    sol, form = _solved_free(problem, tol, "theta", root=root, weights=scaled)
+    sol, form = _solved_free(problem, tol, "theta", None, root, scaled)
     cert = _extract(root, sol.blocks)
     f = cert.vector
     return ThetaResult(
@@ -594,8 +594,11 @@ def theta_membership(
     the solve runs to tol: f belongs iff the largest scaling of f in the
     body, t* = 1/lam*, is at least 1 - tol, and the witness has corner 1
     and diagonal min(t*, 1)*f.  Points within tol of the boundary may flip
-    either way.  The instance is first restricted to the support of f, as
-    _gauge requires.
+    either way.  The program merged over the instance's automorphisms counts
+    each block orbit once in the solver's barrier, so an interior point that
+    the unreduced program accepts early may run to tol instead, with a
+    witness psd only up to the dual residual.  The instance is first
+    restricted to the support of f, as _gauge requires.
     """
     fv = _float_weights(hg, f)
     if any(v < -1e-12 or v > 1.0 + tol for v in fv):

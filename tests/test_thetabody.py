@@ -176,9 +176,9 @@ class TestForms:
     def test_free_witness_meets_every_row(self, make, monkeypatch):
         monkeypatch.setattr("hypertheta.thetabody.automorphisms", lambda *args: [])  # the unreduced program
         hg, w = make()
-        problem, _ = assemble_theta_sdp(hg, w)
+        problem, root = assemble_theta_sdp(hg, w)
         # At tol 1e-8 the row form's C5 value lies 3.4e-7 above sqrt(5).
-        sol, form = thetabody._solved_free(problem, 1e-10, "theta")
+        sol, form = thetabody._solved_free(problem, 1e-10, "theta", None, root, w or [1.0] * hg.n)
         assert form["form"] == "free" and 0 < form["rows"] < problem.num_constraints
         row, blk, i, j = problem.index.T
         x = np.array([sol.blocks[b][p, q] for b, p, q in zip(blk, i, j)])
@@ -426,9 +426,13 @@ class TestOrbits:
         dual = theta_dual(hg, w).diagnostics
         assert dual["automorphisms"] == 0 and list(dual)[-2:] == ["automorphisms", "blocks"]
 
-    def test_merge_without_moves_is_the_identity(self):
-        free = thetabody._free_form(assemble_theta_sdp(mantel_hypergraph(5))[0])
-        assert thetabody._orbit_form(free, []) is free
+    def test_membership_that_runs_to_tol(self, monkeypatch):
+        # Unreduced, the gauge accepts this point after 3 iterations; merged
+        # it runs to tol, and the witness's child blocks reach -1.6e-9.
+        hg, f = complete_hypergraph(3, 3), [0.5] * 3
+        member, cert = theta_membership(hg, f)
+        assert member and _unreduced(monkeypatch, lambda: theta_membership(hg, f))[0]
+        assert check_certificate(hg, cert) == []
 
     def test_weights_decide_the_group(self, monkeypatch):
         # Mantel 5 with the edges at vertex 0 of K5 weighted 2: the
