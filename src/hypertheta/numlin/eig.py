@@ -17,13 +17,22 @@ def as_symmetric(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    return _symmetrized(a[None])[0]
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """The symmetrized copy of a (k, d, d) stack, each matrix validated as
+    by as_symmetric, in one pass over the stack.  A non-finite entry makes
+    its matrix's largest |entry| non-finite, since max propagates NaN."""
+    t = a.transpose(0, 2, 1)
+    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
+    if not np.isfinite(scale).all():
         raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-    skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-    if skew > _SYMMETRY_TOL * scale:
-        raise ValueError(f"matrix asymmetry {skew:.3e} exceeds tolerance")
-    return (a + a.T) / 2.0
+    skew = np.abs(a - t).max(axis=(1, 2), initial=0.0)
+    bad = skew > _SYMMETRY_TOL * np.maximum(scale, 1.0)
+    if bad.any():
+        raise ValueError(f"matrix asymmetry {skew[bad][0]:.3e} exceeds tolerance")
+    return (a + t) / 2.0
 
 
 def eig_sym(m) -> tuple[np.ndarray, np.ndarray]:

@@ -34,12 +34,16 @@ direction is masked to the blocks' own entries after symmetrizing: its
 right-hand side carries sigma mu S^-1, not 0 on the pad, and the mask also
 stops roundoff in W from reaching the pad.
 The rows act on the stacks by one gather and one np.bincount over their
-terms; the Schur complement M is built the same way from the pairs of terms
-that share a block, and factored in the order of the block tree (George &
-Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981;
-Vandenberghe & Andersen, Found. Trends Optim. 1, 2015).  Once per solve the
-rows are split: the border is the rows on the block most rows touch, and
-the other rows fall into groups that share no block (found by
+terms.  The Schur complement M is built per stack by one of SDPA's formulas
+(Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997): F3 the same way, from
+the pairs of terms that share a block, and F1, where every row is on the
+border and the stack's rows are dense enough (_F1_WORK, _F1_PAIRS), from
+those rows formed as dense matrices once per solve.  M is factored in the
+order of the block tree (George & Liu, Computer Solution of Large Sparse
+Positive Definite Systems, 1981; Vandenberghe & Andersen, Found. Trends
+Optim. 1, 2015).  Once per solve the rows are split: the border is the
+rows on the block most rows touch, and the other rows fall into groups
+that share no block (found by
 _least_labels, which symmetry.pair_orbits shares), each coupled in M only
 to its separator, the border rows on its blocks.  M is never formed as an
 m x m array: every iteration scatters it into the groups' private blocks,
@@ -69,13 +73,14 @@ are immutable after construction and may be shared across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .eig import as_symmetric
+from .eig import _symmetrized
 
 __all__ = ["SdpProblem", "SdpSolution", "border_rows", "solve_sdp"]
 
@@ -100,6 +105,20 @@ _LU_BORDER = 128
 # faster at every k * (D^3 - d^3) up to 6,734; from about 10,000 on the
 # winner changed from program to program, and above 26,000 two stacks won.
 _MERGE_WORK = 6000
+# Schur formula of a stack in a program with no group (see _prepare): F1 when
+# its multiply-adds / _F1_WORK + _F1_PAIRS <= the stack's pairs of terms, so
+# _F1_WORK prices F1's multiply-adds in F3 pairs and _F1_PAIRS its fixed cost.
+# Timed per _schur call (best of 7, one BLAS thread, 2-vCPU machine) on 203
+# programs of 2 to 12 dense rows on 1 or 2 blocks of size 3 to 33, F3 took
+# about 13 ns per pair and F1 a few microseconds plus about 0.1 ns per
+# multiply-add.  The rule that lost the least time there to the faster
+# formula had _F1_WORK 150-200 and _F1_PAIRS 200; these more cautious values
+# lost 69 us over the 203 calls and took F1 only once where F3 was faster
+# (by 1 us).  On theta's merged Mantel 6 program F1 took 14-22 us per call
+# against 134-145 us; no random program of a ladder or batch pass of the
+# benchmark takes it at seeds 1 to 30.
+_F1_WORK = 100
+_F1_PAIRS = 400
 
 
 @dataclass(frozen=True)
@@ -138,9 +157,17 @@ class SdpProblem:
         dims = tuple(int(d) for d in block_dims)
         if any(d < 1 for d in dims):
             raise ValueError("block dimensions must be positive")
-        obj = tuple(as_symmetric(c) for c in objective)
-        if [c.shape for c in obj] != [(d, d) for d in dims]:
+        mats = [np.asarray(c, dtype=float) for c in objective]
+        if [c.shape for c in mats] != [(d, d) for d in dims]:
             raise ValueError("objective must provide one d x d matrix per block")
+        by_size, obj = {}, [None] * len(mats)
+        for b, d in enumerate(dims):
+            by_size.setdefault(d, []).append(b)
+        for blocks in by_size.values():  # checked and symmetrized per block size
+            sym = _symmetrized(np.array([mats[b] for b in blocks]))
+            sym.flags.writeable = False
+            for b, c in zip(blocks, sym):
+                obj[b] = c
         index, given = index.astype(np.intp), index
         if np.any(index != given):
             raise ValueError("constraint term indices must be integers")
@@ -154,7 +181,7 @@ class SdpProblem:
             raise ValueError("constraint data must be finite")
         for arr in (rhs, index, coef, *obj):
             arr.flags.writeable = False
-        vars(self).update(block_dims=dims, objective=obj, rhs=rhs, index=index, coef=coef)
+        vars(self).update(block_dims=dims, objective=tuple(obj), rhs=rhs, index=index, coef=coef)
 
     @property
     def num_constraints(self) -> int:
@@ -267,12 +294,14 @@ class _Layout:
     kept rows.  A block quantity is a list of (k, d, d) stacks, in increasing
     size d; block b of the problem is slot where[b][1] of stack where[b][0],
     in the top left corner of the slot when the block is smaller than d.
-    pos and quad index the stacks raveled and
-    concatenated.  Each kept term appears twice in (row, pos, half), at
-    entry (i, j) and at (j, i), with half its coefficient.  Each pair of kept
-    terms that share a block has a column of quad, a weight and two entries
-    of cell, where its value lands in the parts of the Schur complement, as
-    _schur reads them."""
+    pos and quad index the stacks raveled and concatenated.  Each kept term
+    appears twice in (row, pos, half), at entry (i, j) and at (j, i), with
+    half its coefficient.  Each pair of kept terms that share a block of an
+    F3 stack has a column of quad, a weight and two entries of cell, where
+    its value lands in the parts of the Schur complement, as _schur reads
+    them.  An F1 stack of k blocks of size d has instead the kept rows with
+    a term on it, ascending, and those rows as a dense (rows, k, d, d)
+    array."""
 
     sizes: tuple
     counts: tuple
@@ -285,6 +314,7 @@ class _Layout:
     quad: np.ndarray
     weight: np.ndarray
     cell: np.ndarray
+    dense: tuple  # per stack, (rows, A) of an F1 stack, else None
     pad: np.ndarray  # the identity diagonal that pads the groups to P rows
     priv: np.ndarray  # (G, P) kept rows of each group, m on padding
     sep: np.ndarray  # (G, Q) border places of each separator, nb on padding
@@ -382,13 +412,19 @@ def border_rows(row: np.ndarray, blk: np.ndarray, m: int, nblk: int) -> int:
 
 
 def _prepare(problem: SdpProblem, kept: np.ndarray) -> _Layout:
-    """The (stack, slot) map of the blocks, the kept terms and their pairs,
-    and the split of the rows with the Schur complement's parts.
+    """The (stack, slot) map of the blocks, the kept terms, the split of the
+    rows with the Schur complement's parts, and per stack its Schur formula:
+    the dense rows of an F1 stack, the pairs of terms of the F3 stacks.
 
     The distinct sizes are taken in increasing order.  The k blocks at size
     d, with any lifted into d before, move up to the next size D when
     k * (D^3 - d^3) <= _MERGE_WORK; otherwise the stack stops at d and the
-    next size starts a new one."""
+    next size starts a new one.  In a program with no group, a stack of k
+    blocks of size d whose m_s rows (those with a term on it) cost
+    F = 2 m_s k d^3 + m_s^2 k d^2 multiply-adds in F1, the products W A W
+    and their inner products, takes F1 when F / _F1_WORK + _F1_PAIRS is at
+    most the number of its pairs of terms that share a block; every other
+    stack takes F3."""
     dims = problem.block_dims
     sizes, counts, stack_of = [], [], {}
     for d in sorted(set(dims)):
@@ -407,19 +443,42 @@ def _prepare(problem: SdpProblem, kept: np.ndarray) -> _Layout:
     padded = np.array([sizes[g] for g, _ in where])
     offsets = np.cumsum([0] + [k * d * d for k, d in zip(counts, sizes)])
     start = np.array([offsets[g] + slot * d * d for d, (g, slot) in zip(padded, where)])
-    on = np.isin(problem.index[:, 0], kept)
-    row, blk, i, j = problem.index[on].T
-    row, coef, m = np.searchsorted(kept, row), problem.coef[on], len(kept)
+    index, coef, m = problem.index, problem.coef, len(kept)
+    if m < problem.num_constraints:  # the presolve dropped rows
+        on = np.isin(index[:, 0], kept)
+        index, coef = index[on], coef[on]
+    row, blk, i, j = index.T
+    row = np.searchsorted(kept, row)
     dim, base = padded[blk], start[blk]
     ri, rj = base + i * dim, base + j * dim  # flat positions of rows i and j
-    # In the terms sorted by block, u runs from t to the last term of t's block.
-    order = np.argsort(blk, kind="stable")
+    pos, half, rows = np.concatenate([ri + j, rj + i]), np.tile(coef / 2.0, 2), np.tile(row, 2)
+
+    grp, place, sep = _split(row, blk, m, len(dims))
+    stack = np.array([g for g, _ in where])
+    f1 = np.zeros(len(sizes), dtype=bool)
+    if not len(sep):  # every row on the border, in kept order
+        per_block = np.bincount(blk, minlength=len(dims))
+        pairs = np.bincount(stack, per_block * (per_block + 1) // 2, len(sizes))
+        m_s = np.bincount(_distinct(stack[blk] * m + row) // m, minlength=len(sizes))
+        k, d = np.array(counts), np.array(sizes)
+        f1 = (2 * m_s * k * d**3 + m_s * m_s * k * d * d) / _F1_WORK + _F1_PAIRS <= pairs
+    dense = [None] * len(sizes)
+    for s in np.flatnonzero(f1):
+        lo, hi = offsets[s], offsets[s + 1]
+        at = (pos >= lo) & (pos < hi)
+        touched = _distinct(rows[at])
+        flat = np.searchsorted(touched, rows[at]) * (hi - lo) + pos[at] - lo
+        mats = np.bincount(flat, half[at], len(touched) * (hi - lo))
+        dense[s] = touched, mats.reshape(len(touched), counts[s], sizes[s], sizes[s])
+    # In the F3 stacks' terms sorted by block, u runs from t to the last term
+    # of t's block.
+    t3 = np.flatnonzero(~f1[stack[blk]])
+    order = t3[np.argsort(blk[t3], kind="stable")]
     lens = np.searchsorted(blk[order], blk[order], side="right") - np.arange(len(order))
     first = np.repeat(np.arange(len(order)), lens)
     second = first + np.arange(len(first)) - np.repeat(np.cumsum(lens) - lens, lens)
     t, u = order[first], order[second]
 
-    grp, place, sep = _split(row, blk, m, len(dims))
     border = np.flatnonzero(grp < 0)
     (ng, q), nb = sep.shape, len(border)
     size = np.bincount(grp[grp >= 0], minlength=ng)
@@ -456,12 +515,13 @@ def _prepare(problem: SdpProblem, kept: np.ndarray) -> _Layout:
         bounds=tuple(int(v) for v in offsets),
         where=tuple(where),
         m=m,
-        row=np.tile(row, 2),
-        pos=np.concatenate([ri + j, rj + i]),
-        half=np.tile(coef / 2.0, 2),
+        row=rows,
+        pos=pos,
+        half=half,
         quad=np.stack([ri[t] + i[u], rj[t] + j[u], ri[t] + j[u], rj[t] + i[u]]),
         weight=coef[t] * coef[u] / np.where(t == u, 4.0, 2.0),
         cell=np.concatenate([cells(row[t], row[u]), cells(row[u], row[t])]),
+        dense=tuple(dense),
         pad=diag[np.arange(p) >= size[:, None]],
         priv=priv,
         sep=sep,
@@ -471,29 +531,38 @@ def _prepare(problem: SdpProblem, kept: np.ndarray) -> _Layout:
 
 
 def _schur(lay: _Layout, ws) -> tuple:
-    """The Schur complement M[r, s] = <A_r, W A_s W> of the kept rows, by
-    SDPA's F3 formula (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997):
-    terms t = (i, j, c), u = (k, l, c') of one block give
+    """The Schur complement M[r, s] = <A_r, W A_s W> of the kept rows, in
+    the split of _split, summed over the stacks by each stack's formula of
+    SDPA (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).  On the F3
+    stacks, terms t = (i, j, c), u = (k, l, c') of one block give
     c c' (W_ik W_jl + W_il W_jk) / 2, added at M positions (row_t, row_u)
     and (row_u, row_t).  A pair t = u thus lands twice on one entry and
-    weighs c^2/4; a pair t < u, c c'/2.  M is never formed: the values are
-    scattered straight into its parts in the split of _split, (priv, coup,
-    border).  priv (G, P, P) holds each group's private block, padded with
-    the identity; coup (G, P, Q) each group's rows against its separator,
-    the only copy of that coupling; border (nb, nb) the border rows against
+    weighs c^2/4; a pair t < u, c c'/2.  An F1 stack, taken only where
+    every row is on the border, forms W A_s W from its dense rows A and
+    adds A vec(W A W)^T, symmetrized, to the rows it touches.  M is never
+    formed: the values go straight into its parts, (priv, coup, border).
+    priv (G, P, P) holds each group's private block, padded with the
+    identity; coup (G, P, Q) each group's rows against its separator, the
+    only copy of that coupling; border (nb, nb) the border rows against
     each other."""
-    flat = np.concatenate([w.ravel() for w in ws])
-    ik, jl, il, jk = lay.quad
-    value = lay.weight * (flat[ik] * flat[jl] + flat[il] * flat[jk])
     (ng, p), q, nb = lay.priv.shape, lay.sep.shape[1], len(lay.border)
-    parts = np.bincount(lay.cell, np.tile(value, 2), ng * p * (p + q) + nb * nb + 1)[:-1]
-    parts[lay.pad] = 1.0
+    size = ng * p * (p + q) + nb * nb
+    if len(lay.weight):
+        flat = ws[0].ravel() if len(ws) == 1 else np.concatenate([w.ravel() for w in ws])
+        ik, jl, il, jk = lay.quad
+        value = lay.weight * (flat[ik] * flat[jl] + flat[il] * flat[jk])
+        parts = np.bincount(lay.cell, np.concatenate([value, value]), size + 1)[:-1]
+        parts[lay.pad] = 1.0
+    else:  # F1 takes every stack
+        parts = np.zeros(size)
     cut = ng * p * p
-    return (
-        parts[:cut].reshape(ng, p, p),
-        parts[cut : cut + ng * p * q].reshape(ng, p, q),
-        parts[cut + ng * p * q :].reshape(nb, nb),
-    )
+    border = parts[cut + ng * p * q :].reshape(nb, nb)
+    for w, dense in zip(ws, lay.dense):
+        if dense is not None:
+            rows, a = dense
+            inner = a.reshape(len(rows), -1) @ (w @ a @ w).reshape(len(rows), -1).T
+            border[np.ix_(rows, rows)] += (inner + inner.T) / 2.0
+    return parts[:cut].reshape(ng, p, p), parts[cut : cut + ng * p * q].reshape(ng, p, q), border
 
 
 def _factor(lay: _Layout, parts: tuple, ridge: float) -> tuple:
@@ -559,7 +628,7 @@ def _stacked(lay: _Layout, mats) -> list:
 
 def _apply_a(lay: _Layout, stacks) -> np.ndarray:
     """<A_i, X> for every kept row i, read from the symmetric part of X."""
-    flat = np.concatenate([x.ravel() for x in stacks])
+    flat = stacks[0].ravel() if len(stacks) == 1 else np.concatenate([x.ravel() for x in stacks])
     return np.bincount(lay.row, lay.half * flat[lay.pos], minlength=lay.m)
 
 
@@ -611,11 +680,17 @@ def _eig_minima(blocks):
         yield float(np.linalg.eigvalsh(np.stack([b for b in blocks if len(b) == d])).min())
 
 
+def _pencil_minima(z: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Per block of one stack, the least eigenvalue of the whitened pencil
+    z^T dx z."""
+    return np.linalg.eigvalsh(z.transpose(0, 2, 1) @ dx @ z).min(axis=1)
+
+
 def _max_step(z: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Per block of one stack, the largest a with x + a*dx psd, computed
     through the whitened pencil z^T dx z, for any z with z^T x z = I.  A
     block whose pencil has no eigenvalue below -1e-13 allows any step."""
-    lo = np.linalg.eigvalsh(z.transpose(0, 2, 1) @ dx @ z).min(axis=1)
+    lo = _pencil_minima(z, dx)
     return np.where(lo >= -1e-13, np.inf, -1.0 / np.minimum(lo, -1e-13))
 
 
@@ -624,13 +699,14 @@ def _max_steps(zs, dxs, dss) -> tuple:
     dxs and of S along dss, by one eigvalsh call per stack for both; zs[g]
     whitens stack g of S and X concatenated (_nt_scaling).  Each matrix of a
     stacked LAPACK call is processed alone, so this equals taking the two
-    stacks apart."""
-    ap = ad = np.inf
+    stacks apart.  The step falls as the pencil's minimum does, so the rule
+    of _max_step is applied once, to the least minimum of each side."""
+    lp = ld = np.inf
     for z, dx, ds in zip(zs, dxs, dss):
-        steps = _max_step(z, np.concatenate([ds, dx]))
-        ad = min(ad, steps[: len(ds)].min())
-        ap = min(ap, steps[len(ds) :].min())
-    return ap, ad
+        lo = _pencil_minima(z, np.concatenate([ds, dx]))
+        ld = min(ld, lo[: len(ds)].min())
+        lp = min(lp, lo[len(ds) :].min())
+    return tuple(np.inf if least >= -1e-13 else -1.0 / least for least in (lp, ld))
 
 
 def _nt_scaling(s: np.ndarray, x: np.ndarray):
@@ -649,7 +725,8 @@ def _nt_scaling(s: np.ndarray, x: np.ndarray):
     optimum the factor product keeps the accuracy that XS loses to roundoff,
     and a triangular factor carries a diagonal scaling through, where an
     eigenvector square root loses the small direction."""
-    ls, lx = np.split(np.linalg.cholesky(np.concatenate([s, x])), 2)
+    both = np.linalg.cholesky(np.concatenate([s, x]))
+    ls, lx = both[: len(s)], both[len(s) :]
     u, lam, vt = np.linalg.svd(ls.transpose(0, 2, 1) @ lx)
     v = vt.transpose(0, 2, 1)
     z = np.concatenate([lx @ v, ls @ u]) / np.maximum(np.concatenate([lam, lam]), 1e-300)[:, None, :]
@@ -762,7 +839,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, *, _accept=None) -> SdpSol
             if rel_gap <= tol and rp_norm <= tol * 10 and rd_norm <= tol * 10:
                 status = stop = "optimal"
                 break
-            if not np.isfinite([pobj, dobj, gap, rp_norm, rd_norm]).all():
+            if not all(map(math.isfinite, (pobj, dobj, gap, rp_norm, rd_norm))):
                 stop = "diverged"  # an unbounded program, or overflow
                 break
             if _accept is not None and _accept(full_y(y)):

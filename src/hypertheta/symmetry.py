@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -124,7 +125,8 @@ def _common_eigenspaces(labels: np.ndarray) -> list[np.ndarray] | None:
     # S_k is 2 on a self-paired orbit k, 1 on k and its transpose otherwise.
     keys, cls = np.unique(np.minimum(labels, labels.T), return_inverse=True)
     twice = np.where(labels == labels.T, 2.0, 1.0)
-    coef = np.random.default_rng(_EIGEN_SEED).standard_normal(len(keys))
+    draw = random.Random(_EIGEN_SEED)  # numpy.random would be imported on the first call
+    coef = np.array([draw.gauss(0.0, 1.0) for _ in keys])
     w, q = np.linalg.eigh(coef[cls.reshape(labels.shape)] * twice)
     cut = np.flatnonzero(np.diff(w) > _EIGEN_TOL * np.abs(w).max(initial=0.0))
     return np.split(q, cut + 1, axis=1) if len(cut) + 1 == len(keys) else None

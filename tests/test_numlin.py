@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypertheta.hamming import build_hamming_hypergraph
 from hypertheta.hypercore import (
     Hypergraph,
     chi_star,
@@ -667,6 +668,58 @@ class TestSchur:
         for seed in range(3):
             self.check(problem, kept, seed)
 
+    @staticmethod
+    def formulas(problem):
+        """Per stack of the program's layout, the Schur formula it takes."""
+        lay = _prepare(problem, _kept_rows(problem)[0])
+        return ["F3" if dense is None else "F1" for dense in lay.dense]
+
+    @pytest.mark.parametrize("build", [lambda: mantel_hypergraph(6), lambda: build_hamming_hypergraph(4, 2)],
+                             ids=["mantel6", "hamming4-2"])
+    def test_merged_program_takes_f1(self, monkeypatch, build):
+        from hypertheta.thetabody import theta
+
+        hg = build()
+        problem = _problem_solved_by(monkeypatch, lambda: theta(hg))
+        # 5 dense rows on 2 blocks of one stack
+        assert problem.num_constraints == 5 and len(problem.block_dims) == 2
+        assert self.formulas(problem) == ["F1"]
+        for seed in range(3):
+            self.check(problem, seed=seed)
+
+    def test_border_program_mixes_f1_and_f3_stacks(self):
+        # Rows 1-4 name the 20 x 20 block, the root; row 0, on the 2 x 2
+        # block alone, has fewer rows than its separator and stays on the
+        # border, so every row is.  The dense rows make the 20 x 20 stack F1,
+        # which adds into rows 1-4 only; the 2 x 2 block, too small to lift
+        # into it, is a stack of its own with a few terms, on F3.
+        rng = np.random.default_rng(5)
+        iu, ju = np.triu_indices(20)
+        rows = [([(0, 0, 0, 1.0), (0, 1, 1, 2.0)], 1.0)]
+        for r in range(4):
+            terms = [(1, i, j, c) for i, j, c in zip(iu, ju, rng.normal(size=len(iu)))]
+            rows.append((terms + [(0, r % 2, 1, 1.0 + r)], float(r)))
+        problem = SdpProblem([2, 20], [np.eye(2), np.eye(20)], rows)
+        assert self.formulas(problem) == ["F3", "F1"]
+        lay = _prepare(problem, np.arange(5))
+        assert len(lay.priv) == 0 and list(lay.border) == [0, 1, 2, 3, 4]
+        assert list(lay.dense[1][0]) == [1, 2, 3, 4]
+        for seed in range(3):
+            self.check(problem, seed=seed)
+
+    def test_formula_follows_the_program_shape(self):
+        # F3 where the program has a group, where F1's multiply-adds are
+        # many per pair of terms, and where the stack has few pairs.
+        unreduced = _free_form(assemble_theta_sdp(mantel_hypergraph(5))[0])[0]
+        assert len(_prepare(unreduced, _kept_rows(unreduced)[0]).priv) > 0
+        assert self.formulas(unreduced) == ["F3", "F3"]
+        eigenspaces = _transitive_program(mantel_hypergraph(7), symmetric_group_pair_action(7))
+        assert self.formulas(eigenspaces) == ["F3"]
+        no_psd = SdpProblem(
+            [2], [np.eye(2)], [([(0, 0, 0, 1.0)], 1.0), ([(0, 1, 1, 1.0)], 1.0), ([(0, 0, 1, 1.0)], 2.0)]
+        )
+        assert self.formulas(no_psd) == ["F3"]
+
 
 def _dense_schur(problem, kept, ws):
     """M[r, s] = <A_r, W A_s W> summed over the blocks as vec(A_r)^T (W kron W)
@@ -996,6 +1049,24 @@ class TestStacks:
         (_, sol), = solved[1:]
         assert abs(sol.primal - 3.0 / 4.0) < 1e-8
         assert abs(lam - 3.0 / 4.0) < 1e-8
+
+
+# Objectives that SdpProblem rejects, each checked per block size: one per
+# failed check, and one failing in the second of two sizes only.
+_BAD_OBJECTIVES = [
+    pytest.param([2], [np.array([[1.0, 0.5], [0.0, 1.0]])], [([(0, 0, 0, 1.0)], 1.0)], id="asymmetric-objective"),
+    pytest.param([2], [np.array([[np.nan, 0.0], [0.0, 1.0]])], [([(0, 0, 0, 1.0)], 1.0)], id="nan-objective"),
+    pytest.param([2], [np.zeros((2, 3))], [([(0, 0, 0, 1.0)], 1.0)], id="non-square-objective"),
+    pytest.param(
+        [2, 3, 3], [np.eye(2), np.eye(3), np.zeros((3, 2))], [([(0, 0, 0, 1.0)], 1.0)], id="second-size-shape"
+    ),
+    pytest.param(
+        [2, 3, 3],
+        [np.eye(2), np.eye(3), np.triu(np.ones((3, 3)))],
+        [([(0, 0, 0, 1.0)], 1.0)],
+        id="second-size-asymmetric",
+    ),
+]
 
 
 class TestSdp:
@@ -1475,11 +1546,22 @@ class TestSdp:
             pytest.param([2], [np.eye(2)], [([(0, 0, 0, 1.0)], np.nan)], id="nan-rhs"),
             pytest.param([2, 1], [np.eye(2)], [([(0, 0, 0, 1.0)], 1.0)], id="objective-count"),
             pytest.param([2], [np.eye(3)], [([(0, 0, 0, 1.0)], 1.0)], id="objective-shape"),
+            *_BAD_OBJECTIVES,
         ],
     )
     def test_rejects_bad_terms(self, dims, objective, rows):
         with pytest.raises(ValueError):
             SdpProblem(dims, objective, rows)
+
+    @pytest.mark.parametrize("dims, objective, rows", _BAD_OBJECTIVES)
+    def test_term_arrays_reject_bad_objectives(self, dims, objective, rows):
+        # the path of the package's own programs checks the objective alike
+        terms = np.array([(r, *term) for r, (ts, _) in enumerate(rows) for term in ts], dtype=float)
+        rhs = np.array([value for _, value in rows])
+        with pytest.raises(ValueError):
+            SdpProblem._of_terms(dims, objective, terms[:, :4], terms[:, 4], rhs)
+        good = [np.eye(d) for d in dims]
+        assert SdpProblem._of_terms(dims, good, terms[:, :4], terms[:, 4], rhs).num_constraints == len(rows)
 
     def test_constraints_view_is_dense_and_symmetric(self):
         rows = [

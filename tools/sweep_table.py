@@ -18,8 +18,9 @@ groups' own solves depend on neither.  The column of the shipped block
 and the columns of blocks 16 and 128 set sdp._LU_BORDER to 0, so that they
 solve every border by substitution.  Above the table, each case's line
 gives the form it is solved in, its Schur rows, its border rows, its groups
-and its block stacks (k blocks padded to d x d read "k of dxd").  Each cell
-reads "iterations / max_ridge / centering fallbacks / |value - hoff|"; a
+and its block stacks with the Schur formula each takes (k blocks padded to
+d x d, built by SDPA's F1, read "k of dxd F1"; see sdp._prepare).  Each
+cell reads "iterations / max_ridge / centering fallbacks / |value - hoff|"; a
 solve that does not end "optimal" is marked FAIL with its status.  --src
 and --against follow tools/_sources.py, with one worker per thread count:
 a cell's line reads "case tol, threads, block: cell", and the closing
@@ -59,7 +60,9 @@ def _rows() -> list[dict]:
 
     def spied(problem, kept):
         lay = prepare(problem, kept)
-        stacks = ", ".join(f"{k} of {d}x{d}" for d, k in zip(lay.sizes, lay.counts))
+        dense = getattr(lay, "dense", (None,) * len(lay.sizes))  # a source without F1 has none
+        formulas = ["F3" if f is None else "F1" for f in dense]
+        stacks = ", ".join(f"{k} of {d}x{d} {f}" for d, k, f in zip(lay.sizes, lay.counts, formulas))
         sizes.update(schur_rows=lay.m, border=len(lay.border), groups=len(lay.priv), stacks=stacks)
         return lay
 
@@ -113,7 +116,7 @@ def run(src: str) -> list[dict]:
     """One record per cell, importing the package from src: case, tol,
     block, threads, status, err (None unless "optimal"), iters, ridge,
     fallbacks, and the case's form (None unless "optimal"), schur_rows,
-    border, groups and stacks, its block stacks as "k of dxd" (None when the
+    border, groups and stacks, its block stacks as "k of dxd F3" (None when the
     solve stopped before its layout)."""
     return [{**row, "threads": t} for t in THREADS for row in _sources.spawn(__file__, src, threads=t)]
 
