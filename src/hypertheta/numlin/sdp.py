@@ -547,14 +547,12 @@ def _schur(lay: _Layout, ws) -> tuple:
     each other."""
     (ng, p), q, nb = lay.priv.shape, lay.sep.shape[1], len(lay.border)
     size = ng * p * (p + q) + nb * nb
-    if len(lay.weight):
-        flat = ws[0].ravel() if len(ws) == 1 else np.concatenate([w.ravel() for w in ws])
-        ik, jl, il, jk = lay.quad
-        value = lay.weight * (flat[ik] * flat[jl] + flat[il] * flat[jk])
-        parts = np.bincount(lay.cell, np.concatenate([value, value]), size + 1)[:-1]
-        parts[lay.pad] = 1.0
-    else:  # F1 takes every stack
-        parts = np.zeros(size)
+    flat = ws[0].ravel() if len(ws) == 1 else np.concatenate([w.ravel() for w in ws])
+    ik, jl, il, jk = lay.quad
+    value = lay.weight * (flat[ik] * flat[jl] + flat[il] * flat[jk])
+    parts = np.bincount(lay.cell, np.concatenate([value, value]), size + 1)[:-1]
+    parts = parts.astype(float, copy=False)  # bincount of no pair (F1 everywhere) is integer
+    parts[lay.pad] = 1.0
     cut = ng * p * p
     border = parts[cut + ng * p * q :].reshape(nb, nb)
     for w, dense in zip(ws, lay.dense):
