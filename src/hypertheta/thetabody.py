@@ -31,42 +31,44 @@ Each program reaches numlin.solve_sdp in one of two forms.  _Builder.fix
 sets one entry per row and _Builder.tie one entry equal to another further
 up the recursion, so the ties form a forest with at most one fix per tree
 (TestForms::test_assembled_ties_form_a_forest).  The row form is the
-program as assembled, one row per fix or tie; the free form takes it as
-given and eliminates them.  Pointer jumping finds the trees, the classes of
-tied entries.  The classes that hold a fixed entry are one fixed matrix E0,
-and each other class k, an entry no row names being a class alone, is one
-free scalar y_k with matrix E_k.  The witness blocks are
-X(y) = E0 + sum_k y_k E_k, which meet every fix and tie exactly and are psd
-up to the solve's dual residual, and the solve runs on the conic dual with
-one row per free class.  A class couples only with classes of its own root
-subtree and of the root block, so the solver factors the root subtrees'
-classes group by group and only the rest, its border (numlin.border_rows),
-as one dense block.  The free form is taken when that border has fewer
-rows than the row form.  Unreduced (below), theta's free form on H(4, 2)
-has 184 classes in place of 417 rows, all on the border; Mantel 6 has 480
-classes against 331 rows, of which 120 are on the border, and 15 groups
-of 24.  A graph's program is one block, so every class is on the border:
-the 5-cycle takes the free form (10 classes against 11 rows) but the
-8-cycle keeps the row form (28 against 17).  A program with no free class
-(a single point) keeps the row form too.
+program as assembled, one row per fix or tie; the free form, which
+_free_form builds in one pass, takes it as given and eliminates them.
+Pointer jumping finds the trees, the classes of tied entries.  The classes
+that hold a fixed entry are one fixed matrix E0, and each other class k,
+an entry no row names being a class alone, is one free scalar y_k with
+matrix E_k.  The witness blocks are X(y) = E0 + sum_k y_k E_k, which meet
+every fix and tie exactly and are psd up to the solve's dual residual, and
+the solve runs on the conic dual with one row per free class.  A class
+couples only with classes of its own root subtree and of the root block,
+so the solver factors the root subtrees' classes group by group and only
+the rest, its border (numlin.border_rows), as one dense block.  The free
+form is taken when that border has fewer rows than the row form.
+Unreduced (below), theta's free form on H(4, 2) has 184 classes in place
+of 417 rows, all on the border; Mantel 6 has 480 classes against 331 rows,
+of which 120 are on the border, and 15 groups of 24.  A graph's program is
+one block, so every class is on the border: the 5-cycle takes the free
+form (10 classes against 11 rows) but the 8-cycle keeps the row form (28
+against 17).  theta on an instance with no vertex returns 0 without a
+solve, so every program built here has a free class.
 
-The free form is then reduced by the instance's own symmetry.
+Once the border test has chosen the free form, the same pass reduces it by
+the instance's own symmetry, so the row form never pays for the search.
 hypercore.automorphisms finds generators of automorphisms that keep the
 program's fixed diagonal data: theta's weights w / max(w), the gauge's
 diagonal v.  Each acts on the recursion tree, whose node is the path of
 vertices that leads to it, block to block and entry to entry
-(_tree_moves), and maps the program to itself: its fixes, ties and
-objective.  So the group average of an optimal witness is an optimal
-witness (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004), on which
-each orbit of free classes takes one value and each block is a
-permutation of the first block of its orbit.  _orbit_form solves one
-variable per class orbit and one block per block orbit, and the lift
-fills every block, so the certificate is the full witness tree.  With no
-generator the program is the free form as built.  Theta on Mantel 6 then
-solves 5 rows on 2 blocks, on H(4, 2) 5 rows on 2 blocks.  The
-diagnostics of theta and theta_dual name the form, the rows solved, the
-generators merged over ("automorphisms", 0 in the row form) and the
-blocks solved.
+(_tree_moves, asked only for each class's least entry and each block's
+corner), and maps the program to itself: its fixes, ties and objective.
+So the group average of an optimal witness is an optimal witness
+(Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004), on which each
+orbit of free classes takes one value and each block is a permutation of
+the least block of its orbit.  The program solved has one variable per
+class orbit and one block per block orbit, and its lift fills every
+block, so the certificate is the full witness tree.  With no generator the
+program is the free form as eliminated.  Theta on Mantel 6 then solves 5
+rows on 2 blocks, on H(4, 2) 5 rows on 2 blocks.  The diagnostics of theta
+and theta_dual name the form, the rows solved, the generators merged over
+("automorphisms", 0 in the row form) and the blocks solved.
 
 All assemblies here are pure; solves are delegated to numlin and share no
 state between calls, so concurrent independent calls are safe.
@@ -328,13 +330,15 @@ def _solved(problem: SdpProblem, tol: float, what: str, accept=None) -> SdpSolut
     return sol
 
 
-def _free_form(problem: SdpProblem):
-    """The program with its fixes and ties eliminated.
+def _free_form(problem: SdpProblem, root: _Node, weights):
+    """The program with its fixes and ties eliminated, merged over the
+    automorphisms of root.hyper that keep weights.
 
-    problem is a _membership_node program, taken as given: each row fixes
-    one entry (c X[e] = rhs, _Builder.fix) or ties two (X[e] = X[e'], the
-    dependent entry e first, _Builder.tie), no entry is tied twice and no
-    tree fixed twice (TestForms::test_assembled_ties_form_a_forest).
+    problem is a _membership_node program, taken as given, and root its
+    root node: each row fixes one entry (c X[e] = rhs, _Builder.fix) or ties
+    two (X[e] = X[e'], the dependent entry e first, _Builder.tie), no entry
+    is tied twice and no tree fixed twice
+    (TestForms::test_assembled_ties_form_a_forest).
     Pointing each e at its e' gives a forest whose pointers lead up the
     recursion tree, and pointer jumping (parent = parent[parent])
     takes each entry to the root of its tree, whose value every entry of the
@@ -345,10 +349,15 @@ def _free_form(problem: SdpProblem):
     dual side of the program with one row <E_k, Z> = -<C, E_k> per tree and
     objective -E0 (Lofberg, Optim. Methods Softw. 24, 2009; the elimination
     is the doubleton rule of Andersen & Andersen, Math. Prog. 71, 1995).
-    Returns (that program, <C, E0>, lift) with lift(y) the blocks X(y), or
-    None when no tree is free or when the trees that the solve would factor
-    as one dense block, border_rows of that program, are not fewer than
-    problem's rows.
+
+    When the trees that the solve would factor as one dense block,
+    border_rows of those rows, are fewer than problem's rows, the pass then
+    merges them over the automorphisms of root.hyper that keep weights, the
+    program's fixed data on its diagonal (see the module docstring): one
+    row per orbit of trees, numbered by its least tree, and the least block
+    of each block orbit.  Returns (that program, <C, E0>, lift, the number
+    of generators) with lift(y) the blocks X(y) of every block, or None when
+    no tree is free or that border is not fewer than problem's rows.
     """
     m, coef = problem.num_constraints, problem.coef
     count = np.bincount(problem.index[:, 0], minlength=m)
@@ -367,41 +376,57 @@ def _free_form(problem: SdpProblem):
     fixes = np.bincount(parent[entry[f]], minlength=width)
     value = np.bincount(parent[entry[f]], problem.rhs[~tie] / coef[f], width)
 
-    # Every entry (b, i <= j) of every block, with its tree's root.
+    # Every entry (b, i <= j) of every block, with its tree's root; then the
+    # free entries, in increasing order, and their classes.
     flat = np.arange(width)
-    ub = np.repeat(np.arange(len(dims)), dims * dims)
-    ui, uj = np.divmod(flat - start[ub], dims[ub])
+    eb = np.repeat(np.arange(len(dims)), dims * dims)
+    ui, uj = np.divmod(flat - start[eb], dims[eb])
     on = ui <= uj
-    ub, ui, uj, upper = ub[on], ui[on], uj[on], flat[on]
+    ub, ui, uj, upper = eb[on], ui[on], uj[on], flat[on]
     lower = start[ub] + uj * dims[ub] + ui
     tree = parent[upper]
     fix, free = fixes[tree] > 0, fixes[tree] == 0
-    classes, k = np.unique(tree[free], return_inverse=True)
-    if not len(classes) or border_rows(k, ub[free], len(classes), len(dims)) >= m:
+    fb, fi, fj, fu, fl = ub[free], ui[free], uj[free], upper[free], lower[free]
+    classes, head, k = np.unique(tree[free], return_index=True, return_inverse=True)
+    nk, nb = len(classes), len(dims)
+    if not nk or border_rows(k, fb, nk, nb) >= m:
         return None
+
+    # The class and block orbits, read at each class's least entry and at
+    # each block's corner.
+    gens = automorphisms(root.hyper, weights)
+    cls = np.full(width, -1)
+    cls[fu] = cls[fl] = k
+    moves = _tree_moves(root, gens, np.concatenate([fu[head], start]))
+    lead = _least_labels(nk, [(np.arange(nk), cls[move[:nk]]) for move in moves])
+    orbit = (np.cumsum(lead == np.arange(nk)) - 1)[lead]
+    rep = _least_labels(nb, [(np.arange(nb), eb[move[nk:]]) for move in moves]) == np.arange(nb)
 
     e0 = np.zeros(width)
     e0[upper[fix]] = e0[lower[fix]] = value[tree[fix]]
     cflat = np.concatenate([c.ravel() for c in problem.objective])
-    coef_k = np.where(ui[free] == uj[free], 1.0, 2.0)
-    rhs_k = -np.bincount(k, cflat[upper[free]] * coef_k, len(classes))
-    order = np.argsort(k, kind="stable")
-    index = np.stack([k, ub[free], ui[free], uj[free]], axis=1)[order]
+    coef_k = np.where(fi == fj, 1.0, 2.0)
+    rhs = -np.bincount(k, cflat[fu] * coef_k, nk)
+    if gens:  # each orbit's row sums its classes' sums; a lone class keeps its -0.0
+        rhs = np.bincount(orbit, rhs, int(orbit.max()) + 1)
+    keep = rep[fb]
+    order = np.lexsort((fu[keep], orbit[k[keep]]))  # each row's terms in entry order
+    index = np.stack([orbit[k], (np.cumsum(rep) - 1)[fb], fi, fj], axis=1)[keep][order]
     spans = [(lo, lo + d * d, d) for lo, d in zip(start.tolist(), dims.tolist())]
-    objective = [-e0[lo:hi].reshape(d, d) for lo, hi, d in spans]
+    objective = [-e0[lo:hi].reshape(d, d) for (lo, hi, d), r in zip(spans, rep) if r]
 
     def lift(y):
         x = e0.copy()
-        x[upper[free]] = x[lower[free]] = np.asarray(y)[k]
+        x[fu] = x[fl] = np.asarray(y)[orbit[k]]
         return tuple(x[lo:hi].reshape(d, d) for lo, hi, d in spans)
 
-    reduced = SdpProblem._of_terms(problem.block_dims, objective, index, coef_k[order], rhs_k)
-    return reduced, float(cflat @ e0), lift
+    reduced = SdpProblem._of_terms(dims[rep], objective, index, coef_k[keep][order], rhs)
+    return reduced, float(cflat @ e0), lift, len(gens)
 
 
-def _tree_moves(root: _Node, gens) -> list[np.ndarray]:
-    """Each automorphism g in gens of root.hyper as the permutation it makes
-    of the program's block entries, entry (i, j) of block b being
+def _tree_moves(root: _Node, gens, entries: np.ndarray) -> list[np.ndarray]:
+    """The images of entries, block entries of root's program, under each
+    automorphism g in gens of root.hyper, entry (i, j) of block b being
     start[b] + i * d_b + j in the blocks raveled and concatenated.  A node
     is the path of root vertices that leads to it, and its rows past the
     corner are root vertices in increasing order, so g maps the node of path
@@ -422,8 +447,8 @@ def _tree_moves(root: _Node, gens) -> list[np.ndarray]:
     flat = np.concatenate(labels)
     local = np.zeros((len(labels), root.hyper.n + 1), dtype=np.intp)  # label -> row
     local[np.repeat(np.arange(len(labels)), size), flat] = np.arange(len(flat)) - np.repeat(first, size)
-    eb = np.repeat(np.arange(len(labels)), size * size)
-    ei, ej = np.divmod(np.arange(len(eb)) - start[eb], size[eb])
+    eb = np.searchsorted(start, entries, side="right") - 1
+    ei, ej = np.divmod(entries - start[eb], size[eb])
     li, lj = flat[first[eb] + ei], flat[first[eb] + ej]
     child = {(up, via): b for b, up, via, _ in nodes}
     moves = []
@@ -436,65 +461,29 @@ def _tree_moves(root: _Node, gens) -> list[np.ndarray]:
     return moves
 
 
-def _orbit_form(free, moves):
-    """_free_form's (program, <C, E0>, lift) merged over the orbits of moves,
-    permutations of the block entries that map the assembled program to
-    itself (_tree_moves): each orbit of free classes becomes one variable,
-    numbered by its least class, and one block per orbit of blocks, the
-    least, keeps its rows and objective.  So X(y) is invariant, which an
-    optimum may be taken to be (average over the group), and its other
-    blocks are permutations of their orbit's first block, psd with it.
-    The lift maps a merged y to the blocks X(y) of every class.  With no
-    move, free is returned as it is."""
-    if not moves:
-        return free
-    reduced, c0, lift = free
-    k, blk, i, j = reduced.index.T
-    dims = np.array(reduced.block_dims, dtype=np.intp)
-    start = np.cumsum(dims * dims) - dims * dims
-    nk, nb = reduced.num_constraints, len(dims)
-    upper, lower = start[blk] + i * dims[blk] + j, start[blk] + j * dims[blk] + i
-    cls = np.full(int((dims * dims).sum()), -1)
-    cls[upper] = cls[lower] = k
-    head = upper[np.flatnonzero(np.diff(k, prepend=-1))]  # an entry of each class
-    eb = np.repeat(np.arange(nb), dims * dims)
-    lead = _least_labels(nk, [(np.arange(nk), cls[m[head]]) for m in moves])
-    orbit = (np.cumsum(lead == np.arange(nk)) - 1)[lead]
-    rep = _least_labels(nb, [(np.arange(nb), eb[m[start]]) for m in moves]) == np.arange(nb)
-    keep = rep[blk]
-    order = np.lexsort((upper[keep], orbit[k[keep]]))  # each row's terms in entry order
-    index = np.stack([orbit[k], (np.cumsum(rep) - 1)[blk], i, j], axis=1)[keep][order]
-    objective = [c for c, r in zip(reduced.objective, rep) if r]
-    rhs = np.bincount(orbit, reduced.rhs, int(orbit.max()) + 1)
-    merged = SdpProblem._of_terms(dims[rep], objective, index, reduced.coef[keep][order], rhs)
-    return merged, c0, lambda y: lift(np.asarray(y)[orbit])
-
-
 def _solved_free(
     problem: SdpProblem, tol: float, what: str, accept, root: _Node, weights
 ) -> tuple[SdpSolution, dict]:
-    """_solved on _free_form(problem) whenever there is one, else on problem,
-    and the diagnostics "form" ("free" or "rows"), "rows" (the rows solved),
-    "automorphisms" (the generators merged over) and "blocks" (the blocks
-    solved).  The free form is merged (_orbit_form) over the automorphisms
-    of root.hyper, root the root node of problem, that keep weights, the
-    program's fixed data on its diagonal.  A free-form solution is
+    """_solved on _free_form(problem, root, weights) whenever there is one,
+    else on problem, and the diagnostics "form" ("free" or "rows"), "rows"
+    (the rows solved), "automorphisms" (the generators merged over) and
+    "blocks" (the blocks solved).  root is the root node of problem and
+    weights its fixed data on the diagonal.  A free-form solution is
     stated for problem: blocks X(y), primal <C, X(y)> = <C, E0> minus the
     reduced dual value, dual <C, E0> minus the reduced primal value, and no
     y.  In the free form, accept(X(y)) is asked at every iterate that misses
     tol, and the first it passes ends the solve "accepted"; the row form,
     whose blocks meet their rows only to the residual, ignores accept and
     runs to tol."""
-    free = _free_form(problem)
+    free = _free_form(problem, root, weights)
     if free is None:
         return _solved(problem, tol, what), _form("rows", problem, 0)
-    gens = automorphisms(root.hyper, weights)
-    reduced, c0, lift = _orbit_form(free, _tree_moves(root, gens))
+    reduced, c0, lift, gens = free
     sol = _solved(reduced, tol, what, None if accept is None else (lambda y: accept(lift(y))))
     stated = replace(
         sol, blocks=lift(sol.y), y=(), primal=c0 - sol.dual, dual=c0 - sol.primal
     )
-    return stated, _form("free", reduced, len(gens))
+    return stated, _form("free", reduced, gens)
 
 
 def _form(form: str, solved: SdpProblem, gens: int) -> dict:
@@ -521,6 +510,8 @@ def theta(hg: Hypergraph, w=None, tol: float = 1e-8) -> ThetaResult:
         value = float(sum(wv[x] for x in range(hg.n) if f[x] > 0))
         cert = _box_certificate(f, range(hg.n))
         return ThetaResult(value, f, cert, {"mode": "exact-base"})
+    if hg.n == 0:  # the corner-1 empty witness; nothing to solve
+        return ThetaResult(0.0, np.zeros(0), ThetaCertificate(1.0, np.zeros((0, 0)), hg.r, ()), {"mode": "zero"})
     # The solve's gap is relative to 1 + |value|, so it runs on w / max(w)
     # and the value scales back: the optimizer does not depend on the scale.
     top = max((v for v in wv if v > 0), default=1.0)

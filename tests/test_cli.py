@@ -68,6 +68,13 @@ class TestCommands:
         data = json.loads(out)
         assert abs(data["value"] - 4.0) < 1e-5
 
+    def test_theta_with_no_vertex(self, capsys, tmp_path):
+        path = tmp_path / "none.hg"
+        path.write_text("3 0 0\n")
+        code, out, _ = run_cli(capsys, "theta", "--file", str(path))
+        assert code == 0
+        assert out == '{"command":"theta","value":0,"optimizer":[],"iterations":0,"mode":"zero"}\n'
+
     def test_chistar(self, capsys, edge3_file):
         code, out, _ = run_cli(capsys, "chistar", "--file", edge3_file)
         data = json.loads(out)

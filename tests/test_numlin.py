@@ -46,6 +46,7 @@ from hypertheta.symmetry import (
     mantel_hypergraph,
     symmetric_group_pair_action,
 )
+from hypertheta import thetabody
 from hypertheta.thetabody import _free_form, assemble_theta_sdp
 
 
@@ -584,7 +585,6 @@ class _Captured(Exception):
 
 def _problem_solved_by(monkeypatch, call):
     """The SdpProblem that call hands to the solver first."""
-    from hypertheta import thetabody
 
     def capture(problem, tol, **hook):
         raise _Captured(problem)
@@ -593,6 +593,14 @@ def _problem_solved_by(monkeypatch, call):
     with pytest.raises(_Captured) as caught:
         call()
     return caught.value.args[0]
+
+
+def _unreduced_free_form(monkeypatch, hg):
+    """_free_form's program for theta on hg at unit weights, with the
+    automorphism search patched to find none: the unreduced program."""
+    monkeypatch.setattr(thetabody, "automorphisms", lambda *args: [])
+    problem, root = assemble_theta_sdp(hg)
+    return _free_form(problem, root, [1.0] * hg.n)[0]
 
 
 def _assembled(lay, parts):
@@ -707,10 +715,10 @@ class TestSchur:
         for seed in range(3):
             self.check(problem, seed=seed)
 
-    def test_formula_follows_the_program_shape(self):
+    def test_formula_follows_the_program_shape(self, monkeypatch):
         # F3 where the program has a group, where F1's multiply-adds are
         # many per pair of terms, and where the stack has few pairs.
-        unreduced = _free_form(assemble_theta_sdp(mantel_hypergraph(5))[0])[0]
+        unreduced = _unreduced_free_form(monkeypatch, mantel_hypergraph(5))
         assert len(_prepare(unreduced, _kept_rows(unreduced)[0]).priv) > 0
         assert self.formulas(unreduced) == ["F3", "F3"]
         eigenspaces = _transitive_program(mantel_hypergraph(7), symmetric_group_pair_action(7))
@@ -790,17 +798,17 @@ class TestTreeFactor:
         assert np.array_equal(_border_solve((chol, schur), vec), want)
         assert np.array_equal(_border_solve((chol, None), vec), want)
 
-    def test_mantel_6_free_form(self):
-        problem = _free_form(assemble_theta_sdp(mantel_hypergraph(6))[0])[0]
+    def test_mantel_6_free_form(self, monkeypatch):
+        problem = _unreduced_free_form(monkeypatch, mantel_hypergraph(6))
         lay = self.check(problem, 15)
         # 15 x 24^2 + 15 x 24 x 9 + 120^2 stored entries, against 480^2
         assert (lay.m, len(lay.border), lay.priv.shape[1], lay.sep.shape[1]) == (480, 120, 24, 9)
         row, blk = problem.index[:, 0], problem.index[:, 1]
         assert sdp.border_rows(row, blk, lay.m, len(problem.block_dims)) == 120
 
-    def test_unequal_groups_on_a_three_level_tree(self):
+    def test_unequal_groups_on_a_three_level_tree(self, monkeypatch):
         hg = random_hypergraph(6, 4, 0.4, random.Random(2))
-        problem = _free_form(assemble_theta_sdp(hg)[0])[0]
+        problem = _unreduced_free_form(monkeypatch, hg)
         lay = self.check(problem, 6)
         # 4-, 3- and 2-uniform nodes; groups and separators padded to P and Q
         assert max(problem.block_dims) == 7 and min(problem.block_dims) == 3
@@ -815,13 +823,13 @@ class TestTreeFactor:
         problem = _problem_solved_by(monkeypatch, lambda: theta_membership(hg, [0.5] * hg.n))
         self.check(problem, 10)
 
-    def test_skewed_groups_pad_to_under_half_of_m_squared(self):
+    def test_skewed_groups_pad_to_under_half_of_m_squared(self, monkeypatch):
         # Links of very unequal size: groups of 7 to 48 private rows, all
         # padded to 48 rows and 12 separator rows.  The padding doubles the
         # parts (35,721 entries against 17,028 unpadded) but they stay
         # under half of the 277^2 = 76,729 of the dense M.
         hg = random_hypergraph(13, 3, 0.06, random.Random(3))
-        lay = self.check(_free_form(assemble_theta_sdp(hg)[0])[0], 9)
+        lay = self.check(_unreduced_free_form(monkeypatch, hg), 9)
         assert sorted((lay.priv < lay.m).sum(axis=1)) == [7, 7, 7, 7, 11, 24, 29, 38, 48]
         (ng, p), q, nb = lay.priv.shape, lay.sep.shape[1], len(lay.border)
         assert (lay.m, nb, q) == (277, 99, 12)
@@ -1000,8 +1008,8 @@ class TestStacks:
         _, stacks = _stacks(_diagonal_program([2] * 4 + [3] * 2 + [20, 21]))
         assert stacks == [(6, 3), (2, 21)]
 
-    def test_mantel_6_free_form_is_unchanged(self):
-        problem = _free_form(assemble_theta_sdp(mantel_hypergraph(6))[0])[0]
+    def test_mantel_6_free_form_is_unchanged(self, monkeypatch):
+        problem = _unreduced_free_form(monkeypatch, mantel_hypergraph(6))
         _, stacks = _stacks(problem)
         assert stacks == [(15, 9), (1, 16)]
 
@@ -1175,7 +1183,7 @@ class TestSdp:
             assert bad is None
             assert list(kept) == _gram_schmidt_kept(a)
 
-    def test_kept_rows_match_the_dense_presolve(self):
+    def test_kept_rows_match_the_dense_presolve(self, monkeypatch):
         # rows that share no entry are decided by their norms, the rest by QR
         rows = [
             ([(0, 0, 0, 1.0), (0, 0, 1, 2.0)], 1.0),
@@ -1187,7 +1195,7 @@ class TestSdp:
         ]
         graphs = (cycle_graph(5), complete_hypergraph(3, 3), mantel_hypergraph(5))
         problems = [assemble_theta_sdp(hg)[0] for hg in graphs]
-        problems += [_free_form(p)[0] for p in problems[:2]]
+        problems += [_unreduced_free_form(monkeypatch, hg) for hg in graphs[:2]]
         problems.append(_transitive_program(mantel_hypergraph(7), symmetric_group_pair_action(7)))
         # the link rows of vertices 1 and 5 are equal under the reflection
         dihedral = _transitive_program(cycle_graph(6), dihedral_group(6))
@@ -1208,7 +1216,7 @@ class TestSdp:
             assert _kept_rows(bad_rows) == (None, "infeasible")
 
     def test_rows_that_share_no_entry_form_no_dense_matrix(self, monkeypatch):
-        problem = _free_form(assemble_theta_sdp(complete_hypergraph(3, 4))[0])[0]
+        problem = _unreduced_free_form(monkeypatch, complete_hypergraph(3, 4))
 
         def refuse(*args):
             raise AssertionError("stacked a dense matrix")

@@ -62,6 +62,19 @@ class TestTheta:
     def test_empty_three_uniform(self):
         assert abs(theta(empty_hypergraph(3, 4)).value - 4.0) < 1e-6
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_no_vertex_is_zero_without_a_solve(self, r, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("theta solved an SDP")
+
+        monkeypatch.setattr(thetabody, "solve_sdp", refuse)
+        hg = Hypergraph(r, 0, ())
+        res = theta(hg, [])
+        assert (res.value, res.optimizer.shape, res.diagnostics) == (0.0, (0,), {"mode": "zero"})
+        cert = res.certificate
+        assert (cert.scale, cert.matrix.shape, cert.uniformity, cert.vertex_map, cert.children) == (1.0, (0, 0), r, (), {})
+        assert check_certificate(hg, cert) == []
+
     def test_mantel4(self):
         assert abs(theta(mantel_hypergraph(4)).value - 4.0) < 1e-5
 
@@ -223,14 +236,15 @@ class TestForms:
         # The free form would factor more classes as one dense block than
         # the row form has rows: all 28 classes of the 8-cycle's one block,
         # and 325 of the fan's 589 classes.
-        problem, _ = assemble_theta_sdp(hg)
+        problem, root = assemble_theta_sdp(hg)
         assert problem.num_constraints == rows
+        monkeypatch.setattr(thetabody, "automorphisms", lambda *args: [])  # the unreduced program
         monkeypatch.setattr(thetabody, "border_rows", lambda *args: 0)
-        free = thetabody._free_form(problem)[0]
+        free = thetabody._free_form(problem, root, [1.0] * hg.n)[0]
         monkeypatch.undo()
         row, blk = free.index[:, 0], free.index[:, 1]
         assert thetabody.border_rows(row, blk, free.num_constraints, len(free.block_dims)) == border
-        assert thetabody._free_form(problem) is None
+        assert thetabody._free_form(problem, root, [1.0] * hg.n) is None
         res = theta(hg)
         assert (res.diagnostics["form"], res.diagnostics["rows"]) == ("rows", rows)
         assert check_certificate(hg, res.certificate) == []
@@ -259,8 +273,8 @@ class TestForms:
 
         programs = []
 
-        def capture(problem):
-            programs.append(problem)
+        def capture(problem, root, weights):
+            programs.append((problem, root, weights))
             raise Captured
 
         free_form = thetabody._free_form
@@ -276,10 +290,10 @@ class TestForms:
                     run(hg, w)
         assert len(programs) == 3 * len(cases)
         # The gauge programs are built on theta's root node: the same blocks.
-        for (hg, _), (_, dual, member) in zip(cases, zip(*[iter(programs)] * 3)):
+        for (hg, _), (_, (dual, *_), (member, *_)) in zip(cases, zip(*[iter(programs)] * 3)):
             assert dual.block_dims == assemble_theta_sdp(complement(hg))[0].block_dims
             assert member.block_dims == assemble_theta_sdp(hg)[0].block_dims
-        for problem in programs:
+        for problem, *_ in programs:
             rows = [[] for _ in range(problem.num_constraints)]
             for (row, *entry), coef in zip(problem.index.tolist(), problem.coef.tolist()):
                 rows[row].append((tuple(entry), coef))
@@ -310,15 +324,18 @@ class TestForms:
             roots = [root(entry) for entry in fixed]
             assert len(set(roots)) == len(roots)  # no tree holds two fixes
         monkeypatch.setattr(thetabody, "border_rows", lambda *args: 0)
-        for problem in programs:
+        monkeypatch.setattr(thetabody, "automorphisms", lambda *args: [])  # the unreduced program
+        for problem, root, weights in programs:
             entries = sum(d * (d + 1) // 2 for d in problem.block_dims)
-            reduced = free_form(problem)[0]
+            reduced = free_form(problem, root, weights)[0]
             assert reduced.num_constraints == entries - problem.num_constraints
 
-    def test_no_free_class_keeps_the_row_form(self):
-        # a single fixed point: the row form, and the solve settles the point
+    def test_no_free_class_keeps_the_row_form(self, monkeypatch):
+        # a single fixed point: the row form, decided before any search
         problem = SdpProblem([1], [np.array([[1.0]])], [([(0, 0, 0, 1.0)], 1.0)])
-        assert thetabody._free_form(problem) is None
+        _, root = assemble_theta_sdp(Hypergraph(2, 0, ()))  # one 1 x 1 block
+        monkeypatch.setattr(thetabody, "automorphisms", None)
+        assert thetabody._free_form(problem, root, []) is None
 
     def test_hamming_5_2_at_tol_1e_11(self):
         # the row form ended numerical-failure after 300 iterations here
@@ -347,6 +364,45 @@ SYMMETRIC = {
     "edge3": complete_hypergraph(3, 3),
     "ladder-r4": LADDER_R4,
 }
+
+
+class TestTreeMoves:
+    """_tree_moves, the entry images that _free_form merges over: each
+    generator permutes the block entries and maps theta's program to itself."""
+
+    @pytest.mark.parametrize("name", ["mantel5", "hamming4-2", "ladder-r4"])
+    def test_moves_map_the_program_to_itself(self, name):
+        hg = SYMMETRIC[name]
+        problem, root = assemble_theta_sdp(hg)
+        gens = thetabody.automorphisms(hg, [1.0] * hg.n)
+        dims = np.array(problem.block_dims)
+        start, width = np.cumsum(dims * dims) - dims * dims, int((dims * dims).sum())
+        moves = thetabody._tree_moves(root, gens, np.arange(width))
+        assert gens and len(moves) == len(gens)
+        eb = np.repeat(np.arange(len(dims)), dims * dims)
+        ei, ej = np.divmod(np.arange(width) - start[eb], dims[eb])
+
+        def named(e):  # a flat entry as (block, i <= j), as the rows name it
+            return (int(eb[e]), *sorted((int(ei[e]), int(ej[e]))))
+
+        rows = [[] for _ in range(problem.num_constraints)]
+        for (row, b, i, j), c in zip(problem.index.tolist(), problem.coef.tolist()):
+            rows[row].append((start[b] + i * dims[b] + j, c))
+        rhs = problem.rhs.tolist()
+        fixes = {named(t[0][0]): (t[0][1], v) for t, v in zip(rows, rhs) if len(t) == 1}
+        ties = {(named(t[0][0]), named(t[1][0])) for t in rows if len(t) == 2}
+        assert len(fixes) + len(ties) == problem.num_constraints
+        cflat = np.concatenate([c.ravel() for c in problem.objective])
+        some = np.random.default_rng(0).choice(width, size=width // 3, replace=False)
+        for move, part in zip(moves, thetabody._tree_moves(root, gens, some)):
+            assert np.array_equal(np.sort(move), np.arange(width))
+            assert np.array_equal(part, move[some])  # asked for fewer entries
+            for t, v in zip(rows, rhs):
+                if len(t) == 1:
+                    assert fixes[named(move[t[0][0]])] == (t[0][1], v)
+                else:
+                    assert (named(move[t[0][0]]), named(move[t[1][0]])) in ties
+            assert np.array_equal(cflat[move], cflat)
 
 
 def _unreduced(monkeypatch, call):
@@ -414,8 +470,9 @@ class TestOrbits:
         # Distinct weights leave no automorphism: theta solves the free form
         # as _free_form builds it, array for array.
         hg, w = _seeded(8, 3, 1)
-        top = max(w)
-        want = thetabody._free_form(assemble_theta_sdp(hg, [v / top for v in w])[0])[0]
+        scaled = [v / max(w) for v in w]
+        problem, root = assemble_theta_sdp(hg, scaled)
+        want = _unreduced(monkeypatch, lambda: thetabody._free_form(problem, root, scaled))[0]
         (got,) = _solved_programs(monkeypatch, lambda: theta(hg, w))
         assert got.block_dims == want.block_dims
         for a, b in zip((got.index, got.coef, got.rhs, *got.objective), (want.index, want.coef, want.rhs, *want.objective)):

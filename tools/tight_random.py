@@ -9,8 +9,9 @@ tol=1e-11), the tight-tolerance set of ROADMAP item 4.  Each line reads
 raises ThetaSolverError reads its status and stop from the error's
 solution.  The closing line gives the failing seeds and, over the solves
 that did not fail, those above 30 iterations, the most iterations and the
-total.  The form is the one thetabody._free_form gives the seed's
-unit-weight program, the program theta solves.  --src and --against
+total.  The form is "rows" when the program that theta hands to
+thetabody.solve_sdp has the block_dims and index of the seed's assembled
+program, and "free" otherwise.  --src and --against
 follow tools/_sources.py; the closing lines are the summary line of
 --against and that of --src, each headed by its directory.  Each source's
 solves run in a worker with one BLAS thread.
@@ -32,15 +33,24 @@ TOL = 1e-11
 
 def _records() -> list[dict]:
     """One record per seed, with its line, in this interpreter."""
+    import numpy as np
+
     from hypertheta import thetabody
     from hypertheta.hypercore import random_hypergraph
 
+    solved, solve_sdp = [], thetabody.solve_sdp
+
+    def spy(problem, *args, **kwargs):
+        solved.append(problem)
+        return solve_sdp(problem, *args, **kwargs)
+
+    thetabody.solve_sdp = spy
     out = []
     for s in SEEDS:
         rng = random.Random(s)
         n, r = rng.randint(5, 8), rng.randint(2, 4)
         hg = random_hypergraph(n, r, 0.4, rng)
-        form = "rows" if thetabody._free_form(thetabody.assemble_theta_sdp(hg)[0]) is None else "free"
+        assembled = thetabody.assemble_theta_sdp(hg)[0]
         try:
             res = thetabody.theta(hg, tol=TOL)
             status, stop = "optimal", "optimal"
@@ -48,6 +58,8 @@ def _records() -> list[dict]:
         except thetabody.ThetaSolverError as exc:
             sol = exc.solution
             status, stop, count, ridge = sol.status, sol.stop, sol.iterations, sol.residuals["max_ridge"]
+        rows = solved[-1].block_dims == assembled.block_dims and np.array_equal(solved[-1].index, assembled.index)
+        form = "rows" if rows else "free"
         line = (
             f"seed {s}: n {n}, r {r}, form {form}, {status}, stop {stop}, "
             f"{count} iterations, max_ridge {ridge:.2g}"
